@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "baselines/intersect.hpp"
@@ -34,6 +36,77 @@ struct HubTile {
   graph::VertexId v;
   std::uint32_t begin;
   std::uint32_t end;
+};
+
+/// Per-thread scratch bitmaps over hub-ID space: ⌈hubs/64⌉ words, at most
+/// 8 KiB, so one stays L1-resident. The hub phase's popcount path and the
+/// HNN bitmap probe use them. The constructor charges every thread's bitmap
+/// to the current memory budget up front, so it must run on the driver
+/// thread; each worker allocates its own bitmap on first use. A bitmap is
+/// all-zero between uses: callers clear exactly the words they set.
+class HubBitmaps {
+ public:
+  HubBitmaps(graph::VertexId hub_count, unsigned slots, const char* site)
+      : words_((static_cast<std::size_t>(hub_count) + 63) / 64), bitmaps_(slots) {
+    util::charge_current(
+        static_cast<std::uint64_t>(slots) * words_ * sizeof(std::uint64_t), site);
+  }
+
+  [[nodiscard]] std::uint64_t* get(unsigned thread_index) {
+    std::vector<std::uint64_t>& bitmap = bitmaps_[thread_index];
+    if (bitmap.empty()) bitmap.assign(words_, 0);
+    return bitmap.data();
+  }
+
+ private:
+  std::size_t words_;
+  std::vector<std::vector<std::uint64_t>> bitmaps_;
+};
+
+/// Set the bits of `hubs` in `bitmap` / clear them again. Clearing zeroes
+/// each member's whole word: every set bit belongs to a member.
+inline void set_hub_bits(std::uint64_t* bitmap, std::span<const std::uint16_t> hubs) {
+  for (const std::uint16_t h : hubs) bitmap[h >> 6] |= 1ULL << (h & 63);
+}
+inline void clear_hub_bits(std::uint64_t* bitmap, std::span<const std::uint16_t> hubs) {
+  for (const std::uint16_t h : hubs) bitmap[h >> 6] = 0;
+}
+
+/// The HNN inner step: how many hubs of `hubs` (HE(u)) have their bit set
+/// in `bitmap` (which holds HE(v)); `on_hit(h)` sees each common hub. A
+/// plain scalar bit test — one L1 load per element, no merge branches.
+template <typename OnHit>
+std::uint64_t hub_bitmap_hits(const std::uint64_t* bitmap,
+                              std::span<const std::uint16_t> hubs,
+                              OnHit&& on_hit) {
+  std::uint64_t hits = 0;
+  for (const std::uint16_t h : hubs) {
+    const std::uint64_t bit = (bitmap[h >> 6] >> (h & 63)) & 1;
+    if (bit != 0) on_hit(h);
+    hits += bit;
+  }
+  return hits;
+}
+
+/// The counting form of the HNN step, plus its obs tallies, flushed once
+/// per chunk: every probed element is one intersect comparison, and an NHE
+/// edge that probed elements without a hit is one fruitless search (the
+/// merge's convention). The tallies are dead when LOTUS_OBS=0.
+struct HnnHitCounter {
+  std::uint64_t probed = 0;
+  std::uint64_t fruitless = 0;
+
+  std::uint64_t count(const std::uint64_t* bitmap,
+                      std::span<const std::uint16_t> hubs) {
+    const std::uint64_t hits = hub_bitmap_hits(bitmap, hubs, [](std::uint16_t) {});
+    probed += hubs.size();
+    if (hits == 0 && !hubs.empty()) ++fruitless;
+    return hits;
+  }
+  void flush() const {
+    obs::count(obs::Counter::kIntersectComparisons, probed);
+    obs::count(obs::Counter::kFruitlessSearches, fruitless);
+  }
 };
 
 /// Build the phase-1 tile list under a partitioning policy. Squared tiling
@@ -71,8 +144,9 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
   auto tasks = build_hub_tasks(lg, config, policy, pool.size());
 
   const kernels::KernelTable& kernel_table = kernels::kernel_table();
-  const std::uint64_t mask_words = (static_cast<std::uint64_t>(lg.hub_count()) + 63) / 64;
-  std::vector<std::vector<std::uint64_t>> masks(pool.size());
+  std::optional<HubBitmaps> masks;  // the popcount path's scratch
+  if (std::is_same_v<Probe, baselines::NullProbe> && config.vectorize)
+    masks.emplace(lg.hub_count(), pool.size(), "hub/popcount-masks");
 
   std::vector<parallel::Padded<HubPhaseCounts>> partial(pool.size());
   std::vector<parallel::WorkStealingScheduler::Task> jobs;
@@ -97,10 +171,8 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
             const std::uint64_t word_cost =
                 2 * tile.end + (tile.end - tile.begin) * row_words;
             if (word_cost * 2 < pair_cost) {
-              std::vector<std::uint64_t>& mask = masks[thread_index];
-              if (mask.empty()) mask.assign(mask_words, 0);
-              for (std::uint32_t b = 0; b < tile.begin; ++b)
-                mask[list[b] >> 6] |= 1ULL << (list[b] & 63);
+              std::uint64_t* mask = masks->get(thread_index);
+              set_hub_bits(mask, list.first(tile.begin));
               for (std::uint32_t a = tile.begin; a < tile.end; ++a) {
                 const std::uint16_t h1 = list[a];
                 if (a > 0) {
@@ -110,15 +182,11 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
                       (static_cast<std::size_t>(list[a - 1]) >> 6) + 1;
                   found += kernel_table.and_window_popcount(
                       h2h.words().data(), h2h.words().size(),
-                      TriangularBitArray::row_base(h1), mask.data(),
-                      live_words);
+                      TriangularBitArray::row_base(h1), mask, live_words);
                 }
                 mask[h1 >> 6] |= 1ULL << (h1 & 63);
               }
-              // All set bits are members of list[0..end); zeroing each
-              // member's word restores the all-zero invariant.
-              for (std::uint32_t b = 0; b < tile.end; ++b)
-                mask[list[b] >> 6] = 0;
+              clear_hub_bits(mask, list.first(tile.end));
               counted = true;
             }
           }
@@ -161,15 +229,52 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
 }
 
 /// Phase 2 — HNN (Alg. 3 lines 7-9): for each non-hub edge (v, u), count the
-/// common hub neighbours of v and u in the compact 16-bit HE lists — via the
-/// dispatched 16-bit vectorized merge when `vectorize` and no probe is
-/// attached, the probe-templated scalar mirror otherwise.
+/// common hub neighbours of v and u in the compact 16-bit HE lists.
+///
+/// With `vectorize` and no probe attached, HE(v) is set in a per-thread
+/// bitmap over hub-ID space (≤ 8 KiB, L1-resident; see HubBitmaps) and every
+/// element of each HE(u) is tested against it: Σ|HE(u)| bit tests instead of
+/// a merge walking Σ(|HE(v)| + |HE(u)|) elements. Vertices with an empty
+/// HE(v) or NHE(v) are skipped. Otherwise (vectorize == false, or a probe
+/// attached for an instrumented replay) the probe-templated scalar merge
+/// runs; it is the reference the differential harness compares against.
+/// obs accounting: see HnnHitCounter.
 template <typename Probe = baselines::NullProbe>
 std::uint64_t count_hnn(const LotusGraph& lg,
                         Probe& probe = baselines::null_probe,
                         bool vectorize = true) {
   const graph::Csr16& he = lg.he();
   const graph::CsrGraph& nhe = lg.nhe();
+  if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
+    if (vectorize) {
+      HubBitmaps bitmaps(lg.hub_count(), parallel::max_parallelism(),
+                         "hnn/hub-bitmaps");
+      std::vector<parallel::Padded<std::uint64_t>> partial(
+          parallel::max_parallelism());
+      parallel::parallel_for(
+          0, lg.num_vertices(), 64,
+          [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
+            std::uint64_t* bitmap = bitmaps.get(thread_index);
+            std::uint64_t local = 0;
+            HnnHitCounter counter;
+            for (std::uint64_t vi = b; vi < e; ++vi) {
+              const auto v = static_cast<graph::VertexId>(vi);
+              auto hub_list = he.neighbors(v);
+              auto nv = nhe.neighbors(v);
+              if (hub_list.empty() || nv.empty()) continue;
+              set_hub_bits(bitmap, hub_list);
+              for (graph::VertexId u : nv)
+                local += counter.count(bitmap, he.neighbors(u));
+              clear_hub_bits(bitmap, hub_list);
+            }
+            counter.flush();
+            partial[thread_index].value += local;
+          });
+      std::uint64_t total = 0;
+      for (const auto& p : partial) total += p.value;
+      return total;
+    }
+  }
   return parallel::parallel_reduce_add<std::uint64_t>(
       0, lg.num_vertices(), 64, [&](std::uint64_t vi) {
         const auto v = static_cast<graph::VertexId>(vi);
@@ -224,7 +329,10 @@ std::uint64_t count_nnn(const LotusGraph& lg,
 /// Blocked HNN (the second Sec. 7 future-work item): processes non-hub
 /// edges in blocks of their target u, so the randomly accessed HE lists of
 /// one pass come from a bounded ID range and can stay cached. Counting is
-/// identical to count_hnn; only the traversal order changes.
+/// identical to count_hnn; only the traversal order changes. This ablation
+/// keeps the 16-bit merge (kernels::intersect, merge_u16) rather than
+/// count_hnn's bitmap probe: a vertex's NHE edges are split across blocks,
+/// so a bitmap of HE(v) would be set and cleared once per block.
 template <typename Probe = baselines::NullProbe>
 std::uint64_t count_hnn_blocked(const LotusGraph& lg,
                                 graph::VertexId block_size,
@@ -258,28 +366,50 @@ std::uint64_t count_hnn_blocked(const LotusGraph& lg,
 
 /// Fused HNN + NNN (the rejected alternative of Sec. 4.5, kept for the
 /// ablation bench): one pass over NHE doing both intersections, enlarging
-/// the randomly accessed working set.
+/// the randomly accessed working set. Uninstrumented vectorized runs take
+/// count_hnn's bitmap step for the hub half, so the ablation compares loop
+/// structure, not two different HNN kernels.
 template <typename Probe = baselines::NullProbe>
 std::uint64_t count_hnn_nnn_fused(const LotusGraph& lg,
                                   Probe& probe = baselines::null_probe,
                                   bool vectorize = true) {
   const graph::Csr16& he = lg.he();
   const graph::CsrGraph& nhe = lg.nhe();
-  return parallel::parallel_reduce_add<std::uint64_t>(
-      0, lg.num_vertices(), 64, [&](std::uint64_t vi) {
-        const auto v = static_cast<graph::VertexId>(vi);
-        auto nv = nhe.neighbors(v);
-        auto hub_list = he.neighbors(v);
+  constexpr bool kUnprobed = std::is_same_v<Probe, baselines::NullProbe>;
+  std::optional<HubBitmaps> bitmaps;
+  if (kUnprobed && vectorize)
+    bitmaps.emplace(lg.hub_count(), parallel::max_parallelism(),
+                    "hnn/hub-bitmaps");
+  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::max_parallelism());
+  parallel::parallel_for(
+      0, lg.num_vertices(), 64,
+      [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
+        std::uint64_t* bitmap = bitmaps ? bitmaps->get(thread_index) : nullptr;
         std::uint64_t local = 0;
-        for (graph::VertexId u : nv) {
-          probe.read(&u, sizeof(graph::VertexId));
-          local += kernels::intersect<std::uint16_t>(hub_list, he.neighbors(u),
-                                                     probe, vectorize);
-          local += kernels::intersect<graph::VertexId>(nv, nhe.neighbors(u),
-                                                       probe, vectorize);
+        HnnHitCounter counter;
+        for (std::uint64_t vi = b; vi < e; ++vi) {
+          const auto v = static_cast<graph::VertexId>(vi);
+          auto nv = nhe.neighbors(v);
+          auto hub_list = he.neighbors(v);
+          if (bitmap != nullptr) set_hub_bits(bitmap, hub_list);
+          for (graph::VertexId u : nv) {
+            probe.read(&u, sizeof(graph::VertexId));
+            if (bitmap == nullptr)
+              local += kernels::intersect<std::uint16_t>(
+                  hub_list, he.neighbors(u), probe, vectorize);
+            else if (!hub_list.empty())  // count_hnn skips these vertices
+              local += counter.count(bitmap, he.neighbors(u));
+            local += kernels::intersect<graph::VertexId>(nv, nhe.neighbors(u),
+                                                         probe, vectorize);
+          }
+          if (bitmap != nullptr) clear_hub_bits(bitmap, hub_list);
         }
-        return local;
+        counter.flush();
+        partial[thread_index].value += local;
       });
+  std::uint64_t total = 0;
+  for (const auto& p : partial) total += p.value;
+  return total;
 }
 
 }  // namespace lotus::core

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "baselines/intersect.hpp"
+#include "lotus/count.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/memory_budget.hpp"
@@ -46,20 +47,27 @@ std::vector<std::uint64_t> count_triangles_local_prepared(const LotusGraph& lg) 
         }
       });
 
-  // Phase 2 — HNN: common hub neighbours of each non-hub edge.
+  // Phase 2 — HNN: common hub neighbours of each non-hub edge, by count_hnn's
+  // bitmap step (HE(v) in a per-thread hub bitmap, HE(u) probed against it).
+  HubBitmaps bitmaps(lg.hub_count(), parallel::max_parallelism(),
+                     "hnn/hub-bitmaps");
   parallel::parallel_for(0, n, 128,
-      [&](unsigned, std::uint64_t b, std::uint64_t e) {
+      [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
+        std::uint64_t* bitmap = bitmaps.get(thread_index);
         for (std::uint64_t vi = b; vi < e; ++vi) {
           const auto v = static_cast<VertexId>(vi);
           auto hub_list = he.neighbors(v);
-          for (VertexId u : nhe.neighbors(v)) {
-            baselines::intersect_merge_visit<std::uint16_t>(
-                hub_list, he.neighbors(u), [&](std::uint16_t h) {
-                  credit(v);
-                  credit(u);
-                  credit(h);
-                });
+          auto nv = nhe.neighbors(v);
+          if (hub_list.empty() || nv.empty()) continue;
+          set_hub_bits(bitmap, hub_list);
+          for (VertexId u : nv) {
+            hub_bitmap_hits(bitmap, he.neighbors(u), [&](std::uint16_t h) {
+              credit(v);
+              credit(u);
+              credit(h);
+            });
           }
+          clear_hub_bits(bitmap, hub_list);
         }
       });
 

@@ -61,9 +61,9 @@ LotusGraph LotusGraph::build(const CsrGraph& graph, const LotusConfig& config,
     obs::ScopedSpan span(tracer, "relabel");
     const auto reorder_count = static_cast<VertexId>(std::max<std::uint64_t>(
         hubs, static_cast<std::uint64_t>(config.relabel_fraction * n)));
-    // create_relabeling_array holds new_id + by_degree + a bool flag array;
-    // old_of_new below adds one more VertexId array.
-    util::charge_current(static_cast<std::uint64_t>(n) * (3 * sizeof(VertexId) + 1),
+    // create_relabeling_array charges its own buffers; old_of_new below
+    // adds one more VertexId array.
+    util::charge_current(static_cast<std::uint64_t>(n) * sizeof(VertexId),
                          "relabel_buffers");
     lg.new_id_ = create_relabeling_array(graph, reorder_count);
     if (tracer != nullptr) {

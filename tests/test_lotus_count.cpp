@@ -12,7 +12,9 @@
 #include "graph/reorder.hpp"
 #include "lotus/count.hpp"
 #include "lotus/lotus.hpp"
+#include "lotus/relabel.hpp"
 #include "parallel/parallel_for.hpp"
+#include "util/memory_budget.hpp"
 
 namespace {
 
@@ -254,6 +256,84 @@ TEST(LotusCount, RepeatedRunsAreDeterministic) {
     EXPECT_EQ(r.hnn, first.hnn);
     EXPECT_EQ(r.nnn, first.nnn);
   }
+}
+
+TEST(LotusCount, BitmapHnnAtThe64KiHubBoundary) {
+  // 65 536 degree-4 hub candidates, each closing two triangles with its own
+  // pairs of degree-2 vertices (no hub-hub edges, so the 256 MiB H2H stays
+  // cold). With 65 535 and 65 536 hubs — more than 65 536 vertices, so
+  // neither is clamped — HE lists carry IDs in the last word of the hub
+  // bitmap, and with 65 535 the one candidate left over is a non-hub.
+  constexpr g::VertexId kCandidates = 1u << 16;
+  constexpr g::VertexId kLeaves = 4 * kCandidates;  // IDs before the hubs
+  g::EdgeList el{kLeaves + kCandidates, {}};
+  for (g::VertexId c = 0; c < kCandidates; ++c) {
+    const g::VertexId hub = kLeaves + c;
+    for (g::VertexId pair = 0; pair < 2; ++pair) {
+      const g::VertexId a = 4 * c + 2 * pair;
+      el.edges.push_back({a, a + 1});
+      el.edges.push_back({hub, a});
+      el.edges.push_back({hub, a + 1});
+    }
+  }
+  const auto graph = g::build_undirected(el);
+  const std::uint64_t expected = lotus::baselines::forward_merge(graph).triangles;
+  ASSERT_EQ(expected, 2u * kCandidates);
+
+  for (const g::VertexId hubs : {kCandidates - 1, kCandidates}) {
+    LotusConfig config;
+    config.hub_count = hubs;
+    const auto lg = LotusGraph::build(graph, config);
+    ASSERT_EQ(lg.hub_count(), hubs);
+    std::uint16_t max_he = 0;
+    for (g::VertexId v = 0; v < lg.num_vertices(); ++v)
+      for (const std::uint16_t h : lg.he().neighbors(v)) max_he = std::max(max_he, h);
+    ASSERT_EQ(max_he, hubs - 1) << "HE reaches the last bitmap word";
+
+    const std::uint64_t bitmap =
+        lotus::core::count_hnn(lg, lotus::baselines::null_probe, true);
+    EXPECT_EQ(bitmap, lotus::core::count_hnn(lg, lotus::baselines::null_probe, false))
+        << hubs << " hubs";
+    EXPECT_EQ(bitmap, 2u * hubs) << hubs << " hubs";
+    const auto hub_phase = lotus::core::count_hhh_hhn(lg, config);
+    const std::uint64_t nnn = lotus::core::count_nnn(lg);
+    EXPECT_EQ(hub_phase.hhh + hub_phase.hhn + bitmap + nnn, expected) << hubs << " hubs";
+    EXPECT_EQ(lotus::core::count_hnn_nnn_fused(lg), bitmap + nnn) << hubs << " hubs";
+  }
+}
+
+TEST(LotusCount, ChargesScratchToTheMemoryBudget) {
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 12, .edge_factor = 8, .seed = 28}));
+  LotusConfig config;
+  config.hub_count = 1000;
+  auto charged = [&](bool vectorize) {
+    LotusConfig c = config;
+    c.vectorize = vectorize;
+    lotus::util::MemoryBudget budget;  // unlimited: accounting only
+    lotus::util::ScopedMemoryBudget scoped(&budget);
+    EXPECT_EQ(lotus::core::count_triangles(graph, c).triangles, brute_force(graph));
+    return budget.used();
+  };
+  const std::uint64_t scalar = charged(false);
+  const std::uint64_t vectorized = charged(true);
+
+  // Both runs charge the topology and the relabel buffers: new_id,
+  // old_of_new, the selected block and the per-thread histograms.
+  const std::uint64_t n = graph.num_vertices();
+  const std::uint64_t threads = lotus::parallel::max_parallelism();
+  const std::uint64_t reorder =
+      std::max<std::uint64_t>(config.hub_count, n / 10);
+  const std::uint64_t relabel =
+      (2 * n + reorder + threads * (lotus::core::kRelabelHistogramCap + 1)) *
+      sizeof(g::VertexId);
+  EXPECT_GE(scalar, LotusGraph::build(graph, config).topology_bytes() + relabel);
+
+  // The vectorized run adds exactly the per-thread hub-space scratch: the
+  // hub phase's popcount masks and the HNN bitmaps, ⌈hubs/64⌉ words each.
+  const std::uint64_t bitmap_bytes = (config.hub_count + 63) / 64 * 8;
+  EXPECT_EQ(vectorized - scalar,
+            (lotus::parallel::default_pool().size() + threads) * bitmap_bytes);
 }
 
 }  // namespace
