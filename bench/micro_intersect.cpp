@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "baselines/intersect.hpp"
-#include "baselines/simd_intersect.hpp"
+#include "kernels/intersect.hpp"
 #include "util/bitset.hpp"
 #include "util/prng.hpp"
 
@@ -67,7 +67,9 @@ void BM_BinaryBranchfree(benchmark::State& state) {
 void BM_Simd(benchmark::State& state) {
   const auto a = make_sorted(static_cast<std::size_t>(state.range(0)), 1 << 20, 1);
   const auto b = make_sorted(static_cast<std::size_t>(state.range(1)), 1 << 20, 2);
-  for (auto _ : state) benchmark::DoNotOptimize(intersect_simd(a, b));
+  const std::span<const std::uint32_t> sa(a), sb(b);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(lotus::kernels::intersect<std::uint32_t>(sa, sb));
   state.SetItemsProcessed(state.iterations() *
                           (state.range(0) + state.range(1)));
 }

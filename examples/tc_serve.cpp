@@ -4,7 +4,7 @@
 //
 //   tc_serve                                   # synthetic Twtr-S, both modes
 //   tc_serve --queries 32 --drivers 4
-//   tc_serve --mix lotus,gap-forward,forward-simd --mode engine
+//   tc_serve --mix lotus,gap-forward,forward-hybrid --mode engine
 //   tc_serve --mix lotus,lotus:kclique@4,lotus:ktruss,clustering
 //   tc_serve --graph edges.txt --cache-mb 256
 //   tc_serve --metrics-out engine.json         # Engine::metrics() report
@@ -124,9 +124,10 @@ int main(int argc, char** argv) {
           "CSR); empty = synthetic --dataset");
   cli.opt("dataset", "Twtr-S", "synthetic dataset name when --graph is empty");
   cli.opt("factor", "0.1", "vertex-count multiplier for the synthetic dataset");
-  cli.opt("mix", "lotus,gap-forward,adaptive,forward-simd",
+  cli.opt("mix", "lotus,gap-forward,adaptive,forward-hybrid",
           "comma-separated request mix, replayed round-robin; each entry is "
-          "algo[:analytic[@k]] or a bare analytic name (kclique, ktruss, "
+          "algo[:analytic[@k]] (algo: lotus, adaptive, gap-forward, "
+          "forward-hybrid, ...) or a bare analytic name (kclique, ktruss, "
           "local-counts, clustering) served on the lotus substrate");
   cli.opt("queries", "16", "total queries to replay");
   cli.opt("drivers", "2", "engine query drivers (queries in flight)");

@@ -7,8 +7,10 @@
 #   3. every kernel in the dispatch table (src/kernels/dispatch.hpp,
 #      KERNEL-INVENTORY block) must be documented in docs/KERNELS.md;
 #   4. prose docs must not reference the deprecated legacy entry points
-#      (tc::run, run_with_status, run_profiled*) — docs/API.md is exempt
-#      because it documents the migration away from them;
+#      (tc::run, run_with_status, run_profiled*) or the removed names
+#      (forward-simd, kForwardSimd, intersect_simd, adaptive_count,
+#      use_lotus()) — docs/API.md is exempt because it documents the
+#      migration away from them;
 #   5. every out-of-core knob (src/graph/oocore.hpp, LOTUS-KNOB-INVENTORY
 #      block) must be documented in docs/OUT_OF_CORE.md;
 #   6. every exported engine metric (src/obs/telemetry.hpp,
@@ -73,17 +75,20 @@ for kernel in $inventory; do
 done
 
 # --- 4. no legacy entry-point references in prose docs ----------------------
-# tc::run / run_with_status / run_profiled* are deprecated shims; docs must
-# describe the tc::query surface. docs/API.md keeps the migration table and
-# is exempt, as are the changelog/issue worklogs.
+# tc::run / run_with_status / run_profiled* are deprecated shims, and
+# forward-simd / kForwardSimd / intersect_simd / adaptive_count / use_lotus()
+# are gone (folded into gap-forward, kernels::intersect and the adaptive
+# resolution of tc::query); docs must describe the tc::query surface.
+# docs/API.md keeps the migration table and is exempt, as are the
+# changelog/issue worklogs.
 for md in README.md DESIGN.md docs/*.md; do
   [ -e "$md" ] || continue
   case "$md" in
     docs/API.md) continue ;;
   esac
-  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled' "$md")
+  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()' "$md")
   if [ -n "$hits" ]; then
-    echo "check_docs: $md references a deprecated legacy entry point:" >&2
+    echo "check_docs: $md references a deprecated or removed entry point:" >&2
     echo "$hits" | sed 's/^/  /' >&2
     status=1
   fi

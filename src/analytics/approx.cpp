@@ -6,6 +6,7 @@
 
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
+#include "graph/degree_order.hpp"
 #include "util/prng.hpp"
 #include "util/timer.hpp"
 
@@ -30,7 +31,8 @@ ApproxResult doulion(const CsrGraph& graph, double keep_probability,
         kept.edges.push_back({u, v});
 
   const CsrGraph sparse = graph::build_undirected(kept);
-  const auto count = baselines::forward_merge(sparse).triangles;
+  const auto count = baselines::forward_merge_prepared(
+      graph::degree_ordered_oriented(sparse), /*vectorize=*/true);
 
   ApproxResult out;
   const double p3 = keep_probability * keep_probability * keep_probability;

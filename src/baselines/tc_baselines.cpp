@@ -4,14 +4,11 @@
 #include <vector>
 
 #include "baselines/intersect.hpp"
-#include "baselines/simd_intersect.hpp"
-#include "graph/builder.hpp"
 #include "kernels/hybrid.hpp"
-#include "graph/degree_order.hpp"
+#include "kernels/intersect.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/bitset.hpp"
 #include "util/memory_budget.hpp"
-#include "util/timer.hpp"
 
 namespace lotus::baselines {
 
@@ -19,24 +16,8 @@ using graph::CsrGraph;
 using graph::OrientedCsr;
 using graph::VertexId;
 
-namespace {
-
-/// Wrap a prepared kernel with the shared degree-ordering preprocessing.
-template <typename Kernel>
-TcResult end_to_end(const CsrGraph& g, Kernel&& kernel) {
-  util::Timer timer;
-  const OrientedCsr oriented = graph::degree_ordered_oriented(g);
-  TcResult result;
-  result.preprocess_s = timer.elapsed_s();
-  timer.reset();
-  result.triangles = kernel(oriented);
-  result.count_s = timer.elapsed_s();
-  return result;
-}
-
-}  // namespace
-
-std::uint64_t forward_merge_prepared(const OrientedCsr& oriented) {
+std::uint64_t forward_merge_prepared(const OrientedCsr& oriented,
+                                     bool vectorize) {
   const VertexId n = oriented.num_vertices();
   return parallel::parallel_reduce_add<std::uint64_t>(
       0, n, 64, [&](std::uint64_t vi) {
@@ -44,20 +25,8 @@ std::uint64_t forward_merge_prepared(const OrientedCsr& oriented) {
         auto nv = oriented.neighbors(v);
         std::uint64_t local = 0;
         for (VertexId u : nv)
-          local += intersect_merge<VertexId>(nv, oriented.neighbors(u));
-        return local;
-      });
-}
-
-std::uint64_t forward_simd_prepared(const OrientedCsr& oriented) {
-  const VertexId n = oriented.num_vertices();
-  return parallel::parallel_reduce_add<std::uint64_t>(
-      0, n, 64, [&](std::uint64_t vi) {
-        const auto v = static_cast<VertexId>(vi);
-        auto nv = oriented.neighbors(v);
-        std::uint64_t local = 0;
-        for (VertexId u : nv)
-          local += intersect_simd(nv, oriented.neighbors(u));
+          local += kernels::intersect<VertexId>(nv, oriented.neighbors(u),
+                                                null_probe, vectorize);
         return local;
       });
 }
@@ -203,72 +172,6 @@ std::uint64_t blocked_tc_prepared(const OrientedCsr& oriented,
         }
         return local;
       });
-}
-
-TcResult forward_merge(const CsrGraph& g) { return end_to_end(g, forward_merge_prepared); }
-TcResult forward_simd(const CsrGraph& g) { return end_to_end(g, forward_simd_prepared); }
-TcResult forward_gallop(const CsrGraph& g) { return end_to_end(g, forward_gallop_prepared); }
-TcResult forward_hashed(const CsrGraph& g) { return end_to_end(g, forward_hashed_prepared); }
-TcResult forward_bitmap(const CsrGraph& g) { return end_to_end(g, forward_bitmap_prepared); }
-TcResult forward_hybrid(const CsrGraph& g) {
-  return end_to_end(g, [](const OrientedCsr& oriented) {
-    return forward_hybrid_prepared(oriented);
-  });
-}
-TcResult edge_parallel_forward(const CsrGraph& g) {
-  return end_to_end(g, edge_parallel_forward_prepared);
-}
-TcResult blocked_tc(const CsrGraph& g, VertexId block_size) {
-  return end_to_end(g, [block_size](const OrientedCsr& oriented) {
-    return blocked_tc_prepared(oriented, block_size);
-  });
-}
-
-TcResult edge_iterator(const CsrGraph& g) {
-  // Intersects the full neighbour lists of both endpoints of every
-  // undirected edge; each triangle is found once per edge, i.e. 3 times.
-  util::Timer timer;
-  const OrientedCsr oriented = graph::orient_by_id(g);
-  TcResult result;
-  result.preprocess_s = timer.elapsed_s();
-  timer.reset();
-  const VertexId n = g.num_vertices();
-  const std::uint64_t tripled = parallel::parallel_reduce_add<std::uint64_t>(
-      0, n, 64, [&](std::uint64_t vi) {
-        const auto v = static_cast<VertexId>(vi);
-        std::uint64_t local = 0;
-        for (VertexId u : oriented.neighbors(v))
-          local += intersect_merge<VertexId>(g.neighbors(v), g.neighbors(u));
-        return local;
-      });
-  result.triangles = tripled / 3;
-  result.count_s = timer.elapsed_s();
-  return result;
-}
-
-TcResult node_iterator(const CsrGraph& g) {
-  // For every vertex, tests each pair of neighbours for adjacency (via
-  // binary search); every triangle is seen from each corner, i.e. 3 times.
-  util::Timer timer;
-  TcResult result;
-  result.preprocess_s = timer.elapsed_s();
-  timer.reset();
-  const VertexId n = g.num_vertices();
-  const std::uint64_t tripled = parallel::parallel_reduce_add<std::uint64_t>(
-      0, n, 16, [&](std::uint64_t vi) {
-        const auto v = static_cast<VertexId>(vi);
-        auto nv = g.neighbors(v);
-        std::uint64_t local = 0;
-        for (std::size_t i = 0; i < nv.size(); ++i) {
-          auto nu = g.neighbors(nv[i]);
-          for (std::size_t j = i + 1; j < nv.size(); ++j)
-            local += std::binary_search(nu.begin(), nu.end(), nv[j]) ? 1u : 0u;
-        }
-        return local;
-      });
-  result.triangles = tripled / 3;
-  result.count_s = timer.elapsed_s();
-  return result;
 }
 
 std::uint64_t brute_force(const CsrGraph& g) {

@@ -1,14 +1,14 @@
-// Baseline triangle-counting algorithms.
+// Baseline triangle-counting kernels.
 //
 // These reimplement, from scratch, the comparator kernels of the paper's
 // evaluation (Sec. 5.1.4) plus the classical algorithms of Sec. 2.2:
 //   * forward_*            — Alg. 1 (Forward with degree ordering); the merge
-//                            variant is the GAP-style kernel, the gallop
-//                            variant the binary-search flavour of [31].
+//                            variant is the GAP-style kernel (dispatched SIMD
+//                            merge, or the scalar merge with vectorize off),
+//                            the gallop variant the binary-search flavour
+//                            of [31].
 //   * edge_parallel_forward— GBBS-style: parallelism over oriented edges
 //                            rather than vertices (parallelized intersection).
-//   * edge_iterator        — GraphGrind-style iterator over full lists.
-//   * node_iterator        — classical pair-enumeration algorithm.
 //   * forward_hashed       — Schank & Wagner's hash-container variant.
 //   * forward_bitmap       — Latapy's bitmap (new-vertex-listing) variant.
 //   * forward_hybrid       — sparse-vs-dense degree split: dense-bitmap
@@ -17,9 +17,10 @@
 //   * blocked_tc           — BBTC-style block-based traversal.
 //   * brute_force          — O(V·d_max^2) oracle used only by tests.
 //
-// Functions taking a `CsrGraph` run end-to-end (preprocessing included) and
-// report phase timings; `*_prepared` variants consume an already oriented
-// graph for kernel-only comparisons.
+// Every kernel consumes the degree-ordered oriented CSR of a tc::PreparedGraph
+// (graph::degree_ordered_oriented); the preprocessing is the artifact build,
+// timed by the tc layer. The edge/node iterators, which need no artifact,
+// live in tc::detail::run_prepared_kernel.
 #pragma once
 
 #include <cstdint>
@@ -28,18 +29,10 @@
 
 namespace lotus::baselines {
 
-/// End-to-end result: triangle count plus the two phases the paper times.
-struct TcResult {
-  std::uint64_t triangles = 0;
-  double preprocess_s = 0.0;
-  double count_s = 0.0;
-
-  [[nodiscard]] double total_s() const { return preprocess_s + count_s; }
-};
-
-// --- Kernel-only entry points (prepared, degree-ordered oriented input).
-std::uint64_t forward_merge_prepared(const graph::OrientedCsr& oriented);
-std::uint64_t forward_simd_prepared(const graph::OrientedCsr& oriented);
+/// GAP-style merge join; `vectorize` picks the dispatched SIMD merge
+/// (kernels::intersect) or the scalar merge, like LotusConfig::vectorize.
+std::uint64_t forward_merge_prepared(const graph::OrientedCsr& oriented,
+                                     bool vectorize);
 std::uint64_t forward_gallop_prepared(const graph::OrientedCsr& oriented);
 std::uint64_t forward_hashed_prepared(const graph::OrientedCsr& oriented);
 std::uint64_t forward_bitmap_prepared(const graph::OrientedCsr& oriented);
@@ -48,19 +41,6 @@ std::uint64_t forward_hybrid_prepared(const graph::OrientedCsr& oriented,
 std::uint64_t edge_parallel_forward_prepared(const graph::OrientedCsr& oriented);
 std::uint64_t blocked_tc_prepared(const graph::OrientedCsr& oriented,
                                   graph::VertexId block_size);
-
-// --- End-to-end entry points (symmetric input; includes degree ordering).
-TcResult forward_merge(const graph::CsrGraph& graph);
-TcResult forward_simd(const graph::CsrGraph& graph);  // AVX2 intersection
-TcResult forward_gallop(const graph::CsrGraph& graph);
-TcResult forward_hashed(const graph::CsrGraph& graph);
-TcResult forward_bitmap(const graph::CsrGraph& graph);
-TcResult forward_hybrid(const graph::CsrGraph& graph);
-TcResult edge_parallel_forward(const graph::CsrGraph& graph);
-TcResult edge_iterator(const graph::CsrGraph& graph);
-TcResult node_iterator(const graph::CsrGraph& graph);
-TcResult blocked_tc(const graph::CsrGraph& graph,
-                    graph::VertexId block_size = 1 << 14);
 
 /// Reference oracle: correct for any simple symmetric graph; quadratic in
 /// the maximum degree, so tests only.

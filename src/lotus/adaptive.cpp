@@ -1,31 +1,11 @@
 #include "lotus/adaptive.hpp"
 
-#include "baselines/tc_baselines.hpp"
 #include "graph/stats.hpp"
 
 namespace lotus::core {
 
 bool should_use_lotus(const graph::CsrGraph& graph) {
   return graph::degree_stats(graph).is_skewed();
-}
-
-AdaptiveResult adaptive_count(const graph::CsrGraph& graph,
-                              const LotusConfig& config) {
-  AdaptiveResult out;
-  if (should_use_lotus(graph)) {
-    const LotusResult r = count_triangles(graph, config);
-    out.triangles = r.triangles;
-    out.preprocess_s = r.preprocess_s;
-    out.count_s = r.count_s();
-    out.algorithm = ChosenAlgorithm::kLotus;
-  } else {
-    const baselines::TcResult r = baselines::forward_merge(graph);
-    out.triangles = r.triangles;
-    out.preprocess_s = r.preprocess_s;
-    out.count_s = r.count_s;
-    out.algorithm = ChosenAlgorithm::kForward;
-  }
-  return out;
 }
 
 }  // namespace lotus::core

@@ -3,30 +3,16 @@
 // LOTUS pays off on skewed-degree graphs; for low-skew inputs (the
 // Friendster case) the Forward algorithm is the better choice. Following
 // the GAP heuristic the paper cites, we compare the average degree against
-// a sampled median and dispatch accordingly.
+// a sampled median. tc::detail::resolve_adaptive turns the decision into
+// the algorithm (and artifact) a kAdaptive query runs as.
 #pragma once
 
 #include "graph/csr.hpp"
-#include "lotus/config.hpp"
-#include "lotus/lotus.hpp"
 
 namespace lotus::core {
 
-enum class ChosenAlgorithm { kLotus, kForward };
-
-struct AdaptiveResult {
-  std::uint64_t triangles = 0;
-  double preprocess_s = 0.0;
-  double count_s = 0.0;
-  ChosenAlgorithm algorithm = ChosenAlgorithm::kLotus;
-};
-
-/// Inspect the degree distribution and run LOTUS (skewed) or Forward
-/// (low-skew). The decision itself costs one O(V) degree scan.
-AdaptiveResult adaptive_count(const graph::CsrGraph& graph,
-                              const LotusConfig& config = {});
-
-/// The dispatch predicate, exposed for tests: true → LOTUS.
+/// The dispatch predicate: true → LOTUS, false → Forward. Costs one O(V)
+/// degree scan.
 bool should_use_lotus(const graph::CsrGraph& graph);
 
 }  // namespace lotus::core

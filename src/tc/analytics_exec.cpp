@@ -3,20 +3,21 @@
 // kClustering).
 //
 // The job here is substrate plumbing, not graph algorithms: pick the
-// substrate the Algorithm selects (LOTUS phases for lotus/adaptive on the
-// per-vertex analytics, the degree-ordered oriented CSR otherwise), borrow
-// it from the prepared artifact when the Engine supplies one, build it
-// end-to-end otherwise, then hand off to the analytic kernels
-// (lotus/kclique.hpp, lotus/local.hpp, algorithms/ktruss.hpp,
-// analytics/clustering.hpp — all sharing the mining layer's DAG traversal).
+// substrate the Algorithm selects (LOTUS phases for lotus on the per-vertex
+// analytics, the degree-ordered oriented CSR otherwise), borrow it from the
+// prepared artifact (the Engine's cached one, or the one tc::query just
+// built), then hand off to the analytic kernels (lotus/kclique.hpp,
+// lotus/local.hpp, algorithms/ktruss.hpp, analytics/clustering.hpp — all
+// sharing the mining layer's DAG traversal).
 //
-// Timing model: artifact (re)builds and the residual per-query work a
-// borrowed artifact cannot cover — the degree permutation for per-vertex
-// remaps, the relabeled full graph for the truss peel (OrientedCsr stores no
-// permutation, and the LOTUSPA1 spill format must not change to carry one) —
-// land in preprocess_s; the traversals land in count_s. That keeps the
-// Engine's cache-amortization metrics honest: a cache hit removes exactly
-// the artifact build, never the residual.
+// Timing model: the residual per-query work the artifact cannot cover — the
+// degree permutation for per-vertex remaps, the relabeled full graph for the
+// truss peel (OrientedCsr stores no permutation, and the LOTUSPA1 spill
+// format must not change to carry one) — lands in preprocess_s (traced as a
+// "preprocess" leaf); the traversals land in count_s. The artifact build is
+// timed by the caller. That keeps the Engine's cache-amortization metrics
+// honest: a cache hit removes exactly the artifact build, never the
+// residual.
 //
 // Error model: budget vetoes surface as bad_alloc (execute_query's
 // degradation retry applies — the substrate switches, the analytic stays);
@@ -31,7 +32,6 @@
 #include "analytics/clustering.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
-#include "lotus/adaptive.hpp"
 #include "lotus/kclique.hpp"
 #include "lotus/local.hpp"
 #include "lotus/lotus_graph.hpp"
@@ -58,7 +58,7 @@ auto timed_into(double& accumulator, Fn&& fn) {
 
 RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
                        const QueryOptions& options,
-                       const PreparedGraph* prepared,
+                       const PreparedGraph& prepared,
                        obs::PhaseTracer* trace) {
   const AnalyticsRequest& request = options.analytic;
   if (request.kind == AnalyticKind::kTriangles)
@@ -69,43 +69,36 @@ RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
   out.analytics.kind = request.kind;
   out.analytics.k = request.kind == AnalyticKind::kKClique ? request.k : 3;
 
-  // Substrate choice. The per-vertex analytics honour the algorithm's LOTUS
-  // preference (kLotus always; kAdaptive by its dispatch decision — frozen
-  // in the artifact when one exists, re-derived otherwise); the DAG-only
-  // analytics always run over the oriented CSR.
+  // Substrate choice. The per-vertex analytics honour a LOTUS algorithm
+  // (adaptive arrives already resolved); the DAG-only analytics always run
+  // over the oriented CSR.
   const bool per_vertex = request.kind == AnalyticKind::kLocalCounts ||
                           request.kind == AnalyticKind::kClustering;
-  const bool lotus_substrate =
-      per_vertex &&
-      (algorithm == Algorithm::kLotus ||
-       (algorithm == Algorithm::kAdaptive &&
-        (prepared != nullptr && prepared->lotus() != nullptr
-             ? prepared->use_lotus()
-             : core::should_use_lotus(graph))));
+  const bool lotus_substrate = per_vertex && algorithm == Algorithm::kLotus;
   if (trace != nullptr) {
     trace->note("analytic", analytic_name(request.kind));
     trace->note("substrate", lotus_substrate ? "lotus" : "oriented");
   }
 
-  // Assemble the substrate, borrowing whatever the artifact carries and
-  // timing whatever it does not.
+  // Borrow the substrate from the artifact; time the residual work it does
+  // not carry.
   const core::LotusGraph* lg = nullptr;
-  std::optional<core::LotusGraph> lg_owned;
   const graph::OrientedCsr* oriented = nullptr;
-  std::optional<graph::OrientedCsr> oriented_owned;
   std::vector<VertexId> perm;           // degree-descending permutation
   std::optional<graph::CsrGraph> relabeled;  // graph in the oriented ID space
 
   if (lotus_substrate) {
-    lg = prepared != nullptr ? prepared->lotus() : nullptr;
-    if (lg == nullptr) {
-      lg_owned.emplace(timed_into(out.preprocess_s, [&] {
-        return core::LotusGraph::build(graph, options.config);
-      }));
-      lg = &*lg_owned;
-    }
+    lg = prepared.lotus();
+    if (lg == nullptr)
+      throw std::invalid_argument(
+          "prepared artifact lacks the LotusGraph required by " +
+          name(algorithm));
   } else {
-    oriented = prepared != nullptr ? prepared->oriented() : nullptr;
+    oriented = prepared.oriented();
+    if (oriented == nullptr)
+      throw std::invalid_argument(
+          "prepared artifact lacks the oriented CSR required by " +
+          name(algorithm));
     const bool needs_perm = per_vertex || request.kind == AnalyticKind::kKTruss;
     if (needs_perm)
       perm = timed_into(out.preprocess_s, [&] {
@@ -114,15 +107,6 @@ RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
     if (request.kind == AnalyticKind::kKTruss)
       relabeled.emplace(timed_into(
           out.preprocess_s, [&] { return graph::relabel(graph, perm); }));
-    if (oriented == nullptr) {
-      oriented_owned.emplace(timed_into(out.preprocess_s, [&] {
-        if (relabeled.has_value()) return graph::orient_by_id(*relabeled);
-        if (!perm.empty())
-          return graph::orient_by_id(graph::relabel(graph, perm));
-        return graph::degree_ordered_oriented(graph);
-      }));
-      oriented = &*oriented_owned;
-    }
   }
 
   util::Timer count_timer;

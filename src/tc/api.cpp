@@ -2,13 +2,9 @@
 
 #include <iostream>
 #include <memory>
+#include <optional>
 
-#include "baselines/matrix_tc.hpp"
-#include "baselines/tc_baselines.hpp"
-#include "graph/degree_order.hpp"
 #include "lotus/adaptive.hpp"
-#include "lotus/lotus.hpp"
-#include "lotus/lotus_graph.hpp"
 #include "parallel/exec_context.hpp"
 #include "parallel/thread_pool.hpp"
 #include "obs/telemetry.hpp"
@@ -23,52 +19,41 @@ namespace lotus::tc {
 
 namespace {
 
-// Single source of truth for the CLI/schema names: name(), parse(),
-// all_algorithms() and the benches' sweep order all derive from this table.
-// Order matters — it is the display order (LOTUS first).
-struct AlgorithmName {
+// Single source of truth for the per-algorithm facts: the CLI/schema name
+// (name(), parse(), all_algorithms() and the benches' sweep order derive
+// from it), the artifact the algorithm counts against, and whether a memory
+// budget can veto its scratch/topology allocations (it then degrades to the
+// scratch-free gap-forward merge). The kernel itself is picked in one place,
+// detail::run_prepared_kernel. Order matters — it is the display order
+// (LOTUS first).
+struct AlgorithmInfo {
   Algorithm algorithm;
   const char* name;
+  ArtifactKind artifact;
+  bool budget_degradable;
 };
-constexpr AlgorithmName kAlgorithmTable[] = {
-    {Algorithm::kLotus, "lotus"},
-    {Algorithm::kAdaptive, "adaptive"},
-    {Algorithm::kForwardMerge, "gap-forward"},
-    {Algorithm::kForwardGallop, "forward-gallop"},
-    {Algorithm::kForwardSimd, "forward-simd"},
-    {Algorithm::kForwardHashed, "forward-hashed"},
-    {Algorithm::kForwardBitmap, "forward-bitmap"},
-    {Algorithm::kForwardHybrid, "forward-hybrid"},
-    {Algorithm::kEdgeParallel, "gbbs-edgepar"},
-    {Algorithm::kEdgeIterator, "ggrind-edgeit"},
-    {Algorithm::kNodeIterator, "node-iterator"},
-    {Algorithm::kBlocked, "bbtc-blocked"},
-    {Algorithm::kAyz, "ayz-matrix"},
-    {Algorithm::kSpGemmMasked, "spgemm-masked"},
+constexpr AlgorithmInfo kAlgorithmTable[] = {
+    {Algorithm::kLotus, "lotus", ArtifactKind::kLotus, true},
+    // Resolved to lotus or gap-forward before any lookup; the row describes
+    // the skewed choice.
+    {Algorithm::kAdaptive, "adaptive", ArtifactKind::kLotus, true},
+    {Algorithm::kForwardMerge, "gap-forward", ArtifactKind::kOriented, false},
+    {Algorithm::kForwardGallop, "forward-gallop", ArtifactKind::kOriented, false},
+    {Algorithm::kForwardHashed, "forward-hashed", ArtifactKind::kOriented, true},
+    {Algorithm::kForwardBitmap, "forward-bitmap", ArtifactKind::kOriented, true},
+    {Algorithm::kForwardHybrid, "forward-hybrid", ArtifactKind::kOriented, true},
+    {Algorithm::kEdgeParallel, "gbbs-edgepar", ArtifactKind::kOriented, false},
+    {Algorithm::kEdgeIterator, "ggrind-edgeit", ArtifactKind::kNone, false},
+    {Algorithm::kNodeIterator, "node-iterator", ArtifactKind::kNone, false},
+    {Algorithm::kBlocked, "bbtc-blocked", ArtifactKind::kOriented, false},
+    {Algorithm::kAyz, "ayz-matrix", ArtifactKind::kNone, false},
+    {Algorithm::kSpGemmMasked, "spgemm-masked", ArtifactKind::kNone, false},
 };
 
-RunResult from_baseline(const baselines::TcResult& r) {
-  RunResult out;
-  out.triangles = r.triangles;
-  out.preprocess_s = r.preprocess_s;
-  out.count_s = r.count_s;
-  return out;
-}
-
-// Record the coarse two-phase timing of an already-finished run as leaf
-// spans, so every algorithm produces a span tree even without fine tracing.
-void leaf_spans(obs::PhaseTracer& trace, const RunResult& r) {
-  if (r.preprocess_s > 0.0) trace.leaf("preprocess", r.preprocess_s);
-  trace.leaf("count", r.count_s);
-}
-
-// Value of a note key anywhere in the span tree ("" if absent) — used to
-// recover the adaptive fallback's decision after the fact.
-std::string find_note(const obs::PhaseTracer& trace, std::string_view key) {
-  for (const auto& span : trace.spans())
-    for (const auto& [k, v] : span.notes)
-      if (k == key) return v;
-  return {};
+const AlgorithmInfo* find_info(Algorithm algorithm) {
+  for (const AlgorithmInfo& entry : kAlgorithmTable)
+    if (entry.algorithm == algorithm) return &entry;
+  return nullptr;
 }
 
 util::Status interrupt_status(parallel::Interrupt interrupt) {
@@ -79,101 +64,50 @@ util::Status interrupt_status(parallel::Interrupt interrupt) {
                             "QueryOptions::deadline expired before completion"};
 }
 
-// Algorithms whose scratch/topology allocations a memory budget can veto;
-// all of them degrade to the scratch-free gap-forward merge kernel.
 bool budget_degradable(Algorithm algorithm) {
-  return algorithm == Algorithm::kLotus || algorithm == Algorithm::kAdaptive ||
-         algorithm == Algorithm::kForwardHashed ||
-         algorithm == Algorithm::kForwardBitmap ||
-         algorithm == Algorithm::kForwardHybrid;
+  const AlgorithmInfo* info = find_info(algorithm);
+  return info != nullptr && info->budget_degradable;
 }
 
-// One end-to-end (or prepared) execution of the query's analytic, optionally
-// traced. Exceptions propagate to the caller — the retry/status policy lives
-// in execute_query. Non-triangle analytics route to the mining-engine layer
-// (analytics_exec.cpp); the TC path below is unchanged.
+// One execution of the query's analytic against its artifact: the caller's
+// (an Engine cache entry) or, when there is none, one built here into
+// `built` under the tracer's `preprocess` span. Exceptions propagate to the
+// caller — the retry/status policy lives in execute_query. Non-triangle
+// analytics route to the mining-engine layer (analytics_exec.cpp).
 RunResult execute_once(Algorithm algorithm, const graph::CsrGraph& graph,
                        const QueryOptions& options,
-                       const PreparedGraph* prepared, obs::PhaseTracer* trace) {
-  if (options.analytic.kind != AnalyticKind::kTriangles)
-    return detail::run_analytic(algorithm, graph, options, prepared, trace);
-  const core::LotusConfig& config = options.config;
-  if (prepared != nullptr)
-    return detail::run_prepared_kernel(algorithm, *prepared, config, trace);
-  switch (algorithm) {
-    case Algorithm::kLotus: {
-      const core::LotusResult r = core::count_triangles(graph, config, trace);
+                       const PreparedGraph* prepared, obs::PhaseTracer* trace,
+                       std::optional<PreparedGraph>& built) {
+  if (prepared == nullptr) {
+    prepared = &built.emplace(PreparedGraph::build(
+        artifact_kind(algorithm, options.analytic.kind), graph, options.config,
+        trace));
+    // Interrupted during the build: skip the count; execute_query's sticky
+    // re-check reports the status.
+    if (parallel::interrupted()) {
       RunResult out;
-      out.triangles = r.triangles;
-      out.preprocess_s = r.preprocess_s;
-      out.count_s = r.count_s();
-      return out;
-    }
-    case Algorithm::kAdaptive: {
-      const core::AdaptiveResult r = core::adaptive_count(graph, config);
-      RunResult out;
-      out.triangles = r.triangles;
-      out.preprocess_s = r.preprocess_s;
-      out.count_s = r.count_s;
-      if (trace != nullptr) {
-        leaf_spans(*trace, out);
-        trace->note("chosen_algorithm",
-                    r.algorithm == core::ChosenAlgorithm::kLotus ? "lotus"
-                                                                 : "forward");
-      }
-      return out;
-    }
-    case Algorithm::kForwardMerge:
-    case Algorithm::kForwardGallop:
-    case Algorithm::kForwardSimd:
-    case Algorithm::kForwardHashed:
-    case Algorithm::kForwardBitmap:
-    case Algorithm::kForwardHybrid:
-    case Algorithm::kEdgeParallel:
-    case Algorithm::kEdgeIterator:
-    case Algorithm::kNodeIterator:
-    case Algorithm::kBlocked: {
-      baselines::TcResult r;
-      switch (algorithm) {
-        case Algorithm::kForwardMerge: r = baselines::forward_merge(graph); break;
-        case Algorithm::kForwardGallop: r = baselines::forward_gallop(graph); break;
-        case Algorithm::kForwardSimd: r = baselines::forward_simd(graph); break;
-        case Algorithm::kForwardHashed: r = baselines::forward_hashed(graph); break;
-        case Algorithm::kForwardBitmap: r = baselines::forward_bitmap(graph); break;
-        case Algorithm::kForwardHybrid: r = baselines::forward_hybrid(graph); break;
-        case Algorithm::kEdgeParallel:
-          r = baselines::edge_parallel_forward(graph);
-          break;
-        case Algorithm::kEdgeIterator: r = baselines::edge_iterator(graph); break;
-        case Algorithm::kNodeIterator: r = baselines::node_iterator(graph); break;
-        default: r = baselines::blocked_tc(graph); break;
-      }
-      const RunResult out = from_baseline(r);
-      if (trace != nullptr) leaf_spans(*trace, out);
-      return out;
-    }
-    case Algorithm::kAyz:
-    case Algorithm::kSpGemmMasked: {
-      util::Timer timer;
-      RunResult out;
-      out.triangles = algorithm == Algorithm::kAyz
-                          ? baselines::ayz_tc(graph)
-                          : baselines::spgemm_masked_tc(graph);
-      out.count_s = timer.elapsed_s();
-      if (trace != nullptr) leaf_spans(*trace, out);
+      out.preprocess_s = built->build_s();
       return out;
     }
   }
-  return {};
+  RunResult out =
+      options.analytic.kind == AnalyticKind::kTriangles
+          ? detail::run_prepared_kernel(algorithm, *prepared, graph,
+                                        options.config, trace)
+          : detail::run_analytic(algorithm, graph, options, *prepared, trace);
+  if (built.has_value()) out.preprocess_s += built->build_s();
+  return out;
 }
 
 // `--events sim`: replay the already-finished run single-threaded through the
-// simcache model and graft the modeled per-phase event deltas onto the span
-// tree. The replay re-executes the counting kernels (not preprocessing), so
-// only count-side spans receive events. Supported for the algorithms that
-// have instrumented replays (lotus, adaptive, gap-forward); everything else
+// simcache model, against the artifact the run counted on, and graft the
+// modeled per-phase event deltas onto the span tree. The replay re-executes
+// the counting kernels (not preprocessing), so only count-side spans
+// receive events. Supported for the algorithms that have instrumented
+// replays (lotus and gap-forward, which adaptive runs as); everything else
 // reports zero events with an explanatory note.
-void attribute_simulated(ProfileReport& report, const graph::CsrGraph& graph,
+void attribute_simulated(ProfileReport& report, Algorithm runs_as,
+                         const PreparedGraph& artifact,
                          const core::LotusConfig& config,
                          std::uint32_t sim_cache_scale) {
   const simcache::MachineConfig machine =
@@ -182,35 +116,23 @@ void attribute_simulated(ProfileReport& report, const graph::CsrGraph& graph,
   report.event_source = obs::EventSource::kSimulated;
   report.event_backend = sim.backend();
 
-  Algorithm replayed = report.algorithm;
-  if (report.algorithm == Algorithm::kAdaptive)
-    replayed = find_note(report.trace, "chosen_algorithm") == "forward"
-                   ? Algorithm::kForwardMerge
-                   : Algorithm::kLotus;
-
   std::uint64_t replay_triangles = 0;
-  switch (replayed) {
+  switch (runs_as) {
     case Algorithm::kLotus: {
-      const core::LotusGraph lg = core::LotusGraph::build(graph, config);
       const SampledLotusReplay replay =
-          replay_lotus_sampled(lg, config, sim.model());
+          replay_lotus_sampled(*artifact.lotus(), config, sim.model());
       replay_triangles = replay.triangles;
       const obs::EventCounts hub = simcache::to_event_counts(replay.after_hub);
       const obs::EventCounts hnn = simcache::to_event_counts(replay.after_hnn);
       const obs::EventCounts nnn = simcache::to_event_counts(replay.after_nnn);
       report.events = nnn;  // cumulative after the last phase = run total
-      if (report.algorithm == Algorithm::kAdaptive) {
-        // Adaptive exposes only coarse leaf spans; graft the total.
-        report.trace.set_events("count", nnn);
+      report.trace.set_events("count", nnn);
+      report.trace.set_events("hhh_hhn", hub);
+      if (config.fuse_hnn_nnn) {
+        report.trace.set_events("hnn_nnn_fused", nnn - hub);
       } else {
-        report.trace.set_events("count", nnn);
-        report.trace.set_events("hhh_hhn", hub);
-        if (config.fuse_hnn_nnn) {
-          report.trace.set_events("hnn_nnn_fused", nnn - hub);
-        } else {
-          report.trace.set_events("hnn", hnn - hub);
-          report.trace.set_events("nnn", nnn - hnn);
-        }
+        report.trace.set_events("hnn", hnn - hub);
+        report.trace.set_events("nnn", nnn - hnn);
       }
       report.event_note =
           "events modeled by single-threaded simcache replay of the counting "
@@ -218,8 +140,7 @@ void attribute_simulated(ProfileReport& report, const graph::CsrGraph& graph,
       break;
     }
     case Algorithm::kForwardMerge: {
-      const graph::OrientedCsr oriented = graph::degree_ordered_oriented(graph);
-      replay_triangles = replay_forward(oriented, sim.model());
+      replay_triangles = replay_forward(*artifact.oriented(), sim.model());
       report.events = sim.read();
       report.trace.set_events("count", report.events);
       report.event_note =
@@ -259,9 +180,11 @@ struct PoolObsGuard {
   parallel::ThreadPool& pool_;
 };
 
-// One profiled execution: span tree, query-scoped counters, optional
-// hardware/simulated events and scheduler timeline. Exceptions propagate.
-ProfileReport profiled_once(Algorithm algorithm, const graph::CsrGraph& graph,
+// One profiled execution of `runs_as`, reported as `algorithm`: span tree,
+// query-scoped counters, optional hardware/simulated events and scheduler
+// timeline. Exceptions propagate.
+ProfileReport profiled_once(Algorithm algorithm, Algorithm runs_as,
+                            const graph::CsrGraph& graph,
                             const QueryOptions& options,
                             const PreparedGraph* prepared) {
   ProfileReport report;
@@ -297,13 +220,17 @@ ProfileReport profiled_once(Algorithm algorithm, const graph::CsrGraph& graph,
 
   obs::CounterDomain domain;
   obs::SchedEventLog sched_log;
+  std::optional<PreparedGraph> built;
   {
     obs::ScopedCounterDomain scoped_domain(&domain);
     PoolObsGuard pool_obs(pool, &domain,
                           options.capture_sched_events ? &sched_log : nullptr);
-    report.result =
-        execute_once(algorithm, graph, options, prepared, &report.trace);
+    report.result = execute_once(runs_as, graph, options, prepared,
+                                 &report.trace, built);
   }
+  if (algorithm == Algorithm::kAdaptive)
+    report.trace.note("chosen_algorithm",
+                      runs_as == Algorithm::kLotus ? "lotus" : "forward");
   if (options.capture_sched_events) report.sched_events = sched_log.events();
 
   report.counters = domain.snapshot();
@@ -324,8 +251,9 @@ ProfileReport profiled_once(Algorithm algorithm, const graph::CsrGraph& graph,
                           "; simulated events are zero";
     } else {
       const std::string degradation_note = report.event_note;
-      attribute_simulated(report, graph, options.config,
-                          options.sim_cache_scale);
+      attribute_simulated(report, runs_as,
+                          built.has_value() ? *built : *prepared,
+                          options.config, options.sim_cache_scale);
       if (!degradation_note.empty())
         report.event_note = degradation_note + "; " + report.event_note;
     }
@@ -337,7 +265,14 @@ ProfileReport profiled_once(Algorithm algorithm, const graph::CsrGraph& graph,
 
 namespace detail {
 
-QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
+Algorithm resolve_adaptive(Algorithm algorithm, const graph::CsrGraph& graph) {
+  if (algorithm != Algorithm::kAdaptive) return algorithm;
+  return core::should_use_lotus(graph) ? Algorithm::kLotus
+                                       : Algorithm::kForwardMerge;
+}
+
+QueryResult execute_query(Algorithm algorithm, Algorithm runs_as,
+                          const graph::CsrGraph& graph,
                           const QueryOptions& options,
                           const PreparedGraph* prepared) {
   QueryResult out;
@@ -383,11 +318,14 @@ QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
     return out;
   }
 
-  Algorithm active = algorithm;
+  // `reported` is what QueryResult::algorithm names: the request, until a
+  // budget degradation swaps both it and `runs_as` for gap-forward.
+  Algorithm reported = algorithm;
   for (int attempt = 0;; ++attempt) {
     try {
       if (options.profile) {
-        ProfileReport report = profiled_once(active, graph, options, prepared);
+        ProfileReport report =
+            profiled_once(reported, runs_as, graph, options, prepared);
         // Interrupts are sticky: any chunk or phase the run skipped is still
         // visible here, so a partial count can never escape as valid.
         if (const auto i = parallel::check_interrupt();
@@ -395,32 +333,33 @@ QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
           report.status = interrupt_status(i);
           report.result.clear_payload();
         }
-        out.algorithm = active;
+        out.algorithm = reported;
         out.result = report.result;
         out.status = report.status;
         out.profile = std::move(report);
       } else {
+        std::optional<PreparedGraph> built;
         const RunResult result =
-            execute_once(active, graph, options, prepared, nullptr);
+            execute_once(runs_as, graph, options, prepared, nullptr, built);
         if (const auto i = parallel::check_interrupt();
             i != parallel::Interrupt::kNone) {
           out.status = interrupt_status(i);
         } else {
-          out.algorithm = active;
+          out.algorithm = reported;
           out.result = result;
         }
       }
       break;
     } catch (const std::bad_alloc& e) {  // includes util::BudgetError
       if (attempt == 0 && options.allow_degradation &&
-          budget_degradable(active)) {
-        out.degradations.push_back({name(active),
+          budget_degradable(runs_as)) {
+        out.degradations.push_back({name(reported),
                                     "fallback=" + name(Algorithm::kForwardMerge),
                                     e.what()});
         budget.reset_used();  // the failed attempt's charges are released
-        active = Algorithm::kForwardMerge;
+        reported = runs_as = Algorithm::kForwardMerge;
         // Prepared artifacts belong to the vetoed algorithm; the fallback
-        // runs end-to-end (gap-forward preprocessing is cheap and
+        // builds its own (gap-forward preprocessing is cheap and
         // scratch-free).
         prepared = nullptr;
         continue;
@@ -428,14 +367,14 @@ QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
       out.status = {util::StatusCode::kOutOfMemory, e.what()};
       if (options.profile) {
         out.profile.emplace();
-        fill_identity(*out.profile, active);
+        fill_identity(*out.profile, reported);
       }
       break;
     } catch (...) {
       out.status = util::status_from_current_exception();
       if (options.profile) {
         out.profile.emplace();
-        fill_identity(*out.profile, active);
+        fill_identity(*out.profile, reported);
       }
       break;
     }
@@ -481,11 +420,12 @@ util::Expected<QueryResult> query(Algorithm algorithm,
   if (util::Status admission = validate(algorithm, options.analytic);
       !admission.ok())
     return admission;
-  if (options.telemetry == nullptr || !options.telemetry->enabled())
-    return detail::execute_query(algorithm, graph, options, nullptr);
-
   util::Timer timer;
-  QueryResult out = detail::execute_query(algorithm, graph, options, nullptr);
+  QueryResult out = detail::execute_query(
+      algorithm, detail::resolve_adaptive(algorithm, graph), graph, options,
+      nullptr);
+  if (options.telemetry == nullptr || !options.telemetry->enabled())
+    return out;
   const double total_s = timer.elapsed_s();
   const auto to_ns = [](double seconds) {
     return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9)
@@ -566,14 +506,18 @@ std::string ProfileReport::to_chrome_trace() const {
   return obs::chrome_trace_string(trace, sched_events);
 }
 
+ArtifactKind artifact_kind(Algorithm algorithm) {
+  const AlgorithmInfo* info = find_info(algorithm);
+  return info != nullptr ? info->artifact : ArtifactKind::kNone;
+}
+
 std::string name(Algorithm algorithm) {
-  for (const AlgorithmName& entry : kAlgorithmTable)
-    if (entry.algorithm == algorithm) return entry.name;
-  return "unknown";
+  const AlgorithmInfo* info = find_info(algorithm);
+  return info != nullptr ? info->name : "unknown";
 }
 
 std::optional<Algorithm> parse(const std::string& text) {
-  for (const AlgorithmName& entry : kAlgorithmTable)
+  for (const AlgorithmInfo& entry : kAlgorithmTable)
     if (text == entry.name) return entry.algorithm;
   return std::nullopt;
 }
@@ -581,14 +525,14 @@ std::optional<Algorithm> parse(const std::string& text) {
 std::vector<Algorithm> all_algorithms() {
   std::vector<Algorithm> out;
   out.reserve(std::size(kAlgorithmTable));
-  for (const AlgorithmName& entry : kAlgorithmTable)
+  for (const AlgorithmInfo& entry : kAlgorithmTable)
     out.push_back(entry.algorithm);
   return out;
 }
 
 std::vector<std::string> algorithm_labels() {
   std::vector<std::string> labels(std::size(kAlgorithmTable));
-  for (const AlgorithmName& entry : kAlgorithmTable)
+  for (const AlgorithmInfo& entry : kAlgorithmTable)
     labels[static_cast<std::size_t>(entry.algorithm)] = entry.name;
   return labels;
 }

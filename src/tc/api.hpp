@@ -66,10 +66,9 @@ namespace lotus::tc {
 
 enum class Algorithm {
   kLotus,          // this paper
-  kAdaptive,       // LOTUS with the Sec. 5.5 skewness fallback
-  kForwardMerge,   // GAP-style Forward + merge join
+  kAdaptive,       // LOTUS or gap-forward by the Sec. 5.5 skewness test
+  kForwardMerge,   // GAP-style Forward + merge join (SIMD unless !vectorize)
   kForwardGallop,  // Forward + binary/galloping search [31]
-  kForwardSimd,    // Forward + AVX2 block intersection (vectorized class)
   kForwardHashed,  // Schank & Wagner forward-hashed
   kForwardBitmap,  // Latapy new-vertex-listing
   kForwardHybrid,  // sparse-vs-dense degree split over the kernel layer
@@ -85,8 +84,8 @@ enum class Algorithm {
 /// artifacts as plain TC (tc/prepared.hpp): kTriangles/kKClique/kKTruss
 /// traverse the degree-ordered oriented CSR (TC is the k = 3 instance of
 /// kKClique); kLocalCounts/kClustering run through the LOTUS phases when the
-/// substrate algorithm is lotus/adaptive and over the oriented CSR
-/// otherwise. Names below are the stable CLI/schema vocabulary
+/// substrate algorithm is lotus (or adaptive picks LOTUS) and over the
+/// oriented CSR otherwise. Names below are the stable CLI/schema vocabulary
 /// (analytic_name()/parse_analytic() round-trip over the table).
 enum class AnalyticKind {
   kTriangles,    // scalar triangle count (the historical default)
@@ -428,36 +427,45 @@ util::Expected<QueryResult> query(Algorithm algorithm,
 class PreparedGraph;  // tc/prepared.hpp
 
 namespace detail {
+/// kAdaptive's dispatch (Sec. 5.5): kLotus when the degree distribution is
+/// skewed (core::should_use_lotus, one O(V) scan), kForwardMerge otherwise.
+/// Every other algorithm maps to itself. query(), query_prepared() and the
+/// Engine resolve once, before looking up the artifact kind.
+Algorithm resolve_adaptive(Algorithm algorithm, const graph::CsrGraph& graph);
+
 /// Shared execution core behind query() and Engine: installs the
-/// query-scoped context/budget, runs `algorithm` (against `prepared`
-/// artifacts when non-null, end-to-end otherwise) with the degradation
-/// retry policy, and assembles the QueryResult (+ ProfileReport when
-/// options.profile). Engine calls this with a prepared graph from its
-/// cache; query() passes nullptr.
-QueryResult execute_query(Algorithm algorithm, const graph::CsrGraph& graph,
+/// query-scoped context/budget, runs `runs_as` (resolve_adaptive of the
+/// requested `algorithm`, which QueryResult::algorithm reports) against
+/// `prepared`, or against an artifact it builds itself when `prepared` is
+/// null, with the degradation retry policy, and assembles the QueryResult
+/// (+ ProfileReport when options.profile). Engine calls this with a prepared
+/// graph from its cache; query() passes nullptr.
+QueryResult execute_query(Algorithm algorithm, Algorithm runs_as,
+                          const graph::CsrGraph& graph,
                           const QueryOptions& options,
                           const PreparedGraph* prepared);
 
-/// Run one triangle-counting algorithm against prebuilt artifacts
-/// (implemented in prepared.cpp; preprocess_s reflects only per-query
-/// residual work). Non-triangle analytics go through run_analytic instead.
+/// Run one triangle-counting algorithm against its artifact (implemented in
+/// prepared.cpp) — the one switch that picks a kernel. The algorithms with a
+/// kNone artifact read `graph` directly. Non-triangle analytics go through
+/// run_analytic instead.
 RunResult run_prepared_kernel(Algorithm algorithm,
                               const PreparedGraph& prepared,
+                              const graph::CsrGraph& graph,
                               const core::LotusConfig& config,
                               obs::PhaseTracer* trace);
 
 /// Run one non-triangle analytic (kKClique, kKTruss, kLocalCounts,
-/// kClustering) on the substrate `algorithm` selects, borrowing `prepared`
-/// artifacts when non-null and building them end-to-end otherwise
-/// (implemented in analytics_exec.cpp). Residual per-query work a borrowed
-/// artifact cannot cover — recomputing the degree permutation for
+/// kClustering) on the substrate `algorithm` selects, borrowing it from
+/// `prepared` (implemented in analytics_exec.cpp). Residual per-query work
+/// the artifact cannot cover — recomputing the degree permutation for
 /// per-vertex remaps, relabeling the full graph for the truss peel — is
 /// timed into preprocess_s. Budget vetoes propagate as bad_alloc (the
 /// degradation retry in execute_query applies); cancellation/deadline are
 /// polled inside every traversal.
 RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
                        const QueryOptions& options,
-                       const PreparedGraph* prepared, obs::PhaseTracer* trace);
+                       const PreparedGraph& prepared, obs::PhaseTracer* trace);
 }  // namespace detail
 
 }  // namespace lotus::tc

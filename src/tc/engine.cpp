@@ -188,17 +188,20 @@ void Engine::run_job(Job job) {
           .count();
 
   Acquired acquired;
-  // The artifact kind depends on (algorithm, analytic) but deliberately
-  // collapses analytics onto the same artifacts TC uses — cross-analytic
-  // sharing is the whole point of the cache key.
+  // Adaptive is resolved first, so it shares the lotus or oriented artifact
+  // of the algorithm it runs as. The artifact kind depends on (algorithm,
+  // analytic) but deliberately collapses analytics onto the same artifacts
+  // TC uses — cross-analytic sharing is the whole point of the cache key.
+  const Algorithm runs_as =
+      detail::resolve_adaptive(job.spec.algorithm, *job.spec.graph);
   const ArtifactKind kind =
-      artifact_kind(job.spec.algorithm, job.spec.options.analytic.kind);
+      artifact_kind(runs_as, job.spec.options.analytic.kind);
   if (kind != ArtifactKind::kNone && !job.spec.graph_key.empty())
     acquired = acquire_artifact(job.spec, kind);
 
   util::Timer exec_timer;
   QueryResult result = detail::execute_query(
-      job.spec.algorithm, *job.spec.graph, job.spec.options,
+      job.spec.algorithm, runs_as, *job.spec.graph, job.spec.options,
       acquired.artifact.get());
   const double exec_s = exec_timer.elapsed_s();
   // The builder pays the artifact's construction once; hits ride for free.
@@ -316,7 +319,7 @@ Engine::Acquired Engine::acquire_artifact(const QuerySpec& spec,
           ++stats_.cache_misses;
         }
         build_promise.set_exception(std::current_exception());
-        // The builder itself degrades to an end-to-end run.
+        // The builder itself degrades to building a private artifact.
         Acquired failed;
         failed.outcome = obs::CacheOutcome::kMiss;
         return failed;
@@ -362,7 +365,7 @@ Engine::Acquired Engine::acquire_artifact(const QuerySpec& spec,
     ++stats_.cache_hits;
     return {std::move(artifact), true, 0.0, obs::CacheOutcome::kHit};
   } catch (...) {
-    // The build we waited on failed; count honestly and run end-to-end.
+    // The build we waited on failed; count honestly and build privately.
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.cache_lookups;
     ++stats_.cache_misses;

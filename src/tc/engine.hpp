@@ -8,8 +8,9 @@
 // set of graphs runs (a) concurrently and (b) without re-paying
 // preprocessing: the first query for a (graph, artifact kind, config) triple
 // builds the artifact — degree order + oriented N^< CSR for the Forward
-// family, the LotusGraph (relabeling + H2H + HE/NHE CSX) for lotus/adaptive
-// — and every later query counts against the cached copy
+// family, the LotusGraph (relabeling + H2H + HE/NHE CSX) for lotus; adaptive
+// uses whichever its skewness test picks — and every later query counts
+// against the cached copy
 // (QueryResult::cache_hit, preprocess_s ≈ 0). The cache key is the
 // *artifact* kind, not the analytic — artifact_kind(algorithm, analytic) —
 // so a k-clique query right after a TC query on the same graph is a cache
@@ -219,7 +220,7 @@ class Engine {
   };
 
   struct Acquired {
-    std::shared_ptr<const PreparedGraph> artifact;  // null → run end-to-end
+    std::shared_ptr<const PreparedGraph> artifact;  // null → query builds its own
     bool hit = false;
     double build_s = 0.0;  // paid by this query (the builder) on a miss
     obs::CacheOutcome outcome = obs::CacheOutcome::kUncached;

@@ -1,15 +1,19 @@
 #include "tc/prepared.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
 
+#include "baselines/intersect.hpp"
+#include "baselines/matrix_tc.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/degree_order.hpp"
 #include "graph/oocore.hpp"
-#include "lotus/adaptive.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/serialize.hpp"
+#include "obs/trace.hpp"
+#include "parallel/parallel_for.hpp"
 #include "util/checksum.hpp"
 #include "util/file_io.hpp"
 #include "util/mapguard.hpp"
@@ -17,29 +21,6 @@
 #include "util/timer.hpp"
 
 namespace lotus::tc {
-
-ArtifactKind artifact_kind(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kLotus:
-    case Algorithm::kAdaptive:
-      return ArtifactKind::kLotus;
-    case Algorithm::kForwardMerge:
-    case Algorithm::kForwardGallop:
-    case Algorithm::kForwardSimd:
-    case Algorithm::kForwardHashed:
-    case Algorithm::kForwardBitmap:
-    case Algorithm::kForwardHybrid:
-    case Algorithm::kEdgeParallel:
-    case Algorithm::kBlocked:
-      return ArtifactKind::kOriented;
-    case Algorithm::kEdgeIterator:
-    case Algorithm::kNodeIterator:
-    case Algorithm::kAyz:
-    case Algorithm::kSpGemmMasked:
-      return ArtifactKind::kNone;
-  }
-  return ArtifactKind::kNone;
-}
 
 ArtifactKind artifact_kind(Algorithm algorithm, AnalyticKind analytic) {
   const ArtifactKind base = artifact_kind(algorithm);
@@ -76,31 +57,27 @@ const char* artifact_kind_name(ArtifactKind kind) {
 
 PreparedGraph PreparedGraph::build(ArtifactKind kind,
                                    const graph::CsrGraph& graph,
-                                   const core::LotusConfig& config) {
+                                   const core::LotusConfig& config,
+                                   obs::PhaseTracer* tracer) {
   PreparedGraph out;
   out.kind_ = kind;
   util::Timer timer;
-  switch (kind) {
-    case ArtifactKind::kOriented:
-      out.oriented_ = std::make_shared<const graph::OrientedCsr>(
-          graph::degree_ordered_oriented(graph));
-      out.bytes_ = out.oriented_->topology_bytes();
-      break;
-    case ArtifactKind::kLotus:
-      out.use_lotus_ = core::should_use_lotus(graph);
-      out.lotus_ = std::make_shared<const core::LotusGraph>(
-          core::LotusGraph::build(graph, config));
-      out.bytes_ = out.lotus_->topology_bytes();
-      if (!out.use_lotus_) {
-        // Adaptive will dispatch to Forward on this graph; carry the
-        // oriented CSR too so those queries also count kernel-only.
+  {
+    obs::ScopedSpan span(tracer, "preprocess");
+    switch (kind) {
+      case ArtifactKind::kOriented:
         out.oriented_ = std::make_shared<const graph::OrientedCsr>(
             graph::degree_ordered_oriented(graph));
-        out.bytes_ += out.oriented_->topology_bytes();
-      }
-      break;
-    case ArtifactKind::kNone:
-      break;
+        out.bytes_ = out.oriented_->topology_bytes();
+        break;
+      case ArtifactKind::kLotus:
+        out.lotus_ = std::make_shared<const core::LotusGraph>(
+            core::LotusGraph::build(graph, config, tracer));
+        out.bytes_ = out.lotus_->topology_bytes();
+        break;
+      case ArtifactKind::kNone:
+        break;
+    }
   }
   out.build_s_ = timer.elapsed_s();
   return out;
@@ -111,14 +88,14 @@ namespace {
 namespace cks = util::checksum;
 
 // "LOTUSPA1" spill artifact: 64-byte header, then the embedded "LOTUSGR1"
-// oriented-CSR image and/or "LOTUSLG2" LotusGraph image, each starting on an
-// 8-byte boundary so the mapped readers can serve aligned views. The
-// embedded images carry their own checksum footers; a spill-level footer
+// oriented-CSR image or "LOTUSLG2" LotusGraph image, starting on an
+// 8-byte boundary so the mapped reader can serve aligned views. The
+// embedded image carries its own checksum footer; a spill-level footer
 // covering the 64-byte header closes the file.
 //
 //   bytes 0..7   magic "LOTUSPA1"
 //   bytes 8..11  u32 kind (ArtifactKind enumerator value)
-//   bytes 12..15 u32 use_lotus (0/1)
+//   bytes 12..15 reserved (written as zero, ignored on load)
 //   bytes 16..23 f64 build_s of the original build
 //   bytes 24..39 u64 oriented_off, oriented_len (0,0 when absent)
 //   bytes 40..55 u64 lotus_off, lotus_len (0,0 when absent)
@@ -180,9 +157,7 @@ util::Status PreparedGraph::save_s(const std::string& path) const {
   std::array<unsigned char, kSpillHeaderBytes> header{};
   std::memcpy(header.data(), kSpillMagic.data(), kSpillMagic.size());
   const std::uint32_t kind32 = static_cast<std::uint32_t>(kind_);
-  const std::uint32_t use32 = use_lotus_ ? 1u : 0u;
   std::memcpy(header.data() + 8, &kind32, sizeof kind32);
-  std::memcpy(header.data() + 12, &use32, sizeof use32);
   std::memcpy(header.data() + 16, &build_s_, sizeof build_s_);
   std::memcpy(header.data() + 24, &oriented_off, 8);
   std::memcpy(header.data() + 32, &oriented_len, 8);
@@ -255,11 +230,10 @@ util::Expected<PreparedGraph> PreparedGraph::load_mapped_s(
     if (!vs.ok()) return vs;
   }
 
-  std::uint32_t kind32 = 0, use32 = 0;
+  std::uint32_t kind32 = 0;
   double build_s = 0.0;
   std::uint64_t oriented_off = 0, oriented_len = 0, lotus_off = 0, lotus_len = 0;
   std::memcpy(&kind32, file->data() + 8, sizeof kind32);
-  std::memcpy(&use32, file->data() + 12, sizeof use32);
   std::memcpy(&build_s, file->data() + 16, sizeof build_s);
   std::memcpy(&oriented_off, file->data() + 24, 8);
   std::memcpy(&oriented_len, file->data() + 32, 8);
@@ -271,7 +245,6 @@ util::Expected<PreparedGraph> PreparedGraph::load_mapped_s(
 
   PreparedGraph out;
   out.kind_ = static_cast<ArtifactKind>(kind32);
-  out.use_lotus_ = use32 != 0;
   out.build_s_ = build_s;
   out.bytes_ = 0;
   if (oriented_len != 0) {
@@ -299,8 +272,10 @@ namespace detail {
 
 RunResult run_prepared_kernel(Algorithm algorithm,
                               const PreparedGraph& prepared,
+                              const graph::CsrGraph& graph,
                               const core::LotusConfig& config,
                               obs::PhaseTracer* trace) {
+  using graph::VertexId;
   const auto oriented = [&]() -> const graph::OrientedCsr& {
     if (prepared.oriented() == nullptr)
       throw std::invalid_argument(
@@ -308,78 +283,98 @@ RunResult run_prepared_kernel(Algorithm algorithm,
           name(algorithm));
     return *prepared.oriented();
   };
-  const auto lotus_graph = [&]() -> const core::LotusGraph& {
-    if (prepared.lotus() == nullptr)
-      throw std::invalid_argument(
-          "prepared artifact lacks the LotusGraph required by " +
-          name(algorithm));
-    return *prepared.lotus();
-  };
-  const auto lotus_count = [&]() -> RunResult {
-    const core::LotusResult r =
-        core::count_triangles_prepared(lotus_graph(), config, trace);
-    RunResult out;
-    out.triangles = r.triangles;
-    out.count_s = r.count_s();
-    return out;
-  };
-  const auto forward_count = [&](std::uint64_t (*kernel)(
-                                 const graph::OrientedCsr&)) -> RunResult {
+  const auto timed_count = [&](auto&& kernel) -> RunResult {
     util::Timer timer;
     RunResult out;
-    out.triangles = kernel(oriented());
+    out.triangles = kernel();
     out.count_s = timer.elapsed_s();
     if (trace != nullptr) trace->leaf("count", out.count_s);
     return out;
   };
 
   switch (algorithm) {
-    case Algorithm::kLotus:
-      return lotus_count();
-    case Algorithm::kAdaptive: {
-      // The dispatch decision was frozen at artifact build time — the graph
-      // has not changed since, and re-deriving it would cost an O(V) scan
-      // per query.
-      if (prepared.use_lotus()) {
-        RunResult out = lotus_count();
-        if (trace != nullptr) trace->note("chosen_algorithm", "lotus");
-        return out;
-      }
-      RunResult out = forward_count(&baselines::forward_merge_prepared);
-      if (trace != nullptr) trace->note("chosen_algorithm", "forward");
-      return out;
-    }
-    case Algorithm::kForwardMerge:
-      return forward_count(&baselines::forward_merge_prepared);
-    case Algorithm::kForwardGallop:
-      return forward_count(&baselines::forward_gallop_prepared);
-    case Algorithm::kForwardSimd:
-      return forward_count(&baselines::forward_simd_prepared);
-    case Algorithm::kForwardHashed:
-      return forward_count(&baselines::forward_hashed_prepared);
-    case Algorithm::kForwardBitmap:
-      return forward_count(&baselines::forward_bitmap_prepared);
-    case Algorithm::kForwardHybrid:
-      return forward_count([](const graph::OrientedCsr& o) {
-        return baselines::forward_hybrid_prepared(o);
-      });
-    case Algorithm::kEdgeParallel:
-      return forward_count(&baselines::edge_parallel_forward_prepared);
-    case Algorithm::kBlocked: {
-      util::Timer timer;
+    case Algorithm::kLotus: {
+      if (prepared.lotus() == nullptr)
+        throw std::invalid_argument(
+            "prepared artifact lacks the LotusGraph required by " +
+            name(algorithm));
+      const core::LotusResult r =
+          core::count_triangles_prepared(*prepared.lotus(), config, trace);
       RunResult out;
-      out.triangles =
-          baselines::blocked_tc_prepared(oriented(), graph::VertexId{1} << 14);
-      out.count_s = timer.elapsed_s();
-      if (trace != nullptr) trace->leaf("count", out.count_s);
+      out.triangles = r.triangles;
+      out.count_s = r.count_s();
       return out;
     }
+    case Algorithm::kAdaptive:
+      throw std::invalid_argument(
+          "adaptive must be resolved (detail::resolve_adaptive) before it runs");
+    case Algorithm::kForwardMerge:
+      return timed_count([&] {
+        return baselines::forward_merge_prepared(oriented(), config.vectorize);
+      });
+    case Algorithm::kForwardGallop:
+      return timed_count(
+          [&] { return baselines::forward_gallop_prepared(oriented()); });
+    case Algorithm::kForwardHashed:
+      return timed_count(
+          [&] { return baselines::forward_hashed_prepared(oriented()); });
+    case Algorithm::kForwardBitmap:
+      return timed_count(
+          [&] { return baselines::forward_bitmap_prepared(oriented()); });
+    case Algorithm::kForwardHybrid:
+      return timed_count(
+          [&] { return baselines::forward_hybrid_prepared(oriented()); });
+    case Algorithm::kEdgeParallel:
+      return timed_count(
+          [&] { return baselines::edge_parallel_forward_prepared(oriented()); });
+    case Algorithm::kBlocked:
+      return timed_count([&] {
+        return baselines::blocked_tc_prepared(oriented(), VertexId{1} << 14);
+      });
     case Algorithm::kEdgeIterator:
+      // GraphGrind-style: intersect the full neighbour lists of both
+      // endpoints of every undirected edge (u < v); each triangle is found
+      // once per edge, i.e. 3 times.
+      return timed_count([&] {
+        return parallel::parallel_reduce_add<std::uint64_t>(
+                   0, graph.num_vertices(), 64,
+                   [&](std::uint64_t vi) {
+                     const auto v = static_cast<VertexId>(vi);
+                     const auto nv = graph.neighbors(v);
+                     std::uint64_t local = 0;
+                     for (const VertexId u : nv) {
+                       if (u >= v) break;
+                       local += baselines::intersect_merge<VertexId>(
+                           nv, graph.neighbors(u));
+                     }
+                     return local;
+                   }) /
+               3;
+      });
     case Algorithm::kNodeIterator:
+      // Classical: test each pair of neighbours for adjacency (binary
+      // search); every triangle is seen from each corner, i.e. 3 times.
+      return timed_count([&] {
+        return parallel::parallel_reduce_add<std::uint64_t>(
+                   0, graph.num_vertices(), 16,
+                   [&](std::uint64_t vi) {
+                     const auto nv = graph.neighbors(static_cast<VertexId>(vi));
+                     std::uint64_t local = 0;
+                     for (std::size_t i = 0; i < nv.size(); ++i) {
+                       const auto nu = graph.neighbors(nv[i]);
+                       for (std::size_t j = i + 1; j < nv.size(); ++j)
+                         local += std::binary_search(nu.begin(), nu.end(), nv[j])
+                                      ? 1u
+                                      : 0u;
+                     }
+                     return local;
+                   }) /
+               3;
+      });
     case Algorithm::kAyz:
+      return timed_count([&] { return baselines::ayz_tc(graph); });
     case Algorithm::kSpGemmMasked:
-      throw std::invalid_argument(name(algorithm) +
-                                  " has no prepared artifact; run end-to-end");
+      return timed_count([&] { return baselines::spgemm_masked_tc(graph); });
   }
   throw std::invalid_argument("unknown algorithm");
 }
@@ -393,7 +388,9 @@ util::Expected<QueryResult> query_prepared(Algorithm algorithm,
   if (util::Status admission = validate(algorithm, options.analytic);
       !admission.ok())
     return admission;
-  return detail::execute_query(algorithm, graph, options, &prepared);
+  return detail::execute_query(algorithm,
+                               detail::resolve_adaptive(algorithm, graph),
+                               graph, options, &prepared);
 }
 
 }  // namespace lotus::tc

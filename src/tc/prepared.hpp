@@ -7,8 +7,10 @@
 // proper. A PreparedGraph freezes the preprocessing products of one
 // (graph, artifact kind, config) triple into immutable, shareable state so
 // repeated queries — and *concurrent* queries — pay the preprocessing once.
-// Every Forward-family baseline shares one kOriented artifact; lotus and
-// adaptive share one kLotus artifact.
+// Every Forward-family baseline shares one kOriented artifact; lotus has the
+// kLotus artifact, and adaptive shares whichever of the two its skewness
+// test picks. tc::query builds the artifact and counts against it, exactly
+// like an Engine miss, so both time the same code.
 //
 // Thread-safety: a built PreparedGraph is immutable; any number of queries
 // may count against it concurrently (the kernels only read). Members are
@@ -34,12 +36,14 @@ namespace lotus::tc {
 enum class ArtifactKind {
   kOriented,  // degree-descending order + oriented N^< CSR (Forward family)
   kLotus,     // LotusGraph: relabeling + H2H bits + HE/NHE CSX
-  kNone,      // no reusable artifact (runs end-to-end every time)
+  kNone,      // nothing to build (the kernel reads the graph directly)
 };
 
-/// The artifact `algorithm` counts against. kNone for the baselines whose
-/// preprocessing is inseparable from counting (edge/node iterator, AYZ,
-/// masked SpGEMM).
+/// The artifact `algorithm` counts against (its row of the algorithm table in
+/// api.cpp). kNone for the baselines that read the graph directly
+/// (edge/node iterator, AYZ, masked SpGEMM). kAdaptive names kLotus, its
+/// skewed choice; the execution paths resolve it first
+/// (detail::resolve_adaptive).
 [[nodiscard]] ArtifactKind artifact_kind(Algorithm algorithm);
 
 /// The artifact an (algorithm, analytic) pair consumes. The key property is
@@ -58,17 +62,17 @@ enum class ArtifactKind {
 
 class PreparedGraph {
  public:
-  /// Build the artifacts of `kind` for `graph`. For kLotus this also
-  /// evaluates the adaptive dispatch predicate (core::should_use_lotus) and
-  /// — when it picks Forward — additionally builds the oriented CSR, so
-  /// adaptive queries on low-skew graphs still count kernel-only.
-  /// Allocation failures (including budget vetoes) propagate as bad_alloc.
+  /// Build the artifact of `kind` for `graph`: the degree-ordered oriented
+  /// CSR, or the LotusGraph (Alg. 2). A non-null `tracer` receives the build
+  /// as a "preprocess" span (for kLotus with LotusGraph::build's
+  /// relabel/partition/serialize children). Allocation failures (including
+  /// budget vetoes) propagate as bad_alloc.
   static PreparedGraph build(ArtifactKind kind, const graph::CsrGraph& graph,
-                             const core::LotusConfig& config = {});
+                             const core::LotusConfig& config = {},
+                             obs::PhaseTracer* tracer = nullptr);
 
   [[nodiscard]] ArtifactKind kind() const noexcept { return kind_; }
-  /// Non-null iff kind is kOriented, or kLotus with a Forward-leaning
-  /// adaptive decision.
+  /// Non-null iff kind is kOriented.
   [[nodiscard]] const graph::OrientedCsr* oriented() const noexcept {
     return oriented_.get();
   }
@@ -76,10 +80,6 @@ class PreparedGraph {
   [[nodiscard]] const core::LotusGraph* lotus() const noexcept {
     return lotus_.get();
   }
-  /// The adaptive dispatch decision frozen at build time (kLotus only;
-  /// meaningless otherwise).
-  [[nodiscard]] bool use_lotus() const noexcept { return use_lotus_; }
-
   /// Preprocessing wall time the cache amortizes on every hit.
   [[nodiscard]] double build_s() const noexcept { return build_s_; }
   /// Artifact footprint, charged against the engine's cache budget. For a
@@ -89,9 +89,9 @@ class PreparedGraph {
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
 
   /// Persist as a "LOTUSPA1" spill artifact (64-byte header: kind,
-  /// use_lotus, build_s, section table; then the embedded "LOTUSGR1" and/or
-  /// "LOTUSLG2" images at 8-aligned offsets, each carrying its own checksum
-  /// footer; finally the spill's own header footer), durably (temp + fsync +
+  /// build_s, section table; then the embedded "LOTUSGR1" or "LOTUSLG2"
+  /// image at an 8-aligned offset, carrying its own checksum footer;
+  /// finally the spill's own header footer), durably (temp + fsync +
   /// rename). kNone artifacts have nothing to save → kInvalidArgument.
   [[nodiscard]] util::Status save_s(const std::string& path) const;
 
@@ -111,15 +111,14 @@ class PreparedGraph {
   ArtifactKind kind_ = ArtifactKind::kNone;
   std::shared_ptr<const graph::OrientedCsr> oriented_;
   std::shared_ptr<const core::LotusGraph> lotus_;
-  bool use_lotus_ = true;
   double build_s_ = 0.0;
   std::uint64_t bytes_ = 0;
 };
 
 /// query() against prebuilt artifacts: same semantics and status model as
 /// tc::query, but preprocessing is served from `prepared` (preprocess_s ≈ 0
-/// in the result). The artifact must match artifact_kind(algorithm) — a
-/// mismatch yields kInvalidArgument. tc::Engine is the primary caller;
+/// in the result). The artifact must match artifact_kind of the algorithm
+/// (for kAdaptive: of its resolution) — a mismatch yields kInvalidArgument. tc::Engine is the primary caller;
 /// exposed for benches that manage artifacts by hand.
 util::Expected<QueryResult> query_prepared(Algorithm algorithm,
                                            const graph::CsrGraph& graph,

@@ -28,6 +28,7 @@
 #include "lotus/lotus_graph.hpp"
 #include "lotus/streaming.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tc/api.hpp"
 
 namespace lotus::testing {
 
@@ -181,6 +182,19 @@ std::uint64_t forward_with_kernel(const g::CsrGraph& graph, Kernel&& kernel) {
   return count;
 }
 
+/// The production path: tc::query builds the algorithm's artifact and counts
+/// against it, exactly as an Engine miss does.
+std::uint64_t query_count(tc::Algorithm algorithm, const g::CsrGraph& graph,
+                          const core::LotusConfig& config = {}) {
+  tc::QueryOptions options;
+  options.config = config;
+  const auto outcome = tc::query(algorithm, graph, options);
+  if (!outcome.ok()) throw std::runtime_error(outcome.status().to_string());
+  if (!outcome.value().ok())
+    throw std::runtime_error(outcome.value().status.to_string());
+  return outcome.value().result.triangles;
+}
+
 /// Out-of-core rows stage each corpus graph on disk in a uniquely named temp
 /// file and push it through the pipeline under test, so a divergence in the
 /// external builder, the mmap loader, or the parallel loader surfaces as an
@@ -212,7 +226,7 @@ std::uint64_t oocore_external_build(const g::CsrGraph& graph) {
   auto rebuilt = g::oocore::build_undirected_external_s(file, options);
   std::remove(file.c_str());
   if (!rebuilt.ok()) throw std::runtime_error(rebuilt.status().to_string());
-  return baselines::forward_merge(rebuilt.value()).triangles;
+  return query_count(tc::Algorithm::kForwardMerge, rebuilt.value());
 }
 
 std::uint64_t oocore_mapped_csx(const g::CsrGraph& graph,
@@ -234,7 +248,7 @@ std::uint64_t oocore_parallel_load(const g::CsrGraph& graph) {
   auto loaded = g::oocore::read_csr_binary_parallel_s(file, options);
   std::remove(file.c_str());
   if (!loaded.ok()) throw std::runtime_error(loaded.status().to_string());
-  return baselines::forward_merge(loaded.value()).triangles;
+  return query_count(tc::Algorithm::kForwardMerge, loaded.value());
 }
 
 }  // namespace
@@ -281,24 +295,28 @@ std::vector<DiffPath> differential_paths() {
                      return core::count_triangles(graph, scalar).triangles;
                    }});
 
-  // --- Forward over every intersection kernel.
+  // --- Forward over every intersection kernel, through tc::query.
   paths.push_back({"forward_merge", [](const auto& graph, const auto&) {
-                     return baselines::forward_merge(graph).triangles;
+                     return query_count(tc::Algorithm::kForwardMerge, graph);
                    }});
   paths.push_back({"forward_gallop", [](const auto& graph, const auto&) {
-                     return baselines::forward_gallop(graph).triangles;
+                     return query_count(tc::Algorithm::kForwardGallop, graph);
                    }});
   paths.push_back({"forward_hashed", [](const auto& graph, const auto&) {
-                     return baselines::forward_hashed(graph).triangles;
+                     return query_count(tc::Algorithm::kForwardHashed, graph);
                    }});
   paths.push_back({"forward_bitmap", [](const auto& graph, const auto&) {
-                     return baselines::forward_bitmap(graph).triangles;
+                     return query_count(tc::Algorithm::kForwardBitmap, graph);
                    }});
-  paths.push_back({"forward_simd", [](const auto& graph, const auto&) {
-                     return baselines::forward_simd(graph).triangles;
+  // gap-forward's scalar GAP merge (the default above dispatches SIMD).
+  paths.push_back({"forward_merge_scalar", [](const auto& graph, const auto&) {
+                     core::LotusConfig scalar;
+                     scalar.vectorize = false;
+                     return query_count(tc::Algorithm::kForwardMerge, graph,
+                                        scalar);
                    }});
   paths.push_back({"forward_hybrid", [](const auto& graph, const auto&) {
-                     return baselines::forward_hybrid(graph).triangles;
+                     return query_count(tc::Algorithm::kForwardHybrid, graph);
                    }});
   paths.push_back({"forward_hybrid_all_dense", [](const auto& graph,
                                                   const auto&) {
@@ -322,16 +340,16 @@ std::vector<DiffPath> differential_paths() {
 
   // --- Other parallelization / iteration strategies.
   paths.push_back({"edge_parallel", [](const auto& graph, const auto&) {
-                     return baselines::edge_parallel_forward(graph).triangles;
+                     return query_count(tc::Algorithm::kEdgeParallel, graph);
                    }});
   paths.push_back({"edge_iterator", [](const auto& graph, const auto&) {
-                     return baselines::edge_iterator(graph).triangles;
+                     return query_count(tc::Algorithm::kEdgeIterator, graph);
                    }});
   paths.push_back({"node_iterator", [](const auto& graph, const auto&) {
-                     return baselines::node_iterator(graph).triangles;
+                     return query_count(tc::Algorithm::kNodeIterator, graph);
                    }});
   paths.push_back({"blocked_tc", [](const auto& graph, const auto&) {
-                     return baselines::blocked_tc(graph).triangles;
+                     return query_count(tc::Algorithm::kBlocked, graph);
                    }});
 
   // --- Matrix algebra and clique enumeration.

@@ -98,7 +98,7 @@ TEST(Engine, ForwardFamilySharesOneOrientedArtifact) {
       get_ok(engine.submit({tc::Algorithm::kForwardMerge, "g", &graph, {}}))
           .cache_hit);
   for (const auto algorithm :
-       {tc::Algorithm::kForwardSimd, tc::Algorithm::kForwardGallop,
+       {tc::Algorithm::kForwardHybrid, tc::Algorithm::kForwardGallop,
         tc::Algorithm::kForwardHashed, tc::Algorithm::kForwardBitmap,
         tc::Algorithm::kEdgeParallel, tc::Algorithm::kBlocked}) {
     const auto r = get_ok(engine.submit({algorithm, "g", &graph, {}}));
@@ -114,6 +114,24 @@ TEST(Engine, ForwardFamilySharesOneOrientedArtifact) {
       get_ok(engine.submit({tc::Algorithm::kAdaptive, "g", &graph, {}}))
           .cache_hit);
   EXPECT_EQ(engine.stats().cache_entries, 2u);
+}
+
+TEST(Engine, AdaptiveOnFlatGraphSharesTheForwardArtifact) {
+  // Low skew: adaptive runs as gap-forward, so it counts against the oriented
+  // artifact the gap-forward query built and never builds a LotusGraph.
+  const auto graph = g::build_undirected(g::erdos_renyi(2000, 10.0, 3));
+  tc::Engine engine({.num_drivers = 1});
+  EXPECT_FALSE(
+      get_ok(engine.submit({tc::Algorithm::kForwardMerge, "g", &graph, {}}))
+          .cache_hit);
+  const auto r =
+      get_ok(engine.submit({tc::Algorithm::kAdaptive, "g", &graph, {}}));
+  EXPECT_TRUE(r.cache_hit);
+  EXPECT_EQ(r.algorithm, tc::Algorithm::kAdaptive);
+  EXPECT_EQ(r.result.triangles, lotus::baselines::brute_force(graph));
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.cache_entries, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
 }
 
 TEST(Engine, UncacheableAlgorithmsAndEmptyKeysRunEndToEnd) {
@@ -146,7 +164,7 @@ TEST(Engine, ConcurrentMixedSubmitsMatchSerialQueries) {
   const std::uint64_t expected_b = lotus::baselines::brute_force(graph_b);
   const std::vector<tc::Algorithm> mix = {
       tc::Algorithm::kLotus, tc::Algorithm::kForwardMerge,
-      tc::Algorithm::kAdaptive, tc::Algorithm::kForwardSimd,
+      tc::Algorithm::kAdaptive, tc::Algorithm::kForwardHybrid,
       tc::Algorithm::kNodeIterator};
 
 #if defined(__SANITIZE_THREAD__)
@@ -444,7 +462,7 @@ TEST(PreparedGraph, QueryPreparedMatchesEndToEnd) {
   EXPECT_GT(oriented.bytes(), 0u);
   EXPECT_GT(oriented.build_s(), 0.0);
   for (const auto algorithm :
-       {tc::Algorithm::kForwardMerge, tc::Algorithm::kForwardSimd,
+       {tc::Algorithm::kForwardMerge, tc::Algorithm::kForwardHybrid,
         tc::Algorithm::kBlocked}) {
     const auto r = tc::query_prepared(algorithm, graph, oriented);
     ASSERT_TRUE(r.ok());
@@ -463,6 +481,17 @@ TEST(PreparedGraph, QueryPreparedMatchesEndToEnd) {
   }
 }
 
+TEST(PreparedGraph, LotusArtifactIsJustTheLotusGraph) {
+  // A low-skew graph (adaptive would pick Forward) still gets no oriented CSR
+  // in its kLotus artifact: the bytes are exactly the LotusGraph topology.
+  const auto graph = g::build_undirected(g::erdos_renyi(2000, 10.0, 3));
+  const auto artifact =
+      tc::PreparedGraph::build(tc::ArtifactKind::kLotus, graph);
+  ASSERT_NE(artifact.lotus(), nullptr);
+  EXPECT_EQ(artifact.oriented(), nullptr);
+  EXPECT_EQ(artifact.bytes(), artifact.lotus()->topology_bytes());
+}
+
 TEST(PreparedGraph, SpillRoundTripServesIdenticalCounts) {
   const auto graph = small_graph();
   const auto expected = lotus::baselines::brute_force(graph);
@@ -477,7 +506,6 @@ TEST(PreparedGraph, SpillRoundTripServesIdenticalCounts) {
     ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
     const tc::PreparedGraph remapped = loaded.take();
     EXPECT_EQ(remapped.kind(), built.kind());
-    EXPECT_EQ(remapped.use_lotus(), built.use_lotus());
     EXPECT_EQ(remapped.build_s(), built.build_s());
     // Zero-copy: the topology lives in the mapping, not on the heap.
     EXPECT_EQ(remapped.bytes(), 0u);
@@ -529,8 +557,8 @@ TEST(PreparedGraph, ArtifactKindTableMatchesAlgorithmFamilies) {
             tc::ArtifactKind::kLotus);
   for (const auto algorithm :
        {tc::Algorithm::kForwardMerge, tc::Algorithm::kForwardGallop,
-        tc::Algorithm::kForwardSimd, tc::Algorithm::kForwardHashed,
-        tc::Algorithm::kForwardBitmap, tc::Algorithm::kEdgeParallel,
+        tc::Algorithm::kForwardHashed, tc::Algorithm::kForwardBitmap,
+        tc::Algorithm::kForwardHybrid, tc::Algorithm::kEdgeParallel,
         tc::Algorithm::kBlocked})
     EXPECT_EQ(tc::artifact_kind(algorithm), tc::ArtifactKind::kOriented)
         << tc::name(algorithm);

@@ -8,10 +8,10 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "baselines/intersect.hpp"
-#include "baselines/simd_intersect.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
@@ -321,21 +321,132 @@ TEST(KernelIntersect, DispatchedProbedAndScalarPathsAgree) {
   }
 }
 
-TEST(KernelIntersect, SimdVeneerMatchesKernelLayer) {
-  lotus::util::Xoshiro256 rng(6);
-  const auto a = sorted_unique<std::uint32_t>(rng, 100, 500);
-  const auto b = sorted_unique<std::uint32_t>(rng, 60, 500);
-  EXPECT_EQ(lotus::baselines::intersect_simd(a, b),
-            lotus::baselines::intersect_merge<std::uint32_t>(a, b));
-  std::vector<std::uint16_t> a16(a.begin(), a.end()), b16(b.begin(), b.end());
-  EXPECT_EQ(lotus::baselines::intersect_simd16(a16, b16),
-            lotus::baselines::intersect_merge<std::uint16_t>(a16, b16));
-  // The probed overloads (scalar mirrors) agree too.
-  lotus::baselines::NullProbe probe;
-  EXPECT_EQ(lotus::baselines::intersect_simd(a, b, probe),
-            lotus::baselines::intersect_simd(a, b));
-  EXPECT_EQ(lotus::baselines::intersect_simd16(a16, b16, probe),
-            lotus::baselines::intersect_simd16(a16, b16));
+// --- kernels::intersect at every forced tier ------------------------------
+// The front door gap-forward and the LOTUS phases call: each case must give
+// `expected` under every tier and on the scalar (vectorize = false) path.
+
+template <typename T>
+void expect_intersect(const std::vector<T>& a, const std::vector<T>& b,
+                      std::uint64_t expected) {
+  const std::span<const T> sa(a), sb(b);
+  for (const k::Isa isa : kAllTiers) {
+    ScopedIsa forced(isa);
+    EXPECT_EQ(k::intersect<T>(sa, sb), expected) << k::isa_name(isa);
+  }
+  EXPECT_EQ(k::intersect<T>(sa, sb, lotus::baselines::null_probe,
+                            /*vectorize=*/false),
+            expected)
+      << "scalar";
+}
+
+TEST(SimdIntersect, TinyListsUseTailPath) {
+  expect_intersect<std::uint32_t>({1, 5, 9}, {5, 9, 11}, 2);
+}
+
+TEST(SimdIntersect, EmptyInputs) {
+  expect_intersect<std::uint32_t>({}, {1, 2, 3}, 0);
+  expect_intersect<std::uint32_t>({1, 2, 3}, {}, 0);
+}
+
+TEST(SimdIntersect, ExactBlockMultiples) {
+  std::vector<std::uint32_t> a(32), b(32);
+  for (std::uint32_t i = 0; i < 32; ++i) {
+    a[i] = 2 * i;  // evens
+    b[i] = 3 * i;  // multiples of 3
+  }
+  // Common: multiples of 6 below min(62, 93): 0,6,...,60 -> 11 values.
+  expect_intersect<std::uint32_t>(a, b, 11);
+}
+
+TEST(SimdIntersect, MatchesAcrossBlockBoundaries) {
+  // One common element at every offset relative to the blocks of both lists.
+  for (std::uint32_t pos_a = 0; pos_a < 20; ++pos_a) {
+    for (std::uint32_t pos_b = 0; pos_b < 20; ++pos_b) {
+      std::vector<std::uint32_t> a(20), b(20);
+      for (std::uint32_t i = 0; i < 20; ++i) {
+        a[i] = 10 * i + 1;
+        b[i] = 10 * i + 2;
+      }
+      a[pos_a] = 10 * pos_a + 5;
+      b[pos_b] = 10 * pos_b + 5;
+      SCOPED_TRACE("pos_a=" + std::to_string(pos_a) +
+                   " pos_b=" + std::to_string(pos_b));
+      expect_intersect<std::uint32_t>(a, b, pos_a == pos_b ? 1 : 0);
+    }
+  }
+}
+
+TEST(SimdIntersect, RandomizedAgreementWithMerge) {
+  lotus::util::Xoshiro256 rng(2024);
+  for (int round = 0; round < 50; ++round) {
+    const auto universe = 100 + rng.next_below(1000);
+    const auto a = sorted_unique<std::uint32_t>(
+        rng, std::min<std::uint64_t>(1 + rng.next_below(300), universe / 2),
+        universe);
+    const auto b = sorted_unique<std::uint32_t>(
+        rng, std::min<std::uint64_t>(1 + rng.next_below(300), universe / 2),
+        universe);
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_intersect<std::uint32_t>(
+        a, b, lotus::baselines::intersect_merge<std::uint32_t>(a, b));
+  }
+}
+
+TEST(SimdIntersect, IdenticalLargeLists) {
+  std::vector<std::uint32_t> a(1000);
+  for (std::uint32_t i = 0; i < 1000; ++i) a[i] = i * 7 + 3;
+  expect_intersect<std::uint32_t>(a, a, 1000);
+}
+
+TEST(SimdIntersect16, TinyAndEmpty) {
+  expect_intersect<std::uint16_t>({1, 5, 9}, {5, 9, 11}, 2);
+  expect_intersect<std::uint16_t>({}, {5, 9, 11}, 0);
+  expect_intersect<std::uint16_t>({1, 5, 9}, {}, 0);
+}
+
+TEST(SimdIntersect16, FullBlocksWithKnownOverlap) {
+  std::vector<std::uint16_t> a(64), b(64);
+  for (std::uint16_t i = 0; i < 64; ++i) {
+    a[i] = static_cast<std::uint16_t>(2 * i);  // evens 0..126
+    b[i] = static_cast<std::uint16_t>(3 * i);  // multiples of 3, 0..189
+  }
+  // Common: multiples of 6 up to min(126, 189) -> 0, 6, ..., 126: 22 values.
+  expect_intersect<std::uint16_t>(a, b, 22);
+}
+
+TEST(SimdIntersect16, MatchAtEveryRotationOffset) {
+  // One common element at every relative lane offset within 16-lane blocks.
+  for (std::uint32_t pos_a = 0; pos_a < 16; ++pos_a) {
+    for (std::uint32_t pos_b = 0; pos_b < 16; ++pos_b) {
+      std::vector<std::uint16_t> a(16), b(16);
+      for (std::uint16_t i = 0; i < 16; ++i) {
+        a[i] = static_cast<std::uint16_t>(100 * i + 1);
+        b[i] = static_cast<std::uint16_t>(100 * i + 2);
+      }
+      a[pos_a] = static_cast<std::uint16_t>(100 * pos_a + 50);
+      b[pos_b] = static_cast<std::uint16_t>(100 * pos_b + 50);
+      SCOPED_TRACE("pos_a=" + std::to_string(pos_a) +
+                   " pos_b=" + std::to_string(pos_b));
+      expect_intersect<std::uint16_t>(a, b, pos_a == pos_b ? 1 : 0);
+    }
+  }
+}
+
+TEST(SimdIntersect16, RandomizedAgreementWithMerge) {
+  lotus::util::Xoshiro256 rng(4048);
+  for (int round = 0; round < 50; ++round) {
+    const auto a = sorted_unique<std::uint16_t>(rng, 1 + rng.next_below(400), 2000);
+    const auto b = sorted_unique<std::uint16_t>(rng, 1 + rng.next_below(400), 2000);
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_intersect<std::uint16_t>(
+        a, b, lotus::baselines::intersect_merge<std::uint16_t>(a, b));
+  }
+}
+
+TEST(SimdIntersect16, MaxValueIds) {
+  // 16-bit boundary values (the largest hub IDs LOTUS can store in HE).
+  expect_intersect<std::uint16_t>({65530, 65533, 65535}, {65531, 65533, 65535},
+                                  2);
 }
 
 // --- hybrid kernel --------------------------------------------------------
@@ -345,7 +456,7 @@ TEST(KernelHybrid, ThresholdSweepMatchesForwardMerge) {
       g::build_undirected(g::rmat({.scale = 9, .edge_factor = 8, .seed = 77}));
   const auto oriented = g::degree_ordered_oriented(graph);
   const std::uint64_t expected =
-      lotus::baselines::forward_merge_prepared(oriented);
+      lotus::baselines::forward_merge_prepared(oriented, /*vectorize=*/false);
   // 1 = every countable vertex dense, huge = pure merge, and the default.
   for (const std::uint32_t threshold : {1u, 2u, 8u, 64u, 1u << 30}) {
     EXPECT_EQ(lotus::baselines::forward_hybrid_prepared(oriented, threshold),
@@ -375,10 +486,20 @@ TEST(KernelGraphLevel, ForcedIsaMatrixAllAlgorithmsAgree) {
   for (const k::Isa isa : kAllTiers) {
     ScopedIsa forced(isa);
     for (const tc::Algorithm algorithm :
-         {tc::Algorithm::kLotus, tc::Algorithm::kForwardSimd,
-          tc::Algorithm::kForwardHybrid}) {
+         {tc::Algorithm::kLotus, tc::Algorithm::kForwardHybrid}) {
       EXPECT_EQ(tc::query(algorithm, graph).value().result.triangles, expected)
           << tc::name(algorithm) << " @ " << k::isa_name(isa);
+    }
+    // gap-forward: dispatched SIMD merge and the scalar GAP merge.
+    for (const bool vectorize : {true, false}) {
+      tc::QueryOptions options;
+      options.config.vectorize = vectorize;
+      EXPECT_EQ(tc::query(tc::Algorithm::kForwardMerge, graph, options)
+                    .value()
+                    .result.triangles,
+                expected)
+          << "gap-forward vectorize=" << vectorize << " @ "
+          << k::isa_name(isa);
     }
   }
 }

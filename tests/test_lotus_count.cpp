@@ -14,6 +14,7 @@
 #include "lotus/lotus.hpp"
 #include "lotus/relabel.hpp"
 #include "parallel/parallel_for.hpp"
+#include "tc/api.hpp"
 #include "util/memory_budget.hpp"
 
 namespace {
@@ -277,7 +278,10 @@ TEST(LotusCount, BitmapHnnAtThe64KiHubBoundary) {
     }
   }
   const auto graph = g::build_undirected(el);
-  const std::uint64_t expected = lotus::baselines::forward_merge(graph).triangles;
+  const std::uint64_t expected =
+      lotus::tc::query(lotus::tc::Algorithm::kForwardMerge, graph)
+          .value()
+          .result.triangles;
   ASSERT_EQ(expected, 2u * kCandidates);
 
   for (const g::VertexId hubs : {kCandidates - 1, kCandidates}) {
