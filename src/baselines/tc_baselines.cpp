@@ -123,9 +123,9 @@ std::uint64_t forward_hybrid_prepared(const OrientedCsr& oriented,
               ((static_cast<std::uint64_t>(n) + 63) / 64 * 8),
           "hybrid_scratch");
   }
-  return kernels::hybrid_forward_count(
-      n, [&](std::uint32_t v) { return oriented.neighbors(v); },
-      degree_threshold);
+  return kernels::hybrid_forward_count(oriented.offsets(),
+                                       oriented.neighbor_array(),
+                                       degree_threshold);
 }
 
 std::uint64_t edge_parallel_forward_prepared(const OrientedCsr& oriented) {

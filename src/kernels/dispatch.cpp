@@ -6,33 +6,19 @@ namespace lotus::kernels {
 
 namespace {
 
-// Scalar reference kernels. Branch-free merge advances (cmov) rather than
-// the branching merge of baselines/intersect.hpp: the dispatched fast path
-// has no probe to report branches to, so the branchless form is strictly
-// better here. Counts are identical.
-template <typename T>
-std::uint64_t merge_scalar(const T* a, std::size_t na, const T* b,
-                           std::size_t nb) {
-  std::uint64_t count = 0;
-  std::size_t i = 0, j = 0;
-  while (i < na && j < nb) {
-    const T x = a[i];
-    const T y = b[j];
-    count += x == y ? 1u : 0u;
-    i += x <= y ? 1u : 0u;
-    j += y <= x ? 1u : 0u;
-  }
-  return count;
-}
-
+// Scalar reference kernels. The merges are the branch-free loop of
+// detail::merge_branchless rather than the branching merge of
+// baselines/intersect.hpp: the dispatched fast path has no probe to report
+// branches to, so the branchless form is strictly better here. Counts are
+// identical.
 std::uint64_t merge_u32_scalar(const std::uint32_t* a, std::size_t na,
                                const std::uint32_t* b, std::size_t nb) {
-  return merge_scalar(a, na, b, nb);
+  return detail::merge_branchless(a, na, b, nb);
 }
 
 std::uint64_t merge_u16_scalar(const std::uint16_t* a, std::size_t na,
                                const std::uint16_t* b, std::size_t nb) {
-  return merge_scalar(a, na, b, nb);
+  return detail::merge_branchless(a, na, b, nb);
 }
 
 std::uint64_t and_popcount_scalar(const std::uint64_t* a,

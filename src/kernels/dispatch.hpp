@@ -94,6 +94,27 @@ inline constexpr const char* kKernelNames[] = {
 // KERNEL-INVENTORY-END
 
 namespace detail {
+/// |a ∩ b| by a branch-free scalar merge: each step compares one element of
+/// each list and advances either or both with conditional adds (cmov)
+/// instead of a three-way branch, so it costs the same whatever the data.
+/// The scalar merge kernels are this loop; every SIMD tier's merge runs it
+/// over the tails its block loop leaves, which on the ~8-entry lists of the
+/// NNN phase is nearly the whole merge.
+template <typename T>
+inline std::uint64_t merge_branchless(const T* a, std::size_t na, const T* b,
+                                      std::size_t nb) {
+  std::uint64_t count = 0;
+  std::size_t i = 0, j = 0;
+  while (i < na && j < nb) {
+    const T x = a[i];
+    const T y = b[j];
+    count += x == y ? 1u : 0u;
+    i += x <= y ? 1u : 0u;
+    j += y <= x ? 1u : 0u;
+  }
+  return count;
+}
+
 /// Per-tier table builders. The scalar table always exists; the SIMD tiers
 /// return nullptr when their architecture is not compiled in (their TUs
 /// still build everywhere — the bodies are preprocessor-gated). Tier tables

@@ -21,25 +21,29 @@
 #include <vector>
 
 #include "kernels/dispatch.hpp"
+#include "kernels/edge_stream.hpp"
 #include "obs/counters.hpp"
 #include "parallel/padded.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace lotus::kernels {
 
-/// Count closed wedges over an oriented adjacency: for every vertex v and
-/// every u in neighbors(v), |neighbors(v) ∩ neighbors(u)|. `neighbors` must
-/// return std::span<const std::uint32_t>-compatible ascending lists and be
-/// safe to call concurrently; every neighbour ID must be < num_vertices.
-template <typename NeighborsFn>
-std::uint64_t hybrid_forward_count(std::uint64_t num_vertices,
-                                   NeighborsFn&& neighbors,
-                                   std::uint32_t degree_threshold) {
+/// Count closed wedges over an oriented CSR given by its arrays: for every
+/// vertex v and every u in v's list, |list(v) ∩ list(u)|. `offsets` has
+/// num_vertices + 1 entries; lists are strictly ascending and every
+/// neighbour ID is < num_vertices. Each chunk walks its entries as one flat
+/// stream with an EdgeStreamPrefetcher running ahead (kernels/edge_stream.hpp).
+inline std::uint64_t hybrid_forward_count(std::span<const std::uint64_t> offsets,
+                                          std::span<const std::uint32_t> neighbors,
+                                          std::uint32_t degree_threshold) {
   const KernelTable& table = kernel_table();
+  const std::uint64_t num_vertices = offsets.size() - 1;
   const std::uint64_t bitmap_words = (num_vertices + 63) / 64;
   const unsigned slots = parallel::max_parallelism();
   std::vector<parallel::Padded<std::uint64_t>> partial(slots);
   std::vector<std::vector<std::uint64_t>> bitmaps(slots);
+  const std::uint64_t* off = offsets.data();
+  const std::uint32_t* adj = neighbors.data();
 
   parallel::parallel_for(
       0, num_vertices, 64,
@@ -48,28 +52,35 @@ std::uint64_t hybrid_forward_count(std::uint64_t num_vertices,
         std::uint64_t local = 0;
         std::uint64_t comparisons = 0;  // dead when LOTUS_OBS=0
         std::vector<std::uint64_t>& bitmap = bitmaps[thread_index];
+        const EdgeStreamPrefetcher<std::uint32_t> prefetch(adj, off[chunk_end],
+                                                           off, adj);
         for (std::uint64_t vi = chunk_begin; vi < chunk_end; ++vi) {
-          const std::span<const std::uint32_t> nv =
-              neighbors(static_cast<std::uint32_t>(vi));
-          if (nv.size() < 2) continue;
-          if (nv.size() >= degree_threshold) {
+          const std::uint64_t lo = off[vi];
+          const std::uint64_t hi = off[vi + 1];
+          const std::uint32_t* nv = adj + lo;
+          const std::uint64_t nv_size = hi - lo;
+          if (nv_size < 2) continue;
+          if (nv_size >= degree_threshold) {
             if (bitmap.empty()) bitmap.assign(bitmap_words, 0);
-            for (const std::uint32_t u : nv)
-              bitmap[u >> 6] |= 1ULL << (u & 63);
-            for (const std::uint32_t u : nv) {
-              const std::span<const std::uint32_t> nu = neighbors(u);
-              local += table.hits_bitset(nu.data(), nu.size(), bitmap.data());
-              comparisons += nu.size();
+            for (std::uint64_t k = lo; k < hi; ++k)
+              bitmap[adj[k] >> 6] |= 1ULL << (adj[k] & 63);
+            for (std::uint64_t k = lo; k < hi; ++k) {
+              prefetch(k);
+              const std::uint32_t u = adj[k];
+              const std::uint64_t nu_size = off[u + 1] - off[u];
+              local += table.hits_bitset(adj + off[u], nu_size, bitmap.data());
+              comparisons += nu_size;
             }
             // Every set bit belongs to nv, so zeroing each member's whole
             // word restores the all-zero invariant.
-            for (const std::uint32_t u : nv) bitmap[u >> 6] = 0;
+            for (std::uint64_t k = lo; k < hi; ++k) bitmap[adj[k] >> 6] = 0;
           } else {
-            for (const std::uint32_t u : nv) {
-              const std::span<const std::uint32_t> nu = neighbors(u);
-              local += table.merge_u32(nv.data(), nv.size(), nu.data(),
-                                       nu.size());
-              comparisons += nu.empty() ? 0 : nv.size() + nu.size();
+            for (std::uint64_t k = lo; k < hi; ++k) {
+              prefetch(k);
+              const std::uint32_t u = adj[k];
+              const std::uint64_t nu_size = off[u + 1] - off[u];
+              local += table.merge_u32(nv, nv_size, adj + off[u], nu_size);
+              comparisons += nu_size == 0 ? 0 : nv_size + nu_size;
             }
           }
         }

@@ -47,13 +47,8 @@ __attribute__((target("avx2"))) std::uint64_t merge_u32_avx2(
     j += bmax <= amax ? 8u : 0u;
   }
 
-  // Scalar merge over the tails.
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) ++i;
-    else if (a[i] > b[j]) ++j;
-    else { ++count; ++i; ++j; }
-  }
-  return count;
+  // Branch-free scalar merge over the tails.
+  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
 }
 
 __attribute__((target("avx2"))) std::uint64_t merge_u16_avx2(
@@ -85,12 +80,7 @@ __attribute__((target("avx2"))) std::uint64_t merge_u16_avx2(
     j += bmax <= amax ? 16u : 0u;
   }
 
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) ++i;
-    else if (a[i] > b[j]) ++j;
-    else { ++count; ++i; ++j; }
-  }
-  return count;
+  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
 }
 
 __attribute__((target("avx2"))) std::uint64_t and_popcount_avx2(

@@ -42,12 +42,7 @@ __attribute__((target("avx512f,avx512bw"))) std::uint64_t merge_u32_avx512(
     j += bmax <= amax ? 16u : 0u;
   }
 
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) ++i;
-    else if (a[i] > b[j]) ++j;
-    else { ++count; ++i; ++j; }
-  }
-  return count;
+  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
 }
 
 __attribute__((target("avx512f,avx512bw"))) std::uint64_t merge_u16_avx512(
@@ -76,12 +71,7 @@ __attribute__((target("avx512f,avx512bw"))) std::uint64_t merge_u16_avx512(
     j += bmax <= amax ? 32u : 0u;
   }
 
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) ++i;
-    else if (a[i] > b[j]) ++j;
-    else { ++count; ++i; ++j; }
-  }
-  return count;
+  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
 }
 
 __attribute__((target("avx512f,avx512vpopcntdq"))) std::uint64_t

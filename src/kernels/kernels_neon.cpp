@@ -41,12 +41,7 @@ std::uint64_t merge_u32_neon(const std::uint32_t* a, std::size_t na,
     j += bmax <= amax ? 4u : 0u;
   }
 
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) ++i;
-    else if (a[i] > b[j]) ++j;
-    else { ++count; ++i; ++j; }
-  }
-  return count;
+  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
 }
 
 std::uint64_t merge_u16_neon(const std::uint16_t* a, std::size_t na,
@@ -81,12 +76,7 @@ std::uint64_t merge_u16_neon(const std::uint16_t* a, std::size_t na,
     j += bmax <= amax ? 8u : 0u;
   }
 
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) ++i;
-    else if (a[i] > b[j]) ++j;
-    else { ++count; ++i; ++j; }
-  }
-  return count;
+  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
 }
 
 std::uint64_t and_popcount_neon(const std::uint64_t* a, const std::uint64_t* b,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "baselines/intersect.hpp"
+#include "kernels/edge_stream.hpp"
 #include "kernels/hybrid.hpp"
 #include "kernels/intersect.hpp"
 #include "lotus/lotus_graph.hpp"
@@ -235,9 +236,11 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
 /// bitmap over hub-ID space (≤ 8 KiB, L1-resident; see HubBitmaps) and every
 /// element of each HE(u) is tested against it: Σ|HE(u)| bit tests instead of
 /// a merge walking Σ(|HE(v)| + |HE(u)|) elements. Vertices with an empty
-/// HE(v) or NHE(v) are skipped. Otherwise (vectorize == false, or a probe
-/// attached for an instrumented replay) the probe-templated scalar merge
-/// runs; it is the reference the differential harness compares against.
+/// HE(v) or NHE(v) are skipped. Each chunk walks its NHE entries as one
+/// stream, prefetching HE(u) ahead of use (kernels/edge_stream.hpp).
+/// Otherwise (vectorize == false, or a probe attached for an instrumented
+/// replay) the probe-templated scalar merge runs; it is the reference the
+/// differential harness compares against.
 /// obs accounting: see HnnHitCounter.
 template <typename Probe = baselines::NullProbe>
 std::uint64_t count_hnn(const LotusGraph& lg,
@@ -257,14 +260,21 @@ std::uint64_t count_hnn(const LotusGraph& lg,
             std::uint64_t* bitmap = bitmaps.get(thread_index);
             std::uint64_t local = 0;
             HnnHitCounter counter;
+            const std::uint64_t* nhe_offsets = nhe.offsets().data();
+            const graph::VertexId* nhe_adj = nhe.neighbor_array().data();
+            const kernels::EdgeStreamPrefetcher<std::uint16_t> prefetch(
+                nhe_adj, nhe_offsets[e], he.offsets().data(),
+                he.neighbor_array().data());
             for (std::uint64_t vi = b; vi < e; ++vi) {
-              const auto v = static_cast<graph::VertexId>(vi);
-              auto hub_list = he.neighbors(v);
-              auto nv = nhe.neighbors(v);
-              if (hub_list.empty() || nv.empty()) continue;
+              auto hub_list = he.neighbors(static_cast<graph::VertexId>(vi));
+              const std::uint64_t lo = nhe_offsets[vi];
+              const std::uint64_t hi = nhe_offsets[vi + 1];
+              if (hub_list.empty() || lo == hi) continue;
               set_hub_bits(bitmap, hub_list);
-              for (graph::VertexId u : nv)
-                local += counter.count(bitmap, he.neighbors(u));
+              for (std::uint64_t k = lo; k < hi; ++k) {
+                prefetch(k);
+                local += counter.count(bitmap, he.neighbors(nhe_adj[k]));
+              }
               clear_hub_bits(bitmap, hub_list);
             }
             counter.flush();
@@ -292,9 +302,10 @@ std::uint64_t count_hnn(const LotusGraph& lg,
 /// Phase 3 — NNN (Alg. 3 lines 10-12): Forward algorithm restricted to the
 /// NHE sub-graph; hub edges are never touched (the pruning of Sec. 3.3).
 /// Uninstrumented vectorized runs go through the sparse-vs-dense hybrid
-/// (kernels/hybrid.hpp). Its dense-bitmap scratch is suppressed — threshold
-/// pushed out of reach — while a memory budget is accounting, so the LOTUS
-/// footprint under a budget stays exactly the accounted topology.
+/// (kernels/hybrid.hpp), which prefetches along each chunk's NHE entry
+/// stream. Its dense-bitmap scratch is suppressed — threshold pushed out of
+/// reach — while a memory budget is accounting, so the LOTUS footprint
+/// under a budget stays exactly the accounted topology.
 template <typename Probe = baselines::NullProbe>
 std::uint64_t count_nnn(const LotusGraph& lg,
                         Probe& probe = baselines::null_probe,
@@ -307,9 +318,8 @@ std::uint64_t count_nnn(const LotusGraph& lg,
           util::memory_accounting_active() || hybrid_degree_threshold == 0
               ? ~std::uint32_t{0}
               : hybrid_degree_threshold;
-      return kernels::hybrid_forward_count(
-          lg.num_vertices(),
-          [&](std::uint32_t v) { return nhe.neighbors(v); }, threshold);
+      return kernels::hybrid_forward_count(nhe.offsets(), nhe.neighbor_array(),
+                                           threshold);
     }
   }
   return parallel::parallel_reduce_add<std::uint64_t>(

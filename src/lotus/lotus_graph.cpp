@@ -72,8 +72,15 @@ LotusGraph LotusGraph::build(const CsrGraph& graph, const LotusConfig& config,
     }
   }
 
+  // The inverse permutation: new_id_ is a bijection, so every chunk writes
+  // disjoint slots. (An interrupted relabel returns a partial array, but the
+  // interrupt is latched, so this loop then runs no chunk at all.)
   std::vector<VertexId> old_of_new(n);
-  for (VertexId v = 0; v < n; ++v) old_of_new[lg.new_id_[v]] = v;
+  parallel::parallel_for(0, n, 4096,
+      [&](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t v = b; v < e; ++v)
+          old_of_new[lg.new_id_[v]] = static_cast<VertexId>(v);
+      });
 
   // Pass 1: per-vertex HE/NHE degrees (Alg. 2 decides he vs nhe per edge).
   util::charge_current((static_cast<std::uint64_t>(n) + 1) * 2 * sizeof(std::uint64_t),

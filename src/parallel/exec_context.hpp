@@ -4,18 +4,24 @@
 // drives a counting run; parallel_for and the work-stealing scheduler
 // capture the driver's context when a loop starts and poll it at chunk/task
 // granularity (so pool workers observe the interrupt of exactly the query
-// they are executing), and the LOTUS driver checks it between phases. Both
-// conditions are sticky (util/cancel.hpp), so the caller that installed the
-// context can re-check after the run to learn whether any work was skipped.
+// they are executing), and the LOTUS pipeline checks it between phases. The
+// context latches the first interrupt any poll observes, and every later
+// check reports the latch: once one poll has seen the interrupt — and work
+// may have been skipped because of it — the between-phase checks and the
+// caller's post-run check see it too, even if the token is re-armed
+// (CancelToken::reset) in between. A partial count therefore never escapes
+// as valid.
 //
 // Thread-safety: the installed context pointer is thread-local — each query
 // driver thread carries its own, which is what lets tc::Engine run several
 // queries concurrently without their cancellations cross-firing.
 // check_interrupt(ctx) with a captured pointer is safe from any thread as
 // long as the context outlives the parallel region (the installing scope
-// guarantees that). Overhead with no context installed: one thread-local
-// load per chunk.
+// guarantees that); the latch is an atomic in the per-query context.
+// Overhead with no context installed: one thread-local load per chunk.
 #pragma once
+
+#include <atomic>
 
 #include "util/cancel.hpp"
 
@@ -25,10 +31,13 @@ namespace lotus::parallel {
 /// cancel token is untouched — cancellation is the stronger, explicit signal.
 enum class Interrupt { kNone, kCancelled, kDeadlineExceeded };
 
-/// The cancellation environment: either member may be absent.
+/// The cancellation environment of one query: either source may be absent.
 struct ExecContext {
   const util::CancelToken* cancel = nullptr;
   util::Deadline deadline;
+  /// The first interrupt any poll of this context observed; kNone until
+  /// then. Set once by check_interrupt, never cleared.
+  mutable std::atomic<Interrupt> observed{Interrupt::kNone};
 };
 
 namespace detail {
@@ -44,13 +53,23 @@ inline const ExecContext*& exec_context_ref() noexcept {
   return detail::exec_context_ref();
 }
 
-/// Poll an explicit (usually captured) context. kNone for nullptr.
+/// Poll an explicit (usually captured) context. kNone for nullptr. Returns
+/// the latched interrupt if any poll has already observed one; otherwise
+/// polls the token and the deadline and latches what it finds.
 [[nodiscard]] inline Interrupt check_interrupt(const ExecContext* ctx) noexcept {
   if (ctx == nullptr) return Interrupt::kNone;
+  Interrupt latched = ctx->observed.load(std::memory_order_acquire);
+  if (latched != Interrupt::kNone) return latched;
+  Interrupt now = Interrupt::kNone;
   if (ctx->cancel != nullptr && ctx->cancel->cancelled())
-    return Interrupt::kCancelled;
-  if (ctx->deadline.expired()) return Interrupt::kDeadlineExceeded;
-  return Interrupt::kNone;
+    now = Interrupt::kCancelled;
+  else if (ctx->deadline.expired())
+    now = Interrupt::kDeadlineExceeded;
+  if (now == Interrupt::kNone) return now;
+  // First observer wins; a racing poll that latched first keeps its value.
+  ctx->observed.compare_exchange_strong(latched, now, std::memory_order_acq_rel,
+                                        std::memory_order_acquire);
+  return latched == Interrupt::kNone ? now : latched;
 }
 
 /// Poll the context installed on this thread. kNone when none is installed.

@@ -21,8 +21,8 @@
 //
 // Error model: budget vetoes surface as bad_alloc (execute_query's
 // degradation retry applies — the substrate switches, the analytic stays);
-// cancellation/deadline are polled inside every traversal and the sticky
-// re-check in execute_query clears any partial payload.
+// cancellation/deadline are polled inside every traversal and execute_query's
+// re-check of the latched interrupt clears any partial payload.
 
 #include <numeric>
 #include <optional>

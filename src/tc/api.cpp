@@ -82,8 +82,8 @@ RunResult execute_once(Algorithm algorithm, const graph::CsrGraph& graph,
     prepared = &built.emplace(PreparedGraph::build(
         artifact_kind(algorithm, options.analytic.kind), graph, options.config,
         trace));
-    // Interrupted during the build: skip the count; execute_query's sticky
-    // re-check reports the status.
+    // Interrupted during the build: skip the count; execute_query's re-check
+    // of the latched interrupt reports the status.
     if (parallel::interrupted()) {
       RunResult out;
       out.preprocess_s = built->build_s();
@@ -326,8 +326,9 @@ QueryResult execute_query(Algorithm algorithm, Algorithm runs_as,
       if (options.profile) {
         ProfileReport report =
             profiled_once(reported, runs_as, graph, options, prepared);
-        // Interrupts are sticky: any chunk or phase the run skipped is still
-        // visible here, so a partial count can never escape as valid.
+        // The context latched any interrupt a poll observed, so a chunk or
+        // phase the run skipped is visible here even if the token was
+        // re-armed since: a partial count can never escape as valid.
         if (const auto i = parallel::check_interrupt();
             i != parallel::Interrupt::kNone) {
           report.status = interrupt_status(i);

@@ -3,10 +3,11 @@
 // A CancelToken is flipped by any thread (cancel()) and observed inside the
 // parallel loops at chunk granularity (parallel/exec_context.hpp) and
 // between LOTUS phases; a Deadline is a fixed point in steady-clock time.
-// Both are *sticky*: once cancelled/expired they stay that way, which is
-// what makes the post-run status check in tc::query race-free —
-// any work that was skipped because of an interrupt is always visible to
-// the final check.
+// A token can be re-armed (reset) while a query that holds it is still
+// running, so the token itself is not what tells tc::query that work was
+// skipped: the query's ExecContext latches the first interrupt any poll
+// observed, and the between-phase and post-run checks read that latch
+// (parallel/exec_context.hpp).
 //
 // Thread-safety: CancelToken is fully thread-safe (single atomic flag).
 // Deadline is an immutable value after construction and safe to share.
@@ -30,7 +31,8 @@ class CancelToken {
     return cancelled_.load(std::memory_order_acquire);
   }
 
-  /// Re-arm for reuse between runs (not concurrently with a run).
+  /// Re-arm for reuse. Safe at any time: a run that already observed the
+  /// cancellation keeps reporting it (its ExecContext latched it).
   void reset() noexcept { cancelled_.store(false, std::memory_order_release); }
 
  private:

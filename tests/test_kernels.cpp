@@ -392,6 +392,37 @@ TEST(SimdIntersect, RandomizedAgreementWithMerge) {
   }
 }
 
+TEST(KernelIntersect, RandomShortListsAllTiers) {
+  // Lists of 0–20 entries: shorter than one block on every SIMD tier, or
+  // one block plus a tail, so the shared branch-free tail merge does all or
+  // most of the work — the shape of the NNN phase's lists. The reference is
+  // the branching merge of baselines/intersect.hpp; dense universes make
+  // overlaps common.
+  lotus::util::Xoshiro256 rng(2718);
+  for (std::size_t na = 0; na <= 20; ++na)
+    for (std::size_t nb = 0; nb <= 20; ++nb) {
+      const std::uint64_t universe = 2 * (na + nb) + 4;
+      SCOPED_TRACE("na=" + std::to_string(na) + " nb=" + std::to_string(nb));
+      const auto a32 = sorted_unique<std::uint32_t>(rng, na, universe);
+      const auto b32 = sorted_unique<std::uint32_t>(rng, nb, universe);
+      const std::uint64_t expect32 =
+          lotus::baselines::intersect_merge<std::uint32_t>(a32, b32);
+      expect_intersect<std::uint32_t>(a32, b32, expect32);
+      const auto a16 = sorted_unique<std::uint16_t>(rng, na, universe);
+      const auto b16 = sorted_unique<std::uint16_t>(rng, nb, universe);
+      const std::uint64_t expect16 =
+          lotus::baselines::intersect_merge<std::uint16_t>(a16, b16);
+      expect_intersect<std::uint16_t>(a16, b16, expect16);
+      for (const k::Isa isa : kAllTiers) {
+        const k::KernelTable& table = k::kernel_table(isa);
+        EXPECT_EQ(table.merge_u32(b32.data(), nb, a32.data(), na), expect32)
+            << k::isa_name(isa) << " (swapped)";
+        EXPECT_EQ(table.merge_u16(b16.data(), nb, a16.data(), na), expect16)
+            << k::isa_name(isa) << " (swapped)";
+      }
+    }
+}
+
 TEST(SimdIntersect, IdenticalLargeLists) {
   std::vector<std::uint32_t> a(1000);
   for (std::uint32_t i = 0; i < 1000; ++i) a[i] = i * 7 + 3;
