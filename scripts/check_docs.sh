@@ -9,8 +9,9 @@
 #   4. prose docs must not reference the deprecated legacy entry points
 #      (tc::run, run_with_status, run_profiled*) or the removed names
 #      (forward-simd, kForwardSimd, intersect_simd, adaptive_count,
-#      use_lotus()) — docs/API.md is exempt because it documents the
-#      migration away from them;
+#      use_lotus(), ayz-matrix, spgemm-masked, kAyz, kSpGemmMasked,
+#      count_kcliques, ktruss_decomposition, lotus_algorithms) — docs/API.md
+#      is exempt because it documents the migration away from them;
 #   5. every out-of-core knob (src/graph/oocore.hpp, LOTUS-KNOB-INVENTORY
 #      block) must be documented in docs/OUT_OF_CORE.md;
 #   6. every exported engine metric (src/obs/telemetry.hpp,
@@ -78,7 +79,11 @@ done
 # tc::run / run_with_status / run_profiled* are deprecated shims, and
 # forward-simd / kForwardSimd / intersect_simd / adaptive_count / use_lotus()
 # are gone (folded into gap-forward, kernels::intersect and the adaptive
-# resolution of tc::query); docs must describe the tc::query surface.
+# resolution of tc::query). So are the AYZ and masked-SpGEMM algorithms
+# (ayz-matrix / spgemm-masked, kAyz / kSpGemmMasked), the graph-taking
+# analytic wrappers (count_kcliques, ktruss_decomposition; tc::query serves
+# both) and the lotus_algorithms library. Docs must describe the tc::query
+# surface.
 # docs/API.md keeps the migration table and is exempt, as are the
 # changelog/issue worklogs.
 for md in README.md DESIGN.md docs/*.md; do
@@ -86,7 +91,7 @@ for md in README.md DESIGN.md docs/*.md; do
   case "$md" in
     docs/API.md) continue ;;
   esac
-  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()' "$md")
+  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms' "$md")
   if [ -n "$hits" ]; then
     echo "check_docs: $md references a deprecated or removed entry point:" >&2
     echo "$hits" | sed 's/^/  /' >&2

@@ -2,8 +2,6 @@
 
 #include <atomic>
 
-#include "graph/builder.hpp"
-#include "graph/degree_order.hpp"
 #include "mining/vertex_miner.hpp"
 #include "util/memory_budget.hpp"
 
@@ -29,12 +27,6 @@ std::vector<std::uint64_t> local_triangle_counts_prepared(
   for (VertexId v = 0; v < n; ++v)
     by_original[v] = counts[new_id[v]].load(std::memory_order_relaxed);
   return by_original;
-}
-
-std::vector<std::uint64_t> local_triangle_counts(const CsrGraph& graph) {
-  const auto new_id = graph::degree_descending_permutation(graph);
-  const auto oriented = graph::orient_by_id(graph::relabel(graph, new_id));
-  return local_triangle_counts_prepared(oriented, new_id);
 }
 
 std::vector<double> coefficients_from_counts(
@@ -71,14 +63,6 @@ TransitivitySummary transitivity_from_counts(
       out.wedges > 0 ? static_cast<double>(corner_sum) / static_cast<double>(out.wedges) : 0.0;
   out.avg_clustering = n > 0 ? coefficient_sum / n : 0.0;
   return out;
-}
-
-std::vector<double> clustering_coefficients(const CsrGraph& graph) {
-  return coefficients_from_counts(graph, local_triangle_counts(graph));
-}
-
-TransitivitySummary transitivity(const CsrGraph& graph) {
-  return transitivity_from_counts(graph, local_triangle_counts(graph));
 }
 
 }  // namespace lotus::analytics

@@ -11,15 +11,6 @@
 
 namespace lotus::analytics {
 
-/// Number of triangles through each vertex (each triangle contributes to
-/// all three corners). Computed with the Forward algorithm over a
-/// degree-ordered oriented graph; results are indexed by ORIGINAL vertex ID.
-std::vector<std::uint64_t> local_triangle_counts(const graph::CsrGraph& graph);
-
-/// Watts-Strogatz local clustering coefficient per vertex:
-/// 2·tri(v) / (deg(v)·(deg(v)−1)); 0 for degree < 2.
-std::vector<double> clustering_coefficients(const graph::CsrGraph& graph);
-
 struct TransitivitySummary {
   std::uint64_t triangles = 0;       // distinct triangles
   std::uint64_t wedges = 0;          // paths of length 2 (open + closed)
@@ -27,16 +18,10 @@ struct TransitivitySummary {
   double avg_clustering = 0.0;       // mean local coefficient
 };
 
-TransitivitySummary transitivity(const graph::CsrGraph& graph);
-
-// -- Prepared-artifact variants ---------------------------------------------
-// Entry points for the Engine-served analytics (tc/analytics_exec.cpp): the
-// caller supplies a degree-ordered oriented CSR (the shared cached artifact)
-// plus the permutation that built it, so nothing here re-sorts the graph.
-
-/// Per-vertex counts over a prebuilt oriented CSR; `new_id[v]` is v's ID in
-/// the oriented graph (i.e. the degree-descending permutation used to build
-/// it). Results are indexed by ORIGINAL vertex ID. Charges the per-vertex
+/// Per-vertex counts over a prebuilt degree-ordered oriented CSR (the cached
+/// artifact tc::query and tc::Engine share, see tc/analytics_exec.cpp);
+/// `new_id[v]` is v's ID in the oriented graph (i.e. the degree-descending
+/// permutation used to build it), so nothing here re-sorts the graph. Results are indexed by ORIGINAL vertex ID. Charges the per-vertex
 /// arrays against the active memory budget; triangle enumeration runs
 /// through the mining layer and honours cancellation/deadline.
 std::vector<std::uint64_t> local_triangle_counts_prepared(

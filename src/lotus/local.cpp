@@ -95,9 +95,4 @@ std::vector<std::uint64_t> count_triangles_local_prepared(const LotusGraph& lg) 
   return by_original;
 }
 
-std::vector<std::uint64_t> count_triangles_local(const graph::CsrGraph& graph,
-                                                 const LotusConfig& config) {
-  return count_triangles_local_prepared(LotusGraph::build(graph, config));
-}
-
 }  // namespace lotus::core

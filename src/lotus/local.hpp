@@ -9,22 +9,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr.hpp"
-#include "lotus/config.hpp"
-
 namespace lotus::core {
 
 class LotusGraph;
 
-/// Triangles through each vertex, indexed by ORIGINAL vertex ID (the
-/// relabeling is internal). Sum over all vertices = 3 × triangle count.
-std::vector<std::uint64_t> count_triangles_local(const graph::CsrGraph& graph,
-                                                 const LotusConfig& config = {});
-
-/// Same counts over an already-built LotusGraph — the entry point the
-/// Engine-served kLocalCounts analytic uses so a cached
-/// ArtifactKind::kLotus artifact is shared with scalar LOTUS counting.
-/// Output is indexed by ORIGINAL vertex ID (remapped via lg.relabeling()).
+/// Triangles through each vertex of an already-built LotusGraph — the
+/// kernel behind the kLocalCounts/kClustering analytics on the lotus
+/// substrate, so a cached ArtifactKind::kLotus artifact is shared with scalar
+/// LOTUS counting. Output is indexed by ORIGINAL vertex ID (remapped via
+/// lg.relabeling()); the sum over all vertices is 3 × the triangle count.
 /// Charges the per-vertex output against the active memory budget.
 std::vector<std::uint64_t> count_triangles_local_prepared(const LotusGraph& lg);
 

@@ -141,8 +141,8 @@ struct TriangleVisitPolicy {
 };
 
 /// Count k-cliques (k >= 3) with hub attribution over a prebuilt
-/// degree-ordered oriented CSR — the policy instance the k-clique analytic
-/// and core::count_kcliques() share.
+/// degree-ordered oriented CSR — the kKClique analytic's census
+/// (tc/analytics_exec.cpp). Hubs are the `hub_count` lowest IDs.
 struct CliqueCensus {
   std::uint64_t cliques = 0;
   std::uint64_t hub_cliques = 0;

@@ -6,9 +6,9 @@
 // substrate the Algorithm selects (LOTUS phases for lotus on the per-vertex
 // analytics, the degree-ordered oriented CSR otherwise), borrow it from the
 // prepared artifact (the Engine's cached one, or the one tc::query just
-// built), then hand off to the analytic kernels (lotus/kclique.hpp,
-// lotus/local.hpp, algorithms/ktruss.hpp, analytics/clustering.hpp — all
-// sharing the mining layer's DAG traversal).
+// built), then hand off to the analytic kernels (mining::count_cliques,
+// lotus/local.hpp, analytics/ktruss.hpp, analytics/clustering.hpp — all
+// but the LOTUS substrate sharing the mining layer's DAG traversal).
 //
 // Timing model: the residual per-query work the artifact cannot cover — the
 // degree permutation for per-vertex remaps, the relabeled full graph for the
@@ -24,17 +24,19 @@
 // cancellation/deadline are polled inside every traversal and execute_query's
 // re-check of the latched interrupt clears any partial payload.
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
 
-#include "algorithms/ktruss.hpp"
 #include "analytics/clustering.hpp"
+#include "analytics/ktruss.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
-#include "lotus/kclique.hpp"
 #include "lotus/local.hpp"
 #include "lotus/lotus_graph.hpp"
+#include "mining/vertex_miner.hpp"
 #include "tc/api.hpp"
 #include "tc/prepared.hpp"
 #include "util/timer.hpp"
@@ -112,8 +114,12 @@ RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
   util::Timer count_timer;
   switch (request.kind) {
     case AnalyticKind::kKClique: {
-      const core::KCliqueResult census = core::count_kcliques_prepared(
-          *oriented, request.k, request.hub_fraction);
+      // Hubs are the ceil(hub_fraction · n) lowest oriented IDs (at least
+      // one); validate() has already rejected k < 3.
+      const auto hub_count = static_cast<VertexId>(std::max(
+          1.0, std::ceil(request.hub_fraction * oriented->num_vertices())));
+      const mining::CliqueCensus census =
+          mining::count_cliques(*oriented, request.k, hub_count);
       out.analytics.count = census.cliques;
       out.analytics.hub_count = census.hub_cliques;
       // The TC adapter: k = 3 *is* the triangle census.
@@ -121,8 +127,8 @@ RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
       break;
     }
     case AnalyticKind::kKTruss: {
-      algorithms::KTrussResult truss =
-          algorithms::ktruss_prepared(*relabeled, *oriented);
+      analytics::KTrussResult truss =
+          analytics::ktruss_prepared(*relabeled, *oriented);
       out.analytics.truss.max_k = truss.max_k;
       out.analytics.truss.edges_in_max_truss = truss.edges_in_max_truss;
       if (full) out.analytics.edge_trussness = std::move(truss.trussness);

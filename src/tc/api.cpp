@@ -46,8 +46,6 @@ constexpr AlgorithmInfo kAlgorithmTable[] = {
     {Algorithm::kEdgeIterator, "ggrind-edgeit", ArtifactKind::kNone, false},
     {Algorithm::kNodeIterator, "node-iterator", ArtifactKind::kNone, false},
     {Algorithm::kBlocked, "bbtc-blocked", ArtifactKind::kOriented, false},
-    {Algorithm::kAyz, "ayz-matrix", ArtifactKind::kNone, false},
-    {Algorithm::kSpGemmMasked, "spgemm-masked", ArtifactKind::kNone, false},
 };
 
 const AlgorithmInfo* find_info(Algorithm algorithm) {

@@ -76,8 +76,6 @@ enum class Algorithm {
   kEdgeIterator,   // GraphGrind-style edge iterator
   kNodeIterator,   // classical node iterator
   kBlocked,        // BBTC-style block-based TC
-  kAyz,            // Alon-Yuster-Zwick matrix-hybrid [1, 2]
-  kSpGemmMasked,   // masked sparse matrix product [8]
 };
 
 /// Which analytic a query computes. Every kind runs over the same prepared
@@ -385,9 +383,9 @@ util::Expected<QueryResult> query(Algorithm algorithm,
 /// The Expected-side admission check query() and Engine::submit share:
 /// kInvalidArgument when the request can never be served — kKClique with
 /// k < 3, a hub_fraction outside (0, 1], or a non-triangle analytic on an
-/// algorithm with no reusable prepared artifact (edge/node iterator, AYZ,
-/// masked SpGEMM — the analytics need the oriented CSR or LotusGraph those
-/// never build). Ok otherwise.
+/// algorithm with no reusable prepared artifact (edge/node iterator — the
+/// analytics need the oriented CSR or LotusGraph those never build). Ok
+/// otherwise.
 [[nodiscard]] util::Status validate(Algorithm algorithm,
                                     const AnalyticsRequest& request);
 

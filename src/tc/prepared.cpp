@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "baselines/intersect.hpp"
-#include "baselines/matrix_tc.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/degree_order.hpp"
 #include "graph/oocore.hpp"
@@ -26,13 +25,10 @@ ArtifactKind artifact_kind(Algorithm algorithm, AnalyticKind analytic) {
   const ArtifactKind base = artifact_kind(algorithm);
   switch (analytic) {
     case AnalyticKind::kTriangles:
-      return base;
     case AnalyticKind::kLocalCounts:
     case AnalyticKind::kClustering:
       // Per-vertex analytics run on the LOTUS substrate when the algorithm
-      // asks for it, otherwise on the shared oriented CSR; either way every
-      // algorithm gets a reusable artifact.
-      if (base == ArtifactKind::kNone) return ArtifactKind::kNone;
+      // asks for it, otherwise on the shared oriented CSR.
       return base;
     case AnalyticKind::kKClique:
     case AnalyticKind::kKTruss:
@@ -371,10 +367,6 @@ RunResult run_prepared_kernel(Algorithm algorithm,
                    }) /
                3;
       });
-    case Algorithm::kAyz:
-      return timed_count([&] { return baselines::ayz_tc(graph); });
-    case Algorithm::kSpGemmMasked:
-      return timed_count([&] { return baselines::spgemm_masked_tc(graph); });
   }
   throw std::invalid_argument("unknown algorithm");
 }

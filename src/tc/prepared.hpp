@@ -41,9 +41,8 @@ enum class ArtifactKind {
 
 /// The artifact `algorithm` counts against (its row of the algorithm table in
 /// api.cpp). kNone for the baselines that read the graph directly
-/// (edge/node iterator, AYZ, masked SpGEMM). kAdaptive names kLotus, its
-/// skewed choice; the execution paths resolve it first
-/// (detail::resolve_adaptive).
+/// (edge/node iterator). kAdaptive names kLotus, its skewed choice; the
+/// execution paths resolve it first (detail::resolve_adaptive).
 [[nodiscard]] ArtifactKind artifact_kind(Algorithm algorithm);
 
 /// The artifact an (algorithm, analytic) pair consumes. The key property is

@@ -15,7 +15,6 @@
 #endif
 
 #include "baselines/intersect.hpp"
-#include "baselines/matrix_tc.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
@@ -23,7 +22,6 @@
 #include "graph/io.hpp"
 #include "graph/oocore.hpp"
 #include "lotus/count.hpp"
-#include "lotus/kclique.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "lotus/streaming.hpp"
@@ -185,9 +183,7 @@ std::uint64_t forward_with_kernel(const g::CsrGraph& graph, Kernel&& kernel) {
 /// The production path: tc::query builds the algorithm's artifact and counts
 /// against it, exactly as an Engine miss does.
 std::uint64_t query_count(tc::Algorithm algorithm, const g::CsrGraph& graph,
-                          const core::LotusConfig& config = {}) {
-  tc::QueryOptions options;
-  options.config = config;
+                          const tc::QueryOptions& options = {}) {
   const auto outcome = tc::query(algorithm, graph, options);
   if (!outcome.ok()) throw std::runtime_error(outcome.status().to_string());
   if (!outcome.value().ok())
@@ -310,8 +306,8 @@ std::vector<DiffPath> differential_paths() {
                    }});
   // gap-forward's scalar GAP merge (the default above dispatches SIMD).
   paths.push_back({"forward_merge_scalar", [](const auto& graph, const auto&) {
-                     core::LotusConfig scalar;
-                     scalar.vectorize = false;
+                     tc::QueryOptions scalar;
+                     scalar.config.vectorize = false;
                      return query_count(tc::Algorithm::kForwardMerge, graph,
                                         scalar);
                    }});
@@ -352,15 +348,13 @@ std::vector<DiffPath> differential_paths() {
                      return query_count(tc::Algorithm::kBlocked, graph);
                    }});
 
-  // --- Matrix algebra and clique enumeration.
-  paths.push_back({"ayz", [](const auto& graph, const auto&) {
-                     return baselines::ayz_tc(graph);
-                   }});
-  paths.push_back({"spgemm_masked", [](const auto& graph, const auto&) {
-                     return baselines::spgemm_masked_tc(graph);
-                   }});
+  // --- Clique enumeration: the k = 3 census of the k-clique analytic.
   paths.push_back({"kclique3", [](const auto& graph, const auto&) {
-                     return core::count_kcliques(graph, 3).cliques;
+                     tc::QueryOptions census;
+                     census.analytic.kind = tc::AnalyticKind::kKClique;
+                     census.analytic.k = 3;
+                     return query_count(tc::Algorithm::kForwardMerge, graph,
+                                        census);
                    }});
 
   // --- Out-of-core pipeline (docs/OUT_OF_CORE.md).

@@ -1,80 +1,288 @@
-// Analytics layer: local triangle counts, clustering coefficients, and
-// transitivity, validated on closed-form families and against brute force.
+// Analytics layer on closed-form families and against brute force: the
+// k-truss peel, and the k-clique census, per-vertex triangle counts,
+// clustering coefficients and transitivity as tc::query serves them.
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
+#include <vector>
 
-#include "analytics/clustering.hpp"
+#include "analytics/ktruss.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "tc/api.hpp"
 
 namespace {
 
 namespace g = lotus::graph;
-namespace a = lotus::analytics;
+namespace tc = lotus::tc;
+using lotus::util::StatusCode;
+
+/// The per-vertex analytics run on both substrates: the degree-ordered
+/// oriented CSR (gap-forward) and the LOTUS phases (lotus).
+constexpr tc::Algorithm kSubstrates[] = {tc::Algorithm::kForwardMerge,
+                                         tc::Algorithm::kLotus};
+
+/// One analytic query's payload; a rejected or failed query fails the test.
+tc::AnalyticsResult analytic(tc::Algorithm algorithm, const g::CsrGraph& graph,
+                             const tc::AnalyticsRequest& request) {
+  tc::QueryOptions options;
+  options.analytic = request;
+  auto attempted = tc::query(algorithm, graph, options);
+  if (!attempted.ok()) {
+    ADD_FAILURE() << "rejected: " << attempted.status().to_string();
+    return {};
+  }
+  tc::QueryResult result = attempted.take();
+  EXPECT_TRUE(result.ok()) << result.status.to_string();
+  return std::move(result.result.analytics);
+}
+
+tc::AnalyticsResult kcliques(const g::CsrGraph& graph, unsigned k,
+                             double hub_fraction = 0.01) {
+  return analytic(tc::Algorithm::kForwardMerge, graph,
+                  {.kind = tc::AnalyticKind::kKClique,
+                   .k = k,
+                   .hub_fraction = hub_fraction});
+}
+
+std::vector<std::uint64_t> local_counts(tc::Algorithm algorithm,
+                                        const g::CsrGraph& graph) {
+  auto counts =
+      analytic(algorithm, graph, {.kind = tc::AnalyticKind::kLocalCounts})
+          .vertex_counts;
+  EXPECT_EQ(counts.size(), graph.num_vertices()) << tc::name(algorithm);
+  return counts;
+}
+
+tc::AnalyticsResult clustering(tc::Algorithm algorithm,
+                               const g::CsrGraph& graph) {
+  auto result =
+      analytic(algorithm, graph, {.kind = tc::AnalyticKind::kClustering});
+  EXPECT_EQ(result.vertex_coefficients.size(), graph.num_vertices())
+      << tc::name(algorithm);
+  return result;
+}
+
+lotus::analytics::KTrussResult ktruss(const g::CsrGraph& graph) {
+  return lotus::analytics::ktruss_prepared(graph, g::orient_by_id(graph));
+}
+
+constexpr std::uint64_t choose(std::uint64_t n, std::uint64_t k) {
+  std::uint64_t result = 1;
+  for (std::uint64_t i = 0; i < k; ++i) result = result * (n - i) / (i + 1);
+  return result;
+}
+
+// ---------- k-truss ----------
+
+TEST(KTruss, CompleteGraphIsOneTruss) {
+  // Every edge of K_6 has support 4 -> trussness 6 for all edges.
+  const auto r = ktruss(g::build_undirected(g::complete(6)));
+  EXPECT_EQ(r.max_k, 6u);
+  for (auto t : r.trussness) EXPECT_EQ(t, 6u);
+  EXPECT_EQ(r.edges_in_max_truss, 15u);
+}
+
+TEST(KTruss, TriangleFreeGraphIsTwoTruss) {
+  const auto r = ktruss(g::build_undirected(g::grid(5, 5)));
+  EXPECT_EQ(r.max_k, 2u);
+  for (auto t : r.trussness) EXPECT_EQ(t, 2u);
+}
+
+TEST(KTruss, CliqueWithTailSeparates) {
+  // K_5 plus a pendant path: the clique edges are 5-truss, the tail 2-truss.
+  g::EdgeList el = g::complete(5);
+  el.num_vertices = 7;
+  el.edges.push_back({4, 5});
+  el.edges.push_back({5, 6});
+  const auto r = ktruss(g::build_undirected(el));
+  EXPECT_EQ(r.max_k, 5u);
+  EXPECT_EQ(r.edges_in_max_truss, 10u);  // the K_5 edges
+  std::uint64_t two_truss = 0;
+  for (auto t : r.trussness) two_truss += t == 2 ? 1u : 0u;
+  EXPECT_EQ(two_truss, 2u);  // the tail edges
+}
+
+TEST(KTruss, WheelIsThreeTruss) {
+  // Every wheel edge sits in >= 1 triangle but peels at support 1.
+  EXPECT_EQ(ktruss(g::build_undirected(g::wheel(8))).max_k, 3u);
+}
+
+TEST(KTruss, TrussnessUpperBoundsFollowSupports) {
+  const auto r = ktruss(g::build_undirected(g::holme_kim(
+      {.num_vertices = 500, .edges_per_vertex = 5, .p_triad = 0.7, .seed = 94})));
+  EXPECT_GE(r.max_k, 3u);  // triad formation guarantees triangles
+  for (auto t : r.trussness) EXPECT_GE(t, 2u);
+}
+
+// ---------- k-cliques ----------
+
+TEST(KClique, CompleteGraphClosedForm) {
+  const auto graph = g::build_undirected(g::complete(12));
+  for (unsigned k = 3; k <= 6; ++k)
+    EXPECT_EQ(kcliques(graph, k).count, choose(12, k)) << k;
+}
+
+TEST(KClique, TriangleCountMatchesBruteForce) {
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 9, .edge_factor = 8, .seed = 51}));
+  EXPECT_EQ(kcliques(graph, 3).count, lotus::baselines::brute_force(graph));
+}
+
+TEST(KClique, TriangleFreeGraphHasNoCliques) {
+  const auto graph = g::build_undirected(g::complete_bipartite(8, 8));
+  for (unsigned k = 3; k <= 5; ++k) EXPECT_EQ(kcliques(graph, k).count, 0u);
+}
+
+TEST(KClique, WheelFourCliques) {
+  // wheel(5): each rim edge closes one triangle with the hub and the rim C_5
+  // has none, so 5 triangles and no 4-clique.
+  const auto graph = g::build_undirected(g::wheel(5));
+  EXPECT_EQ(kcliques(graph, 3).count, 5u);
+  EXPECT_EQ(kcliques(graph, 4).count, 0u);
+}
+
+TEST(KClique, HubShareGrowsWithK) {
+  // The paper's Sec. 7 conjecture on a skewed graph.
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 11, .edge_factor = 10, .seed = 52}));
+  const auto k3 = kcliques(graph, 3);
+  const auto k4 = kcliques(graph, 4);
+  ASSERT_GT(k3.count, 0u);
+  ASSERT_GT(k4.count, 0u);
+  EXPECT_GE(k4.hub_pct() + 1e-9, k3.hub_pct());
+  EXPECT_GT(k3.hub_pct(), 50.0);
+}
+
+TEST(KClique, HubAttributionOnCompleteGraph) {
+  // 1 hub in K_10 (hub_fraction 0.01 -> ceil(0.1) = 1): cliques containing
+  // the hub are C(9, k-1).
+  const auto graph = g::build_undirected(g::complete(10));
+  EXPECT_EQ(kcliques(graph, 4, 0.01).hub_count, choose(9, 3));
+}
+
+TEST(KClique, RejectsSmallK) {
+  tc::QueryOptions options;
+  options.analytic = {.kind = tc::AnalyticKind::kKClique, .k = 2};
+  const auto attempted = tc::query(tc::Algorithm::kForwardMerge,
+                                   g::build_undirected(g::complete(5)), options);
+  ASSERT_FALSE(attempted.ok());
+  EXPECT_EQ(attempted.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------- local counts, clustering, transitivity ----------
 
 TEST(LocalCounts, CompleteGraphEveryVertexSeesAllItsTriangles) {
   const auto graph = g::build_undirected(g::complete(10));
-  const auto counts = a::local_triangle_counts(graph);
-  // Each vertex of K_10 is in C(9,2) = 36 triangles.
-  for (auto c : counts) EXPECT_EQ(c, 36u);
+  for (const auto algorithm : kSubstrates) {
+    // Each vertex of K_10 is in C(9,2) = 36 triangles.
+    for (auto c : local_counts(algorithm, graph))
+      EXPECT_EQ(c, 36u) << tc::name(algorithm);
+  }
 }
 
 TEST(LocalCounts, CornerSumIsThreeTimesTriangles) {
   const auto graph =
       g::build_undirected(g::rmat({.scale = 10, .edge_factor = 8, .seed = 41}));
-  const auto counts = a::local_triangle_counts(graph);
-  const auto corner_sum =
-      std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
-  EXPECT_EQ(corner_sum, 3 * lotus::baselines::brute_force(graph));
+  const std::uint64_t triangles = lotus::baselines::brute_force(graph);
+  for (const auto algorithm : kSubstrates) {
+    const auto counts = local_counts(algorithm, graph);
+    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
+              3 * triangles)
+        << tc::name(algorithm);
+  }
 }
 
 TEST(LocalCounts, WheelHubSeesEveryTriangle) {
   const auto graph = g::build_undirected(g::wheel(10));
-  const auto counts = a::local_triangle_counts(graph);
-  EXPECT_EQ(counts[0], 10u);  // hub participates in all 10 rim triangles
-  for (std::size_t v = 1; v < counts.size(); ++v) EXPECT_EQ(counts[v], 2u);
+  for (const auto algorithm : kSubstrates) {
+    const auto counts = local_counts(algorithm, graph);
+    ASSERT_EQ(counts.size(), 11u) << tc::name(algorithm);
+    EXPECT_EQ(counts[0], 10u);  // hub participates in all 10 rim triangles
+    for (std::size_t v = 1; v < counts.size(); ++v) EXPECT_EQ(counts[v], 2u);
+  }
 }
 
 TEST(Clustering, CompleteGraphHasCoefficientOne) {
-  const auto coefficients =
-      a::clustering_coefficients(g::build_undirected(g::complete(8)));
-  for (double c : coefficients) EXPECT_DOUBLE_EQ(c, 1.0);
+  const auto graph = g::build_undirected(g::complete(8));
+  for (const auto algorithm : kSubstrates)
+    for (double c : clustering(algorithm, graph).vertex_coefficients)
+      EXPECT_DOUBLE_EQ(c, 1.0) << tc::name(algorithm);
 }
 
 TEST(Clustering, TriangleFreeGraphHasZero) {
-  const auto coefficients =
-      a::clustering_coefficients(g::build_undirected(g::grid(6, 6)));
-  for (double c : coefficients) EXPECT_DOUBLE_EQ(c, 0.0);
+  const auto graph = g::build_undirected(g::grid(6, 6));
+  for (const auto algorithm : kSubstrates)
+    for (double c : clustering(algorithm, graph).vertex_coefficients)
+      EXPECT_DOUBLE_EQ(c, 0.0) << tc::name(algorithm);
 }
 
 TEST(Clustering, LowDegreeVerticesAreZeroNotNan) {
-  const auto coefficients =
-      a::clustering_coefficients(g::build_undirected(g::path(5)));
-  for (double c : coefficients) EXPECT_DOUBLE_EQ(c, 0.0);
+  const auto graph = g::build_undirected(g::path(5));
+  for (const auto algorithm : kSubstrates)
+    for (double c : clustering(algorithm, graph).vertex_coefficients)
+      EXPECT_DOUBLE_EQ(c, 0.0) << tc::name(algorithm);
 }
 
 TEST(Transitivity, CompleteGraphIsOne) {
-  const auto t = a::transitivity(g::build_undirected(g::complete(12)));
-  EXPECT_DOUBLE_EQ(t.global_transitivity, 1.0);
-  EXPECT_DOUBLE_EQ(t.avg_clustering, 1.0);
-  EXPECT_EQ(t.triangles, g::complete_triangles(12));
+  const auto graph = g::build_undirected(g::complete(12));
+  for (const auto algorithm : kSubstrates) {
+    const auto t = clustering(algorithm, graph);
+    EXPECT_DOUBLE_EQ(t.clustering.global_transitivity, 1.0);
+    EXPECT_DOUBLE_EQ(t.clustering.avg_clustering, 1.0);
+    EXPECT_EQ(t.count, g::complete_triangles(12)) << tc::name(algorithm);
+  }
 }
 
 TEST(Transitivity, StarIsZeroWithManyWedges) {
-  const auto t = a::transitivity(g::build_undirected(g::star(20)));
-  EXPECT_EQ(t.triangles, 0u);
-  EXPECT_EQ(t.wedges, 19ull * 18 / 2);  // all through the centre
-  EXPECT_DOUBLE_EQ(t.global_transitivity, 0.0);
+  const auto graph = g::build_undirected(g::star(20));
+  for (const auto algorithm : kSubstrates) {
+    const auto t = clustering(algorithm, graph);
+    EXPECT_EQ(t.count, 0u) << tc::name(algorithm);
+    EXPECT_EQ(t.clustering.wedges, 19ull * 18 / 2);  // all through the centre
+    EXPECT_DOUBLE_EQ(t.clustering.global_transitivity, 0.0);
+  }
 }
 
 TEST(Transitivity, MatchesBruteForceTriangleCount) {
   const auto graph = g::build_undirected(g::holme_kim(
       {.num_vertices = 1000, .edges_per_vertex = 5, .p_triad = 0.6, .seed = 42}));
-  const auto t = a::transitivity(graph);
-  EXPECT_EQ(t.triangles, lotus::baselines::brute_force(graph));
-  EXPECT_GT(t.avg_clustering, 0.1);  // triad formation forces clustering
+  const std::uint64_t triangles = lotus::baselines::brute_force(graph);
+  for (const auto algorithm : kSubstrates) {
+    const auto t = clustering(algorithm, graph);
+    EXPECT_EQ(t.count, triangles) << tc::name(algorithm);
+    // Triad formation forces clustering.
+    EXPECT_GT(t.clustering.avg_clustering, 0.1) << tc::name(algorithm);
+  }
+}
+
+// ---------- per-vertex counts through the LOTUS phases ----------
+
+TEST(LotusLocal, MatchesForwardLocalCounts) {
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 10, .edge_factor = 10, .seed = 61}));
+  const auto via_lotus = local_counts(tc::Algorithm::kLotus, graph);
+  const auto via_forward = local_counts(tc::Algorithm::kForwardMerge, graph);
+  ASSERT_EQ(via_lotus.size(), via_forward.size());
+  for (std::size_t v = 0; v < via_lotus.size(); ++v)
+    ASSERT_EQ(via_lotus[v], via_forward[v]) << "vertex " << v;
+}
+
+TEST(LotusLocal, CompleteGraph) {
+  const auto counts =
+      local_counts(tc::Algorithm::kLotus, g::build_undirected(g::complete(9)));
+  for (auto c : counts) EXPECT_EQ(c, 8u * 7 / 2);
+}
+
+TEST(LotusLocal, CornerSumIsThreeTimesTotal) {
+  const auto graph = g::build_undirected(g::copy_web(
+      {.num_vertices = 2000, .edges_per_vertex = 6, .p_copy = 0.7,
+       .locality_window = 128, .seed = 62}));
+  const auto counts = local_counts(tc::Algorithm::kLotus, graph);
+  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
+            3 * lotus::baselines::brute_force(graph));
 }
 
 }  // namespace

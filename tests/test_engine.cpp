@@ -563,8 +563,7 @@ TEST(PreparedGraph, ArtifactKindTableMatchesAlgorithmFamilies) {
     EXPECT_EQ(tc::artifact_kind(algorithm), tc::ArtifactKind::kOriented)
         << tc::name(algorithm);
   for (const auto algorithm :
-       {tc::Algorithm::kEdgeIterator, tc::Algorithm::kNodeIterator,
-        tc::Algorithm::kAyz, tc::Algorithm::kSpGemmMasked})
+       {tc::Algorithm::kEdgeIterator, tc::Algorithm::kNodeIterator})
     EXPECT_EQ(tc::artifact_kind(algorithm), tc::ArtifactKind::kNone)
         << tc::name(algorithm);
 }

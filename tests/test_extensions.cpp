@@ -1,5 +1,5 @@
-// Extension modules: k-clique counting, recursive LOTUS, the streaming hub
-// counter, and blocked HNN.
+// Extension modules: recursive LOTUS, the streaming hub counter, LotusGraph
+// serialization, and blocked HNN.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -10,10 +10,7 @@
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "analytics/clustering.hpp"
 #include "lotus/count.hpp"
-#include "lotus/local.hpp"
-#include "lotus/kclique.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/recursive.hpp"
 #include "lotus/serialize.hpp"
@@ -24,67 +21,6 @@ namespace {
 
 namespace g = lotus::graph;
 namespace core = lotus::core;
-
-// ---------- k-cliques ----------
-
-constexpr std::uint64_t choose(std::uint64_t n, std::uint64_t k) {
-  std::uint64_t result = 1;
-  for (std::uint64_t i = 0; i < k; ++i) result = result * (n - i) / (i + 1);
-  return result;
-}
-
-TEST(KClique, CompleteGraphClosedForm) {
-  const auto graph = g::build_undirected(g::complete(12));
-  for (unsigned k = 3; k <= 6; ++k)
-    EXPECT_EQ(core::count_kcliques(graph, k).cliques, choose(12, k)) << k;
-}
-
-TEST(KClique, TriangleCountMatchesBruteForce) {
-  const auto graph =
-      g::build_undirected(g::rmat({.scale = 9, .edge_factor = 8, .seed = 51}));
-  EXPECT_EQ(core::count_kcliques(graph, 3).cliques,
-            lotus::baselines::brute_force(graph));
-}
-
-TEST(KClique, TriangleFreeGraphHasNoCliques) {
-  const auto graph = g::build_undirected(g::complete_bipartite(8, 8));
-  for (unsigned k = 3; k <= 5; ++k)
-    EXPECT_EQ(core::count_kcliques(graph, k).cliques, 0u);
-}
-
-TEST(KClique, WheelFourCliques) {
-  // wheel(5): 4-cliques require the hub + a rim triangle; the rim C_5 has
-  // no triangles, so zero 4-cliques; 5 triangles + 5 hub triangles... rim
-  // edges each close one triangle with the hub -> 5 triangles total.
-  const auto graph = g::build_undirected(g::wheel(5));
-  EXPECT_EQ(core::count_kcliques(graph, 3).cliques, 5u);
-  EXPECT_EQ(core::count_kcliques(graph, 4).cliques, 0u);
-}
-
-TEST(KClique, HubShareGrowsWithK) {
-  // The paper's Sec. 7 conjecture on a skewed graph.
-  const auto graph =
-      g::build_undirected(g::rmat({.scale = 11, .edge_factor = 10, .seed = 52}));
-  const auto k3 = core::count_kcliques(graph, 3);
-  const auto k4 = core::count_kcliques(graph, 4);
-  ASSERT_GT(k3.cliques, 0u);
-  ASSERT_GT(k4.cliques, 0u);
-  EXPECT_GE(k4.hub_pct() + 1e-9, k3.hub_pct());
-  EXPECT_GT(k3.hub_pct(), 50.0);
-}
-
-TEST(KClique, HubAttributionOnCompleteGraph) {
-  // 1 hub in K_10 (hub_fraction 0.01 -> ceil(0.1) = 1): cliques containing
-  // the hub are C(9, k-1).
-  const auto graph = g::build_undirected(g::complete(10));
-  const auto r = core::count_kcliques(graph, 4, 0.01);
-  EXPECT_EQ(r.hub_cliques, choose(9, 3));
-}
-
-TEST(KClique, RejectsSmallK) {
-  const auto graph = g::build_undirected(g::complete(5));
-  EXPECT_THROW(core::count_kcliques(graph, 2), std::invalid_argument);
-}
 
 // ---------- recursive LOTUS ----------
 
@@ -170,33 +106,6 @@ TEST(Streaming, DuplicateHubEdgesCountOnce) {
 
 TEST(Streaming, RejectsOversizedHubUniverse) {
   EXPECT_THROW(core::StreamingHubCounter(1u << 17), std::invalid_argument);
-}
-
-// ---------- LOTUS local (per-vertex) counts ----------
-
-TEST(LotusLocal, MatchesForwardLocalCounts) {
-  const auto graph =
-      g::build_undirected(g::rmat({.scale = 10, .edge_factor = 10, .seed = 61}));
-  const auto via_lotus = core::count_triangles_local(graph);
-  const auto via_forward = lotus::analytics::local_triangle_counts(graph);
-  ASSERT_EQ(via_lotus.size(), via_forward.size());
-  for (std::size_t v = 0; v < via_lotus.size(); ++v)
-    ASSERT_EQ(via_lotus[v], via_forward[v]) << "vertex " << v;
-}
-
-TEST(LotusLocal, CompleteGraph) {
-  const auto counts = core::count_triangles_local(g::build_undirected(g::complete(9)));
-  for (auto c : counts) EXPECT_EQ(c, 8u * 7 / 2);
-}
-
-TEST(LotusLocal, CornerSumIsThreeTimesTotal) {
-  const auto graph = g::build_undirected(g::copy_web(
-      {.num_vertices = 2000, .edges_per_vertex = 6, .p_copy = 0.7,
-       .locality_window = 128, .seed = 62}));
-  const auto counts = core::count_triangles_local(graph);
-  std::uint64_t corner_sum = 0;
-  for (auto c : counts) corner_sum += c;
-  EXPECT_EQ(corner_sum, 3 * lotus::baselines::brute_force(graph));
 }
 
 // ---------- LotusGraph serialization ----------
