@@ -114,7 +114,7 @@ if [ -n "$TC_SERVE" ]; then
   grep -q '"engine"' "$TMP/engine.json" ||
     fail "tc_serve: metrics JSON lacks the engine section"
   grep -q '"schema_version": "lotus-metrics/7"' "$TMP/engine.json" ||
-    fail "tc_serve: metrics JSON is not schema v5"
+    fail "tc_serve: metrics JSON is not schema lotus-metrics/7"
   grep -q '"engine_telemetry"' "$TMP/engine.json" ||
     fail "tc_serve: metrics JSON lacks the engine_telemetry section"
 

@@ -14,8 +14,10 @@
 #      is exempt because it documents the migration away from them;
 #   5. every out-of-core knob (src/graph/oocore.hpp, LOTUS-KNOB-INVENTORY
 #      block) must be documented in docs/OUT_OF_CORE.md;
-#   6. every exported engine metric (src/obs/telemetry.hpp,
-#      LOTUS-METRIC-INVENTORY block) must be documented in docs/TELEMETRY.md;
+#   6. every engine metric in the metric table (src/tc/engine_metrics.hpp,
+#      LOTUS-METRIC-INVENTORY block) must be documented: its Prometheus
+#      family in docs/TELEMETRY.md, its `engine` JSON key in the `engine`
+#      section of docs/METRICS.md;
 #   7. every checksum-footer field and per-format section name
 #      (src/util/checksum.hpp, LOTUS-FOOTER-INVENTORY block) must be
 #      documented in docs/OUT_OF_CORE.md;
@@ -116,19 +118,31 @@ for knob in $knobs; do
   fi
 done
 
-# --- 6. engine metric inventory vs docs/TELEMETRY.md ------------------------
-# The telemetry header names every exported Prometheus family between
-# LOTUS-METRIC-INVENTORY markers; each must appear (backtick-quoted) in the
-# telemetry guide.
-metric_names=$(sed -n '/LOTUS-METRIC-INVENTORY-BEGIN/,/LOTUS-METRIC-INVENTORY-END/p' \
-                 src/obs/telemetry.hpp | grep -o '"[a-z0-9_]*"' | tr -d '"')
-if [ -z "$metric_names" ]; then
-  echo "check_docs: no metric inventory found in src/obs/telemetry.hpp" >&2
+# --- 6. engine metric table vs docs/TELEMETRY.md and docs/METRICS.md ------
+# tc::kEngineMetrics declares every engine metric between
+# LOTUS-METRIC-INVENTORY markers. Each Prometheus family ("lotus_engine_*")
+# must appear (backtick-quoted) in the telemetry guide. Each `engine` JSON
+# key (the literal right before its json_slot number) must appear
+# (backtick-quoted) in the `engine` section of the metrics guide, which ends
+# where the `engine_telemetry` section begins.
+metric_table=$(sed -n '/LOTUS-METRIC-INVENTORY-BEGIN/,/LOTUS-METRIC-INVENTORY-END/p' \
+                 src/tc/engine_metrics.hpp)
+metric_names=$(echo "$metric_table" | grep -o '"lotus_engine_[a-z0-9_]*"' | tr -d '"')
+engine_keys=$(echo "$metric_table" | grep -o '"[a-z0-9_]*", [0-9][0-9]*,' | sed 's/^"\([a-z0-9_]*\)".*/\1/')
+if [ -z "$metric_names" ] || [ -z "$engine_keys" ]; then
+  echo "check_docs: no metric table found in src/tc/engine_metrics.hpp" >&2
   status=1
 fi
 for metric_name in $metric_names; do
   if ! grep -q "\`$metric_name\`" docs/TELEMETRY.md 2>/dev/null; then
-    echo "check_docs: metric '$metric_name' (src/obs/telemetry.hpp) is not documented in docs/TELEMETRY.md" >&2
+    echo "check_docs: metric '$metric_name' (src/tc/engine_metrics.hpp) is not documented in docs/TELEMETRY.md" >&2
+    status=1
+  fi
+done
+engine_section=$(sed -n '/^### `engine` /,/^### `engine_telemetry` /p' docs/METRICS.md)
+for engine_key in $engine_keys; do
+  if ! echo "$engine_section" | grep -q "\`$engine_key\`"; then
+    echo "check_docs: engine key '$engine_key' (src/tc/engine_metrics.hpp) is not documented in the engine section of docs/METRICS.md" >&2
     status=1
   fi
 done

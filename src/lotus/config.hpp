@@ -21,9 +21,6 @@ struct LotusConfig {
   /// Squared edge tiling kicks in above this HE degree (Sec. 5.8 uses 512).
   std::uint32_t tiling_degree_threshold = 512;
 
-  /// Tiles per heavy vertex = this factor × thread count (Sec. 5.8 uses 2).
-  unsigned tiling_partitions_per_thread = 2;
-
   /// Ablation knob (Sec. 4.5): run the HNN and NNN loops fused instead of as
   /// two passes. The paper argues (and Fig. 4 confirms) split is better.
   bool fuse_hnn_nnn = false;

@@ -40,9 +40,11 @@ std::vector<std::vector<HubTile>> build_hub_tasks(const LotusGraph& lg,
     return tasks;
   }
 
-  // Squared edge tiling: heavy vertices get p equal-pair-work tiles each;
-  // light vertices are batched into tasks of roughly equal total pair-work.
-  const unsigned p = std::max(1u, config.tiling_partitions_per_thread * threads);
+  // Squared edge tiling: heavy vertices get p = 2 × threads equal-pair-work
+  // tiles each (Sec. 5.8); light vertices are batched into tasks of roughly
+  // equal total pair-work.
+  constexpr unsigned kTilesPerThread = 2;
+  const unsigned p = std::max(1u, kTilesPerThread * threads);
   std::uint64_t light_work = 0;
   for (VertexId v = 0; v < n; ++v) {
     const std::uint32_t deg = he.degree(v);

@@ -5,10 +5,10 @@
 // (PhaseTracer spans, counters, hwc): where those attribute one run offline,
 // Telemetry watches a *stream* of queries while traffic is flowing — tail
 // latency per stage (queue wait / prepare / count / end-to-end), per
-// algorithm label and per cache outcome (hit / miss / spill-remap), QPS and
-// quantiles over a rolling window, and a JSON-lines log that reconstructs
-// every sampled query. tc::Engine owns one Telemetry and records into it on
-// every completed query (docs/TELEMETRY.md).
+// algorithm label and per cache outcome (hit / miss / remap / heal /
+// uncached), QPS and quantiles over a rolling window, and a JSON-lines log
+// that reconstructs every sampled query. tc::Engine owns one Telemetry and
+// records into it on every completed query (docs/TELEMETRY.md).
 //
 // Design for an always-on hot path:
 //   * LatencyHistogram is log-bucketed (8 sub-buckets per power of two, so
@@ -417,41 +417,5 @@ class PrometheusWriter {
   std::string out_;
   std::set<std::string> declared_;
 };
-
-/// Every metric family Engine::prometheus_text() exposes, the source of
-/// truth for the docs cross-check (scripts/check_docs.sh requires each name
-/// to be documented in docs/TELEMETRY.md).
-// LOTUS-METRIC-INVENTORY-BEGIN
-inline constexpr const char* kEngineMetricNames[] = {
-    "lotus_engine_queries_submitted_total",
-    "lotus_engine_queries_completed_total",
-    "lotus_engine_queries_rejected_total",
-    "lotus_engine_queries_recorded_total",
-    "lotus_engine_deadline_misses_total",
-    "lotus_engine_cache_lookups_total",
-    "lotus_engine_cache_hits_total",
-    "lotus_engine_cache_misses_total",
-    "lotus_engine_cache_evictions_total",
-    "lotus_engine_cache_spills_total",
-    "lotus_engine_cache_remaps_total",
-    "lotus_engine_cache_quarantines_total",
-    "lotus_engine_spill_verify_failures_total",
-    "lotus_engine_spill_cleanup_failures_total",
-    "lotus_engine_spill_collisions_total",
-    "lotus_engine_cache_entries",
-    "lotus_engine_cache_bytes",
-    "lotus_engine_cache_spilled_entries",
-    "lotus_engine_query_log_lines_total",
-    "lotus_engine_uptime_seconds",
-    "lotus_engine_window_span_seconds",
-    "lotus_engine_window_queries",
-    "lotus_engine_window_qps",
-    "lotus_engine_window_latency_seconds",
-    "lotus_engine_query_stage_seconds",
-    "lotus_engine_cache_outcome_seconds",
-    "lotus_engine_analytic_stage_seconds",
-    "lotus_engine_analytic_queries_total",
-};
-// LOTUS-METRIC-INVENTORY-END
 
 }  // namespace lotus::obs

@@ -106,10 +106,12 @@ RunResult execute_once(Algorithm algorithm, const graph::CsrGraph& graph,
 // reports zero events with an explanatory note.
 void attribute_simulated(ProfileReport& report, Algorithm runs_as,
                          const PreparedGraph& artifact,
-                         const core::LotusConfig& config,
-                         std::uint32_t sim_cache_scale) {
+                         const core::LotusConfig& config) {
+  // Cache-size divisor for the simulated machine: the fig4/fig5 scaling of
+  // SkyLakeX to laptop-scale datasets.
+  constexpr std::uint32_t kSimCacheScale = 16;
   const simcache::MachineConfig machine =
-      simcache::skylakex().scaled(sim_cache_scale);
+      simcache::skylakex().scaled(kSimCacheScale);
   simcache::SimEventProvider sim(machine);
   report.event_source = obs::EventSource::kSimulated;
   report.event_backend = sim.backend();
@@ -251,7 +253,7 @@ ProfileReport profiled_once(Algorithm algorithm, Algorithm runs_as,
       const std::string degradation_note = report.event_note;
       attribute_simulated(report, runs_as,
                           built.has_value() ? *built : *prepared,
-                          options.config, options.sim_cache_scale);
+                          options.config);
       if (!degradation_note.empty())
         report.event_note = degradation_note + "; " + report.event_note;
     }
@@ -267,6 +269,30 @@ Algorithm resolve_adaptive(Algorithm algorithm, const graph::CsrGraph& graph) {
   if (algorithm != Algorithm::kAdaptive) return algorithm;
   return core::should_use_lotus(graph) ? Algorithm::kLotus
                                        : Algorithm::kForwardMerge;
+}
+
+void record_query(obs::Telemetry& sink, Algorithm algorithm,
+                  AnalyticKind analytic, const QueryResult& result,
+                  obs::CacheOutcome outcome, std::string_view graph_key,
+                  double queue_s, double total_s) {
+  const auto to_ns = [](double seconds) {
+    return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9)
+                         : std::uint64_t{0};
+  };
+  // The *requested* algorithm labels the series: a budget fallback shows up
+  // in the requested algorithm's latency, not as phantom gap-forward traffic.
+  sink.record({.algorithm = static_cast<std::size_t>(algorithm),
+               .analytic = static_cast<std::size_t>(analytic),
+               .outcome = outcome,
+               .graph_key = graph_key,
+               .status = util::status_code_name(result.status.code()),
+               .threads = result.threads,
+               .deadline_missed = result.status.code() ==
+                                  util::StatusCode::kDeadlineExceeded,
+               .queue_ns = to_ns(queue_s),
+               .prepare_ns = to_ns(result.result.preprocess_s),
+               .count_ns = to_ns(result.result.count_s),
+               .total_ns = to_ns(total_s)});
 }
 
 QueryResult execute_query(Algorithm algorithm, Algorithm runs_as,
@@ -425,26 +451,9 @@ util::Expected<QueryResult> query(Algorithm algorithm,
       nullptr);
   if (options.telemetry == nullptr || !options.telemetry->enabled())
     return out;
-  const double total_s = timer.elapsed_s();
-  const auto to_ns = [](double seconds) {
-    return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9)
-                         : std::uint64_t{0};
-  };
-  obs::QuerySample sample;
-  // The *requested* algorithm labels the series, like the engine path: a
-  // budget fallback shows up in the requested algorithm's latency, not as
-  // phantom gap-forward traffic.
-  sample.algorithm = static_cast<std::size_t>(algorithm);
-  sample.analytic = static_cast<std::size_t>(options.analytic.kind);
-  sample.outcome = obs::CacheOutcome::kUncached;
-  sample.status = util::status_code_name(out.status.code());
-  sample.threads = out.threads;
-  sample.deadline_missed =
-      out.status.code() == util::StatusCode::kDeadlineExceeded;
-  sample.prepare_ns = to_ns(out.result.preprocess_s);
-  sample.count_ns = to_ns(out.result.count_s);
-  sample.total_ns = to_ns(total_s);
-  options.telemetry->record(sample);
+  detail::record_query(*options.telemetry, algorithm, options.analytic.kind,
+                       out, obs::CacheOutcome::kUncached, {}, 0.0,
+                       timer.elapsed_s());
   return out;
 }
 

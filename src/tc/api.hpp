@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -58,8 +59,9 @@
 #include "util/cancel.hpp"
 #include "util/status.hpp"
 
-namespace lotus::obs {
-class Telemetry;  // obs/telemetry.hpp
+namespace lotus::obs {  // obs/telemetry.hpp
+class Telemetry;
+enum class CacheOutcome : unsigned;
 }  // namespace lotus::obs
 
 namespace lotus::tc {
@@ -276,10 +278,6 @@ struct QueryOptions {
   /// Record the scheduler's task/steal/idle timeline into
   /// ProfileReport::sched_events (for chrome_trace export).
   bool capture_sched_events = false;
-
-  /// Cache-size divisor for the simulated machine (matches the fig4/fig5
-  /// default scaling of SkyLakeX to laptop-scale datasets).
-  std::uint32_t sim_cache_scale = 16;
 };
 
 /// Everything one profiled run produced: the RunResult plus the span tree,
@@ -430,6 +428,14 @@ namespace detail {
 /// Every other algorithm maps to itself. query(), query_prepared() and the
 /// Engine resolve once, before looking up the artifact kind.
 Algorithm resolve_adaptive(Algorithm algorithm, const graph::CsrGraph& graph);
+
+/// Record one finished query into `sink` — the one obs::QuerySample builder,
+/// shared by query()'s caller-owned sink and the Engine. The engine-less path
+/// passes queue_s = 0, CacheOutcome::kUncached and no graph key.
+void record_query(obs::Telemetry& sink, Algorithm algorithm,
+                  AnalyticKind analytic, const QueryResult& result,
+                  obs::CacheOutcome outcome, std::string_view graph_key,
+                  double queue_s, double total_s);
 
 /// Shared execution core behind query() and Engine: installs the
 /// query-scoped context/budget, runs `runs_as` (resolve_adaptive of the

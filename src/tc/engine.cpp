@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "parallel/thread_pool.hpp"
+#include "tc/engine_metrics.hpp"
 #include "util/format.hpp"
 #include "util/timer.hpp"
 
@@ -46,10 +47,6 @@ EngineOptions normalized(EngineOptions options) {
     options.threads_per_query = std::max(1u, hw / options.num_drivers);
   }
   return options;
-}
-
-std::uint64_t to_ns(double seconds) {
-  return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9) : 0;
 }
 
 /// Random hex token baked into this engine's spill file names, so two
@@ -227,19 +224,10 @@ void Engine::run_job(Job job) {
 
   // Record before resolving the promise so a caller that waits on the
   // future and then snapshots telemetry always sees its own query.
-  obs::QuerySample sample;
-  sample.algorithm = static_cast<std::size_t>(job.spec.algorithm);
-  sample.analytic = static_cast<std::size_t>(job.spec.options.analytic.kind);
-  sample.outcome = acquired.outcome;
-  sample.graph_key = job.spec.graph_key;
-  sample.status = util::status_code_name(result.status.code());
-  sample.threads = result.threads;
-  sample.deadline_missed = deadline_missed;
-  sample.queue_ns = to_ns(queue_s);
-  sample.prepare_ns = to_ns(result.result.preprocess_s);
-  sample.count_ns = to_ns(result.result.count_s);
-  sample.total_ns = to_ns(queue_s + exec_s + acquired.build_s);
-  telemetry_->record(sample);
+  detail::record_query(*telemetry_, job.spec.algorithm,
+                       job.spec.options.analytic.kind, result,
+                       acquired.outcome, job.spec.graph_key, queue_s,
+                       queue_s + exec_s + acquired.build_s);
 
   job.promise.set_value(std::move(result));
 }
@@ -570,35 +558,20 @@ obs::JsonValue telemetry_to_json(const obs::TelemetrySnapshot& snap) {
 
 obs::MetricsRegistry Engine::metrics() const {
   const EngineStats s = stats();
+  const obs::TelemetrySnapshot t = telemetry_->snapshot();
+  const MetricSource source{s, t, options_};
   obs::MetricsRegistry registry;
   registry.set_meta("component", "tc-engine");
   registry.set_meta("drivers", static_cast<std::uint64_t>(num_drivers()));
   registry.set_meta("threads_per_query",
                     static_cast<std::uint64_t>(threads_per_query_));
-  registry.set_engine({
-      {"submitted", s.submitted},
-      {"completed", s.completed},
-      {"rejected", s.rejected},
-      {"deadline_misses", s.deadline_misses},
-      {"cache_lookups", s.cache_lookups},
-      {"cache_hits", s.cache_hits},
-      {"cache_misses", s.cache_misses},
-      {"cache_evictions", s.cache_evictions},
-      {"cache_entries", s.cache_entries},
-      {"cache_bytes", s.cache_bytes},
-      {"cache_budget_bytes", options_.cache_budget_bytes},
-      {"cache_spills", s.cache_spills},
-      {"cache_remaps", s.cache_remaps},
-      {"cache_spilled_entries", s.cache_spilled_entries},
-      {"spill_verify_failures", s.spill_verify_failures},
-      {"cache_quarantines", s.cache_quarantines},
-      {"spill_cleanup_failures", s.spill_cleanup_failures},
-      {"spill_collisions", s.spill_collisions},
-      {"queue_s_total", s.queue_s_total},
-      {"preprocess_s_total", s.preprocess_s_total},
-      {"count_s_total", s.count_s_total},
-  });
-  registry.set_engine_telemetry(telemetry_to_json(telemetry_->snapshot()));
+  std::vector<std::pair<std::string, obs::JsonValue>> engine(kEngineJsonKeys);
+  for (const EngineMetric& m : kEngineMetrics)
+    if (m.json_key != nullptr)
+      engine[static_cast<std::size_t>(m.json_slot)] = {m.json_key,
+                                                       m.value(source)};
+  registry.set_engine(std::move(engine));
+  registry.set_engine_telemetry(telemetry_to_json(t));
   return registry;
 }
 
@@ -609,100 +582,39 @@ obs::TelemetrySnapshot Engine::telemetry_snapshot() const {
 std::string Engine::prometheus_text() const {
   const EngineStats s = stats();
   const obs::TelemetrySnapshot t = telemetry_->snapshot();
+  const MetricSource source{s, t, options_};
   obs::PrometheusWriter w;
-
-  w.counter("lotus_engine_queries_submitted_total",
-            "Queries accepted or rejected by submit().", s.submitted);
-  w.counter("lotus_engine_queries_completed_total",
-            "Queries that ran to a final status.", s.completed);
-  w.counter("lotus_engine_queries_rejected_total",
-            "Queries rejected at submit() or orphaned at shutdown.",
-            s.rejected);
-  w.counter("lotus_engine_queries_recorded_total",
-            "Completed queries recorded by the telemetry layer.",
-            t.queries_recorded);
-  w.counter("lotus_engine_deadline_misses_total",
-            "Completed queries whose deadline expired.", s.deadline_misses);
-
-  w.counter("lotus_engine_cache_lookups_total",
-            "Prepared-graph cache lookups resolved (hits + misses).",
-            s.cache_lookups);
-  w.counter("lotus_engine_cache_hits_total",
-            "Lookups served from a cached or in-flight artifact.",
-            s.cache_hits);
-  w.counter("lotus_engine_cache_misses_total",
-            "Lookups that had to build (or whose build failed).",
-            s.cache_misses);
-  w.counter("lotus_engine_cache_evictions_total",
-            "LRU evictions plus invalidate() drops.", s.cache_evictions);
-  w.counter("lotus_engine_cache_spills_total",
-            "Evicted artifacts persisted to the spill tier.", s.cache_spills);
-  w.counter("lotus_engine_cache_remaps_total",
-            "Misses served by remapping a spill file.", s.cache_remaps);
-  w.counter("lotus_engine_cache_quarantines_total",
-            "Corrupt spill files set aside as .corrupt.", s.cache_quarantines);
-  w.counter("lotus_engine_spill_verify_failures_total",
-            "Spill files that failed checksum verification.",
-            s.spill_verify_failures);
-  w.counter("lotus_engine_spill_cleanup_failures_total",
-            "Spill-file unlinks that failed (invalidate/shutdown).",
-            s.spill_cleanup_failures);
-  w.counter("lotus_engine_spill_collisions_total",
-            "Spill writes skipped because the target name already existed.",
-            s.spill_collisions);
-  w.gauge("lotus_engine_cache_entries",
-          "Prepared-graph cache entries currently resident.",
-          static_cast<double>(s.cache_entries));
-  w.gauge("lotus_engine_cache_bytes",
-          "Bytes currently charged against the cache budget.",
-          static_cast<double>(s.cache_bytes));
-  w.gauge("lotus_engine_cache_spilled_entries",
-          "Spill files currently on disk.",
-          static_cast<double>(s.cache_spilled_entries));
-
-  w.counter("lotus_engine_query_log_lines_total",
-            "Query-log lines written (post-sampling).", t.query_log_lines);
-  w.gauge("lotus_engine_uptime_seconds",
-          "Seconds since the engine's telemetry clock started.", t.uptime_s);
-
-  w.gauge("lotus_engine_window_span_seconds",
-          "Actual span covered by the rolling window.", t.window.span_s);
-  w.gauge("lotus_engine_window_queries",
-          "Queries completed within the rolling window.",
-          static_cast<double>(t.window.queries));
-  w.gauge("lotus_engine_window_qps",
-          "Completed queries per second over the rolling window.",
-          t.window.qps);
-  for (const double q : {0.5, 0.95, 0.99, 0.999}) {
-    char label[16];
-    std::snprintf(label, sizeof label, "%g", q);
-    w.gauge("lotus_engine_window_latency_seconds",
-            "End-to-end latency quantiles over the rolling window.",
-            t.window.hist.quantile_s(q), {{"quantile", label}});
-  }
-
-  for (const obs::SeriesSnapshot& series : t.algorithms)
-    w.histogram("lotus_engine_query_stage_seconds",
-                "Per-stage query latency by algorithm.",
-                {{"algorithm", series.label},
-                 {"stage", obs::query_stage_name(series.stage)}},
-                series.hist);
-  for (const obs::SeriesSnapshot& series : t.outcomes)
-    w.histogram("lotus_engine_cache_outcome_seconds",
-                "Per-stage query latency by prepared-graph cache outcome.",
-                {{"outcome", series.label},
-                 {"stage", obs::query_stage_name(series.stage)}},
-                series.hist);
-  for (const obs::SeriesSnapshot& series : t.analytics) {
-    w.histogram("lotus_engine_analytic_stage_seconds",
-                "Per-stage query latency by analytic kind.",
-                {{"analytic", series.label},
-                 {"stage", obs::query_stage_name(series.stage)}},
-                series.hist);
-    if (series.stage == obs::QueryStage::kTotal)
-      w.counter("lotus_engine_analytic_queries_total",
-                "Completed queries by analytic kind.", series.hist.count(),
-                {{"analytic", series.label}});
+  for (const EngineMetric* m = std::begin(kEngineMetrics);
+       m != std::end(kEngineMetrics); ++m) {
+    if (m->family == nullptr) continue;
+    if (m->shape == MetricShape::kScalar && m->type == MetricType::kCounter) {
+      w.counter(m->family, m->help, m->value(source).as_uint());
+    } else if (m->shape == MetricShape::kScalar) {
+      w.gauge(m->family, m->help, m->value(source).as_double());
+    } else if (m->shape == MetricShape::kQuantiles) {
+      for (const double q : {0.5, 0.95, 0.99, 0.999}) {
+        char label[16];
+        std::snprintf(label, sizeof label, "%g", q);
+        w.gauge(m->family, m->help, t.window.hist.quantile_s(q),
+                {{m->labels[0], label}});
+      }
+    } else if (m->shape == MetricShape::kStages) {
+      // A kLabelTotals row right after this one counts each label's queries
+      // next to that label's histograms.
+      const EngineMetric* totals = m + 1;
+      if (totals == std::end(kEngineMetrics) ||
+          totals->shape != MetricShape::kLabelTotals)
+        totals = nullptr;
+      for (const obs::SeriesSnapshot& series : t.*m->series) {
+        w.histogram(m->family, m->help,
+                    {{m->labels[0], series.label},
+                     {m->labels[1], obs::query_stage_name(series.stage)}},
+                    series.hist);
+        if (totals != nullptr && series.stage == obs::QueryStage::kTotal)
+          w.counter(totals->family, totals->help, series.hist.count(),
+                    {{totals->labels[0], series.label}});
+      }
+    }
   }
   return w.str();
 }

@@ -192,7 +192,8 @@ class Engine {
 
   /// Prometheus text exposition (version 0.0.4) of the serving counters and
   /// latency histograms — the `/metrics` endpoint body. Metric families are
-  /// listed in obs::kEngineMetricNames and documented in docs/TELEMETRY.md.
+  /// the rows of tc::kEngineMetrics (tc/engine_metrics.hpp), documented in
+  /// docs/TELEMETRY.md.
   [[nodiscard]] std::string prometheus_text() const;
 
   [[nodiscard]] unsigned num_drivers() const noexcept {

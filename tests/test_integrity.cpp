@@ -704,6 +704,50 @@ TEST(EngineIntegrity, HealsCorruptSpillFileAndStillAnswersCorrectly) {
   EXPECT_EQ(spill_dir.count_with_extension(".lpa"), 0u);
 }
 
+TEST(EngineIntegrity, SpillRemapIsRecordedAsRemapOutcome) {
+  const auto graph = engine_graph();
+  SpillDir spill_dir("lotus_engine_remap_test");
+  const std::string log_path =
+      (fs::temp_directory_path() /
+       ("lotus_engine_remap_log_" + std::to_string(::getpid()) + ".jsonl"))
+          .string();
+  fs::remove(log_path);
+  {
+    auto options = tight_spill_options(graph, spill_dir.str());
+    options.telemetry.query_log_path = log_path;
+    tc::Engine engine(options);
+    (void)engine_ok(engine.submit({tc::Algorithm::kLotus, "g", &graph, {}}));
+    (void)engine_ok(
+        engine.submit({tc::Algorithm::kForwardMerge, "g", &graph, {}}));
+    ASSERT_EQ(engine.stats().cache_spilled_entries, 1u);
+
+    // The evicted lotus artifact comes back by remapping its spill file.
+    const auto remapped =
+        engine_ok(engine.submit({tc::Algorithm::kLotus, "g", &graph, {}}));
+    EXPECT_TRUE(remapped.cache_hit);
+    EXPECT_EQ(engine.stats().cache_remaps, 1u);
+
+    std::uint64_t remap_totals = 0;
+    for (const auto& series : engine.telemetry_snapshot().outcomes)
+      if (series.label == "remap" &&
+          series.stage == lotus::obs::QueryStage::kTotal)
+        remap_totals += series.hist.count();
+    EXPECT_EQ(remap_totals, 1u);
+  }
+  // The engine is gone, so its query log is flushed and closed.
+  std::ifstream log(log_path);
+  std::string line;
+  std::vector<std::string> outcomes;
+  while (std::getline(log, line)) {
+    const auto at = line.find("\"cache_outcome\":\"");
+    if (at == std::string::npos) continue;
+    const auto begin = at + std::strlen("\"cache_outcome\":\"");
+    outcomes.push_back(line.substr(begin, line.find('"', begin) - begin));
+  }
+  EXPECT_EQ(outcomes, (std::vector<std::string>{"miss", "miss", "remap"}));
+  fs::remove(log_path);
+}
+
 TEST(EngineIntegrity, BackgroundVerifyQuarantinesOffTheQueryPath) {
   const auto graph = engine_graph();
   const auto expected = lotus::baselines::brute_force(graph);

@@ -24,6 +24,7 @@
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "tc/engine.hpp"
+#include "tc/engine_metrics.hpp"
 #include "util/prng.hpp"
 
 namespace {
@@ -535,22 +536,30 @@ TEST(EngineTelemetry, PrometheusTextCoversInventory) {
   (void)get_ok<tc::QueryResult>(
       engine.submit({tc::Algorithm::kLotus, "g", &graph, {}}));
   const std::string text = engine.prometheus_text();
-  // Every name in the documented inventory appears as a family, and every
-  // family in the text is in the inventory (no undocumented metrics).
-  for (const char* name : obs::kEngineMetricNames)
-    EXPECT_NE(text.find(std::string("# TYPE ") + name + " "),
+  // Every family in the metric table is emitted with its declared type, and
+  // every family in the text is declared in the table (no undeclared
+  // metrics).
+  for (const tc::EngineMetric& m : tc::kEngineMetrics) {
+    if (m.family == nullptr) continue;
+    const char* type = m.type == tc::MetricType::kCounter ? "counter"
+                       : m.type == tc::MetricType::kGauge ? "gauge"
+                                                          : "histogram";
+    EXPECT_NE(text.find(std::string("# TYPE ") + m.family + " " + type + "\n"),
               std::string::npos)
-        << name;
+        << m.family;
+  }
   std::istringstream lines(text);
   std::string line;
   while (std::getline(lines, line)) {
     if (line.rfind("# TYPE ", 0) != 0) continue;
     const std::string family = line.substr(7, line.find(' ', 7) - 7);
-    EXPECT_NE(std::find_if(std::begin(obs::kEngineMetricNames),
-                           std::end(obs::kEngineMetricNames),
-                           [&family](const char* n) { return family == n; }),
-              std::end(obs::kEngineMetricNames))
-        << "undocumented family: " << family;
+    EXPECT_NE(std::find_if(std::begin(tc::kEngineMetrics),
+                           std::end(tc::kEngineMetrics),
+                           [&family](const tc::EngineMetric& m) {
+                             return m.family != nullptr && family == m.family;
+                           }),
+              std::end(tc::kEngineMetrics))
+        << "undeclared family: " << family;
   }
   EXPECT_NE(text.find("lotus_engine_queries_completed_total 2"),
             std::string::npos);
@@ -561,6 +570,38 @@ TEST(EngineTelemetry, PrometheusTextCoversInventory) {
             std::string::npos);
   EXPECT_NE(text.find("lotus_engine_window_latency_seconds{quantile=\"0.99\"}"),
             std::string::npos);
+}
+
+TEST(EngineTelemetry, MetricTableRowsAreWellFormed) {
+  // Accessors exactly on the scalar rows, a kLabelTotals row only right
+  // after a kStages row, and json_slot numbering the keyed rows
+  // 0..kEngineJsonKeys-1, each slot once.
+  std::vector<const char*> by_slot(tc::kEngineJsonKeys, nullptr);
+  for (std::size_t i = 0; i < std::size(tc::kEngineMetrics); ++i) {
+    const tc::EngineMetric& m = tc::kEngineMetrics[i];
+    EXPECT_EQ(m.shape == tc::MetricShape::kScalar, m.value != nullptr) << i;
+    if (m.shape == tc::MetricShape::kLabelTotals) {
+      ASSERT_GT(i, 0u);
+      EXPECT_EQ(tc::kEngineMetrics[i - 1].shape, tc::MetricShape::kStages);
+    }
+    if (m.json_key == nullptr) continue;
+    ASSERT_GE(m.json_slot, 0) << m.json_key;
+    const auto slot = static_cast<std::size_t>(m.json_slot);
+    ASSERT_LT(slot, by_slot.size()) << m.json_key;
+    EXPECT_EQ(by_slot[slot], nullptr) << "slot claimed twice: " << m.json_key;
+    by_slot[slot] = m.json_key;
+  }
+
+  // metrics() emits the `engine` keys in slot order.
+  tc::Engine engine({.num_drivers = 1});
+  const obs::JsonValue json = engine.metrics().to_json();
+  const obs::JsonValue* section = json.find("engine");
+  ASSERT_NE(section, nullptr);
+  ASSERT_EQ(section->object().size(), by_slot.size());
+  for (std::size_t slot = 0; slot < by_slot.size(); ++slot) {
+    ASSERT_NE(by_slot[slot], nullptr) << "unclaimed slot " << slot;
+    EXPECT_EQ(section->object()[slot].first, by_slot[slot]) << slot;
+  }
 }
 
 TEST(EngineTelemetry, MetricsExportCarriesTelemetrySection) {
