@@ -274,7 +274,7 @@ void oocore_metrics(JsonValue& metrics, const std::string& name,
   for (int i = 0; i < repeat; ++i) {
     {
       lotus::util::Timer timer;
-      auto loaded = oo::read_csr_binary_parallel_s(csx);
+      auto loaded = lotus::graph::read_csr_binary_s(csx);
       if (!loaded.ok()) throw std::runtime_error(loaded.status().message());
       heap_triangles = lotus::bench::count(lotus::tc::Algorithm::kForwardMerge,
                                            loaded.value(), config)

@@ -10,10 +10,13 @@
 #      (tc::run, run_with_status, run_profiled*) or the removed names
 #      (forward-simd, kForwardSimd, intersect_simd, adaptive_count,
 #      use_lotus(), ayz-matrix, spgemm-masked, kAyz, kSpGemmMasked,
-#      count_kcliques, ktruss_decomposition, lotus_algorithms) — docs/API.md
-#      is exempt because it documents the migration away from them;
+#      count_kcliques, ktruss_decomposition, lotus_algorithms,
+#      read_csr_binary_parallel_s, LoaderOptions, direct_io, loader_threads,
+#      LOTUSLG1) — docs/API.md is exempt because it documents the migration
+#      away from them;
 #   5. every out-of-core knob (src/graph/oocore.hpp, LOTUS-KNOB-INVENTORY
-#      block) must be documented in docs/OUT_OF_CORE.md;
+#      block: ExternalBuildOptions and MapVerify) must be documented in
+#      docs/OUT_OF_CORE.md;
 #   6. every engine metric in the metric table (src/tc/engine_metrics.hpp,
 #      LOTUS-METRIC-INVENTORY block) must be documented: its Prometheus
 #      family in docs/TELEMETRY.md, its `engine` JSON key in the `engine`
@@ -85,7 +88,9 @@ done
 # (ayz-matrix / spgemm-masked, kAyz / kSpGemmMasked), the graph-taking
 # analytic wrappers (count_kcliques, ktruss_decomposition; tc::query serves
 # both) and the lotus_algorithms library. Docs must describe the tc::query
-# surface.
+# surface. The parallel CSX loader (read_csr_binary_parallel_s with its
+# LoaderOptions knobs direct_io / loader_threads) and the LOTUSLG1 reader are
+# gone too: each format has one heap reader and one mapped reader.
 # docs/API.md keeps the migration table and is exempt, as are the
 # changelog/issue worklogs.
 for md in README.md DESIGN.md docs/*.md; do
@@ -93,7 +98,7 @@ for md in README.md DESIGN.md docs/*.md; do
   case "$md" in
     docs/API.md) continue ;;
   esac
-  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms' "$md")
+  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1' "$md")
   if [ -n "$hits" ]; then
     echo "check_docs: $md references a deprecated or removed entry point:" >&2
     echo "$hits" | sed 's/^/  /' >&2
@@ -102,9 +107,9 @@ for md in README.md DESIGN.md docs/*.md; do
 done
 
 # --- 5. out-of-core knob inventory vs docs/OUT_OF_CORE.md -------------------
-# The loader/builder option structs name their knobs as `/// name:` doc lines
-# between LOTUS-KNOB-INVENTORY markers; each must appear (backtick-quoted) in
-# the out-of-core guide.
+# The external-build options and the map-verify policy name their knobs as
+# `/// name:` doc lines between LOTUS-KNOB-INVENTORY markers; each must
+# appear (backtick-quoted) in the out-of-core guide.
 knobs=$(sed -n '/LOTUS-KNOB-INVENTORY-BEGIN/,/LOTUS-KNOB-INVENTORY-END/p' \
           src/graph/oocore.hpp | sed -n 's|^ */// \([a-z_][a-z0-9_]*\):.*|\1|p')
 if [ -z "$knobs" ]; then

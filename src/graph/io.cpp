@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 
@@ -67,17 +68,42 @@ class File {
 using util::fileio::read_fully;
 using util::fileio::write_fully;
 
+namespace cks = util::checksum;
+
+std::array<unsigned char, kCsxHeaderBytes> encode_header(const CsxLayout& layout) {
+  std::array<unsigned char, kCsxHeaderBytes> header{};
+  std::memcpy(header.data(), kMagic.data(), kMagic.size());
+  std::memcpy(header.data() + 8, &layout.num_vertices, 8);
+  std::memcpy(header.data() + 16, &layout.num_edges, 8);
+  return header;
+}
+
+/// Append the footer: one sum per section, in kCsxSectionNames order. The
+/// neighbours' sum comes from the caller, because the external builder
+/// streams that section and never holds it.
+Status write_footer(std::FILE* out, const std::string& path,
+                    const std::array<unsigned char, kCsxHeaderBytes>& header,
+                    const std::uint64_t* offsets, const CsxLayout& layout,
+                    std::uint64_t neighbors_sum) {
+  const std::uint64_t sums[cks::kCsxSections] = {
+      cks::block_checksum(header.data(), header.size()),
+      cks::block_checksum(offsets, layout.offsets_bytes()),
+      neighbors_sum,
+  };
+  unsigned char footer[cks::footer_bytes(cks::kCsxSections)];
+  cks::write_footer(sums, cks::kCsxSections, footer);
+  return write_fully(out, footer, sizeof footer, path);
+}
+
 }  // namespace
 
-Expected<EdgeList> read_edge_list_text_s(const std::string& path) {
+Status for_each_text_edge_s(
+    const std::string& path,
+    const std::function<Status(VertexId, VertexId)>& fn) {
   std::ifstream in(path);
   if (!in) return io_error(path, "cannot open for reading");
-
-  EdgeList out;
   std::string line;
   std::uint64_t line_no = 0;
-  VertexId max_id = 0;
-  bool any = false;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#' || line[0] == '%') continue;
@@ -91,11 +117,24 @@ Expected<EdgeList> read_edge_list_text_s(const std::string& path) {
     if (u >= 0xffffffffULL || v >= 0xffffffffULL)
       return bad_data(path,
                       "vertex ID exceeds 32 bits at line " + std::to_string(line_no));
-    out.edges.push_back({static_cast<VertexId>(u), static_cast<VertexId>(v)});
-    max_id = std::max({max_id, static_cast<VertexId>(u), static_cast<VertexId>(v)});
-    any = true;
+    Status status = fn(static_cast<VertexId>(u), static_cast<VertexId>(v));
+    if (!status.ok()) return status;
   }
   if (in.bad()) return io_error(path, "read failed");
+  return Status::Ok();
+}
+
+Expected<EdgeList> read_edge_list_text_s(const std::string& path) {
+  EdgeList out;
+  VertexId max_id = 0;
+  bool any = false;
+  const Status status = for_each_text_edge_s(path, [&](VertexId u, VertexId v) {
+    out.edges.push_back({u, v});
+    max_id = std::max({max_id, u, v});
+    any = true;
+    return Status::Ok();
+  });
+  if (!status.ok()) return status;
   out.num_vertices = any ? max_id + 1 : 0;
   return out;
 }
@@ -112,41 +151,106 @@ util::Status write_edge_list_text_s(const std::string& path,
   return Status::Ok();
 }
 
+// ---------- the LOTUSGR1 codec ----------
+
+std::uint64_t CsxLayout::image_bytes() const noexcept {
+  return footer_at() +
+         (has_footer ? cks::footer_bytes(cks::kCsxSections) : 0);
+}
+
+Expected<CsxLayout> parse_csx_header(const void* header, std::uint64_t image_size,
+                                     const std::string& path) {
+  if (image_size < kCsxHeaderBytes) return io_error(path, "truncated header");
+  if (std::memcmp(header, kMagic.data(), kMagic.size()) != 0)
+    return bad_data(path, "not a lotus binary graph (bad magic)");
+  CsxLayout layout;
+  std::memcpy(&layout.num_vertices, static_cast<const char*>(header) + 8, 8);
+  std::memcpy(&layout.num_edges, static_cast<const char*>(header) + 16, 8);
+  const std::uint64_t v = layout.num_vertices;
+  const std::uint64_t e = layout.num_edges;
+  if (v > 0xffffffffULL) return bad_data(path, "vertex count exceeds 32 bits");
+  // Exact size accounting, in an order that cannot overflow: v <= 2^32, so
+  // (v + 1) * 8 fits, and e is bounded by a division before e * 4 is formed.
+  const std::uint64_t body_bytes = image_size - kCsxHeaderBytes;
+  if (layout.offsets_bytes() > body_bytes)
+    return bad_data(path, "vertex count inconsistent with file size");
+  if (e > (body_bytes - layout.offsets_bytes()) / sizeof(VertexId))
+    return bad_data(path, "edge count inconsistent with file size");
+  // The payload ends the image (pre-footer files, unverified) or is
+  // followed by exactly one checksum footer (current writers).
+  layout.has_footer = image_size != layout.footer_at();
+  if (image_size != layout.image_bytes())
+    return bad_data(path, "file size does not match header");
+  return layout;
+}
+
+Status verify_csx_sections(const CsxLayout& layout, const void* offsets,
+                           const void* neighbors, const std::uint64_t* sums,
+                           const std::string& path) {
+  const cks::Section sections[] = {
+      {cks::kCsxSectionNames[1], offsets, layout.offsets_bytes()},
+      {cks::kCsxSectionNames[2], neighbors, layout.neighbors_bytes()},
+  };
+  return cks::verify_sections(sections, 2, sums + 1, path);
+}
+
+Status check_csx_body(const std::string& path,
+                      const util::ConstArray<std::uint64_t>& offsets,
+                      const util::ConstArray<VertexId>& neighbors) {
+  const std::uint64_t v = offsets.size() - 1;
+  if (offsets.front() != 0 || offsets.back() != neighbors.size())
+    return bad_data(path, "corrupt offsets");
+  for (std::size_t i = 1; i < offsets.size(); ++i)
+    if (offsets[i] < offsets[i - 1]) return bad_data(path, "corrupt offsets");
+  for (VertexId u : neighbors)
+    if (u >= v) return bad_data(path, "neighbour ID out of range");
+  return Status::Ok();
+}
+
+std::uint64_t csx_image_bytes(const CsrGraph& graph) noexcept {
+  return CsxLayout{graph.num_vertices(), graph.num_edges()}.image_bytes();
+}
+
+Status write_csx_stream_s(std::FILE* out, const std::string& path,
+                          const CsrGraph& graph) {
+  const CsxLayout layout{graph.num_vertices(), graph.num_edges()};
+  const auto header = encode_header(layout);
+  const std::uint64_t* offsets = graph.offsets().data();
+  const VertexId* neighbors = graph.neighbor_array().data();
+  Status status = write_fully(out, header.data(), header.size(), path);
+  if (status.ok())
+    status = write_fully(out, offsets, layout.offsets_bytes(), path);
+  if (status.ok())
+    status = write_fully(out, neighbors, layout.neighbors_bytes(), path);
+  if (!status.ok()) return status;
+  return write_footer(out, path, header, offsets, layout,
+                      cks::block_checksum(neighbors, layout.neighbors_bytes()));
+}
+
+Status finish_csx_file_s(std::FILE* out, const std::string& path,
+                         const std::vector<std::uint64_t>& offsets,
+                         std::uint64_t neighbors_sum) {
+  const CsxLayout layout{offsets.size() - 1, offsets.back()};
+  const auto header = encode_header(layout);
+  // The position sits at the end of the neighbours stream, exactly where
+  // the footer belongs; the header and offsets are back-filled after it.
+  Status status = write_footer(out, path, header, offsets.data(), layout,
+                               neighbors_sum);
+  if (!status.ok()) return status;
+  if (util::fileio::seek64(out, 0, SEEK_SET) != 0)
+    return io_error(path, "seek failed");
+  status = write_fully(out, header.data(), header.size(), path);
+  if (!status.ok()) return status;
+  return write_fully(out, offsets.data(), layout.offsets_bytes(), path);
+}
+
 util::Status write_csr_binary_s(const std::string& path, const CsrGraph& graph) {
   // Written to "<path>.tmp.<pid>.<seq>" and renamed into place after fsync,
   // so a crash or injected write failure can never leave a torn file at
-  // `path`. A per-section checksum footer (util/checksum.hpp) follows the
-  // payload; readers verify it on load.
-  namespace cks = util::checksum;
+  // `path`.
   util::fileio::AtomicFileWriter writer(path);
   if (!writer.ok()) return writer.open_status();
-  std::FILE* out = writer.file();
-  const std::string& tmp = writer.temp_path();
-  const std::uint64_t v = graph.num_vertices();
-  const std::uint64_t e = graph.num_edges();
-  unsigned char header[24];
-  std::memcpy(header, kMagic.data(), 8);
-  std::memcpy(header + 8, &v, 8);
-  std::memcpy(header + 16, &e, 8);
-  Status status = write_fully(out, header, sizeof header, tmp);
-  if (status.ok())
-    status = write_fully(out, graph.offsets().data(),
-                         (v + 1) * sizeof(std::uint64_t), tmp);
-  if (status.ok())
-    status = write_fully(out, graph.neighbor_array().data(),
-                         e * sizeof(VertexId), tmp);
-  if (status.ok()) {
-    const std::uint64_t sums[cks::kCsxSections] = {
-        cks::block_checksum(header, sizeof header),
-        cks::block_checksum(graph.offsets().data(),
-                            (v + 1) * sizeof(std::uint64_t)),
-        cks::block_checksum(graph.neighbor_array().data(),
-                            e * sizeof(VertexId)),
-    };
-    unsigned char footer[cks::footer_bytes(cks::kCsxSections)];
-    cks::write_footer(sums, cks::kCsxSections, footer);
-    status = write_fully(out, footer, sizeof footer, tmp);
-  }
+  const Status status = write_csx_stream_s(writer.file(), writer.temp_path(), graph);
   if (!status.ok()) return status;  // writer's destructor unlinks the temp file
   return writer.commit();
 }
@@ -158,67 +262,34 @@ Expected<CsrGraph> read_csr_binary_s(const std::string& path) {
                               std::strerror(errno));
   std::FILE* in = file.get();
 
-  std::array<char, 8> magic{};
-  Status status = read_fully(in, magic.data(), magic.size(), path);
+  unsigned char header[kCsxHeaderBytes];
+  Status status = read_fully(in, header, sizeof header, path);
   if (!status.ok()) return status;
-  if (std::memcmp(magic.data(), kMagic.data(), kMagic.size()) != 0)
-    return bad_data(path, "not a lotus binary graph (bad magic)");
-
-  std::uint64_t v = 0, e = 0;
-  status = read_fully(in, &v, sizeof v, path);
-  if (status.ok()) status = read_fully(in, &e, sizeof e, path);
-  if (!status.ok()) return status;
-  if (v > 0xffffffffULL) return bad_data(path, "vertex count exceeds 32 bits");
-
-  // Validate the declared (v, e) against the actual file size BEFORE any
-  // allocation: a corrupt or hostile header must not be able to demand
-  // gigabytes of memory that the file cannot possibly back.
   // tell64/seek64, not ftell/fseek: `long` is 32 bits on LLP64 and ILP32
   // platforms, so a >2 GiB graph file would otherwise report a negative or
   // wrapped size here and be rejected (or worse, mis-validated).
-  constexpr std::uint64_t kHeaderBytes = 8 + 2 * sizeof(std::uint64_t);
   if (util::fileio::seek64(in, 0, SEEK_END) != 0)
     return io_error(path, "cannot determine file size");
   const std::int64_t end_pos = util::fileio::tell64(in);
   if (end_pos < 0) return io_error(path, "cannot determine file size");
-  const auto file_size = static_cast<std::uint64_t>(end_pos);
-  if (file_size < kHeaderBytes) return io_error(path, "truncated header");
-  const std::uint64_t body_bytes = file_size - kHeaderBytes;
-  // v <= 2^32, so (v + 1) * 8 cannot overflow 64 bits.
-  const std::uint64_t offset_bytes = (v + 1) * sizeof(std::uint64_t);
-  if (offset_bytes > body_bytes)
-    return bad_data(path, "vertex count inconsistent with file size");
-  // e is bounded by the division before e * 4 is ever formed, so the
-  // multiplication below cannot overflow either.
-  if (e > (body_bytes - offset_bytes) / sizeof(VertexId))
-    return bad_data(path, "edge count inconsistent with file size");
-  // The payload may be followed by a checksum footer (current writers) or
-  // end exactly at the neighbors section (pre-footer files, unverified).
-  namespace cks = util::checksum;
-  const std::uint64_t payload_body = offset_bytes + e * sizeof(VertexId);
-  constexpr std::uint64_t kFooterSize = cks::footer_bytes(cks::kCsxSections);
-  const bool has_footer = body_bytes == payload_body + kFooterSize;
-  if (!has_footer && body_bytes != payload_body)
-    return bad_data(path, "file size does not match header");
+  Expected<CsxLayout> parsed =
+      parse_csx_header(header, static_cast<std::uint64_t>(end_pos), path);
+  if (!parsed.ok()) return parsed.status();
+  const CsxLayout layout = parsed.value();
+
   std::uint64_t sums[cks::kCsxSections] = {};
-  if (has_footer) {
-    unsigned char footer[kFooterSize];
-    if (util::fileio::seek64(
-            in, static_cast<std::int64_t>(kHeaderBytes + payload_body),
-            SEEK_SET) != 0)
+  if (layout.has_footer) {
+    unsigned char footer[cks::footer_bytes(cks::kCsxSections)];
+    if (util::fileio::seek64(in, static_cast<std::int64_t>(layout.footer_at()),
+                             SEEK_SET) != 0)
       return io_error(path, "seek failed");
     status = read_fully(in, footer, sizeof footer, path);
+    if (status.ok())
+      status = cks::read_footer_check_header(footer, cks::kCsxSections, header,
+                                             kCsxHeaderBytes, path, sums);
     if (!status.ok()) return status;
-    status = cks::read_footer(footer, cks::kCsxSections, path, sums);
-    if (!status.ok()) return status;
-    unsigned char header[24];
-    std::memcpy(header, kMagic.data(), 8);
-    std::memcpy(header + 8, &v, 8);
-    std::memcpy(header + 16, &e, 8);
-    if (cks::block_checksum(header, sizeof header) != sums[0])
-      return io_error(path, "checksum mismatch in section 'header'");
   }
-  if (util::fileio::seek64(in, static_cast<std::int64_t>(kHeaderBytes),
+  if (util::fileio::seek64(in, static_cast<std::int64_t>(kCsxHeaderBytes),
                            SEEK_SET) != 0)
     return io_error(path, "seek failed");
 
@@ -228,33 +299,27 @@ Expected<CsrGraph> read_csr_binary_s(const std::string& path) {
   std::vector<std::uint64_t> offsets;
   std::vector<VertexId> neighbors;
   try {
-    util::charge_current(offset_bytes + e * sizeof(VertexId), "graph-load");
-    offsets.resize(v + 1);
-    neighbors.resize(e);
+    util::charge_current(layout.offsets_bytes() + layout.neighbors_bytes(),
+                         "graph-load");
+    offsets.resize(layout.num_vertices + 1);
+    neighbors.resize(layout.num_edges);
   } catch (...) {
     return util::status_from_current_exception(StatusCode::kOutOfMemory);
   }
-  status = read_fully(in, offsets.data(), (v + 1) * sizeof(std::uint64_t), path);
+  status = read_fully(in, offsets.data(), layout.offsets_bytes(), path);
+  if (status.ok())
+    status = read_fully(in, neighbors.data(), layout.neighbors_bytes(), path);
+  // Streamed loads always verify eagerly: the bytes are already in the
+  // heap, so hashing them costs one extra pass, no extra IO.
+  if (status.ok() && layout.has_footer)
+    status = verify_csx_sections(layout, offsets.data(), neighbors.data(),
+                                 sums, path);
   if (!status.ok()) return status;
-  status = read_fully(in, neighbors.data(), e * sizeof(VertexId), path);
+  util::ConstArray<std::uint64_t> offset_array(std::move(offsets));
+  util::ConstArray<VertexId> neighbor_array(std::move(neighbors));
+  status = check_csx_body(path, offset_array, neighbor_array);
   if (!status.ok()) return status;
-  if (has_footer) {
-    // Streamed loads always verify eagerly: the bytes are already in the
-    // heap, so hashing them costs one extra pass, no extra IO.
-    const cks::Section sections[] = {
-        {cks::kCsxSectionNames[1], offsets.data(), offset_bytes},
-        {cks::kCsxSectionNames[2], neighbors.data(), e * sizeof(VertexId)},
-    };
-    status = cks::verify_sections(sections, 2, sums + 1, path);
-    if (!status.ok()) return status;
-  }
-  if (offsets.front() != 0 || offsets.back() != e)
-    return bad_data(path, "corrupt offsets");
-  for (std::size_t i = 1; i < offsets.size(); ++i)
-    if (offsets[i] < offsets[i - 1]) return bad_data(path, "corrupt offsets");
-  for (VertexId u : neighbors)
-    if (u >= v) return bad_data(path, "neighbour ID out of range");
-  return CsrGraph(std::move(offsets), std::move(neighbors));
+  return CsrGraph(std::move(offset_array), std::move(neighbor_array));
 }
 
 namespace {

@@ -2,28 +2,18 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include "graph/io.hpp"
-
 #include "util/checksum.hpp"
-#include "util/fault.hpp"
 #include "util/file_io.hpp"
 #include "util/mapguard.hpp"
 #include "util/memory_budget.hpp"
 #include "util/mmap_file.hpp"
 
 #if !defined(_WIN32)
-#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -35,76 +25,12 @@ using util::Expected;
 using util::Status;
 using util::StatusCode;
 
-constexpr std::array<char, 8> kMagic = {'L', 'O', 'T', 'U', 'S', 'G', 'R', '1'};
-constexpr std::uint64_t kHeaderBytes = 8 + 2 * sizeof(std::uint64_t);
-
 Status io_error(const std::string& path, const std::string& what) {
   return {StatusCode::kIoError, path + ": " + what};
 }
 
 Status bad_data(const std::string& path, const std::string& what) {
   return {StatusCode::kInvalidArgument, path + ": " + what};
-}
-
-namespace cks = util::checksum;
-
-/// Shared "LOTUSGR1" header validation: sizes must exactly account for the
-/// file, before any allocation a hostile header could inflate. The image
-/// either ends at the neighbours section (pre-footer files) or carries a
-/// checksum footer (current writers); `has_footer` reports which.
-Status check_csx_header(const std::string& path, std::uint64_t v, std::uint64_t e,
-                        std::uint64_t file_size, bool* has_footer = nullptr) {
-  if (has_footer != nullptr) *has_footer = false;
-  if (v > 0xffffffffULL) return bad_data(path, "vertex count exceeds 32 bits");
-  if (file_size < kHeaderBytes) return io_error(path, "truncated header");
-  const std::uint64_t body_bytes = file_size - kHeaderBytes;
-  const std::uint64_t offset_bytes = (v + 1) * sizeof(std::uint64_t);
-  if (offset_bytes > body_bytes)
-    return bad_data(path, "vertex count inconsistent with file size");
-  if (e > (body_bytes - offset_bytes) / sizeof(VertexId))
-    return bad_data(path, "edge count inconsistent with file size");
-  const std::uint64_t payload_body = offset_bytes + e * sizeof(VertexId);
-  if (payload_body + cks::footer_bytes(cks::kCsxSections) == body_bytes) {
-    if (has_footer != nullptr) *has_footer = true;
-    return Status::Ok();
-  }
-  if (payload_body != body_bytes)
-    return bad_data(path, "file size does not match header");
-  return Status::Ok();
-}
-
-/// Parse + verify the footer of a fully mapped/loaded CSX image whose three
-/// sections live at the standard layout inside `image` (payload_bytes =
-/// header + offsets + neighbours). Touches every payload byte, so mapped
-/// callers wrap this in the SIGBUS guard.
-Status verify_csx_image(const std::string& path, const unsigned char* image,
-                        std::uint64_t payload_bytes, std::uint64_t v,
-                        std::uint64_t e) {
-  std::uint64_t sums[cks::kCsxSections] = {};
-  Status status = cks::read_footer(image + payload_bytes, cks::kCsxSections,
-                                   path, sums);
-  if (!status.ok()) return status;
-  const std::uint64_t offset_bytes = (v + 1) * sizeof(std::uint64_t);
-  const cks::Section sections[cks::kCsxSections] = {
-      {cks::kCsxSectionNames[0], image, kHeaderBytes},
-      {cks::kCsxSectionNames[1], image + kHeaderBytes, offset_bytes},
-      {cks::kCsxSectionNames[2], image + kHeaderBytes + offset_bytes,
-       e * sizeof(VertexId)},
-  };
-  return cks::verify_sections(sections, cks::kCsxSections, sums, path);
-}
-
-Status check_csx_body(const std::string& path,
-                      const util::ConstArray<std::uint64_t>& offsets,
-                      const util::ConstArray<VertexId>& neighbors) {
-  const std::uint64_t v = offsets.size() - 1;
-  if (offsets.front() != 0 || offsets.back() != neighbors.size())
-    return bad_data(path, "corrupt offsets");
-  for (std::size_t i = 1; i < offsets.size(); ++i)
-    if (offsets[i] < offsets[i - 1]) return bad_data(path, "corrupt offsets");
-  for (VertexId u : neighbors)
-    if (u >= v) return bad_data(path, "neighbour ID out of range");
-  return Status::Ok();
 }
 
 }  // namespace
@@ -116,44 +42,37 @@ util::Expected<CsrGraph> read_csr_mapped_at_s(
   if (base % 8 != 0) return bad_data(path, "image offset is not 8-aligned");
   if (base > file->size() || size > file->size() - base)
     return bad_data(path, "image extends past end of file");
-  if (size < kHeaderBytes) return io_error(path, "truncated header");
   const std::byte* image = file->data() + base;
-  if (std::memcmp(image, kMagic.data(), kMagic.size()) != 0)
-    return bad_data(path, "not a lotus binary graph (bad magic)");
-  std::uint64_t v = 0, e = 0;
-  std::memcpy(&v, image + 8, sizeof v);
-  std::memcpy(&e, image + 16, sizeof e);
-  bool has_footer = false;
-  Status status = check_csx_header(path, v, e, size, &has_footer);
-  if (!status.ok()) return status;
+  Expected<CsxLayout> parsed = parse_csx_header(image, size, path);
+  if (!parsed.ok()) return parsed.status();
+  const CsxLayout layout = parsed.value();
 
   // The validation scan below and the counting kernels both walk the body
   // in ascending order (the squared edge tiling visits vertex ranges
   // low-to-high), so ask for aggressive readahead.
   file->advise(util::MappedFile::Advice::kSequential, base, size);
 
-  if (has_footer && verify == MapVerify::kEager) {
+  if (layout.has_footer && verify == MapVerify::kEager) {
     // Touches every mapped payload byte, so a file truncated after mapping
     // (or a poisoned page) must surface as kIoError, not SIGBUS.
-    const std::uint64_t payload_bytes =
-        kHeaderBytes + (v + 1) * sizeof(std::uint64_t) + e * sizeof(VertexId);
-    status = util::with_mapped_fault_guard(path, [&] {
-      return verify_csx_image(
-          path, reinterpret_cast<const unsigned char*>(image), payload_bytes,
-          v, e);
+    const Status status = util::with_mapped_fault_guard(path, [&] {
+      std::uint64_t sums[util::checksum::kCsxSections] = {};
+      Status s = util::checksum::read_footer_check_header(
+          image + layout.footer_at(), util::checksum::kCsxSections, image,
+          kCsxHeaderBytes, path, sums);
+      if (!s.ok()) return s;
+      return verify_csx_sections(layout, image + kCsxHeaderBytes,
+                                 image + layout.neighbors_at(), sums, path);
     });
     if (!status.ok()) return status;
   }
 
-  // Header is 24 bytes, so offsets start 8-aligned and neighbours (after
-  // (v+1) u64 entries) 4-aligned — the format needs no padding to be
-  // mappable.
-  util::ConstArray<std::uint64_t> offsets =
-      util::mapped_view<std::uint64_t>(file, base + kHeaderBytes, v + 1);
+  util::ConstArray<std::uint64_t> offsets = util::mapped_view<std::uint64_t>(
+      file, base + kCsxHeaderBytes, layout.num_vertices + 1);
   util::ConstArray<VertexId> neighbors = util::mapped_view<VertexId>(
-      file, base + kHeaderBytes + (v + 1) * sizeof(std::uint64_t), e);
+      file, base + layout.neighbors_at(), layout.num_edges);
   if (validate) {
-    status = util::with_mapped_fault_guard(path, [&] {
+    const Status status = util::with_mapped_fault_guard(path, [&] {
       return check_csx_body(path, offsets, neighbors);
     });
     if (!status.ok()) return status;
@@ -169,283 +88,11 @@ util::Expected<CsrGraph> read_csr_mapped_s(const std::string& path,
   return read_csr_mapped_at_s(file, 0, file->size(), /*validate=*/true, verify);
 }
 
-util::Status write_csx_stream_s(std::FILE* out, const std::string& path,
-                                const CsrGraph& graph) {
-  const std::uint64_t v = graph.num_vertices();
-  const std::uint64_t e = graph.num_edges();
-  unsigned char header[kHeaderBytes];
-  std::memcpy(header, kMagic.data(), 8);
-  std::memcpy(header + 8, &v, 8);
-  std::memcpy(header + 16, &e, 8);
-  Status status = util::fileio::write_fully(out, header, sizeof header, path);
-  if (status.ok())
-    status = util::fileio::write_fully(out, graph.offsets().data(),
-                                       (v + 1) * sizeof(std::uint64_t), path);
-  if (status.ok())
-    status = util::fileio::write_fully(out, graph.neighbor_array().data(),
-                                       e * sizeof(VertexId), path);
-  if (status.ok()) {
-    const std::uint64_t sums[cks::kCsxSections] = {
-        cks::block_checksum(header, sizeof header),
-        cks::block_checksum(graph.offsets().data(),
-                            (v + 1) * sizeof(std::uint64_t)),
-        cks::block_checksum(graph.neighbor_array().data(),
-                            e * sizeof(VertexId)),
-    };
-    unsigned char footer[cks::footer_bytes(cks::kCsxSections)];
-    cks::write_footer(sums, cks::kCsxSections, footer);
-    status = util::fileio::write_fully(out, footer, sizeof footer, path);
-  }
-  return status;
-}
-
-#if defined(_WIN32)
-
-// No pread on Windows; the parallel loader degrades to the sequential
-// heap-resident reader (same result, same validation).
-util::Expected<CsrGraph> read_csr_binary_parallel_s(const std::string& path,
-                                                    const LoaderOptions&) {
-  return read_csr_binary_s(path);
-}
-
-#else
-
-namespace {
-
-/// O_DIRECT alignment unit: covers 512-byte and 4 KiB logical sectors.
-constexpr std::uint64_t kDirectAlign = 4096;
-
-struct FdCloser {
-  int fd = -1;
-  ~FdCloser() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
-/// One contiguous file range to fetch into one destination pointer.
-struct Chunk {
-  std::uint64_t file_off;
-  std::uint64_t len;
-  unsigned char* dst;
-};
-
-/// Plain positional read of [off, off+len) into dst, with EINTR retry and
-/// the read_short/read_fail fault sites (mirrors util::fileio::read_fully).
-Status pread_fully(int fd, unsigned char* dst, std::uint64_t len,
-                   std::uint64_t off, const std::string& path) {
-  while (len > 0) {
-    if (util::fault::should_fail(util::fault::Site::kReadFail))
-      return io_error(path, "read failed (injected I/O error)");
-    std::uint64_t want = len;
-    if (want > 1 && util::fault::should_fail(util::fault::Site::kReadShort))
-      want /= 2;
-    const ssize_t got = ::pread(fd, dst, want, static_cast<off_t>(off));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return io_error(path, std::string("read failed: ") + std::strerror(errno));
-    }
-    if (got == 0) return io_error(path, "truncated: unexpected end of file");
-    dst += got;
-    off += static_cast<std::uint64_t>(got);
-    len -= static_cast<std::uint64_t>(got);
-  }
-  return Status::Ok();
-}
-
-/// Fetch one chunk, preferring the O_DIRECT descriptor with an aligned
-/// bounce buffer; anything the direct path cannot serve (refused read,
-/// unaligned tail, EOF remainder) is finished through the plain descriptor.
-Status read_chunk(int plain_fd, int direct_fd, unsigned char* bounce,
-                  std::uint64_t bounce_bytes, const Chunk& chunk,
-                  const std::string& path) {
-  std::uint64_t off = chunk.file_off;
-  std::uint64_t remaining = chunk.len;
-  unsigned char* out = chunk.dst;
-  while (direct_fd >= 0 && bounce != nullptr && remaining > 0) {
-    const std::uint64_t abase = off & ~(kDirectAlign - 1);
-    const std::uint64_t aend =
-        std::min(abase + bounce_bytes,
-                 (off + remaining + kDirectAlign - 1) & ~(kDirectAlign - 1));
-    const ssize_t got = ::pread(direct_fd, bounce, aend - abase,
-                                static_cast<off_t>(abase));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      break;  // EINVAL et al: this filesystem refuses O_DIRECT here — fall back
-    }
-    const std::uint64_t skip = off - abase;
-    if (static_cast<std::uint64_t>(got) <= skip) break;  // EOF tail
-    const std::uint64_t usable =
-        std::min(static_cast<std::uint64_t>(got) - skip, remaining);
-    std::memcpy(out, bounce + skip, usable);
-    out += usable;
-    off += usable;
-    remaining -= usable;
-    if (static_cast<std::uint64_t>(got) < aend - abase) break;  // short: near EOF
-  }
-  if (remaining == 0) return Status::Ok();
-  return pread_fully(plain_fd, out, remaining, off, path);
-}
-
-}  // namespace
-
-util::Expected<CsrGraph> read_csr_binary_parallel_s(const std::string& path,
-                                                    const LoaderOptions& options) {
-  FdCloser plain;
-  plain.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (plain.fd < 0)
-    return io_error(path,
-                    std::string("cannot open for reading: ") + std::strerror(errno));
-
-  std::array<unsigned char, kHeaderBytes> header{};
-  Status status = pread_fully(plain.fd, header.data(), header.size(), 0, path);
-  if (!status.ok()) return status;
-  if (std::memcmp(header.data(), kMagic.data(), kMagic.size()) != 0)
-    return bad_data(path, "not a lotus binary graph (bad magic)");
-  std::uint64_t v = 0, e = 0;
-  std::memcpy(&v, header.data() + 8, sizeof v);
-  std::memcpy(&e, header.data() + 16, sizeof e);
-  struct stat st {};
-  if (::fstat(plain.fd, &st) != 0)
-    return io_error(path, "cannot determine file size");
-  bool has_footer = false;
-  status = check_csx_header(path, v, e, static_cast<std::uint64_t>(st.st_size),
-                            &has_footer);
-  if (!status.ok()) return status;
-
-  const std::uint64_t offset_bytes = (v + 1) * sizeof(std::uint64_t);
-  const std::uint64_t neighbor_bytes = e * sizeof(VertexId);
-  std::vector<std::uint64_t> offsets;
-  std::vector<VertexId> neighbors;
-  try {
-    util::charge_current(offset_bytes + neighbor_bytes, "graph-load");
-    offsets.resize(v + 1);
-    neighbors.resize(e);
-  } catch (...) {
-    return util::status_from_current_exception(StatusCode::kOutOfMemory);
-  }
-
-  // Split the two body sections into chunk work items.
-  const std::uint64_t chunk_bytes = std::max<std::uint64_t>(options.chunk_bytes, 1u << 20);
-  std::vector<Chunk> chunks;
-  const auto add_section = [&](std::uint64_t file_off, std::uint64_t len,
-                               unsigned char* dst) {
-    for (std::uint64_t pos = 0; pos < len; pos += chunk_bytes)
-      chunks.push_back({file_off + pos, std::min(chunk_bytes, len - pos), dst + pos});
-  };
-  add_section(kHeaderBytes, offset_bytes,
-              reinterpret_cast<unsigned char*>(offsets.data()));
-  add_section(kHeaderBytes + offset_bytes, neighbor_bytes,
-              reinterpret_cast<unsigned char*>(neighbors.data()));
-
-  FdCloser direct;
-#if defined(O_DIRECT)
-  if (options.direct_io)
-    direct.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_DIRECT);
-#endif
-
-  unsigned workers = options.loader_threads != 0
-                         ? options.loader_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  workers = static_cast<unsigned>(
-      std::min<std::size_t>(workers, std::max<std::size_t>(chunks.size(), 1)));
-
-  std::atomic<std::size_t> next{0};
-  std::vector<Status> worker_status(workers);
-  const auto worker = [&](unsigned w) {
-    std::unique_ptr<void, decltype(&std::free)> bounce(nullptr, &std::free);
-    std::uint64_t bounce_bytes = 0;
-    if (direct.fd >= 0) {
-      void* mem = nullptr;
-      bounce_bytes = chunk_bytes + 2 * kDirectAlign;
-      if (posix_memalign(&mem, kDirectAlign, bounce_bytes) == 0)
-        bounce.reset(mem);
-      else
-        bounce_bytes = 0;  // no aligned buffer -> plain reads only
-    }
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= chunks.size()) break;
-      Status s = read_chunk(plain.fd, direct.fd,
-                            static_cast<unsigned char*>(bounce.get()),
-                            bounce_bytes, chunks[i], path);
-      if (!s.ok()) {
-        worker_status[w] = std::move(s);
-        break;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (unsigned w = 1; w < workers; ++w) {
-    try {
-      threads.emplace_back(worker, w);
-    } catch (const std::system_error&) {
-      break;  // thread limit: the spawned workers + caller absorb the rest
-    }
-  }
-  worker(0);
-  for (std::thread& t : threads) t.join();
-  for (Status& s : worker_status)
-    if (!s.ok()) return std::move(s);
-
-  if (has_footer) {
-    // Streamed (heap-resident) loads always verify eagerly; the chunks
-    // arrived out of order but the assembled arrays hash sequentially.
-    std::array<unsigned char, cks::footer_bytes(cks::kCsxSections)> footer{};
-    status = pread_fully(plain.fd, footer.data(), footer.size(),
-                         kHeaderBytes + offset_bytes + neighbor_bytes, path);
-    if (!status.ok()) return status;
-    std::uint64_t sums[cks::kCsxSections] = {};
-    status = cks::read_footer(footer.data(), cks::kCsxSections, path, sums);
-    if (!status.ok()) return status;
-    const cks::Section sections[cks::kCsxSections] = {
-        {cks::kCsxSectionNames[0], header.data(), header.size()},
-        {cks::kCsxSectionNames[1], offsets.data(), offset_bytes},
-        {cks::kCsxSectionNames[2], neighbors.data(), neighbor_bytes},
-    };
-    status = cks::verify_sections(sections, cks::kCsxSections, sums, path);
-    if (!status.ok()) return status;
-  }
-
-  status = check_csx_body(path, offsets, neighbors);
-  if (!status.ok()) return status;
-  return CsrGraph(std::move(offsets), std::move(neighbors));
-}
-
-#endif  // !defined(_WIN32)
-
 // ---------------------------------------------------------------------------
 // External-memory construction.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Stream the text edge-list format of graph/io.cpp (comments with '#'/'%',
-/// "u v" per line, IDs strictly below 2^32-1), invoking fn(u, v) per edge.
-template <typename Fn>
-Status for_each_edge(const std::string& path, Fn&& fn) {
-  std::ifstream in(path);
-  if (!in) return io_error(path, "cannot open for reading");
-  std::string line;
-  std::uint64_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::istringstream ls(line);
-    std::uint64_t u = 0, v = 0;
-    if (!(ls >> u >> v))
-      return bad_data(path, "malformed edge at line " + std::to_string(line_no));
-    if (u >= 0xffffffffULL || v >= 0xffffffffULL)
-      return bad_data(path,
-                      "vertex ID exceeds 32 bits at line " + std::to_string(line_no));
-    Status status = fn(static_cast<VertexId>(u), static_cast<VertexId>(v));
-    if (!status.ok()) return status;
-  }
-  if (in.bad()) return io_error(path, "read failed");
-  return Status::Ok();
-}
 
 /// Coarse source-ID histogram: slot i covers IDs [i·2^16, (i+1)·2^16), which
 /// spans the full 32-bit ID space in 65536 slots (a fixed 512 KiB of scan
@@ -464,7 +111,7 @@ struct ScanResult {
 Status scan_edge_list(const std::string& path, ScanResult& out) {
   VertexId max_id = 0;
   bool any = false;
-  Status status = for_each_edge(path, [&](VertexId u, VertexId v) {
+  Status status = for_each_text_edge_s(path, [&](VertexId u, VertexId v) {
     max_id = std::max({max_id, u, v});
     any = true;
     if (u != v) {
@@ -595,7 +242,7 @@ Status run_external_build(const std::string& path,
   };
 
   // Pass 2: scatter symmetrized arcs to their source-range bucket.
-  status = for_each_edge(path, [&](VertexId u, VertexId v) {
+  status = for_each_text_edge_s(path, [&](VertexId u, VertexId v) {
     if (u == v) return Status::Ok();
     const std::array<Edge, 2> arcs = {Edge{u, v}, Edge{v, u}};
     for (const Edge& a : arcs) {
@@ -738,52 +385,24 @@ util::Status build_csx_file_external_s(const std::string& edge_list_path,
   // Neighbours stream to their final location; the header + offset section
   // is back-filled once all degrees are known. Writing past the current end
   // leaves a hole that the back-fill plugs before commit.
-  const std::uint64_t neighbors_start =
-      kHeaderBytes + (n + 1) * sizeof(std::uint64_t);
-  if (util::fileio::seek64(out, static_cast<std::int64_t>(neighbors_start),
-                           SEEK_SET) != 0)
+  if (util::fileio::seek64(
+          out, static_cast<std::int64_t>(CsxLayout{n, 0}.neighbors_at()),
+          SEEK_SET) != 0)
     return io_error(tmp, "seek failed");
 
-  // The neighbours section checksum accumulates as the stream goes by; the
-  // header and offsets sums are computed from memory before the back-fill.
-  std::uint64_t total_edges = 0;
-  cks::Checksummer neighbor_sum;
+  // The neighbours section checksum accumulates as the stream goes by.
+  util::checksum::Checksummer neighbor_sum;
   status = run_external_build(
       edge_list_path, options, scan,
       [&](VertexId u, const VertexId* vs, std::size_t count) -> Status {
         offsets[u + 1] = count;
-        total_edges += count;
         neighbor_sum.update(vs, count * sizeof(VertexId));
         return util::fileio::write_fully(out, vs, count * sizeof(VertexId), tmp);
       });
   if (!status.ok()) return status;
 
   for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-  unsigned char header[kHeaderBytes];
-  std::memcpy(header, kMagic.data(), 8);
-  std::memcpy(header + 8, &n, 8);
-  std::memcpy(header + 16, &total_edges, 8);
-  // The file position sits at the end of the neighbours stream — exactly
-  // where the footer belongs; write it before seeking back for the
-  // header/offsets back-fill.
-  {
-    const std::uint64_t sums[cks::kCsxSections] = {
-        cks::block_checksum(header, sizeof header),
-        cks::block_checksum(offsets.data(),
-                            offsets.size() * sizeof(std::uint64_t)),
-        neighbor_sum.digest(),
-    };
-    unsigned char footer[cks::footer_bytes(cks::kCsxSections)];
-    cks::write_footer(sums, cks::kCsxSections, footer);
-    status = util::fileio::write_fully(out, footer, sizeof footer, tmp);
-    if (!status.ok()) return status;
-  }
-  if (util::fileio::seek64(out, 0, SEEK_SET) != 0)
-    return io_error(tmp, "seek failed");
-  status = util::fileio::write_fully(out, header, sizeof header, tmp);
-  if (status.ok())
-    status = util::fileio::write_fully(out, offsets.data(),
-                                       offsets.size() * sizeof(std::uint64_t), tmp);
+  status = finish_csx_file_s(out, tmp, offsets, neighbor_sum.digest());
   if (!status.ok()) return status;
   return writer.commit();
 }

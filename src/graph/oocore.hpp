@@ -1,16 +1,12 @@
-// Out-of-core graph pipeline: mmap-backed CSX loading, chunked parallel
-// binary reads, and external-memory CSR construction (docs/OUT_OF_CORE.md).
+// Out-of-core graph pipeline: mmap-backed CSX loading and external-memory
+// CSR construction (docs/OUT_OF_CORE.md).
 //
-// Three ways to get a graph that does not fit comfortably in heap memory:
+// Two ways to get a graph that does not fit comfortably in heap memory:
 //   * read_csr_mapped_s — mmap a "LOTUSGR1" CSX file and serve the offset
 //     and neighbour arrays as zero-copy views into the page cache. The
 //     returned graph pins ~no heap (Csr::owned_bytes() ≈ 0), so it passes
-//     memory budgets that the heap-resident reader fails.
-//   * read_csr_binary_parallel_s — heap-resident load of the same format,
-//     but the body is fetched by worker threads issuing positional preads
-//     over disjoint chunks (cold-cache loads are bandwidth-bound on one
-//     thread). Optionally uses O_DIRECT with aligned bounce buffers and
-//     falls back to buffered IO wherever the platform/filesystem refuses.
+//     memory budgets that the heap-resident reader (graph::read_csr_binary_s)
+//     fails. Both readers share the LOTUSGR1 codec in graph/io.hpp.
 //   * build_undirected_external_s / build_csx_file_external_s — build a CSR
 //     from a text edge list whose symmetrized arc set exceeds memory:
 //     arcs are bucketed to temp files by source range, each bucket is
@@ -23,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -36,18 +31,6 @@ namespace lotus::graph::oocore {
 // LOTUS-KNOB-INVENTORY-BEGIN
 // Every knob below must be documented in docs/OUT_OF_CORE.md
 // (scripts/check_docs.sh cross-checks the names).
-
-/// Knobs for read_csr_binary_parallel_s.
-struct LoaderOptions {
-  /// loader_threads: worker threads issuing preads; 0 = hardware concurrency.
-  unsigned loader_threads = 0;
-  /// chunk_bytes: bytes per positional read request (floor 1 MiB).
-  std::uint64_t chunk_bytes = 8ull << 20;
-  /// direct_io: bypass the page cache with O_DIRECT + aligned bounce
-  /// buffers; silently falls back to buffered reads when the open or any
-  /// read is refused (EINVAL) or the platform lacks O_DIRECT.
-  bool direct_io = false;
-};
 
 /// Knobs for the external-memory builders.
 struct ExternalBuildOptions {
@@ -80,14 +63,6 @@ enum class MapVerify {
 [[nodiscard]] util::Expected<CsrGraph> read_csr_mapped_s(
     const std::string& path, MapVerify verify = MapVerify::kEager);
 
-/// Append a complete "LOTUSGR1" CSX image for `graph` to `out` at its
-/// current position (the engine spill format embeds CSX sections this way;
-/// tc/prepared.cpp). The image must start on an 8-byte file offset for the
-/// mapped reader to work. `path` is for error messages only.
-[[nodiscard]] util::Status write_csx_stream_s(std::FILE* out,
-                                              const std::string& path,
-                                              const CsrGraph& graph);
-
 /// Zero-copy CSX views over a "LOTUSGR1" image spanning [base, base + size)
 /// inside an existing mapping; `base` must be 8-aligned. `validate` skips
 /// the O(V+E) body scan for self-written (trusted) artifacts; `verify`
@@ -96,12 +71,6 @@ enum class MapVerify {
 [[nodiscard]] util::Expected<CsrGraph> read_csr_mapped_at_s(
     const std::shared_ptr<util::MappedFile>& file, std::uint64_t base,
     std::uint64_t size, bool validate, MapVerify verify = MapVerify::kEager);
-
-/// Heap-resident load of a "LOTUSGR1" CSX file with chunked parallel preads.
-/// Identical result and validation as read_csr_binary_s; the heap arrays are
-/// charged to the installed memory budget at site "graph-load".
-[[nodiscard]] util::Expected<CsrGraph> read_csr_binary_parallel_s(
-    const std::string& path, const LoaderOptions& options = {});
 
 /// External-memory equivalent of read_edge_list_text + build_undirected:
 /// symmetrize, drop self-loops, dedup, sort — without ever materializing the

@@ -1,6 +1,8 @@
 #include "lotus/serialize.hpp"
 
 #include <array>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -21,12 +23,24 @@ using util::Expected;
 using util::Status;
 using util::StatusCode;
 
-constexpr std::array<char, 8> kMagicV1 = {'L', 'O', 'T', 'U', 'S', 'L', 'G', '1'};
-constexpr std::array<char, 8> kMagicV2 = {'L', 'O', 'T', 'U', 'S', 'L', 'G', '2'};
+constexpr std::array<char, 8> kMagic = {'L', 'O', 'T', 'U', 'S', 'L', 'G', '2'};
 
-/// v2 header: magic + five u64 lengths + two reserved u64 = 64 bytes, so the
-/// first section starts 8-aligned without any padding games.
-constexpr std::uint64_t kHeaderBytesV2 = 64;
+/// magic + five u64 lengths + two reserved u64 = 64 bytes, so the first
+/// section starts 8-aligned without any padding games.
+constexpr std::uint64_t kHeaderBytes = 64;
+
+/// The payload sections in file order; the footer names section i
+/// kLotusSectionNames[i + 1] (entry 0 is the header).
+enum Section : std::size_t {
+  kNewId,
+  kH2h,
+  kHeOffsets,
+  kHeNeighbors,
+  kNheOffsets,
+  kNheNeighbors,
+  kSections,
+};
+static_assert(kSections + 1 == cks::kLotusSections);
 
 Status io_error(const std::string& path, const std::string& what) {
   return {StatusCode::kIoError, path + ": " + what};
@@ -62,46 +76,65 @@ std::uint64_t padded_checksum(const void* data, std::uint64_t bytes) {
   return c.digest();
 }
 
-/// Reconstruct the exact 64-byte v2 header image for checksum verification.
-std::array<unsigned char, kHeaderBytesV2> header_image(const HeaderV2& h) {
-  std::array<unsigned char, kHeaderBytesV2> header{};
-  std::memcpy(header.data(), kMagicV2.data(), kMagicV2.size());
+std::array<unsigned char, kHeaderBytes> encode_header(const HeaderV2& h) {
+  std::array<unsigned char, kHeaderBytes> header{};
+  std::memcpy(header.data(), kMagic.data(), kMagic.size());
   const std::array<std::uint64_t, 5> fields = {h.n, h.hubs, h.h2h_words,
                                                h.he_edges, h.nhe_edges};
   std::memcpy(header.data() + 8, fields.data(), sizeof fields);
   return header;
 }
 
-/// Byte offsets of the six sections. Every section starts on an 8-byte
-/// boundary (u16/u32 sections are zero-padded up to one), so a mapped view
-/// of any array is naturally aligned.
+HeaderV2 header_of(const LotusGraph& lg) {
+  return {lg.num_vertices(), lg.hub_count(), lg.h2h().words().size(),
+          lg.he().num_edges(), lg.nhe().num_edges()};
+}
+
+/// Where each section lies. Every section starts on an 8-byte boundary
+/// (u16/u32 sections are zero-padded up to one), so a mapped view of any
+/// array is naturally aligned.
 struct LayoutV2 {
-  std::uint64_t new_id, h2h, he_offsets, he_neighbors, nhe_offsets,
-      nhe_neighbors, total;
+  HeaderV2 h;
+  std::array<std::uint64_t, kSections> at{};     // byte offset of section i
+  std::array<std::uint64_t, kSections> bytes{};  // unpadded length
+  std::uint64_t total = 0;  // end of the last padded section = footer offset
+  bool has_footer = true;   // false: a pre-footer file, loaded unverified
+
+  [[nodiscard]] std::uint64_t image_bytes() const noexcept {
+    return total + (has_footer ? cks::footer_bytes(cks::kLotusSections) : 0);
+  }
 };
 
 LayoutV2 layout_for(const HeaderV2& h) noexcept {
-  LayoutV2 l{};
-  std::uint64_t pos = kHeaderBytesV2;
-  l.new_id = pos;
-  pos += pad8(h.n * sizeof(graph::VertexId));
-  l.h2h = pos;
-  pos += h.h2h_words * sizeof(std::uint64_t);
-  l.he_offsets = pos;
-  pos += (h.n + 1) * sizeof(std::uint64_t);
-  l.he_neighbors = pos;
-  pos += pad8(h.he_edges * sizeof(std::uint16_t));
-  l.nhe_offsets = pos;
-  pos += (h.n + 1) * sizeof(std::uint64_t);
-  l.nhe_neighbors = pos;
-  pos += pad8(h.nhe_edges * sizeof(graph::VertexId));
+  LayoutV2 l;
+  l.h = h;
+  l.bytes = {h.n * sizeof(graph::VertexId),
+             h.h2h_words * sizeof(std::uint64_t),
+             (h.n + 1) * sizeof(std::uint64_t),
+             h.he_edges * sizeof(std::uint16_t),
+             (h.n + 1) * sizeof(std::uint64_t),
+             h.nhe_edges * sizeof(graph::VertexId)};
+  std::uint64_t pos = kHeaderBytes;
+  for (std::size_t i = 0; i < kSections; ++i) {
+    l.at[i] = pos;
+    pos += pad8(l.bytes[i]);
+  }
   l.total = pos;
   return l;
 }
 
-/// Reject headers whose sizes are impossible before any arithmetic that
-/// could overflow or any allocation a hostile file could inflate.
-Status check_header(const std::string& path, const HeaderV2& h) {
+/// Parse the header of an image `image_size` bytes long and check that its
+/// sizes are possible and account for the image exactly, before any
+/// arithmetic that could overflow or any allocation a hostile file could
+/// inflate. `header` must hold kHeaderBytes unless image_size is smaller.
+Expected<LayoutV2> parse_header(const void* header, std::uint64_t image_size,
+                                const std::string& path) {
+  if (image_size < kHeaderBytes) return io_error(path, "truncated header");
+  if (std::memcmp(header, kMagic.data(), kMagic.size()) != 0)
+    return bad_data(path, "not a lotus graph file (bad magic)");
+  std::array<std::uint64_t, 5> fields{};
+  std::memcpy(fields.data(), static_cast<const char*>(header) + 8, sizeof fields);
+  const HeaderV2 h = {fields[0], fields[1], fields[2], fields[3], fields[4]};
   if (h.n > 0xffffffffULL) return bad_data(path, "vertex count exceeds 32 bits");
   if (h.hubs > (1ull << 16)) return bad_data(path, "corrupt header (hub count)");
   const std::uint64_t bits = h.hubs * (h.hubs - (h.hubs > 0 ? 1 : 0)) / 2;
@@ -109,6 +142,30 @@ Status check_header(const std::string& path, const HeaderV2& h) {
     return bad_data(path, "H2H word count does not match hub count");
   if (h.he_edges > (1ull << 48) || h.nhe_edges > (1ull << 48))
     return bad_data(path, "implausible edge count");
+  LayoutV2 layout = layout_for(h);
+  // The payload ends the image (pre-footer files, unverified) or is
+  // followed by exactly one checksum footer (current writers).
+  layout.has_footer = image_size != layout.total;
+  if (image_size != layout.image_bytes())
+    return bad_data(path, "file size does not match header");
+  return layout;
+}
+
+/// Check the six payload sections against the footer sums. `data[i]` points
+/// at section i. In a mapped image its zero padding follows it (`padded`),
+/// so the padding is hashed as stored and rot there is caught too; heap
+/// arrays carry no padding, so it is re-fed as zeros.
+Status verify_payload(const LayoutV2& l,
+                      const std::array<const void*, kSections>& data,
+                      bool padded, const std::uint64_t* sums,
+                      const std::string& path) {
+  for (std::size_t i = 0; i < kSections; ++i) {
+    const std::uint64_t sum = padded ? cks::block_checksum(data[i], pad8(l.bytes[i]))
+                                     : padded_checksum(data[i], l.bytes[i]);
+    if (sum != sums[i + 1])
+      return io_error(path, "checksum mismatch in section '" +
+                                std::string(cks::kLotusSectionNames[i + 1]) + "'");
+  }
   return Status::Ok();
 }
 
@@ -151,101 +208,6 @@ Expected<LotusGraph> assemble(const std::string& path, const HeaderV2& h,
   }
 }
 
-/// v1: length-prefixed arrays, unaligned; still readable for old artifacts.
-template <typename T>
-Status read_vector_v1(std::FILE* in, const std::string& path,
-                      std::vector<T>& out) {
-  std::uint64_t count = 0;
-  Status status = util::fileio::read_fully(in, &count, sizeof count, path);
-  if (!status.ok()) return status;
-  // Sanity bound: refuse obviously corrupt lengths before allocating.
-  if (count > (1ull << 36)) return bad_data(path, "implausible array length");
-  util::charge_current(count * sizeof(T), "graph-load");
-  out.resize(count);
-  return util::fileio::read_fully(in, out.data(), count * sizeof(T), path);
-}
-
-Expected<LotusGraph> read_v1_body(std::FILE* in, const std::string& path) {
-  std::uint64_t n = 0, hubs = 0;
-  Status status = util::fileio::read_fully(in, &n, sizeof n, path);
-  if (status.ok()) status = util::fileio::read_fully(in, &hubs, sizeof hubs, path);
-  if (!status.ok()) return status;
-  if (n > 0xffffffffULL || hubs > (1ull << 16))
-    return bad_data(path, "corrupt header");
-
-  std::vector<graph::VertexId> new_id;
-  std::vector<std::uint64_t> h2h_words, he_offsets, nhe_offsets;
-  std::vector<std::uint16_t> he_neighbors;
-  std::vector<graph::VertexId> nhe_neighbors;
-  status = read_vector_v1(in, path, new_id);
-  if (status.ok()) status = read_vector_v1(in, path, h2h_words);
-  if (status.ok()) status = read_vector_v1(in, path, he_offsets);
-  if (status.ok()) status = read_vector_v1(in, path, he_neighbors);
-  if (status.ok()) status = read_vector_v1(in, path, nhe_offsets);
-  if (status.ok()) status = read_vector_v1(in, path, nhe_neighbors);
-  if (!status.ok()) return status;
-
-  if (new_id.size() != n || he_offsets.size() != n + 1 ||
-      nhe_offsets.size() != n + 1)
-    return bad_data(path, "array sizes disagree with header");
-  HeaderV2 h;
-  h.n = n;
-  h.hubs = hubs;
-  h.h2h_words = h2h_words.size();
-  h.he_edges = he_neighbors.size();
-  h.nhe_edges = nhe_neighbors.size();
-  const std::uint64_t bits = hubs * (hubs - (hubs > 0 ? 1 : 0)) / 2;
-  if (h.h2h_words != (bits + 63) / 64)
-    return bad_data(path, "H2H word count does not match hub count");
-  return assemble(path, h, std::move(h2h_words), std::move(he_offsets),
-                  std::move(he_neighbors), std::move(nhe_offsets),
-                  std::move(nhe_neighbors), std::move(new_id),
-                  /*validate=*/true);
-}
-
-Status read_and_check_size_v2(std::FILE* in, const std::string& path,
-                              HeaderV2& h, LayoutV2& layout, bool& has_footer,
-                              std::uint64_t* sums /* kLotusSections */) {
-  std::array<std::uint64_t, 7> fields{};  // n, hubs, words, he_e, nhe_e, 2 reserved
-  Status status =
-      util::fileio::read_fully(in, fields.data(), sizeof fields, path);
-  if (!status.ok()) return status;
-  h.n = fields[0];
-  h.hubs = fields[1];
-  h.h2h_words = fields[2];
-  h.he_edges = fields[3];
-  h.nhe_edges = fields[4];
-  status = check_header(path, h);
-  if (!status.ok()) return status;
-  layout = layout_for(h);
-  if (util::fileio::seek64(in, 0, SEEK_END) != 0)
-    return io_error(path, "cannot determine file size");
-  const std::int64_t end_pos = util::fileio::tell64(in);
-  if (end_pos < 0) return io_error(path, "cannot determine file size");
-  // The payload may be followed by a checksum footer (current writers) or
-  // end exactly at the last section (pre-footer files, unverified).
-  constexpr std::uint64_t kFooterSize = cks::footer_bytes(cks::kLotusSections);
-  const auto file_size = static_cast<std::uint64_t>(end_pos);
-  has_footer = file_size == layout.total + kFooterSize;
-  if (!has_footer && file_size != layout.total)
-    return bad_data(path, "file size does not match header");
-  if (has_footer) {
-    unsigned char footer[kFooterSize];
-    if (util::fileio::seek64(in, static_cast<std::int64_t>(layout.total),
-                             SEEK_SET) != 0)
-      return io_error(path, "seek failed");
-    status = util::fileio::read_fully(in, footer, sizeof footer, path);
-    if (!status.ok()) return status;
-    status = cks::read_footer(footer, cks::kLotusSections, path, sums);
-    if (!status.ok()) return status;
-    // Verify the header before any allocation its sizes could inflate.
-    const auto header = header_image(h);
-    if (cks::block_checksum(header.data(), header.size()) != sums[0])
-      return io_error(path, "checksum mismatch in section 'header'");
-  }
-  return Status::Ok();
-}
-
 template <typename T>
 Status read_section(std::FILE* in, const std::string& path, std::uint64_t offset,
                     std::uint64_t count, std::vector<T>& out) {
@@ -256,60 +218,59 @@ Status read_section(std::FILE* in, const std::string& path, std::uint64_t offset
   return util::fileio::read_fully(in, out.data(), count * sizeof(T), path);
 }
 
-Expected<LotusGraph> read_v2_body(std::FILE* in, const std::string& path) {
-  HeaderV2 h;
-  LayoutV2 layout{};
-  bool has_footer = false;
-  std::uint64_t sums[cks::kLotusSections] = {};
-  Status status = read_and_check_size_v2(in, path, h, layout, has_footer, sums);
+Expected<LotusGraph> read_heap(std::FILE* in, const std::string& path) {
+  std::array<unsigned char, kHeaderBytes> header{};
+  Status status = util::fileio::read_fully(in, header.data(), header.size(), path);
   if (!status.ok()) return status;
+  if (util::fileio::seek64(in, 0, SEEK_END) != 0)
+    return io_error(path, "cannot determine file size");
+  const std::int64_t end_pos = util::fileio::tell64(in);
+  if (end_pos < 0) return io_error(path, "cannot determine file size");
+  Expected<LayoutV2> parsed =
+      parse_header(header.data(), static_cast<std::uint64_t>(end_pos), path);
+  if (!parsed.ok()) return parsed.status();
+  const LayoutV2 l = parsed.value();
+  const HeaderV2& h = l.h;
+
+  std::uint64_t sums[cks::kLotusSections] = {};
+  if (l.has_footer) {
+    // Verify the header — the 64 bytes read, reserved ones included —
+    // before any allocation its sizes could inflate.
+    unsigned char footer[cks::footer_bytes(cks::kLotusSections)];
+    if (util::fileio::seek64(in, static_cast<std::int64_t>(l.total), SEEK_SET) != 0)
+      return io_error(path, "seek failed");
+    status = util::fileio::read_fully(in, footer, sizeof footer, path);
+    if (status.ok())
+      status = cks::read_footer_check_header(footer, cks::kLotusSections,
+                                             header.data(), header.size(), path,
+                                             sums);
+    if (!status.ok()) return status;
+  }
 
   std::vector<graph::VertexId> new_id;
   std::vector<std::uint64_t> h2h_words, he_offsets, nhe_offsets;
   std::vector<std::uint16_t> he_neighbors;
   std::vector<graph::VertexId> nhe_neighbors;
-  status = read_section(in, path, layout.new_id, h.n, new_id);
+  status = read_section(in, path, l.at[kNewId], h.n, new_id);
+  if (status.ok()) status = read_section(in, path, l.at[kH2h], h.h2h_words, h2h_words);
   if (status.ok())
-    status = read_section(in, path, layout.h2h, h.h2h_words, h2h_words);
+    status = read_section(in, path, l.at[kHeOffsets], h.n + 1, he_offsets);
   if (status.ok())
-    status = read_section(in, path, layout.he_offsets, h.n + 1, he_offsets);
+    status = read_section(in, path, l.at[kHeNeighbors], h.he_edges, he_neighbors);
   if (status.ok())
-    status = read_section(in, path, layout.he_neighbors, h.he_edges, he_neighbors);
-  if (status.ok())
-    status = read_section(in, path, layout.nhe_offsets, h.n + 1, nhe_offsets);
+    status = read_section(in, path, l.at[kNheOffsets], h.n + 1, nhe_offsets);
   if (status.ok())
     status =
-        read_section(in, path, layout.nhe_neighbors, h.nhe_edges, nhe_neighbors);
+        read_section(in, path, l.at[kNheNeighbors], h.nhe_edges, nhe_neighbors);
+  // Streamed loads always verify eagerly: the bytes are already in the
+  // heap, so hashing them costs one extra pass, no extra IO.
+  if (status.ok() && l.has_footer)
+    status = verify_payload(l,
+                            {new_id.data(), h2h_words.data(), he_offsets.data(),
+                             he_neighbors.data(), nhe_offsets.data(),
+                             nhe_neighbors.data()},
+                            /*padded=*/false, sums, path);
   if (!status.ok()) return status;
-  if (has_footer) {
-    // Streamed loads always verify eagerly: the bytes are already in the
-    // heap, so hashing them costs one extra pass, no extra IO. The on-disk
-    // sums cover each section's padded extent; padded_checksum re-feeds the
-    // zero padding the heap arrays do not carry.
-    const struct {
-      const char* name;
-      const void* data;
-      std::uint64_t bytes;
-    } sections[] = {
-        {cks::kLotusSectionNames[1], new_id.data(),
-         h.n * sizeof(graph::VertexId)},
-        {cks::kLotusSectionNames[2], h2h_words.data(),
-         h.h2h_words * sizeof(std::uint64_t)},
-        {cks::kLotusSectionNames[3], he_offsets.data(),
-         (h.n + 1) * sizeof(std::uint64_t)},
-        {cks::kLotusSectionNames[4], he_neighbors.data(),
-         h.he_edges * sizeof(std::uint16_t)},
-        {cks::kLotusSectionNames[5], nhe_offsets.data(),
-         (h.n + 1) * sizeof(std::uint64_t)},
-        {cks::kLotusSectionNames[6], nhe_neighbors.data(),
-         h.nhe_edges * sizeof(graph::VertexId)},
-    };
-    for (std::size_t i = 0; i < cks::kLotusSections - 1; ++i) {
-      if (padded_checksum(sections[i].data, sections[i].bytes) != sums[i + 1])
-        return io_error(path, "checksum mismatch in section '" +
-                                  std::string(sections[i].name) + "'");
-    }
-  }
   return assemble(path, h, std::move(h2h_words), std::move(he_offsets),
                   std::move(he_neighbors), std::move(nhe_offsets),
                   std::move(nhe_neighbors), std::move(new_id),
@@ -318,16 +279,14 @@ Expected<LotusGraph> read_v2_body(std::FILE* in, const std::string& path) {
 
 }  // namespace
 
+std::uint64_t lotus_image_bytes(const LotusGraph& lotus_graph) noexcept {
+  return layout_for(header_of(lotus_graph)).image_bytes();
+}
+
 util::Status write_lotus_v2_stream_s(std::FILE* out, const std::string& tmp,
                                      const LotusGraph& lg) {
-  HeaderV2 h;
-  h.n = lg.num_vertices();
-  h.hubs = lg.hub_count();
-  h.h2h_words = lg.h2h().words().size();
-  h.he_edges = lg.he().num_edges();
-  h.nhe_edges = lg.nhe().num_edges();
-
-  const auto header = header_image(h);
+  const LayoutV2 l = layout_for(header_of(lg));
+  const auto header = encode_header(l.h);
   Status status =
       util::fileio::write_fully(out, header.data(), header.size(), tmp);
 
@@ -335,26 +294,19 @@ util::Status write_lotus_v2_stream_s(std::FILE* out, const std::string& tmp,
   // follows the last section so readers can verify each array on load.
   std::uint64_t sums[cks::kLotusSections] = {};
   sums[0] = cks::block_checksum(header.data(), header.size());
-  std::size_t section = 1;
-  const auto write_section = [&](const void* data, std::uint64_t bytes) {
-    if (!status.ok()) return;
-    status = util::fileio::write_fully(out, data, bytes, tmp);
-    const std::uint64_t padding = pad8(bytes) - bytes;
+  const std::array<const void*, kSections> data = {
+      lg.relabeling().data(),     lg.h2h().words().data(),
+      lg.he().offsets().data(),   lg.he().neighbor_array().data(),
+      lg.nhe().offsets().data(),  lg.nhe().neighbor_array().data()};
+  for (std::size_t i = 0; i < kSections && status.ok(); ++i) {
+    status = util::fileio::write_fully(out, data[i], l.bytes[i], tmp);
+    const std::uint64_t padding = pad8(l.bytes[i]) - l.bytes[i];
     if (status.ok() && padding > 0) {
       const std::array<unsigned char, 8> zeros{};
       status = util::fileio::write_fully(out, zeros.data(), padding, tmp);
     }
-    sums[section++] = padded_checksum(data, bytes);
-  };
-  write_section(lg.relabeling().data(),
-                h.n * sizeof(graph::VertexId));
-  write_section(lg.h2h().words().data(), h.h2h_words * sizeof(std::uint64_t));
-  write_section(lg.he().offsets().data(), (h.n + 1) * sizeof(std::uint64_t));
-  write_section(lg.he().neighbor_array().data(),
-                h.he_edges * sizeof(std::uint16_t));
-  write_section(lg.nhe().offsets().data(), (h.n + 1) * sizeof(std::uint64_t));
-  write_section(lg.nhe().neighbor_array().data(),
-                h.nhe_edges * sizeof(graph::VertexId));
+    sums[i + 1] = padded_checksum(data[i], l.bytes[i]);
+  }
   if (status.ok()) {
     unsigned char footer[cks::footer_bytes(cks::kLotusSections)];
     cks::write_footer(sums, cks::kLotusSections, footer);
@@ -379,19 +331,12 @@ util::Expected<LotusGraph> read_lotus_binary_s(const std::string& path) {
     return io_error(path,
                     std::string("cannot open for reading: ") + std::strerror(errno));
   Expected<LotusGraph> result = [&]() -> Expected<LotusGraph> {
-    std::array<char, 8> magic{};
-    const Status status = util::fileio::read_fully(in, magic.data(), magic.size(), path);
-    if (!status.ok()) return status;
     try {
-      if (std::memcmp(magic.data(), kMagicV2.data(), kMagicV2.size()) == 0)
-        return read_v2_body(in, path);
-      if (std::memcmp(magic.data(), kMagicV1.data(), kMagicV1.size()) == 0)
-        return read_v1_body(in, path);
+      return read_heap(in, path);
     } catch (...) {
       // charge_current / resize can throw under a memory budget.
       return util::status_from_current_exception(StatusCode::kOutOfMemory);
     }
-    return bad_data(path, "not a lotus graph file (bad magic)");
   }();
   std::fclose(in);
   return result;
@@ -404,86 +349,47 @@ util::Expected<LotusGraph> read_lotus_v2_mapped_at_s(
   if (base % 8 != 0) return bad_data(path, "image offset is not 8-aligned");
   if (base > file->size() || size > file->size() - base)
     return bad_data(path, "image extends past end of file");
-  if (size < kHeaderBytesV2) return bad_data(path, "truncated header");
   const std::byte* image = file->data() + base;
-  if (std::memcmp(image, kMagicV1.data(), kMagicV1.size()) == 0)
-    return bad_data(path,
-                    "v1 artifact cannot be memory-mapped; rewrite it with "
-                    "write_lotus_binary to upgrade to v2");
-  if (std::memcmp(image, kMagicV2.data(), kMagicV2.size()) != 0)
-    return bad_data(path, "not a lotus graph file (bad magic)");
-
-  HeaderV2 h;
-  std::array<std::uint64_t, 5> fields{};
-  std::memcpy(fields.data(), image + 8, sizeof fields);
-  h.n = fields[0];
-  h.hubs = fields[1];
-  h.h2h_words = fields[2];
-  h.he_edges = fields[3];
-  h.nhe_edges = fields[4];
-  Status status = check_header(path, h);
-  if (!status.ok()) return status;
-  LayoutV2 layout = layout_for(h);
-  constexpr std::uint64_t kFooterSize = cks::footer_bytes(cks::kLotusSections);
-  const bool has_footer = size == layout.total + kFooterSize;
-  if (!has_footer && size != layout.total)
-    return bad_data(path, "image size does not match header");
-  if (has_footer && verify == graph::oocore::MapVerify::kEager) {
+  Expected<LayoutV2> parsed = parse_header(image, size, path);
+  if (!parsed.ok()) return parsed.status();
+  const LayoutV2 l = parsed.value();
+  const HeaderV2& h = l.h;
+  if (l.has_footer && verify == graph::oocore::MapVerify::kEager) {
     // One sequential pass over the mapping (doubling as readahead), under
     // the SIGBUS guard: truncation or bit rot surfaces as kIoError, not a
-    // crash. Padded extents are contiguous on disk, so each section's extent
-    // runs to the next section's offset.
-    status = util::with_mapped_fault_guard(path, [&]() -> Status {
+    // crash.
+    const Status status = util::with_mapped_fault_guard(path, [&]() -> Status {
       std::uint64_t sums[cks::kLotusSections] = {};
-      Status s = cks::read_footer(image + layout.total, cks::kLotusSections,
-                                  path, sums);
+      Status s = cks::read_footer_check_header(image + l.total,
+                                               cks::kLotusSections, image,
+                                               kHeaderBytes, path, sums);
       if (!s.ok()) return s;
-      const cks::Section sections[cks::kLotusSections] = {
-          {cks::kLotusSectionNames[0], image, kHeaderBytesV2},
-          {cks::kLotusSectionNames[1], image + layout.new_id,
-           layout.h2h - layout.new_id},
-          {cks::kLotusSectionNames[2], image + layout.h2h,
-           layout.he_offsets - layout.h2h},
-          {cks::kLotusSectionNames[3], image + layout.he_offsets,
-           layout.he_neighbors - layout.he_offsets},
-          {cks::kLotusSectionNames[4], image + layout.he_neighbors,
-           layout.nhe_offsets - layout.he_neighbors},
-          {cks::kLotusSectionNames[5], image + layout.nhe_offsets,
-           layout.nhe_neighbors - layout.nhe_offsets},
-          {cks::kLotusSectionNames[6], image + layout.nhe_neighbors,
-           layout.total - layout.nhe_neighbors},
-      };
-      return cks::verify_sections(sections, cks::kLotusSections, sums, path);
+      std::array<const void*, kSections> data{};
+      for (std::size_t i = 0; i < kSections; ++i) data[i] = image + l.at[i];
+      return verify_payload(l, data, /*padded=*/true, sums, path);
     });
     if (!status.ok()) return status;
   }
-  layout.new_id += base;
-  layout.h2h += base;
-  layout.he_offsets += base;
-  layout.he_neighbors += base;
-  layout.nhe_offsets += base;
-  layout.nhe_neighbors += base;
-  layout.total += base;
 
   // Hints keyed to the counting kernels' access order (see header comment):
   // offset/neighbour sections are walked in ascending relabeled-vertex order
   // — the squared edge tiling's visit order — so sequential readahead wins;
   // the H2H words are probed randomly and should just be resident.
   using Advice = util::MappedFile::Advice;
-  file->advise(Advice::kSequential, layout.he_offsets,
-               layout.nhe_offsets - layout.he_offsets);
-  file->advise(Advice::kSequential, layout.nhe_offsets,
-               layout.total - layout.nhe_offsets);
-  file->advise(Advice::kSequential, layout.new_id, layout.h2h - layout.new_id);
-  file->advise(Advice::kWillNeed, layout.h2h, layout.he_offsets - layout.h2h);
+  const auto at = [&](Section s) { return base + l.at[s]; };
+  file->advise(Advice::kSequential, at(kHeOffsets),
+               l.at[kNheOffsets] - l.at[kHeOffsets]);
+  file->advise(Advice::kSequential, at(kNheOffsets), l.total - l.at[kNheOffsets]);
+  file->advise(Advice::kSequential, at(kNewId), l.at[kH2h] - l.at[kNewId]);
+  file->advise(Advice::kWillNeed, at(kH2h), l.at[kHeOffsets] - l.at[kH2h]);
 
   return assemble(
-      path, h, util::mapped_view<std::uint64_t>(file, layout.h2h, h.h2h_words),
-      util::mapped_view<std::uint64_t>(file, layout.he_offsets, h.n + 1),
-      util::mapped_view<std::uint16_t>(file, layout.he_neighbors, h.he_edges),
-      util::mapped_view<std::uint64_t>(file, layout.nhe_offsets, h.n + 1),
-      util::mapped_view<graph::VertexId>(file, layout.nhe_neighbors, h.nhe_edges),
-      util::mapped_view<graph::VertexId>(file, layout.new_id, h.n), validate);
+      path, h, util::mapped_view<std::uint64_t>(file, at(kH2h), h.h2h_words),
+      util::mapped_view<std::uint64_t>(file, at(kHeOffsets), h.n + 1),
+      util::mapped_view<std::uint16_t>(file, at(kHeNeighbors), h.he_edges),
+      util::mapped_view<std::uint64_t>(file, at(kNheOffsets), h.n + 1),
+      util::mapped_view<graph::VertexId>(file, at(kNheNeighbors), h.nhe_edges),
+      util::mapped_view<graph::VertexId>(file, at(kNewId), h.n), validate);
 }
 
 util::Expected<LotusGraph> read_lotus_mapped_s(const std::string& path,

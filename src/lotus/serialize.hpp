@@ -4,21 +4,20 @@
 // repeatedly (streaming snapshots, parameter sweeps, local counts after the
 // global count) can persist the built structure and skip Alg. 2 on reload.
 //
-// Two on-disk versions exist:
-//   * "LOTUSLG1" (legacy): length-prefixed arrays packed back to back.
-//     Readable, no longer written. Sections are not alignment-guaranteed, so
-//     a v1 file cannot be mmap'ed — read_lotus_mapped_s rejects it.
-//   * "LOTUSLG2" (current): fixed 64-byte header carrying all array lengths,
-//     followed by the six sections each padded to an 8-byte boundary
-//     (docs/OUT_OF_CORE.md has the byte-level layout). Every array is
-//     naturally aligned at a header-derivable offset, so a reader can either
-//     stream the file into heap vectors or mmap it and serve the arrays as
-//     zero-copy views.
+// The on-disk format is "LOTUSLG2": a fixed 64-byte header carrying all
+// array lengths, followed by the six sections each padded to an 8-byte
+// boundary, then a checksum footer (docs/OUT_OF_CORE.md has the byte-level
+// layout). Every array is naturally aligned at a header-derivable offset, so
+// a reader can either stream the file into heap vectors or mmap it and serve
+// the arrays as zero-copy views. serialize.cpp is the format's one codec:
+// the header check, the section layout and the footer section table that
+// the writer and both readers share are defined there and nowhere else.
 //
 // Writes go through a temp file + fsync + atomic rename (util/file_io.hpp):
 // a crash mid-write never leaves a torn artifact at the target path.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -30,17 +29,17 @@
 
 namespace lotus::core {
 
-/// Write `lotus_graph` as a v2 ("LOTUSLG2") artifact, durably (temp file,
-/// fsync, atomic rename). Never throws.
+/// Write `lotus_graph` as a "LOTUSLG2" artifact, durably (temp file, fsync,
+/// atomic rename). Never throws.
 [[nodiscard]] util::Status write_lotus_binary_s(const std::string& path,
                                                 const LotusGraph& lotus_graph);
 
-/// Read a v1 or v2 artifact into heap-owned arrays, with full structural
-/// validation. Never throws.
+/// Read an artifact into heap-owned arrays, with checksum verification and
+/// full structural validation. Never throws.
 [[nodiscard]] util::Expected<LotusGraph> read_lotus_binary_s(
     const std::string& path);
 
-/// Map a v2 artifact and build a LotusGraph whose arrays are zero-copy views
+/// Map an artifact and build a LotusGraph whose arrays are zero-copy views
 /// into the page cache (owned_bytes() ≈ 0). Access-pattern hints follow the
 /// counting kernels' iteration order: HE/NHE sections get MADV_SEQUENTIAL
 /// (ascending relabeled-vertex order — the order the squared edge tiling
@@ -57,15 +56,20 @@ namespace lotus::core {
     const std::string& path, bool validate = true,
     graph::oocore::MapVerify verify = graph::oocore::MapVerify::kEager);
 
-/// Append a complete v2 image to `out` at its current position (the engine
-/// spill format embeds LotusGraph sections this way; tc/prepared.cpp). The
-/// image must start on an 8-byte file offset for the mapped reader to work.
-/// `path` is for error messages only.
+/// Append a complete image to `out` at its current position (the engine
+/// spill format embeds LotusGraph sections this way; tc/prepared.cpp); it is
+/// exactly lotus_image_bytes(lotus_graph) long. The image must start on an
+/// 8-byte file offset for the mapped reader to work. `path` is for error
+/// messages only.
 [[nodiscard]] util::Status write_lotus_v2_stream_s(std::FILE* out,
                                                    const std::string& path,
                                                    const LotusGraph& lotus_graph);
 
-/// Zero-copy LotusGraph over a v2 image spanning [base, base + size) inside
+/// Byte length of the image write_lotus_v2_stream_s writes for `lotus_graph`.
+[[nodiscard]] std::uint64_t lotus_image_bytes(
+    const LotusGraph& lotus_graph) noexcept;
+
+/// Zero-copy LotusGraph over an image spanning [base, base + size) inside
 /// an existing mapping; `base` must be 8-aligned. read_lotus_mapped_s is
 /// this with base = 0, size = whole file. `verify` as above.
 [[nodiscard]] util::Expected<LotusGraph> read_lotus_v2_mapped_at_s(

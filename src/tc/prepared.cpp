@@ -8,6 +8,7 @@
 #include "baselines/intersect.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/degree_order.hpp"
+#include "graph/io.hpp"
 #include "graph/oocore.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/serialize.hpp"
@@ -107,25 +108,6 @@ util::Status spill_error(const std::string& path, const std::string& what) {
   return {util::StatusCode::kInvalidArgument, path + ": " + what};
 }
 
-/// Exact byte length of an embedded "LOTUSGR1" image, checksum footer
-/// included (write_csx_stream_s appends one).
-std::uint64_t csx_image_bytes(const graph::OrientedCsr& csr) noexcept {
-  return 24 + (static_cast<std::uint64_t>(csr.num_vertices()) + 1) * 8 +
-         csr.num_edges() * sizeof(graph::VertexId) +
-         cks::footer_bytes(cks::kCsxSections);
-}
-
-/// Exact byte length of an embedded "LOTUSLG2" image (mirrors the layout in
-/// lotus/serialize.cpp: 64-byte header + six sections padded to 8 + the
-/// checksum footer write_lotus_v2_stream_s appends).
-std::uint64_t lotus_image_bytes(const core::LotusGraph& lg) noexcept {
-  const std::uint64_t n = lg.num_vertices();
-  return 64 + pad8(n * sizeof(graph::VertexId)) + lg.h2h().words().size() * 8 +
-         (n + 1) * 8 + pad8(lg.he().num_edges() * sizeof(std::uint16_t)) +
-         (n + 1) * 8 + pad8(lg.nhe().num_edges() * sizeof(graph::VertexId)) +
-         cks::footer_bytes(cks::kLotusSections);
-}
-
 }  // namespace
 
 util::Status PreparedGraph::save_s(const std::string& path) const {
@@ -136,12 +118,12 @@ util::Status PreparedGraph::save_s(const std::string& path) const {
   std::uint64_t pos = kSpillHeaderBytes;
   if (oriented_ != nullptr) {
     oriented_off = pos;
-    oriented_len = csx_image_bytes(*oriented_);
+    oriented_len = graph::csx_image_bytes(*oriented_);
     pos += pad8(oriented_len);
   }
   if (lotus_ != nullptr) {
     lotus_off = pos;
-    lotus_len = lotus_image_bytes(*lotus_);
+    lotus_len = core::lotus_image_bytes(*lotus_);
     pos += pad8(lotus_len);
   }
 
@@ -170,7 +152,7 @@ util::Status PreparedGraph::save_s(const std::string& path) const {
     }
   };
   if (status.ok() && oriented_ != nullptr) {
-    status = graph::oocore::write_csx_stream_s(out, tmp, *oriented_);
+    status = graph::write_csx_stream_s(out, tmp, *oriented_);
     pad_to_8(oriented_len);
   }
   if (status.ok() && lotus_ != nullptr) {
@@ -211,18 +193,12 @@ util::Expected<PreparedGraph> PreparedGraph::load_mapped_s(
       file->size() >= kSpillHeaderBytes + kSpillFooterBytes &&
       cks::has_footer_magic(file->data(), file->size());
   if (has_footer && verify == graph::oocore::MapVerify::kEager) {
-    const util::Status vs =
-        util::with_mapped_fault_guard(path, [&]() -> util::Status {
-          std::uint64_t sums[cks::kSpillSections] = {};
-          util::Status s =
-              cks::read_footer(file->data() + file->size() - kSpillFooterBytes,
-                               cks::kSpillSections, path, sums);
-          if (!s.ok()) return s;
-          const cks::Section sections[cks::kSpillSections] = {
-              {cks::kSpillSectionNames[0], file->data(), kSpillHeaderBytes},
-          };
-          return cks::verify_sections(sections, cks::kSpillSections, sums, path);
-        });
+    const util::Status vs = util::with_mapped_fault_guard(path, [&] {
+      std::uint64_t sums[cks::kSpillSections] = {};
+      return cks::read_footer_check_header(
+          file->data() + file->size() - kSpillFooterBytes, cks::kSpillSections,
+          file->data(), kSpillHeaderBytes, path, sums);
+    });
     if (!vs.ok()) return vs;
   }
 

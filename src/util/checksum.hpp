@@ -242,4 +242,17 @@ struct Section {
   return Status::Ok();
 }
 
+/// read_footer, then check section 0 — the `header_bytes`-byte header at
+/// `header`, the first section of every format — against its sum: the
+/// check each reader runs before it touches the payload.
+[[nodiscard]] inline Status read_footer_check_header(
+    const void* footer, std::size_t count, const void* header,
+    std::size_t header_bytes, const std::string& what,
+    std::uint64_t* sums_out) {
+  Status status = read_footer(footer, count, what, sums_out);
+  if (!status.ok()) return status;
+  const Section section = {"header", header, header_bytes};
+  return verify_sections(&section, 1, sums_out, what);
+}
+
 }  // namespace lotus::util::checksum

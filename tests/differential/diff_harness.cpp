@@ -191,10 +191,10 @@ std::uint64_t query_count(tc::Algorithm algorithm, const g::CsrGraph& graph,
   return outcome.value().result.triangles;
 }
 
-/// Out-of-core rows stage each corpus graph on disk in a uniquely named temp
-/// file and push it through the pipeline under test, so a divergence in the
-/// external builder, the mmap loader, or the parallel loader surfaces as an
-/// ordinary count mismatch with the usual repro line.
+/// On-disk rows stage each corpus graph in a uniquely named temp file and
+/// push it through the pipeline under test, so a divergence in the external
+/// builder, the mmap loader, or the heap loader surfaces as an ordinary
+/// count mismatch with the usual repro line.
 std::string oocore_temp_path(const char* tag) {
   // The sequence alone is not unique across processes (ctest -j runs each
   // test case in its own process, and every process counts from 0), so the
@@ -236,12 +236,10 @@ std::uint64_t oocore_mapped_csx(const g::CsrGraph& graph,
   return core::count_triangles(mapped.value(), config).triangles;
 }
 
-std::uint64_t oocore_parallel_load(const g::CsrGraph& graph) {
-  const std::string file = oocore_temp_path("par");
+std::uint64_t heap_csx_load(const g::CsrGraph& graph) {
+  const std::string file = oocore_temp_path("heap");
   g::write_csr_binary(file, graph);
-  g::oocore::LoaderOptions options;
-  options.chunk_bytes = 1;  // clamped to the 1 MiB floor: several chunks
-  auto loaded = g::oocore::read_csr_binary_parallel_s(file, options);
+  auto loaded = g::read_csr_binary_s(file);
   std::remove(file.c_str());
   if (!loaded.ok()) throw std::runtime_error(loaded.status().to_string());
   return query_count(tc::Algorithm::kForwardMerge, loaded.value());
@@ -357,7 +355,7 @@ std::vector<DiffPath> differential_paths() {
                                         census);
                    }});
 
-  // --- Out-of-core pipeline (docs/OUT_OF_CORE.md).
+  // --- On-disk pipelines (docs/OUT_OF_CORE.md).
   paths.push_back({"oocore_external_build", [](const auto& graph, const auto&) {
                      return oocore_external_build(graph);
                    }});
@@ -365,8 +363,8 @@ std::vector<DiffPath> differential_paths() {
                                            const auto& config) {
                      return oocore_mapped_csx(graph, config);
                    }});
-  paths.push_back({"oocore_parallel_load", [](const auto& graph, const auto&) {
-                     return oocore_parallel_load(graph);
+  paths.push_back({"heap_csx_load", [](const auto& graph, const auto&) {
+                     return heap_csx_load(graph);
                    }});
 
   return paths;

@@ -295,8 +295,8 @@ TEST_F(IntegrityTest, LotusMatrixEverySectionDetected) {
   }
 
   // The 16 reserved header bytes feed no structural check at all — only the
-  // header checksum can catch rot there (the mapped reader verifies the
-  // mapped 64-byte extent).
+  // header checksum can catch rot there. Both readers hash the 64 bytes
+  // they actually read, not a header re-encoded from the parsed fields.
   const std::string reserved = path("lg2_reserved.lg2");
   fs::copy_file(master, reserved);
   flip_byte(reserved, 56);
@@ -306,6 +306,12 @@ TEST_F(IntegrityTest, LotusMatrixEverySectionDetected) {
   EXPECT_NE(mapped.status().message().find("section 'header'"),
             std::string::npos)
       << mapped.status().to_string();
+  const auto streamed = core::read_lotus_binary_s(reserved);
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.status().code(), StatusCode::kIoError);
+  EXPECT_NE(streamed.status().message().find("section 'header'"),
+            std::string::npos)
+      << streamed.status().to_string();
 }
 
 TEST_F(IntegrityTest, SpillMatrixHeaderAndEmbeddedImagesDetected) {

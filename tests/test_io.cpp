@@ -4,13 +4,19 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "graph/oocore.hpp"
+#include "lotus/lotus_graph.hpp"
+#include "lotus/serialize.hpp"
 #include "util/fault.hpp"
 #include "util/status.hpp"
 
@@ -18,6 +24,7 @@ namespace {
 
 namespace g = lotus::graph;
 namespace fs = std::filesystem;
+using lotus::util::StatusCode;
 
 class IoTest : public ::testing::Test {
  protected:
@@ -190,10 +197,12 @@ TEST_F(IoTest, EdgeListRejectsLoneToken) {
 
 // ---------- malformed binary corpus ----------
 //
-// Every file here declares a (v, e) header inconsistent with its actual
-// size. read_csr_binary must reject them BEFORE allocating offset/neighbour
-// arrays — a hostile header must not demand gigabytes (the ASan suite would
-// flag the allocation blowup; in the plain build we assert the throw).
+// Hostile images fed to every reader of their format. Each entry must get
+// one StatusCode from all of them: the readers share one codec per format
+// and differ only in where the bytes come from (a FILE stream or a mapping).
+// Headers whose sizes disagree with the file must be rejected BEFORE the
+// heap readers allocate — a hostile header must not demand gigabytes (the
+// ASan suite would flag the allocation blowup).
 
 class BinaryCorpusTest : public IoTest {
  protected:
@@ -212,12 +221,34 @@ class BinaryCorpusTest : public IoTest {
     std::ofstream f(path(name), std::ios::binary);
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
+
+  /// Load `name` through the heap and the mapped LOTUSGR1 reader.
+  void expect_csx_status(const std::string& name, StatusCode expected) const {
+    const auto heap = g::read_csr_binary_s(path(name));
+    const auto mapped = g::oocore::read_csr_mapped_s(path(name));
+    EXPECT_EQ(heap.status().code(), expected) << name << ": "
+                                              << heap.status().to_string();
+    EXPECT_EQ(mapped.status().code(), expected) << name << ": "
+                                                << mapped.status().to_string();
+  }
+
+  /// Load `bytes` through the heap and the mapped LOTUSLG2 reader.
+  void expect_lg2_status(const std::string& name, const std::string& bytes,
+                         StatusCode expected) const {
+    write_raw(name, bytes);
+    const auto heap = lotus::core::read_lotus_binary_s(path(name));
+    const auto mapped = lotus::core::read_lotus_mapped_s(path(name));
+    EXPECT_EQ(heap.status().code(), expected) << name << ": "
+                                              << heap.status().to_string();
+    EXPECT_EQ(mapped.status().code(), expected) << name << ": "
+                                                << mapped.status().to_string();
+  }
 };
 
 TEST_F(BinaryCorpusTest, RejectsHugeVertexCountAgainstTinyFile) {
   // Declares 2^32-1 vertices (a 32 GB offsets array) with an empty body.
   write_raw("huge_v.bin", header(0xffffffffULL, 0));
-  EXPECT_THROW(g::read_csr_binary(path("huge_v.bin")), std::runtime_error);
+  expect_csx_status("huge_v.bin", StatusCode::kInvalidArgument);
 }
 
 TEST_F(BinaryCorpusTest, RejectsHugeEdgeCountAgainstTinyFile) {
@@ -225,12 +256,12 @@ TEST_F(BinaryCorpusTest, RejectsHugeEdgeCountAgainstTinyFile) {
   std::string bytes = header(2, 1ULL << 61);
   for (int i = 0; i < 3 * 8; ++i) bytes.push_back('\0');
   write_raw("huge_e.bin", bytes);
-  EXPECT_THROW(g::read_csr_binary(path("huge_e.bin")), std::runtime_error);
+  expect_csx_status("huge_e.bin", StatusCode::kInvalidArgument);
 }
 
 TEST_F(BinaryCorpusTest, RejectsVertexCountOver32Bits) {
   write_raw("v33.bin", header(1ULL << 33, 0));
-  EXPECT_THROW(g::read_csr_binary(path("v33.bin")), std::runtime_error);
+  expect_csx_status("v33.bin", StatusCode::kInvalidArgument);
 }
 
 TEST_F(BinaryCorpusTest, RejectsTrailingGarbage) {
@@ -239,19 +270,19 @@ TEST_F(BinaryCorpusTest, RejectsTrailingGarbage) {
   std::ofstream f(path("trail.bin"), std::ios::binary | std::ios::app);
   f << 'x';
   f.close();
-  EXPECT_THROW(g::read_csr_binary(path("trail.bin")), std::runtime_error);
+  expect_csx_status("trail.bin", StatusCode::kInvalidArgument);
 }
 
 TEST_F(BinaryCorpusTest, RejectsHeaderOnlyFile) {
   write_raw("magic_only.bin", "LOTUSGR1");
-  EXPECT_THROW(g::read_csr_binary(path("magic_only.bin")), std::runtime_error);
+  expect_csx_status("magic_only.bin", StatusCode::kIoError);
   write_raw("half_header.bin", "LOTUSGR1\x01\x00\x00\x00");
-  EXPECT_THROW(g::read_csr_binary(path("half_header.bin")), std::runtime_error);
+  expect_csx_status("half_header.bin", StatusCode::kIoError);
 }
 
 TEST_F(BinaryCorpusTest, RejectsEmptyFile) {
   write_raw("zero.bin", "");
-  EXPECT_THROW(g::read_csr_binary(path("zero.bin")), std::runtime_error);
+  expect_csx_status("zero.bin", StatusCode::kIoError);
 }
 
 TEST_F(BinaryCorpusTest, RejectsNonMonotonicOffsets) {
@@ -265,7 +296,7 @@ TEST_F(BinaryCorpusTest, RejectsNonMonotonicOffsets) {
   std::uint64_t three = 3;
   bad.replace(8 + 16 + 8, 8, reinterpret_cast<const char*>(&three), 8);
   write_raw("nonmono.bin", bad);
-  EXPECT_THROW(g::read_csr_binary(path("nonmono.bin")), std::runtime_error);
+  expect_csx_status("nonmono.bin", StatusCode::kInvalidArgument);
 }
 
 TEST_F(BinaryCorpusTest, RejectsNonZeroFirstOffset) {
@@ -274,20 +305,57 @@ TEST_F(BinaryCorpusTest, RejectsNonZeroFirstOffset) {
   append_u64(bytes, 1);  // offsets[1] == e
   bytes.append(4, '\0');
   write_raw("first.bin", bytes);
-  EXPECT_THROW(g::read_csr_binary(path("first.bin")), std::runtime_error);
+  expect_csx_status("first.bin", StatusCode::kInvalidArgument);
 }
 
 TEST_F(BinaryCorpusTest, ValidEmptyGraphRoundTrips) {
   const auto graph = g::build_undirected({0, {}});
   g::write_csr_binary(path("empty.bin"), graph);
+  expect_csx_status("empty.bin", StatusCode::kOk);
   const auto loaded = g::read_csr_binary(path("empty.bin"));
   EXPECT_EQ(loaded.num_vertices(), 0u);
   EXPECT_EQ(loaded.num_edges(), 0u);
 }
 
+TEST_F(BinaryCorpusTest, Lg2CorpusGetsOneStatusFromEveryReader) {
+  const auto lg = lotus::core::LotusGraph::build(
+      g::build_undirected(g::rmat({.scale = 7, .edge_factor = 6, .seed = 2})));
+  ASSERT_TRUE(lotus::core::write_lotus_binary_s(path("master.lg2"), lg).ok());
+  std::string master;
+  {
+    std::ifstream in(path("master.lg2"), std::ios::binary);
+    master.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(master.size(), 64u);
+  const auto with_field = [&](std::size_t offset, std::uint64_t value) {
+    std::string bytes = master;
+    bytes.replace(offset, 8, reinterpret_cast<const char*>(&value), 8);
+    return bytes;
+  };
+  std::uint64_t h2h_words = 0;
+  std::memcpy(&h2h_words, master.data() + 24, 8);
+
+  expect_lg2_status("lg2_master.lg2", master, StatusCode::kOk);
+  // Cut inside the 64-byte header: a truncation, whichever reader sees it.
+  expect_lg2_status("lg2_empty.lg2", "", StatusCode::kIoError);
+  expect_lg2_status("lg2_magic.lg2", "LOTUSLG2", StatusCode::kIoError);
+  expect_lg2_status("lg2_40.lg2", master.substr(0, 40), StatusCode::kIoError);
+  // A whole header whose sizes disagree with the file or are impossible.
+  expect_lg2_status("lg2_header.lg2", master.substr(0, 64),
+                    StatusCode::kInvalidArgument);
+  expect_lg2_status("lg2_cut.lg2", master.substr(0, master.size() - 1),
+                    StatusCode::kInvalidArgument);
+  expect_lg2_status("lg2_trail.lg2", master + 'x', StatusCode::kInvalidArgument);
+  expect_lg2_status("lg2_hubs.lg2", with_field(16, (1ull << 16) + 1),
+                    StatusCode::kInvalidArgument);
+  expect_lg2_status("lg2_words.lg2", with_field(24, h2h_words + 1),
+                    StatusCode::kInvalidArgument);
+  expect_lg2_status("lg2_he.lg2", with_field(32, (1ull << 48) + 1),
+                    StatusCode::kInvalidArgument);
+}
+
 // ---------- status-layer API and mid-read failure injection ----------
 
-using lotus::util::StatusCode;
 namespace fault = lotus::util::fault;
 
 TEST_F(IoTest, StatusApiMapsErrorClasses) {

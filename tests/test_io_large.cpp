@@ -79,11 +79,6 @@ TEST(LargeIo, CsxRoundTripBeyondTwoGiB) {
     expect_synthetic_graph(heap.value());
   }
   {
-    const auto parallel = lotus::graph::oocore::read_csr_binary_parallel_s(file);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().to_string();
-    expect_synthetic_graph(parallel.value());
-  }
-  {
     // The mapped reader validates the full body through the views without
     // ever allocating it.
     const auto mapped = lotus::graph::oocore::read_csr_mapped_s(file);

@@ -1,5 +1,4 @@
-// Out-of-core graph pipeline: mmap-backed CSX loading, the chunked parallel
-// binary loader (including the O_DIRECT path and its fallback), and the
+// Out-of-core graph pipeline: mmap-backed CSX loading and the
 // external-memory CSR builders (docs/OUT_OF_CORE.md).
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -16,7 +15,6 @@
 #include "graph/oocore.hpp"
 #include "tc/api.hpp"
 #include "util/checksum.hpp"
-#include "util/fault.hpp"
 #include "util/memory_budget.hpp"
 #include "util/status.hpp"
 
@@ -26,7 +24,6 @@ namespace g = lotus::graph;
 namespace oo = lotus::graph::oocore;
 namespace fs = std::filesystem;
 namespace cks = lotus::util::checksum;
-namespace fault = lotus::util::fault;
 using lotus::util::StatusCode;
 
 /// Node-iterator count through tc::query: it reads the graph directly, so
@@ -153,7 +150,7 @@ TEST_F(OocoreTest, MappedRejectsCorruptFiles) {
 }
 
 // The paper-level acceptance bar of the mmap path: with a memory budget the
-// CSX cannot fit, the heap loaders fail with out_of_memory while the mapped
+// CSX cannot fit, the heap loader fails with out_of_memory while the mapped
 // loader — charging ≈0 — still loads, and counting completes on the views.
 TEST_F(OocoreTest, CountingCompletesUnderBudgetTheHeapLoadFails) {
   const auto graph = test_graph();
@@ -166,72 +163,11 @@ TEST_F(OocoreTest, CountingCompletesUnderBudgetTheHeapLoadFails) {
   const auto heap = g::read_csr_binary_s(path("big.bin"));
   ASSERT_FALSE(heap.ok());
   EXPECT_EQ(heap.status().code(), StatusCode::kOutOfMemory);
-  const auto parallel = oo::read_csr_binary_parallel_s(path("big.bin"));
-  ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(parallel.status().code(), StatusCode::kOutOfMemory);
 
   const auto mapped = oo::read_csr_mapped_s(path("big.bin"));
   ASSERT_TRUE(mapped.ok()) << mapped.status().to_string();
   EXPECT_LE(budget.used(), budget.limit());
   EXPECT_EQ(node_iterator_count(mapped.value()), expected);
-}
-
-// ---------- chunked parallel loader ----------
-
-TEST_F(OocoreTest, ParallelLoaderMatchesSequentialReader) {
-  const auto graph = test_graph();
-  g::write_csr_binary(path("p.bin"), graph);
-  for (const unsigned threads : {0u, 1u, 3u}) {
-    oo::LoaderOptions options;
-    options.loader_threads = threads;
-    options.chunk_bytes = 1;  // clamped to the 1 MiB floor
-    const auto loaded = oo::read_csr_binary_parallel_s(path("p.bin"), options);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-    EXPECT_EQ(loaded.value(), graph) << "threads=" << threads;
-    EXPECT_FALSE(loaded.value().mapped());
-  }
-}
-
-TEST_F(OocoreTest, ParallelLoaderDirectIoFallsBackGracefully) {
-  // O_DIRECT may be refused outright (tmpfs) or per-read; either way the
-  // loader must deliver the identical graph through the buffered fallback.
-  const auto graph = test_graph();
-  g::write_csr_binary(path("d.bin"), graph);
-  oo::LoaderOptions options;
-  options.direct_io = true;
-  const auto loaded = oo::read_csr_binary_parallel_s(path("d.bin"), options);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded.value(), graph);
-}
-
-TEST_F(OocoreTest, ParallelLoaderRecoversFromShortReads) {
-  const auto graph = test_graph();
-  g::write_csr_binary(path("s.bin"), graph);
-  fault::ScopedFaultPlan plan(
-      fault::single_site_plan(fault::Site::kReadShort, 1.0));
-  const auto loaded = oo::read_csr_binary_parallel_s(path("s.bin"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded.value(), graph);
-}
-
-TEST_F(OocoreTest, ParallelLoaderSurfacesInjectedFailures) {
-  const auto graph = test_graph();
-  g::write_csr_binary(path("f.bin"), graph);
-  fault::ScopedFaultPlan plan(
-      fault::single_site_plan(fault::Site::kReadFail, 1.0));
-  const auto loaded = oo::read_csr_binary_parallel_s(path("f.bin"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
-}
-
-TEST_F(OocoreTest, ParallelLoaderRejectsCorruptFiles) {
-  EXPECT_EQ(oo::read_csr_binary_parallel_s(path("absent.bin")).status().code(),
-            StatusCode::kIoError);
-  const auto graph = g::build_undirected(g::complete(20));
-  g::write_csr_binary(path("cut.bin"), graph);
-  fs::resize_file(path("cut.bin"), fs::file_size(path("cut.bin")) - 1);
-  EXPECT_EQ(oo::read_csr_binary_parallel_s(path("cut.bin")).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 // ---------- external-memory construction ----------
