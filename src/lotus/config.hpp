@@ -15,7 +15,8 @@ struct LotusConfig {
   graph::VertexId hub_count = 0;
 
   /// Fraction of highest-degree vertices relabeled to the first IDs
-  /// (Sec. 4.3.1 uses 10%; hubs are always included).
+  /// (Sec. 4.3.1 uses 10%; hubs are always included). Valid range [0, 1];
+  /// tc::validate rejects anything else, NaN included.
   double relabel_fraction = 0.10;
 
   /// Squared edge tiling kicks in above this HE degree (Sec. 5.8 uses 512).
@@ -50,6 +51,18 @@ struct LotusConfig {
     const graph::VertexId one_percent = num_vertices / 100;
     const graph::VertexId cap = std::min(kMax, std::max<graph::VertexId>(1, num_vertices / 2));
     return std::clamp<graph::VertexId>(one_percent, std::min<graph::VertexId>(16, cap), cap);
+  }
+
+  /// The number of vertices relabeling moves to the front:
+  /// max(hubs, ⌊relabel_fraction · V⌋). Defined for any relabel_fraction: a
+  /// NaN or negative fraction counts as 0 and one above 1 as 1, so no
+  /// out-of-range float→integer conversion can happen.
+  [[nodiscard]] graph::VertexId resolve_reorder_count(graph::VertexId num_vertices,
+                                                      graph::VertexId hubs) const {
+    const double scaled = relabel_fraction * num_vertices;
+    if (!(scaled > 0.0)) return hubs;
+    if (scaled >= num_vertices) return std::max(hubs, num_vertices);
+    return std::max(hubs, static_cast<graph::VertexId>(scaled));
   }
 };
 

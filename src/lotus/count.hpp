@@ -17,6 +17,7 @@
 #include "kernels/edge_stream.hpp"
 #include "kernels/hybrid.hpp"
 #include "kernels/intersect.hpp"
+#include "lotus/hub_bitmaps.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "lotus/tiling.hpp"
 #include "obs/counters.hpp"
@@ -37,31 +38,6 @@ struct HubTile {
   graph::VertexId v;
   std::uint32_t begin;
   std::uint32_t end;
-};
-
-/// Per-thread scratch bitmaps over hub-ID space: ⌈hubs/64⌉ words, at most
-/// 8 KiB, so one stays L1-resident. The hub phase's popcount path and the
-/// HNN bitmap probe use them. The constructor charges every thread's bitmap
-/// to the current memory budget up front, so it must run on the driver
-/// thread; each worker allocates its own bitmap on first use. A bitmap is
-/// all-zero between uses: callers clear exactly the words they set.
-class HubBitmaps {
- public:
-  HubBitmaps(graph::VertexId hub_count, unsigned slots, const char* site)
-      : words_((static_cast<std::size_t>(hub_count) + 63) / 64), bitmaps_(slots) {
-    util::charge_current(
-        static_cast<std::uint64_t>(slots) * words_ * sizeof(std::uint64_t), site);
-  }
-
-  [[nodiscard]] std::uint64_t* get(unsigned thread_index) {
-    std::vector<std::uint64_t>& bitmap = bitmaps_[thread_index];
-    if (bitmap.empty()) bitmap.assign(words_, 0);
-    return bitmap.data();
-  }
-
- private:
-  std::size_t words_;
-  std::vector<std::vector<std::uint64_t>> bitmaps_;
 };
 
 /// Set the bits of `hubs` in `bitmap` / clear them again. Clearing zeroes

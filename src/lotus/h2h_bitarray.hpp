@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -84,6 +85,32 @@ class TriangularBitArray {
     const std::uint64_t bit = bit_index(h1, h2);
     std::atomic_ref<std::uint64_t> word(mutable_words[bit >> 6]);
     word.fetch_or(1ULL << (bit & 63), std::memory_order_relaxed);
+  }
+
+  /// Set (h1, h) for every h of `row`, which is sorted ascending with every
+  /// h < h1: one atomic OR per touched word instead of one per bit. Rows of
+  /// neighbouring hubs share the words at their boundaries, so the ORs stay
+  /// atomic. Owned storage only, like set_atomic.
+  void set_row_atomic(graph::VertexId h1, std::span<const std::uint16_t> row) noexcept {
+    std::uint64_t* mutable_words = words_.mutable_data();
+    assert(mutable_words != nullptr && "set_row_atomic on a mapped H2H array");
+    const std::uint64_t base = row_base(h1);
+    std::uint64_t word_index = 0, bits = 0;
+    auto flush = [&] {
+      if (bits != 0)
+        std::atomic_ref<std::uint64_t>(mutable_words[word_index])
+            .fetch_or(bits, std::memory_order_relaxed);
+    };
+    for (const std::uint16_t h : row) {
+      const std::uint64_t bit = base + h;
+      if (bit >> 6 != word_index) {
+        flush();
+        word_index = bit >> 6;
+        bits = 0;
+      }
+      bits |= 1ULL << (bit & 63);
+    }
+    flush();
   }
 
   [[nodiscard]] bool test(graph::VertexId h1, graph::VertexId h2) const noexcept {

@@ -24,8 +24,18 @@ class LotusGraph {
  public:
   /// Alg. 2: relabel, split every lower-ID neighbour list into hub (HE) and
   /// non-hub (NHE) parts, and populate the H2H bit array. Runs in parallel
-  /// over vertices. A non-null `tracer` receives the "relabel", "partition"
-  /// and "serialize" sub-spans of the preprocessing breakdown.
+  /// over vertices, in two passes over the input:
+  ///   * "partition" counts each vertex's HE and NHE degrees without a
+  ///     branch, then prefix-sums them into the offsets;
+  ///   * "serialize" fills the HE/NHE slots, sorts long HE lists through a
+  ///     per-thread hub bitmap, sorts only the reordered head of each NHE
+  ///     list (the plain tail keeps its input order), and sets each hub's
+  ///     H2H row a word at a time.
+  /// The arrays are byte-identical to a plain classify-and-std::sort build,
+  /// whatever order or repeats the input lists hold. A non-null `tracer`
+  /// receives the "relabel", "partition" and "serialize" sub-spans of the
+  /// preprocessing breakdown. An interrupted build returns a partial graph
+  /// that the caller must discard.
   static LotusGraph build(const graph::CsrGraph& graph, const LotusConfig& config = {},
                           obs::PhaseTracer* tracer = nullptr);
 

@@ -14,21 +14,14 @@ namespace lotus::core {
 using graph::CsrGraph;
 using graph::VertexId;
 
-namespace {
-
-// Vertices per block of the prefix-sum passes: the unit of parallel work and
-// of the per-block counters.
-constexpr std::uint64_t kBlock = 1u << 14;
-
-}  // namespace
-
 std::vector<VertexId> create_relabeling_array(const CsrGraph& graph,
                                               VertexId reorder_count) {
   const VertexId n = graph.num_vertices();
   const VertexId k = std::min(reorder_count, n);
   constexpr std::uint32_t cap = kRelabelHistogramCap;
   const std::uint64_t buckets = cap + 1;  // bucket `cap` = overflow
-  const std::uint64_t blocks = (static_cast<std::uint64_t>(n) + kBlock - 1) / kBlock;
+  const std::uint64_t blocks =
+      (static_cast<std::uint64_t>(n) + kRelabelBlock - 1) / kRelabelBlock;
   const unsigned threads = parallel::max_parallelism();
 
   // new_id, the selected block, the per-thread histograms and two per-block
@@ -41,9 +34,9 @@ std::vector<VertexId> create_relabeling_array(const CsrGraph& graph,
     std::iota(new_id.begin(), new_id.end(), VertexId{0});
     return new_id;
   }
-  auto block_begin = [](std::uint64_t b) { return b * kBlock; };
+  auto block_begin = [](std::uint64_t b) { return b * kRelabelBlock; };
   auto block_end = [n](std::uint64_t b) {
-    return std::min<std::uint64_t>((b + 1) * kBlock, n);
+    return std::min<std::uint64_t>((b + 1) * kRelabelBlock, n);
   };
 
   // Pass 1: per-thread degree histograms, and each block's overflow count.

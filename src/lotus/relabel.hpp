@@ -28,8 +28,12 @@ namespace lotus::core {
 /// Degrees below this get their own histogram bucket; larger ones overflow.
 inline constexpr std::uint32_t kRelabelHistogramCap = 1024;
 
+/// Vertices per block of the prefix-sum passes: the unit of parallel work
+/// and of the two per-block counters.
+inline constexpr std::uint64_t kRelabelBlock = 1u << 14;
+
 /// Returns new_id[old_id]. `reorder_count` vertices get degree-sorted front
-/// IDs; callers pass max(hub_count, relabel_fraction · V). Charges its
+/// IDs; callers pass LotusConfig::resolve_reorder_count. Charges its
 /// buffers to the current memory budget (site "relabel_buffers"). If the
 /// query is interrupted mid-way the array is partial; the caller discards it.
 std::vector<graph::VertexId> create_relabeling_array(const graph::CsrGraph& graph,

@@ -420,7 +420,12 @@ QueryResult execute_query(Algorithm algorithm, Algorithm runs_as,
 
 }  // namespace detail
 
-util::Status validate(Algorithm algorithm, const AnalyticsRequest& request) {
+util::Status validate(Algorithm algorithm, const QueryOptions& options) {
+  const double fraction = options.config.relabel_fraction;
+  if (!(fraction >= 0.0 && fraction <= 1.0))
+    return {util::StatusCode::kInvalidArgument,
+            "relabel_fraction must be in [0, 1]"};
+  const AnalyticsRequest& request = options.analytic;
   if (request.kind == AnalyticKind::kTriangles) return util::Status::Ok();
   if (request.kind == AnalyticKind::kKClique && request.k < 3)
     return {util::StatusCode::kInvalidArgument,
@@ -441,8 +446,8 @@ util::Status validate(Algorithm algorithm, const AnalyticsRequest& request) {
 util::Expected<QueryResult> query(Algorithm algorithm,
                                   const graph::CsrGraph& graph,
                                   const QueryOptions& options) {
-  // Malformed analytic requests are never attempted — the Expected side.
-  if (util::Status admission = validate(algorithm, options.analytic);
+  // Malformed requests are never attempted — the Expected side.
+  if (util::Status admission = validate(algorithm, options);
       !admission.ok())
     return admission;
   util::Timer timer;

@@ -371,7 +371,7 @@ struct QueryResult {
 /// failures (cancellation, deadline, OOM after any permitted degradation,
 /// thread exhaustion) are reported in QueryResult::status; the error side of
 /// the Expected is reserved for queries that could not be *attempted* at all
-/// — a malformed AnalyticsRequest (see validate()) and Engine::submit
+/// — a malformed request (see validate()) and Engine::submit
 /// rejections (shutdown, null graph). See the file header for the
 /// concurrency contract.
 util::Expected<QueryResult> query(Algorithm algorithm,
@@ -379,13 +379,14 @@ util::Expected<QueryResult> query(Algorithm algorithm,
                                   const QueryOptions& options = {});
 
 /// The Expected-side admission check query() and Engine::submit share:
-/// kInvalidArgument when the request can never be served — kKClique with
+/// kInvalidArgument when the request can never be served — a
+/// config.relabel_fraction outside [0, 1] (NaN included), kKClique with
 /// k < 3, a hub_fraction outside (0, 1], or a non-triangle analytic on an
 /// algorithm with no reusable prepared artifact (edge/node iterator — the
 /// analytics need the oriented CSR or LotusGraph those never build). Ok
 /// otherwise.
 [[nodiscard]] util::Status validate(Algorithm algorithm,
-                                    const AnalyticsRequest& request);
+                                    const QueryOptions& options);
 
 /// Stable CLI/schema name of an analytic kind ("triangles", "kclique",
 /// "ktruss", "local-counts", "clustering"); round-trips with

@@ -136,7 +136,7 @@ std::future<util::Expected<QueryResult>> Engine::submit(QuerySpec spec) {
       rejection = {util::StatusCode::kInvalidArgument,
                    "QuerySpec::graph is null"};
     } else if (util::Status admission =
-                   validate(spec.algorithm, spec.options.analytic);
+                   validate(spec.algorithm, spec.options);
                !admission.ok()) {
       rejection = std::move(admission);
     }

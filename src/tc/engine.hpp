@@ -165,7 +165,7 @@ class Engine {
   /// Enqueue a query; the future resolves when it completes. Same Expected
   /// semantics as tc::query(): execution failures land in
   /// QueryResult::status; the error side is reserved for queries never
-  /// attempted (null graph or a malformed AnalyticsRequest →
+  /// attempted (null graph or a malformed request →
   /// kInvalidArgument via validate(), shutdown → kCancelled).
   std::future<util::Expected<QueryResult>> submit(QuerySpec spec);
 

@@ -353,7 +353,7 @@ util::Expected<QueryResult> query_prepared(Algorithm algorithm,
                                            const graph::CsrGraph& graph,
                                            const PreparedGraph& prepared,
                                            const QueryOptions& options) {
-  if (util::Status admission = validate(algorithm, options.analytic);
+  if (util::Status admission = validate(algorithm, options);
       !admission.ok())
     return admission;
   return detail::execute_query(algorithm,

@@ -81,7 +81,8 @@ class ConstArray {
   }
 
   /// Mutable element access, owned mode only (nullptr for views). Exists for
-  /// the one in-place writer (TriangularBitArray::set_atomic during build).
+  /// the in-place H2H writers of the build (TriangularBitArray::set_atomic and
+  /// set_row_atomic).
   [[nodiscard]] T* mutable_data() noexcept {
     return owns_ ? owned_.data() : nullptr;
   }

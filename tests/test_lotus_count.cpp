@@ -340,4 +340,29 @@ TEST(LotusCount, ChargesScratchToTheMemoryBudget) {
             (lotus::parallel::default_pool().size() + threads) * bitmap_bytes);
 }
 
+TEST(LotusCount, BuildChargesExactlyItsArrays) {
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 12, .edge_factor = 8, .seed = 28}));
+  LotusConfig config;
+  config.hub_count = 1000;
+  lotus::util::MemoryBudget budget;  // unlimited: accounting only
+  lotus::util::ScopedMemoryBudget scoped(&budget);
+  const LotusGraph lg = LotusGraph::build(graph, config);
+
+  // create_relabeling_array: new_id, the selected block, the per-thread
+  // histograms and two per-block counters. (No degree reaches the overflow
+  // bucket often enough to need its extra list here.)
+  const std::uint64_t n = graph.num_vertices();
+  const std::uint64_t threads = lotus::parallel::max_parallelism();
+  const std::uint64_t blocks =
+      (n + lotus::core::kRelabelBlock - 1) / lotus::core::kRelabelBlock;
+  const std::uint64_t relabel =
+      (n + config.resolve_reorder_count(graph.num_vertices(), lg.hub_count()) +
+       threads * (lotus::core::kRelabelHistogramCap + 1) + 2 * blocks) *
+      sizeof(g::VertexId);
+  const std::uint64_t old_of_new = n * sizeof(g::VertexId);
+  const std::uint64_t bitmaps = threads * ((config.hub_count + 63) / 64) * 8;
+  EXPECT_EQ(budget.used(), lg.topology_bytes() + relabel + old_of_new + bitmaps);
+}
+
 }  // namespace

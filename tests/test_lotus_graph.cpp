@@ -2,17 +2,24 @@
 // edge set, 16-bit HE IDs are below hub_count, H2H mirrors hub-hub edges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <random>
 #include <set>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "lotus/lotus_graph.hpp"
+#include "lotus/serialize.hpp"
+#include "lotus_reference.hpp"
 
 namespace {
 
 namespace g = lotus::graph;
 using lotus::core::LotusConfig;
 using lotus::core::LotusGraph;
+using lotus::test::reference_build;
 
 LotusGraph make(const g::CsrGraph& graph, g::VertexId hubs) {
   LotusConfig config;
@@ -140,6 +147,127 @@ TEST(LotusGraph, SelfLoopsInInputAreIgnored) {
   const g::CsrGraph dirty(std::move(offsets), std::move(neighbors));
   const auto lg = make(dirty, 1);
   EXPECT_EQ(lg.he().num_edges() + lg.nhe().num_edges(), 1u);
+}
+
+// Length and FNV-1a hash of the LOTUSLG2 image of `lg`, streamed through a
+// cookie FILE so a 256 MiB H2H is never held a second time.
+std::pair<std::uint64_t, std::uint64_t> image_digest(const LotusGraph& lg) {
+  std::pair<std::uint64_t, std::uint64_t> digest{0, 14695981039346656037ull};
+  cookie_io_functions_t io{};
+  io.write = [](void* cookie, const char* data, std::size_t size) -> ssize_t {
+    auto& [bytes, hash] = *static_cast<std::pair<std::uint64_t, std::uint64_t>*>(cookie);
+    for (std::size_t i = 0; i < size; ++i)
+      hash = (hash ^ static_cast<unsigned char>(data[i])) * 1099511628211ull;
+    bytes += size;
+    return static_cast<ssize_t>(size);
+  };
+  std::FILE* out = fopencookie(&digest, "w", io);
+  EXPECT_NE(out, nullptr);
+  EXPECT_TRUE(lotus::core::write_lotus_v2_stream_s(out, "digest", lg).ok());
+  std::fclose(out);
+  return digest;
+}
+
+void expect_matches_reference(const g::CsrGraph& graph, const LotusConfig& config,
+                              const std::string& shape) {
+  SCOPED_TRACE(shape);
+  const LotusGraph built = LotusGraph::build(graph, config);
+  const LotusGraph reference = reference_build(graph, config);
+  EXPECT_EQ(built.num_vertices(), reference.num_vertices());
+  EXPECT_EQ(built.hub_count(), reference.hub_count());
+  EXPECT_TRUE(built.he().offsets() == reference.he().offsets());
+  EXPECT_TRUE(built.he().neighbor_array() == reference.he().neighbor_array());
+  EXPECT_TRUE(built.nhe().offsets() == reference.nhe().offsets());
+  EXPECT_TRUE(built.nhe().neighbor_array() == reference.nhe().neighbor_array());
+  EXPECT_TRUE(built.h2h().words() == reference.h2h().words());
+  EXPECT_TRUE(built.relabeling() == reference.relabeling());
+  EXPECT_EQ(built.topology_bytes(), reference.topology_bytes());
+  EXPECT_EQ(image_digest(built), image_digest(reference));
+}
+
+// A few whales adjacent to each other and to thousands of leaves, which
+// form a ring: neighbour lists far longer than one staging block.
+g::CsrGraph whale_graph() {
+  constexpr g::VertexId kWhales = 6, kLeaves = 5000;
+  g::EdgeList el{kWhales + kLeaves, {}};
+  for (g::VertexId w = 0; w < kWhales; ++w) {
+    for (g::VertexId x = w + 1; x < kWhales; ++x) el.edges.push_back({w, x});
+    for (g::VertexId l = w; l < kLeaves; l += w + 1) el.edges.push_back({w, kWhales + l});
+  }
+  for (g::VertexId l = 0; l < kLeaves; ++l)
+    el.edges.push_back({kWhales + l, kWhales + (l + 1) % kLeaves});
+  return g::build_undirected(el);
+}
+
+// A CSR no builder would produce: every list is shuffled or reversed, some
+// repeat entries (in HE lists both above and below the bitmap-sort length)
+// and some hold self-loops. The first 80 vertices are adjacent to everyone,
+// so with 80 hubs most HE lists are long.
+g::CsrGraph dirty_graph() {
+  constexpr g::VertexId n = 600, kDense = 80;
+  std::mt19937 rng(7);
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<g::VertexId> neighbors;
+  for (g::VertexId v = 0; v < n; ++v) {
+    std::vector<g::VertexId> list;
+    for (g::VertexId u = 0; u < n; ++u)
+      if (u != v && (u < kDense || v < kDense || rng() % 16 == 0)) list.push_back(u);
+    if (v % 7 == 0) list.push_back(v);                    // self-loop
+    if (v % 5 == 0) list.push_back(list[list.size() / 2]);  // repeated entry
+    if (v % 11 == 0) list.push_back(3);                   // repeated hub
+    if (v % 3 == 0)
+      std::shuffle(list.begin(), list.end(), rng);
+    else if (v % 3 == 1)
+      std::reverse(list.begin(), list.end());
+    neighbors.insert(neighbors.end(), list.begin(), list.end());
+    offsets.push_back(neighbors.size());
+  }
+  return g::CsrGraph(std::move(offsets), std::move(neighbors));
+}
+
+TEST(LotusGraph, BuildMatchesReferenceOnEveryShape) {
+  LotusConfig config;
+  config.hub_count = 1000;
+  const auto rmat =
+      g::build_undirected(g::rmat({.scale = 13, .edge_factor = 16, .seed = 11}));
+  std::uint32_t longest_he = 0;
+  {
+    const LotusGraph lg = LotusGraph::build(rmat, config);
+    for (g::VertexId v = 0; v < lg.num_vertices(); ++v)
+      longest_he = std::max(longest_he, lg.he().degree(v));
+  }
+  std::uint32_t longest_list = 0;
+  for (g::VertexId v = 0; v < rmat.num_vertices(); ++v)
+    longest_list = std::max(longest_list, rmat.degree(v));
+  // The build sorts HE lists of 64 or more through a bitmap and stages
+  // neighbour lists in blocks of 256; both paths must run.
+  EXPECT_GE(longest_he, 64u);
+  EXPECT_GT(longest_list, 256u);
+  expect_matches_reference(rmat, config, "rmat");
+
+  expect_matches_reference(whale_graph(), LotusConfig{}, "whales");
+  LotusConfig dirty;
+  dirty.hub_count = 80;
+  expect_matches_reference(dirty_graph(), dirty, "dirty csr");
+
+  for (const double fraction : {0.0, 1.0}) {
+    LotusConfig c = config;
+    c.relabel_fraction = fraction;
+    expect_matches_reference(rmat, c, "relabel_fraction " + std::to_string(fraction));
+  }
+
+  // 64 Ki hubs: HE IDs use all 16 bits and H2H is 256 MiB.
+  LotusConfig max_hubs;
+  max_hubs.hub_count = 1u << 16;
+  const auto wide =
+      g::build_undirected(g::rmat({.scale = 17, .edge_factor = 4, .seed = 12}));
+  ASSERT_GT(wide.num_vertices(), 1u << 16);
+  expect_matches_reference(wide, max_hubs, "65536 hubs");
+
+  expect_matches_reference(g::CsrGraph(), LotusConfig{}, "n = 0");
+  expect_matches_reference(g::CsrGraph(std::vector<std::uint64_t>{0, 1},
+                                       std::vector<g::VertexId>{0}),
+                           LotusConfig{}, "n = 1 with a self-loop");
 }
 
 }  // namespace

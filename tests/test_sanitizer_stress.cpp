@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,13 +25,17 @@
 #include "graph/generators.hpp"
 #include "lotus/h2h_bitarray.hpp"
 #include "lotus/lotus.hpp"
+#include "lotus/relabel.hpp"
+#include "lotus_reference.hpp"
 #include "obs/counters.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tc/api.hpp"
 #include "tc/engine.hpp"
 #include "util/cancel.hpp"
+#include "util/memory_budget.hpp"
 
 namespace {
 
@@ -122,6 +128,145 @@ TEST(SanitizerStress, LotusEndToEndUnderFourThreads) {
   const auto expected = lotus::baselines::brute_force(graph);
   const auto r = lotus::core::count_triangles(graph);
   EXPECT_EQ(r.triangles, expected);
+  par::set_num_threads(0);
+}
+
+TEST(SanitizerStress, LotusBuildMatchesOracleUnderFourThreads) {
+  // 2048 hubs span four 512-vertex chunks of the fill, so H2H rows written
+  // by different threads share the words at their boundaries.
+  par::set_num_threads(4);
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 12, .edge_factor = 16, .seed = 78}));
+  lotus::core::LotusConfig config;
+  config.hub_count = 2048;
+  const auto built = lotus::core::LotusGraph::build(graph, config);
+  const auto reference = lotus::test::reference_build(graph, config);
+  EXPECT_TRUE(built.he() == reference.he());
+  EXPECT_TRUE(built.nhe() == reference.nhe());
+  EXPECT_TRUE(built.h2h().words() == reference.h2h().words());
+  EXPECT_GT(built.h2h().count_set_bits(), 0u);
+  par::set_num_threads(0);
+}
+
+TEST(SanitizerStress, LotusBuildClampsAnyRelabelFraction) {
+  // LotusGraph::build is reachable without tc::validate: a fraction outside
+  // [0, 1] must clamp, with no out-of-range float-to-integer conversion
+  // (the ASan tree adds -fsanitize=float-cast-overflow).
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 9, .edge_factor = 8, .seed = 79}));
+  auto relabeling = [&](double fraction) {
+    lotus::core::LotusConfig config;
+    config.relabel_fraction = fraction;
+    return lotus::core::LotusGraph::build(graph, config).relabeling().to_vector();
+  };
+  const auto none = relabeling(0.0);
+  const auto all = relabeling(1.0);
+  EXPECT_EQ(relabeling(-1.0), none);
+  EXPECT_EQ(relabeling(std::nan("")), none);
+  EXPECT_EQ(relabeling(1.5), all);
+  EXPECT_EQ(relabeling(1e300), all);
+}
+
+TEST(SanitizerStress, InterruptedLotusQueryIsRefusedAtAdmission) {
+  // Both interrupts are already set when the query starts, so they stop at
+  // the admission check, before the LOTUS build runs.
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 12, .edge_factor = 8, .seed = 80}));
+  lotus::util::CancelToken token;
+  token.cancel();
+  lotus::tc::QueryOptions cancelled;
+  cancelled.cancel = &token;
+  const auto by_token = lotus::tc::query(lotus::tc::Algorithm::kLotus, graph, cancelled);
+  ASSERT_TRUE(by_token.ok());
+  EXPECT_EQ(by_token.value().status.code(), lotus::util::StatusCode::kCancelled);
+  lotus::tc::QueryOptions expired;
+  expired.deadline = lotus::util::Deadline::after(0.0);
+  const auto by_deadline = lotus::tc::query(lotus::tc::Algorithm::kLotus, graph, expired);
+  ASSERT_TRUE(by_deadline.ok());
+  EXPECT_EQ(by_deadline.value().status.code(),
+            lotus::util::StatusCode::kDeadlineExceeded);
+}
+
+TEST(SanitizerStress, LotusBuildInterruptedInEachPhaseReturnsFromIt) {
+  // A canceller thread watches the build's memory-budget charges and cancels
+  // the moment the charge that opens a phase appears, so the interrupt lands
+  // inside that phase's parallel loop. The build must return from the phase
+  // it stopped in: no later span opens, nothing sized from the partly filled
+  // offsets is charged, and no HE/NHE output escapes. Where a round stops
+  // depends on timing, so each phase is retried until a round stops in it.
+  par::set_num_threads(2);
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 16, .edge_factor = 16, .seed = 80}));
+  const std::uint64_t n = graph.num_vertices();
+  lotus::core::LotusConfig config;
+
+  // The charges of a whole build, and the running totals at which the
+  // partition and the fill loops start.
+  std::uint64_t full = 0, at_partition = 0, at_relabel = n * sizeof(g::VertexId);
+  {
+    lotus::util::MemoryBudget budget;
+    lotus::util::ScopedMemoryBudget scoped(&budget);
+    const auto lg = lotus::core::LotusGraph::build(graph, config);
+    full = budget.used();
+    const g::VertexId hubs = lg.hub_count();
+    at_partition = full - lotus::core::TriangularBitArray::size_bytes_for(hubs) -
+                   lg.he().num_edges() * sizeof(std::uint16_t) -
+                   lg.nhe().num_edges() * sizeof(g::VertexId) -
+                   par::max_parallelism() * ((std::uint64_t{hubs} + 63) / 64) * sizeof(std::uint64_t);
+  }
+  const std::uint64_t offsets = (n + 1) * 2 * sizeof(std::uint64_t);
+
+  struct Target {
+    const char* span;         // the phase the round should stop in
+    std::uint64_t cancel_at;  // charge total that opens its loop
+  };
+  for (const Target target : {Target{"relabel", at_relabel},
+                              Target{"partition", at_partition},
+                              Target{"serialize", full}}) {
+    bool stopped_in_target = false;
+    for (int round = 0; round < 50 && !stopped_in_target; ++round) {
+      lotus::util::CancelToken token;
+      par::ExecContext context;
+      context.cancel = &token;
+      lotus::util::MemoryBudget budget;
+      std::atomic<bool> done{false};
+      std::thread canceller([&] {
+        while (!done.load(std::memory_order_relaxed)) {
+          if (budget.used() >= target.cancel_at) {
+            token.cancel();
+            return;
+          }
+        }
+      });
+      lotus::obs::PhaseTracer tracer;
+      lotus::core::LotusGraph lg;
+      {
+        par::ScopedExecContext scoped_context(&context);
+        lotus::util::ScopedMemoryBudget scoped_budget(&budget);
+        lg = lotus::core::LotusGraph::build(graph, config, &tracer);
+        done = true;
+      }
+      canceller.join();
+      // The latch, not a fresh poll: a round whose build never saw the
+      // cancel finished first and is not an interrupted build.
+      if (context.observed.load() == par::Interrupt::kNone) continue;
+
+      const std::string stopped_in = tracer.spans().back().name;
+      SCOPED_TRACE(std::string(target.span) + " round " + std::to_string(round) +
+                   ", stopped in " + stopped_in);
+      EXPECT_EQ(lg.he().num_edges() + lg.nhe().num_edges(), 0u);
+      if (stopped_in == "relabel") {
+        EXPECT_LE(budget.used(), at_partition - offsets);
+      } else if (stopped_in == "partition") {
+        EXPECT_EQ(budget.used(), at_partition);
+      } else {
+        EXPECT_EQ(stopped_in, "serialize");
+        EXPECT_EQ(budget.used(), full);
+      }
+      stopped_in_target = stopped_in == target.span;
+    }
+    EXPECT_TRUE(stopped_in_target) << "no round stopped in " << target.span;
+  }
   par::set_num_threads(0);
 }
 

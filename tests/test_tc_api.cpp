@@ -1,6 +1,7 @@
 // Unified TC API and the instrumented replays.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "baselines/tc_baselines.hpp"
@@ -10,6 +11,7 @@
 #include "lotus/lotus.hpp"
 #include "simcache/machines.hpp"
 #include "tc/api.hpp"
+#include "tc/engine.hpp"
 #include "tc/instrumented.hpp"
 
 namespace {
@@ -24,6 +26,31 @@ TEST(TcApi, AllAlgorithmsAgreeOnRandomGraph) {
   for (auto algorithm : tc::all_algorithms())
     EXPECT_EQ(tc::query(algorithm, graph).value().result.triangles, expected)
         << tc::name(algorithm);
+}
+
+TEST(TcApi, RelabelFractionOutsideUnitIntervalIsRejected) {
+  const auto graph =
+      g::build_undirected(g::rmat({.scale = 9, .edge_factor = 8, .seed = 32}));
+  tc::Engine engine;
+  for (const double bad : {-1.0, std::nan(""), 1e300, 1.5}) {
+    tc::QueryOptions options;
+    options.config.relabel_fraction = bad;
+    const auto direct = tc::query(tc::Algorithm::kLotus, graph, options);
+    ASSERT_FALSE(direct.ok()) << bad;
+    EXPECT_EQ(direct.status().code(), lotus::util::StatusCode::kInvalidArgument) << bad;
+    const auto served = engine.query({tc::Algorithm::kLotus, "g", &graph, options});
+    ASSERT_FALSE(served.ok()) << bad;
+    EXPECT_EQ(served.status().code(), lotus::util::StatusCode::kInvalidArgument) << bad;
+  }
+  const std::uint64_t expected = lotus::baselines::brute_force(graph);
+  for (const double edge : {0.0, 1.0}) {
+    tc::QueryOptions options;
+    options.config.relabel_fraction = edge;
+    const auto result = tc::query(tc::Algorithm::kLotus, graph, options);
+    ASSERT_TRUE(result.ok()) << edge;
+    ASSERT_TRUE(result.value().ok()) << edge;
+    EXPECT_EQ(result.value().result.triangles, expected) << edge;
+  }
 }
 
 TEST(TcApi, NameParseRoundTrip) {
