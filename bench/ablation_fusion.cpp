@@ -7,7 +7,9 @@
 #include <iostream>
 
 #include "bench/common.hpp"
-#include "lotus/lotus.hpp"
+#include "lotus/count.hpp"
+#include "lotus/lotus_graph.hpp"
+#include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   lotus::util::Cli cli("Ablation: split vs fused HNN/NNN phases");
@@ -22,17 +24,24 @@ int main(int argc, char** argv) {
   std::size_t rows = 0;
   for (const auto& dataset : ctx.selection) {
     const auto graph = lotus::bench::load(dataset, ctx.factor);
-    lotus::core::LotusConfig split = ctx.lotus_config;
-    lotus::core::LotusConfig fused = split;
-    fused.fuse_hnn_nnn = true;
-    const auto rs = lotus::core::count_triangles(graph, split);
-    const auto rf = lotus::core::count_triangles(graph, fused);
-    if (rs.triangles != rf.triangles) {
+    const auto& config = ctx.lotus_config;
+    const auto lg = lotus::core::LotusGraph::build(graph, config);
+    auto& probe = lotus::baselines::null_probe;
+
+    lotus::util::Timer timer;
+    const std::uint64_t split =
+        lotus::core::count_hnn(lg, probe, config.vectorize) +
+        lotus::core::count_nnn(lg, probe, config.vectorize,
+                               config.hybrid_degree_threshold);
+    const double split_s = timer.elapsed_s();
+    timer.reset();
+    const std::uint64_t fused =
+        lotus::core::count_hnn_nnn_fused(lg, probe, config.vectorize);
+    const double fused_s = timer.elapsed_s();
+    if (split != fused) {
       std::cerr << "count mismatch on " << dataset.name << "\n";
       return 1;
     }
-    const double split_s = rs.hnn_s + rs.nnn_s;
-    const double fused_s = rf.hnn_s + rf.nnn_s;
     const double speedup = split_s > 0 ? fused_s / split_s : 1.0;
     speedup_sum += speedup;
     ++rows;

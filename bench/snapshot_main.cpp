@@ -560,12 +560,6 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
        [&](const k::KernelTable& t) {
          return t.merge_u16(a16.data(), a16.size(), b16.data(), b16.size());
        }},
-      {"and_popcount",
-       [&](const k::KernelTable& t) {
-         return t.and_popcount(wa.data(), wb.data(), len);
-       }},
-      {"popcount",
-       [&](const k::KernelTable& t) { return t.popcount(wa.data(), len); }},
       {"hits_bitset",
        [&](const k::KernelTable& t) {
          return t.hits_bitset(keys.data(), keys.size(), wa.data());

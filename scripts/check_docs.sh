@@ -12,8 +12,10 @@
 #      use_lotus(), ayz-matrix, spgemm-masked, kAyz, kSpGemmMasked,
 #      count_kcliques, ktruss_decomposition, lotus_algorithms,
 #      read_csr_binary_parallel_s, LoaderOptions, direct_io, loader_threads,
-#      LOTUSLG1) — docs/API.md is exempt because it documents the migration
-#      away from them;
+#      LOTUSLG1, set_backend, openmp_available, kOpenMP, max_parallelism,
+#      fuse_hnn_nnn, --backend openmp, the kernel-table and_popcount and
+#      `popcount`) — docs/API.md is exempt because it documents the
+#      migration away from them;
 #   5. every out-of-core knob (src/graph/oocore.hpp, LOTUS-KNOB-INVENTORY
 #      block: ExternalBuildOptions and MapVerify) must be documented in
 #      docs/OUT_OF_CORE.md;
@@ -90,7 +92,13 @@ done
 # both) and the lotus_algorithms library. Docs must describe the tc::query
 # surface. The parallel CSX loader (read_csr_binary_parallel_s with its
 # LoaderOptions knobs direct_io / loader_threads) and the LOTUSLG1 reader are
-# gone too: each format has one heap reader and one mapped reader.
+# gone too: each format has one heap reader and one mapped reader. Every
+# parallel loop runs on the thread pool, so the OpenMP backend switch
+# (set_backend / openmp_available / kOpenMP, lotus_diff_repro's
+# --backend openmp) and max_parallelism() (now num_threads()) are gone; so
+# are LotusConfig::fuse_hnn_nnn (the ablation calls count_hnn_nnn_fused) and
+# the kernel-table and_popcount / `popcount` entries (util::Bitset's own
+# and_popcount stays, hence the `::` exclusion).
 # docs/API.md keeps the migration table and is exempt, as are the
 # changelog/issue worklogs.
 for md in README.md DESIGN.md docs/*.md; do
@@ -98,7 +106,7 @@ for md in README.md DESIGN.md docs/*.md; do
   case "$md" in
     docs/API.md) continue ;;
   esac
-  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1' "$md")
+  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|\(^\|[^:]\)and_popcount\|`popcount`' "$md")
   if [ -n "$hits" ]; then
     echo "check_docs: $md references a deprecated or removed entry point:" >&2
     echo "$hits" | sed 's/^/  /' >&2

@@ -55,11 +55,11 @@ std::uint64_t forward_hashed_prepared(const OrientedCsr& oriented) {
       max_degree = std::max(max_degree, oriented.neighbors(v).size());
     std::size_t cap = 16;
     while (cap < max_degree * 2) cap <<= 1;
-    util::charge_current(static_cast<std::uint64_t>(parallel::max_parallelism()) *
+    util::charge_current(static_cast<std::uint64_t>(parallel::num_threads()) *
                              cap * sizeof(std::uint64_t),
                          "hash_scratch");
   }
-  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::max_parallelism());
+  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::num_threads());
   parallel::parallel_for(0, n, 64,
       [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
         HashedSet<VertexId> set;  // rebuilt per outer vertex, reused per chunk
@@ -82,10 +82,10 @@ std::uint64_t forward_bitmap_prepared(const OrientedCsr& oriented) {
   const VertexId n = oriented.num_vertices();
   // Each thread owns an n-bit bitmap; charge all of them up front (master
   // thread) so a budget can veto the kernel before any worker allocates.
-  util::charge_current(static_cast<std::uint64_t>(parallel::max_parallelism()) *
+  util::charge_current(static_cast<std::uint64_t>(parallel::num_threads()) *
                            ((static_cast<std::uint64_t>(n) + 63) / 64 * 8),
                        "bitmap_scratch");
-  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::max_parallelism());
+  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::num_threads());
   parallel::parallel_for(0, n, 64,
       [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
         util::Bitset bitmap(n);  // per-chunk; bits are unset after each vertex
@@ -119,7 +119,7 @@ std::uint64_t forward_hybrid_prepared(const OrientedCsr& oriented,
       any_dense = oriented.neighbors(v).size() >= degree_threshold;
     if (any_dense)
       util::charge_current(
-          static_cast<std::uint64_t>(parallel::max_parallelism()) *
+          static_cast<std::uint64_t>(parallel::num_threads()) *
               ((static_cast<std::uint64_t>(n) + 63) / 64 * 8),
           "hybrid_scratch");
   }

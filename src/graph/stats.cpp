@@ -91,7 +91,7 @@ HubStats hub_stats(const CsrGraph& graph, double hub_fraction) {
     std::uint64_t hubless_accesses = 0;  // accesses while processing hub-free vertices
     std::uint64_t fruitless = 0;         // ...of which point at hub edges
   };
-  std::vector<parallel::Padded<Partial>> partials(parallel::max_parallelism());
+  std::vector<parallel::Padded<Partial>> partials(parallel::num_threads());
 
   parallel::parallel_for(0, n, 256,
       [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {

@@ -21,21 +21,6 @@ std::uint64_t merge_u16_scalar(const std::uint16_t* a, std::size_t na,
   return detail::merge_branchless(a, na, b, nb);
 }
 
-std::uint64_t and_popcount_scalar(const std::uint64_t* a,
-                                  const std::uint64_t* b, std::size_t words) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < words; ++i)
-    total += static_cast<std::uint64_t>(__builtin_popcountll(a[i] & b[i]));
-  return total;
-}
-
-std::uint64_t popcount_scalar(const std::uint64_t* words, std::size_t count) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < count; ++i)
-    total += static_cast<std::uint64_t>(__builtin_popcountll(words[i]));
-  return total;
-}
-
 std::uint64_t hits_bitset_scalar(const std::uint32_t* keys, std::size_t count,
                                  const std::uint64_t* bits) {
   std::uint64_t total = 0;
@@ -77,9 +62,8 @@ void checksum_stripes_scalar(std::uint64_t* acc, const unsigned char* data,
 }
 
 constexpr KernelTable kScalarTable = {
-    Isa::kScalar,        &merge_u32_scalar,   &merge_u16_scalar,
-    &and_popcount_scalar, &popcount_scalar,   &hits_bitset_scalar,
-    &and_window_popcount_scalar, &checksum_stripes_scalar,
+    Isa::kScalar,        &merge_u32_scalar,           &merge_u16_scalar,
+    &hits_bitset_scalar, &and_window_popcount_scalar, &checksum_stripes_scalar,
 };
 
 }  // namespace

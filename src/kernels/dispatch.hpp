@@ -33,14 +33,6 @@ struct KernelTable {
   std::uint64_t (*merge_u16)(const std::uint16_t* a, std::size_t na,
                              const std::uint16_t* b, std::size_t nb);
 
-  /// popcount(a[i] & b[i]) summed over `words` — dense × dense bitmap
-  /// intersection.
-  std::uint64_t (*and_popcount)(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t words);
-
-  /// Total set bits over `words`.
-  std::uint64_t (*popcount)(const std::uint64_t* words, std::size_t count);
-
   /// Sparse × dense: how many of `keys` have their bit set in `bits`
   /// (bit k lives at bits[k >> 6] >> (k & 63)). Every key must index a
   /// word the caller allocated.
@@ -87,9 +79,8 @@ inline constexpr std::uint64_t kChecksumSecret[8] = {
 /// inventory entry for every name — keep the markers intact.
 // KERNEL-INVENTORY-BEGIN
 inline constexpr const char* kKernelNames[] = {
-    "merge_u32",     "merge_u16", "and_popcount",
-    "popcount",      "hits_bitset", "and_window_popcount",
-    "checksum_stripes",
+    "merge_u32",           "merge_u16",        "hits_bitset",
+    "and_window_popcount", "checksum_stripes",
 };
 // KERNEL-INVENTORY-END
 

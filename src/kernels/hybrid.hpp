@@ -39,7 +39,7 @@ inline std::uint64_t hybrid_forward_count(std::span<const std::uint64_t> offsets
   const KernelTable& table = kernel_table();
   const std::uint64_t num_vertices = offsets.size() - 1;
   const std::uint64_t bitmap_words = (num_vertices + 63) / 64;
-  const unsigned slots = parallel::max_parallelism();
+  const unsigned slots = parallel::num_threads();
   std::vector<parallel::Padded<std::uint64_t>> partial(slots);
   std::vector<std::vector<std::uint64_t>> bitmaps(slots);
   const std::uint64_t* off = offsets.data();

@@ -1,6 +1,6 @@
 // AVX2 tier: 8×u32 / 16×u16 block-compare merge (each block of one list
-// compared against every lane rotation of the other's block), 4-word
-// AND+popcount, and gathered sparse-vs-dense bitmap probing. Compiled with
+// compared against every lane rotation of the other's block), gathered
+// sparse-vs-dense bitmap probing and the checksum stripes. Compiled with
 // per-function target attributes so the rest of the binary stays baseline;
 // only reachable after cpuid reports AVX2 (kernels/isa.cpp).
 #include "kernels/dispatch.hpp"
@@ -83,30 +83,6 @@ __attribute__((target("avx2"))) std::uint64_t merge_u16_avx2(
   return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
 }
 
-__attribute__((target("avx2"))) std::uint64_t and_popcount_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
-  // One 256-bit load+AND feeds four hardware popcnts; the win over scalar
-  // is halving the load/AND op count, popcnt throughput is the same.
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  alignas(32) std::uint64_t lanes[4];
-  for (; i + 4 <= words; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
-                       _mm256_and_si256(va, vb));
-    total += static_cast<std::uint64_t>(__builtin_popcountll(lanes[0])) +
-             static_cast<std::uint64_t>(__builtin_popcountll(lanes[1])) +
-             static_cast<std::uint64_t>(__builtin_popcountll(lanes[2])) +
-             static_cast<std::uint64_t>(__builtin_popcountll(lanes[3]));
-  }
-  for (; i < words; ++i)
-    total += static_cast<std::uint64_t>(__builtin_popcountll(a[i] & b[i]));
-  return total;
-}
-
 __attribute__((target("avx2"))) std::uint64_t hits_bitset_avx2(
     const std::uint32_t* keys, std::size_t count, const std::uint64_t* bits) {
   // Four keys per step: gather their words, variable-shift each by key&63,
@@ -173,7 +149,6 @@ const KernelTable* avx2_kernel_table() noexcept {
     t.isa = Isa::kAvx2;
     t.merge_u32 = &merge_u32_avx2;
     t.merge_u16 = &merge_u16_avx2;
-    t.and_popcount = &and_popcount_avx2;
     t.hits_bitset = &hits_bitset_avx2;
     t.checksum_stripes = &checksum_stripes_avx2;
     return t;

@@ -1,8 +1,6 @@
 // AVX-512 tier: 16×u32 / 32×u16 block-compare merge on the 512-bit lane
-// permute units (vpermd/vpermw), VPOPCNTDQ bitmap kernels when the CPU has
-// them, and 8-wide gathered bitmap probing. The tier requires avx512f +
-// avx512bw (kernels/isa.cpp); avx512vpopcntdq is probed separately and the
-// popcount entries fall back to the AVX2-style split when it is absent.
+// permute units (vpermd/vpermw), 8-wide gathered bitmap probing and the
+// checksum stripes. The tier requires avx512f + avx512bw (kernels/isa.cpp).
 #include "kernels/dispatch.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -74,36 +72,6 @@ __attribute__((target("avx512f,avx512bw"))) std::uint64_t merge_u16_avx512(
   return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::uint64_t
-and_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= words; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
-  }
-  std::uint64_t total = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
-  for (; i < words; ++i)
-    total += static_cast<std::uint64_t>(__builtin_popcountll(a[i] & b[i]));
-  return total;
-}
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::uint64_t
-popcount_avx512(const std::uint64_t* words, std::size_t count) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8)
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_loadu_si512(words + i)));
-  std::uint64_t total = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
-  for (; i < count; ++i)
-    total += static_cast<std::uint64_t>(__builtin_popcountll(words[i]));
-  return total;
-}
-
 __attribute__((target("avx512f"))) std::uint64_t hits_bitset_avx512(
     const std::uint32_t* keys, std::size_t count, const std::uint64_t* bits) {
   __m512i acc = _mm512_setzero_si512();
@@ -147,16 +115,12 @@ __attribute__((target("avx512f"))) void checksum_stripes_avx512(
 
 const KernelTable* avx512_kernel_table() noexcept {
   static const KernelTable table = [] {
-    KernelTable t = *avx2_kernel_table();  // AVX2 popcount split as fallback
+    KernelTable t = scalar_kernel_table();  // unspecialized entries stay scalar
     t.isa = Isa::kAvx512;
     t.merge_u32 = &merge_u32_avx512;
     t.merge_u16 = &merge_u16_avx512;
     t.hits_bitset = &hits_bitset_avx512;
     t.checksum_stripes = &checksum_stripes_avx512;
-    if (__builtin_cpu_supports("avx512vpopcntdq")) {
-      t.and_popcount = &and_popcount_avx512;
-      t.popcount = &popcount_avx512;
-    }
     return t;
   }();
   return &table;

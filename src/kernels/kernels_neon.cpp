@@ -1,5 +1,5 @@
 // NEON tier (aarch64): 4×u32 / 8×u16 block-compare merge via vext lane
-// rotation and vcnt-based bitmap popcounts. NEON is baseline on aarch64, so
+// rotation and the checksum stripes. NEON is baseline on aarch64, so
 // no target attributes or cpuid checks are needed — the whole tier is
 // compile-time gated. On x86 this TU compiles to the nullptr stub.
 #include "kernels/dispatch.hpp"
@@ -79,32 +79,6 @@ std::uint64_t merge_u16_neon(const std::uint16_t* a, std::size_t na,
   return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
 }
 
-std::uint64_t and_popcount_neon(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t words) {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= words; i += 2) {
-    const uint64x2_t va = vld1q_u64(a + i);
-    const uint64x2_t vb = vld1q_u64(b + i);
-    const uint8x16_t bytes =
-        vcntq_u8(vreinterpretq_u8_u64(vandq_u64(va, vb)));
-    total += vaddvq_u8(bytes);
-  }
-  for (; i < words; ++i)
-    total += static_cast<std::uint64_t>(__builtin_popcountll(a[i] & b[i]));
-  return total;
-}
-
-std::uint64_t popcount_neon(const std::uint64_t* words, std::size_t count) {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= count; i += 2)
-    total += vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(vld1q_u64(words + i))));
-  for (; i < count; ++i)
-    total += static_cast<std::uint64_t>(__builtin_popcountll(words[i]));
-  return total;
-}
-
 void checksum_stripes_neon(std::uint64_t* acc, const unsigned char* data,
                            std::size_t stripes) {
   // Four 2xu64 accumulator pairs; the pairwise data swap is vext by one
@@ -150,8 +124,6 @@ const KernelTable* neon_kernel_table() noexcept {
     t.isa = Isa::kNeon;
     t.merge_u32 = &merge_u32_neon;
     t.merge_u16 = &merge_u16_neon;
-    t.and_popcount = &and_popcount_neon;
-    t.popcount = &popcount_neon;
     t.checksum_stripes = &checksum_stripes_neon;
     return t;
   }();

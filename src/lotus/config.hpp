@@ -22,10 +22,6 @@ struct LotusConfig {
   /// Squared edge tiling kicks in above this HE degree (Sec. 5.8 uses 512).
   std::uint32_t tiling_degree_threshold = 512;
 
-  /// Ablation knob (Sec. 4.5): run the HNN and NNN loops fused instead of as
-  /// two passes. The paper argues (and Fig. 4 confirms) split is better.
-  bool fuse_hnn_nnn = false;
-
   /// Route the counting phases through the runtime-dispatched SIMD kernel
   /// layer (src/kernels, docs/KERNELS.md): word-level H2H row popcounts,
   /// 16-bit vectorized merge for HNN, and the sparse-vs-dense hybrid for

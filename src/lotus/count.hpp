@@ -226,10 +226,10 @@ std::uint64_t count_hnn(const LotusGraph& lg,
   const graph::CsrGraph& nhe = lg.nhe();
   if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
     if (vectorize) {
-      HubBitmaps bitmaps(lg.hub_count(), parallel::max_parallelism(),
+      HubBitmaps bitmaps(lg.hub_count(), parallel::num_threads(),
                          "hnn/hub-bitmaps");
       std::vector<parallel::Padded<std::uint64_t>> partial(
-          parallel::max_parallelism());
+          parallel::num_threads());
       parallel::parallel_for(
           0, lg.num_vertices(), 64,
           [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
@@ -364,9 +364,9 @@ std::uint64_t count_hnn_nnn_fused(const LotusGraph& lg,
   constexpr bool kUnprobed = std::is_same_v<Probe, baselines::NullProbe>;
   std::optional<HubBitmaps> bitmaps;
   if (kUnprobed && vectorize)
-    bitmaps.emplace(lg.hub_count(), parallel::max_parallelism(),
+    bitmaps.emplace(lg.hub_count(), parallel::num_threads(),
                     "hnn/hub-bitmaps");
-  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::max_parallelism());
+  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::num_threads());
   parallel::parallel_for(
       0, lg.num_vertices(), 64,
       [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {

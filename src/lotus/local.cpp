@@ -49,7 +49,7 @@ std::vector<std::uint64_t> count_triangles_local_prepared(const LotusGraph& lg) 
 
   // Phase 2 — HNN: common hub neighbours of each non-hub edge, by count_hnn's
   // bitmap step (HE(v) in a per-thread hub bitmap, HE(u) probed against it).
-  HubBitmaps bitmaps(lg.hub_count(), parallel::max_parallelism(),
+  HubBitmaps bitmaps(lg.hub_count(), parallel::num_threads(),
                      "hnn/hub-bitmaps");
   parallel::parallel_for(0, n, 128,
       [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {

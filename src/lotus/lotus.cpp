@@ -37,22 +37,6 @@ LotusResult count_triangles_prepared(const LotusGraph& lg,
   // re-checks it after the run and discards the numbers.
   if (parallel::interrupted()) return result;
 
-  if (config.fuse_hnn_nnn) {
-    timer.reset();
-    std::uint64_t fused = 0;
-    {
-      obs::ScopedSpan span(tracer, "hnn_nnn_fused");
-      fused = count_hnn_nnn_fused(lg, baselines::null_probe, config.vectorize);
-      if (tracer != nullptr) tracer->note("hnn_nnn", fused);
-    }
-    // Fused mode cannot attribute per type; report everything as HNN time.
-    result.hnn_s = timer.elapsed_s();
-    result.hnn = fused;  // hnn + nnn combined
-    result.nnn = 0;
-    result.triangles = result.hhh + result.hhn + fused;
-    return result;
-  }
-
   timer.reset();
   {
     obs::ScopedSpan span(tracer, "hnn");

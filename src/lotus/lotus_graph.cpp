@@ -185,7 +185,7 @@ LotusGraph LotusGraph::build(const CsrGraph& graph, const LotusConfig& config,
     std::vector<VertexId> nhe_array(nhe_off[n]);
     std::uint16_t* const he_neighbors = he_array.data();
     VertexId* const nhe_neighbors = nhe_array.data();
-    HubBitmaps bitmaps(hubs, parallel::max_parallelism(), "build/hub-bitmaps");
+    HubBitmaps bitmaps(hubs, parallel::num_threads(), "build/hub-bitmaps");
     parallel::parallel_for(0, n, 512,
         [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
           VertexId lower_block[kStageBlock];

@@ -22,7 +22,7 @@ std::vector<VertexId> create_relabeling_array(const CsrGraph& graph,
   const std::uint64_t buckets = cap + 1;  // bucket `cap` = overflow
   const std::uint64_t blocks =
       (static_cast<std::uint64_t>(n) + kRelabelBlock - 1) / kRelabelBlock;
-  const unsigned threads = parallel::max_parallelism();
+  const unsigned threads = parallel::num_threads();
 
   // new_id, the selected block, the per-thread histograms and two per-block
   // counters.

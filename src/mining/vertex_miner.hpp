@@ -151,7 +151,7 @@ struct CliqueCensus {
 inline CliqueCensus count_cliques(const graph::OrientedCsr& dag, unsigned k,
                                   graph::VertexId hub_count) {
   std::vector<parallel::Padded<CliqueCensusPolicy>> partials(
-      parallel::max_parallelism());
+      parallel::num_threads());
   for (auto& p : partials) p.value.hub_count = hub_count;
   mine_dfs(dag, k, [&](unsigned thread_index) -> CliqueCensusPolicy& {
     return partials[thread_index].value;

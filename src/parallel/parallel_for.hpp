@@ -1,8 +1,10 @@
 // Data-parallel loops over the default thread pool.
 //
 // `parallel_for` uses dynamic self-scheduling (an atomic cursor handing out
-// fixed-size chunks), which matches the schedule(dynamic) idiom of OpenMP
-// loops in graph kernels where per-vertex work is wildly skewed.
+// fixed-size chunks), which matches the schedule(dynamic) idiom of graph
+// kernels where per-vertex work is wildly skewed. The pool decides how a
+// loop runs: `fn` sees thread indices in [0, num_threads()), so per-thread
+// arrays and budget charges are sized with num_threads().
 // `parallel_reduce_add` layers per-thread partial sums (padded against false
 // sharing) on top.
 #pragma once
@@ -11,62 +13,12 @@
 #include <cstdint>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "obs/counters.hpp"
 #include "parallel/exec_context.hpp"
 #include "parallel/padded.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace lotus::parallel {
-
-/// Execution backend for the data-parallel loops. The pool backend is the
-/// default (paper-faithful master-worker threads); the OpenMP backend maps
-/// the same loops onto `omp parallel for schedule(dynamic)`, handy when
-/// embedding the library into an application that already owns an OpenMP
-/// runtime. Counting results are identical either way.
-enum class Backend { kPool, kOpenMP };
-
-inline Backend& backend_ref() {
-  static Backend backend = Backend::kPool;
-  return backend;
-}
-inline Backend backend() { return backend_ref(); }
-
-/// True when the OpenMP backend is compiled in (i.e. set_backend(kOpenMP)
-/// can succeed).
-inline constexpr bool openmp_available() {
-#ifdef _OPENMP
-  return true;
-#else
-  return false;
-#endif
-}
-
-/// Select the execution backend. Returns true when the requested backend is
-/// now active; requesting kOpenMP in a build without OpenMP leaves the pool
-/// backend active and returns false (the caller decides whether that is an
-/// error — no silent pretend-switch).
-inline bool set_backend(Backend b) {
-  if (b == Backend::kOpenMP && !openmp_available()) {
-    backend_ref() = Backend::kPool;
-    return false;
-  }
-  backend_ref() = b;
-  return true;
-}
-
-/// Upper bound on thread indices `parallel_for` may pass to its body under
-/// the current backend; size per-thread accumulators with this.
-inline unsigned max_parallelism() {
-#ifdef _OPENMP
-  if (backend() == Backend::kOpenMP)
-    return static_cast<unsigned>(omp_get_max_threads());
-#endif
-  return num_threads();
-}
 
 /// Invoke `fn(thread_index, begin_i, end_i)` over dynamic chunks of
 /// [begin, end). `grain` is the chunk size handed to a thread per grab.
@@ -84,22 +36,6 @@ void parallel_for(std::uint64_t begin, std::uint64_t end, std::uint64_t grain,
   // Capture the driver's cancellation context once: workers poll the
   // interrupt of exactly this query, not whatever their own thread carries.
   const ExecContext* ctx = current_exec_context();
-#ifdef _OPENMP
-  if (backend() == Backend::kOpenMP) {
-    const auto chunks =
-        static_cast<std::int64_t>((end - begin + grain - 1) / grain);
-#pragma omp parallel for schedule(dynamic)
-    for (std::int64_t c = 0; c < chunks; ++c) {
-      if (check_interrupt(ctx) != Interrupt::kNone)
-        continue;  // omp loops cannot break; skip bodies
-      const std::uint64_t chunk_begin = begin + static_cast<std::uint64_t>(c) * grain;
-      const std::uint64_t chunk_end =
-          chunk_begin + grain < end ? chunk_begin + grain : end;
-      fn(static_cast<unsigned>(omp_get_thread_num()), chunk_begin, chunk_end);
-    }
-    return;
-  }
-#endif
   ThreadPool& pool = default_pool();
   if (pool.size() == 1 || end - begin <= grain) {
     if (ctx == nullptr) {
@@ -141,7 +77,7 @@ void parallel_for(std::uint64_t begin, std::uint64_t end, std::uint64_t grain,
 template <typename T, typename Fn>
 T parallel_reduce_add(std::uint64_t begin, std::uint64_t end,
                       std::uint64_t grain, Fn&& fn) {
-  std::vector<Padded<T>> partial(max_parallelism());
+  std::vector<Padded<T>> partial(num_threads());
   parallel_for(begin, end, grain,
                [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
                  T local{};

@@ -128,12 +128,8 @@ void attribute_simulated(ProfileReport& report, Algorithm runs_as,
       report.events = nnn;  // cumulative after the last phase = run total
       report.trace.set_events("count", nnn);
       report.trace.set_events("hhh_hhn", hub);
-      if (config.fuse_hnn_nnn) {
-        report.trace.set_events("hnn_nnn_fused", nnn - hub);
-      } else {
-        report.trace.set_events("hnn", hnn - hub);
-        report.trace.set_events("nnn", nnn - hnn);
-      }
+      report.trace.set_events("hnn", hnn - hub);
+      report.trace.set_events("nnn", nnn - hnn);
       report.event_note =
           "events modeled by single-threaded simcache replay of the counting "
           "phases; preprocess spans carry no events";

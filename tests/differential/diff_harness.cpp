@@ -10,10 +10,6 @@
 #include <stdexcept>
 #include <thread>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "baselines/intersect.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
@@ -25,7 +21,6 @@
 #include "lotus/lotus.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "lotus/streaming.hpp"
-#include "parallel/thread_pool.hpp"
 #include "tc/api.hpp"
 
 namespace lotus::testing {
@@ -271,9 +266,9 @@ std::vector<DiffPath> differential_paths() {
                              false);
        }});
   paths.push_back({"lotus_fused", [](const auto& graph, const auto& config) {
-                     auto fused = config;
-                     fused.fuse_hnn_nnn = true;
-                     return core::count_triangles(graph, fused).triangles;
+                     const auto lg = core::LotusGraph::build(graph, config);
+                     const auto hub = core::count_hhh_hhn(lg, config);
+                     return hub.hhh + hub.hhn + core::count_hnn_nnn_fused(lg);
                    }});
   paths.push_back(
       {"lotus_hnn_blocked", [](const auto& graph, const auto& config) {
@@ -386,39 +381,11 @@ std::vector<unsigned> thread_axis() {
   return axis;
 }
 
-std::vector<DiffExecution> execution_matrix() {
-  std::vector<DiffExecution> matrix;
-  for (unsigned threads : thread_axis())
-    matrix.push_back({parallel::Backend::kPool, threads});
-  if (parallel::openmp_available())
-    for (unsigned threads : thread_axis())
-      matrix.push_back({parallel::Backend::kOpenMP, threads});
-  return matrix;
-}
-
-void apply_execution(const DiffExecution& execution) {
-  parallel::set_num_threads(execution.threads);
-#ifdef _OPENMP
-  // omp_set_num_threads rejects 0; "hardware default" must be spelled out.
-  unsigned omp_threads = execution.threads;
-  if (omp_threads == 0) omp_threads = std::thread::hardware_concurrency();
-  if (omp_threads == 0) omp_threads = 1;
-  omp_set_num_threads(static_cast<int>(omp_threads));
-#endif
-  parallel::set_backend(execution.backend);
-}
-
-std::string backend_name(parallel::Backend backend) {
-  return backend == parallel::Backend::kOpenMP ? "openmp" : "pool";
-}
-
 std::string repro_command(const std::string& graph_file, const DiffGraph& graph,
-                          const std::string& path_name,
-                          const DiffExecution& execution) {
+                          const std::string& path_name, unsigned threads) {
   std::ostringstream cmd;
   cmd << "lotus_diff_repro --graph " << graph_file << " --path " << path_name
-      << " --backend " << backend_name(execution.backend) << " --threads "
-      << execution.threads << " --hub-count " << graph.config.hub_count
+      << " --threads " << threads << " --hub-count " << graph.config.hub_count
       << " --relabel-fraction " << graph.config.relabel_fraction;
   return cmd.str();
 }

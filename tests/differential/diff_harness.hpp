@@ -7,11 +7,11 @@
 // algebra, k-clique enumeration at k = 3, the streaming hub counter, and the
 // blocked/fused HNN alternatives. This harness pits every path against a
 // brute-force oracle over a seeded corpus of generated and adversarial
-// graphs, across thread counts and execution backends.
+// graphs, across pool thread counts.
 //
 // Any mismatch is a bug in exactly one place; the driver dumps the offending
 // graph as a text edge list and prints a one-line `lotus_diff_repro` command
-// that replays the single failing (graph, path, backend, threads) cell.
+// that replays the single failing (graph, path, threads) cell.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include "graph/csr.hpp"
 #include "graph/types.hpp"
 #include "lotus/config.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace lotus::testing {
 
@@ -45,12 +44,6 @@ struct DiffPath {
       count;
 };
 
-/// One cell of the execution matrix.
-struct DiffExecution {
-  parallel::Backend backend = parallel::Backend::kPool;
-  unsigned threads = 1;
-};
-
 /// Full seeded corpus: every generator family in src/graph/generators.* at
 /// several sizes, plus the adversarial shapes (empty, single edge, star,
 /// clique, all-hubs, zero-hub triangles, self-loops/duplicates, ...).
@@ -66,25 +59,14 @@ struct DiffExecution {
 [[nodiscard]] const DiffPath* find_path(const std::vector<DiffPath>& paths,
                                         const std::string& name);
 
-/// Thread-count axis {1, 4, hardware max}, deduplicated and sorted.
+/// The execution matrix: default-pool thread counts {1, 4, hardware max},
+/// deduplicated and sorted. A cell runs after parallel::set_num_threads.
 [[nodiscard]] std::vector<unsigned> thread_axis();
-
-/// Backend × thread matrix; the OpenMP column is present only when OpenMP is
-/// compiled in.
-[[nodiscard]] std::vector<DiffExecution> execution_matrix();
-
-/// Point the process-wide runtime at one matrix cell: resizes the default
-/// pool and (when compiled in) the OpenMP runtime to `threads`, and selects
-/// the backend.
-void apply_execution(const DiffExecution& execution);
-
-/// Stable display name ("pool" / "openmp").
-[[nodiscard]] std::string backend_name(parallel::Backend backend);
 
 /// The one-line repro command printed on a mismatch.
 [[nodiscard]] std::string repro_command(const std::string& graph_file,
                                         const DiffGraph& graph,
                                         const std::string& path_name,
-                                        const DiffExecution& execution);
+                                        unsigned threads);
 
 }  // namespace lotus::testing

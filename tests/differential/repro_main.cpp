@@ -4,7 +4,7 @@
 // counting path disagrees with the brute-force oracle, e.g.:
 //
 //   lotus_diff_repro --graph diff_rmat_s10_forward_gallop.el
-//       --path forward_gallop --backend pool --threads 4
+//       --path forward_gallop --threads 4
 //
 // The tool loads the dumped edge list, applies the same configuration, runs
 // the single failing path, and compares against brute force. Exit status 0
@@ -22,6 +22,7 @@
 #include "diff_harness.hpp"
 #include "graph/builder.hpp"
 #include "graph/io.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/cli.hpp"
 #include "util/status.hpp"
 
@@ -37,13 +38,12 @@ int fail(const lotus::util::Status& status) {
 
 int main(int argc, char** argv) {
   lotus::util::Cli cli(
-      "Replay one (graph, path, backend, threads) cell of the differential "
+      "Replay one (graph, path, threads) cell of the differential "
       "correctness matrix against the brute-force oracle.");
   cli.opt("graph", "",
           "corpus graph name or edge-list file dumped by the suite")
       .opt("path", "lotus", "counting path name (see --list)")
-      .opt("backend", "pool", "execution backend: pool | openmp")
-      .opt("threads", "1", "thread count for the run")
+      .opt("threads", "1", "pool thread count for the run")
       .opt("hub-count", "0", "LotusConfig::hub_count (0 = automatic)")
       .opt("relabel-fraction", "0.1", "LotusConfig::relabel_fraction")
       .flag("list", "print every known graph and path name and exit");
@@ -70,19 +70,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  lotus::testing::DiffExecution execution;
-  const std::string backend = cli.get("backend");
-  if (backend == "openmp") {
-    if (!lotus::parallel::openmp_available()) {
-      std::cerr << "this build has no OpenMP backend\n";
-      return 2;
-    }
-    execution.backend = lotus::parallel::Backend::kOpenMP;
-  } else if (backend != "pool") {
-    std::cerr << "unknown backend '" << backend << "'\n";
-    return 2;
-  }
-  execution.threads = static_cast<unsigned>(cli.get_int("threads"));
+  const auto threads = static_cast<unsigned>(cli.get_int("threads"));
 
   // --graph names either a corpus entry (exact name match; brings that
   // graph's LOTUS config along) or an edge-list file on disk. Explicit
@@ -120,7 +108,7 @@ int main(int argc, char** argv) {
   try {
     const auto csr = lotus::graph::build_undirected(edges);
     expected = lotus::baselines::brute_force(csr);
-    lotus::testing::apply_execution(execution);
+    lotus::parallel::set_num_threads(threads);
     actual = path->count(csr, config);
   } catch (...) {
     // bad_alloc -> 4, system_error -> 7, invalid_argument -> 2, other -> 1;
@@ -129,8 +117,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "graph=" << cli.get("graph") << " path=" << path->name
-            << " backend=" << lotus::testing::backend_name(execution.backend)
-            << " threads=" << execution.threads << "\n"
+            << " threads=" << threads << "\n"
             << "brute_force=" << expected << " path_count=" << actual << " -> "
             << (actual == expected ? "MATCH" : "MISMATCH") << "\n";
   return actual == expected ? 0 : 1;

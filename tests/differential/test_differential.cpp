@@ -1,5 +1,5 @@
 // Differential matrix driver: every counting path × every corpus graph ×
-// every (backend, thread-count) cell must produce the brute-force count.
+// every pool thread count must produce the brute-force count.
 //
 // On a mismatch the offending graph is dumped as a text edge list next to
 // the test binary and the failure message carries a one-line
@@ -16,15 +16,15 @@
 #include "diff_harness.hpp"
 #include "graph/builder.hpp"
 #include "graph/io.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
-using lotus::testing::DiffExecution;
 using lotus::testing::DiffGraph;
 using lotus::testing::DiffPath;
 
 /// Corpus graphs are generated once per process; the brute-force oracle is
-/// computed once per graph (it does not depend on backend or threads).
+/// computed once per graph (it does not depend on the thread count).
 struct PreparedGraph {
   DiffGraph spec;
   lotus::graph::CsrGraph csr;
@@ -52,17 +52,17 @@ const std::vector<DiffPath>& paths() {
   return *p;
 }
 
-class DifferentialMatrix : public ::testing::TestWithParam<DiffExecution> {
+class DifferentialMatrix : public ::testing::TestWithParam<unsigned> {
  protected:
   void TearDown() override {
-    // Leave the process-wide runtime the way the other suites expect it.
-    lotus::testing::apply_execution({lotus::parallel::Backend::kPool, 0});
+    // Leave the process-wide pool the way the other suites expect it.
+    lotus::parallel::set_num_threads(0);
   }
 };
 
 TEST_P(DifferentialMatrix, EveryPathMatchesBruteForce) {
-  const DiffExecution execution = GetParam();
-  lotus::testing::apply_execution(execution);
+  const unsigned threads = GetParam();
+  lotus::parallel::set_num_threads(threads);
 
   for (const PreparedGraph& graph : prepared_corpus()) {
     for (const DiffPath& path : paths()) {
@@ -73,32 +73,30 @@ TEST_P(DifferentialMatrix, EveryPathMatchesBruteForce) {
           "diff_" + graph.spec.name + "_" + path.name + ".el";
       lotus::graph::write_edge_list_text(dump, graph.spec.edges);
       ADD_FAILURE() << "triangle count mismatch: graph=" << graph.spec.name
-                    << " path=" << path.name << " backend="
-                    << lotus::testing::backend_name(execution.backend)
-                    << " threads=" << execution.threads << " expected="
+                    << " path=" << path.name << " threads=" << threads
+                    << " expected="
                     << graph.expected << " actual=" << actual
                     << "\n  graph dumped to " << dump << "\n  repro: "
                     << lotus::testing::repro_command(dump, graph.spec,
-                                                     path.name, execution);
+                                                     path.name, threads);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BackendsByThreads, DifferentialMatrix,
-    ::testing::ValuesIn(lotus::testing::execution_matrix()),
-    [](const ::testing::TestParamInfo<DiffExecution>& cell) {
-      return lotus::testing::backend_name(cell.param.backend) + "_t" +
-             std::to_string(cell.param.threads);
+    PoolThreads, DifferentialMatrix,
+    ::testing::ValuesIn(lotus::testing::thread_axis()),
+    [](const ::testing::TestParamInfo<unsigned>& cell) {
+      return "t" + std::to_string(cell.param);
     });
 
 // The acceptance bar of the harness: the matrix must span at least 200
-// (graph × path × backend × threads) combinations. Computed from the
+// (graph × path × threads) combinations. Computed from the
 // definitions, so it holds independent of test sharding or ordering.
 TEST(DifferentialCoverage, AtLeast200Combinations) {
   const std::size_t graphs = lotus::testing::differential_corpus().size();
   const std::size_t path_count = lotus::testing::differential_paths().size();
-  const std::size_t cells = lotus::testing::execution_matrix().size();
+  const std::size_t cells = lotus::testing::thread_axis().size();
   const std::size_t combinations = graphs * path_count * cells;
   RecordProperty("combinations", static_cast<int>(combinations));
   EXPECT_GE(combinations, 200u)

@@ -16,7 +16,6 @@
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "parallel/parallel_for.hpp"
 #include "tc/engine.hpp"
 #include "tc/prepared.hpp"
 #include "util/cancel.hpp"
@@ -25,7 +24,6 @@ namespace {
 
 namespace g = lotus::graph;
 namespace tc = lotus::tc;
-namespace par = lotus::parallel;
 namespace fs = std::filesystem;
 using lotus::util::StatusCode;
 
@@ -157,7 +155,7 @@ TEST(Engine, UncacheableAlgorithmsAndEmptyKeysRunEndToEnd) {
 TEST(Engine, ConcurrentMixedSubmitsMatchSerialQueries) {
   // The differential heart: N threads submit mixed-algorithm queries over
   // two graphs concurrently; every count must equal the serial tc::query()
-  // answer. Swept over both parallel_for backends.
+  // answer.
   const auto graph_a = small_graph(21);
   const auto graph_b = small_graph(22);
   const std::uint64_t expected_a = lotus::baselines::brute_force(graph_a);
@@ -167,45 +165,33 @@ TEST(Engine, ConcurrentMixedSubmitsMatchSerialQueries) {
       tc::Algorithm::kAdaptive, tc::Algorithm::kForwardHybrid,
       tc::Algorithm::kNodeIterator};
 
-#if defined(__SANITIZE_THREAD__)
-  constexpr bool tsan = true;
-#else
-  constexpr bool tsan = false;
-#endif
-  for (const par::Backend backend : {par::Backend::kPool, par::Backend::kOpenMP}) {
-    if (backend == par::Backend::kOpenMP && (tsan || !par::openmp_available()))
-      continue;
-    ASSERT_TRUE(par::set_backend(backend));
-    tc::Engine engine({.num_drivers = 2, .threads_per_query = 2});
-    constexpr int kSubmitters = 4;
-    constexpr int kPerThread = 5;
-    std::vector<std::thread> submitters;
-    std::atomic<int> failures{0};
-    for (int t = 0; t < kSubmitters; ++t) {
-      submitters.emplace_back([&, t] {
-        for (int i = 0; i < kPerThread; ++i) {
-          const bool use_a = (t + i) % 2 == 0;
-          const auto algorithm =
-              mix[static_cast<std::size_t>(t * kPerThread + i) % mix.size()];
-          auto outcome = engine
-                             .submit({algorithm, use_a ? "a" : "b",
-                                      use_a ? &graph_a : &graph_b, {}})
-                             .get();
-          if (!outcome.ok() || !outcome.value().ok() ||
-              outcome.value().result.triangles !=
-                  (use_a ? expected_a : expected_b))
-            failures.fetch_add(1);
-        }
-      });
-    }
-    for (auto& thread : submitters) thread.join();
-    EXPECT_EQ(failures.load(), 0)
-        << "backend=" << (backend == par::Backend::kPool ? "pool" : "openmp");
-    const auto stats = engine.stats();
-    EXPECT_EQ(stats.completed, kSubmitters * kPerThread);
-    EXPECT_EQ(stats.rejected, 0u);
+  tc::Engine engine({.num_drivers = 2, .threads_per_query = 2});
+  constexpr int kSubmitters = 4;
+  constexpr int kPerThread = 5;
+  std::vector<std::thread> submitters;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const bool use_a = (t + i) % 2 == 0;
+        const auto algorithm =
+            mix[static_cast<std::size_t>(t * kPerThread + i) % mix.size()];
+        auto outcome = engine
+                           .submit({algorithm, use_a ? "a" : "b",
+                                    use_a ? &graph_a : &graph_b, {}})
+                           .get();
+        if (!outcome.ok() || !outcome.value().ok() ||
+            outcome.value().result.triangles !=
+                (use_a ? expected_a : expected_b))
+          failures.fetch_add(1);
+      }
+    });
   }
-  par::set_backend(par::Backend::kPool);
+  for (auto& thread : submitters) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.completed, kSubmitters * kPerThread);
+  EXPECT_EQ(stats.rejected, 0u);
 }
 
 TEST(Engine, LruEvictionUnderTinyBudget) {

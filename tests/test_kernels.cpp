@@ -20,6 +20,8 @@
 #include "kernels/hybrid.hpp"
 #include "kernels/intersect.hpp"
 #include "kernels/isa.hpp"
+#include "lotus/count.hpp"
+#include "lotus/lotus_graph.hpp"
 #include "tc/api.hpp"
 #include "util/prng.hpp"
 
@@ -113,8 +115,6 @@ TEST(KernelIsa, EveryTierTableIsFullyPopulated) {
     const k::KernelTable& table = k::kernel_table(isa);
     EXPECT_NE(table.merge_u32, nullptr);
     EXPECT_NE(table.merge_u16, nullptr);
-    EXPECT_NE(table.and_popcount, nullptr);
-    EXPECT_NE(table.popcount, nullptr);
     EXPECT_NE(table.hits_bitset, nullptr);
     EXPECT_NE(table.and_window_popcount, nullptr);
     EXPECT_TRUE(k::isa_supported(table.isa));
@@ -215,29 +215,6 @@ TEST(KernelMerge, RandomizedSizeSweep) {
 }
 
 // --- bitmap kernels -------------------------------------------------------
-
-TEST(KernelBitmap, AndPopcountAndPopcountAllTiers) {
-  lotus::util::Xoshiro256 rng(99);
-  for (const std::size_t words : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                                  std::size_t{4}, std::size_t{5}, std::size_t{17},
-                                  std::size_t{64}}) {
-    std::vector<std::uint64_t> a(words), b(words);
-    for (std::size_t i = 0; i < words; ++i) {
-      a[i] = rng();
-      b[i] = rng();
-    }
-    const k::KernelTable& scalar = k::kernel_table(k::Isa::kScalar);
-    const std::uint64_t expect_and = scalar.and_popcount(a.data(), b.data(), words);
-    const std::uint64_t expect_pop = scalar.popcount(a.data(), words);
-    for (const k::Isa isa : kAllTiers) {
-      const k::KernelTable& table = k::kernel_table(isa);
-      EXPECT_EQ(table.and_popcount(a.data(), b.data(), words), expect_and)
-          << k::isa_name(isa) << " words=" << words;
-      EXPECT_EQ(table.popcount(a.data(), words), expect_pop)
-          << k::isa_name(isa) << " words=" << words;
-    }
-  }
-}
 
 TEST(KernelBitmap, HitsBitsetAllTiers) {
   lotus::util::Xoshiro256 rng(7);
@@ -556,12 +533,9 @@ TEST(KernelGraphLevel, LotusScalarReferencePathAgrees) {
         << " hybrid_threshold=" << config.hybrid_degree_threshold;
   }
   // Fused ablation path also routes through the dispatched kernels.
-  lotus::core::LotusConfig fused;
-  fused.fuse_hnn_nnn = true;
-  EXPECT_EQ(tc::query(tc::Algorithm::kLotus, graph, {.config = fused})
-                .value()
-                .result.triangles,
-            expected);
+  const auto lg = lotus::core::LotusGraph::build(graph);
+  const auto hub = lotus::core::count_hhh_hhn(lg, {});
+  EXPECT_EQ(hub.hhh + hub.hhn + lotus::core::count_hnn_nnn_fused(lg), expected);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include "lotus/count.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/relabel.hpp"
-#include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tc/api.hpp"
 #include "util/memory_budget.hpp"
 
@@ -168,12 +168,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(LotusCount, FusedModeMatchesSplit) {
   const auto graph =
       g::build_undirected(g::rmat({.scale = 11, .edge_factor = 10, .seed = 21}));
-  LotusConfig split;
-  LotusConfig fused = split;
-  fused.fuse_hnn_nnn = true;
-  const auto rs = lotus::core::count_triangles(graph, split);
-  const auto rf = lotus::core::count_triangles(graph, fused);
-  EXPECT_EQ(rs.triangles, rf.triangles);
+  const auto split = lotus::core::count_triangles(graph);
+  const auto lg = LotusGraph::build(graph);
+  EXPECT_EQ(lotus::core::count_hnn_nnn_fused(lg), split.hnn + split.nnn);
 }
 
 TEST(LotusCount, EdgeBalancedPolicyCountsIdentically) {
@@ -230,18 +227,6 @@ TEST(LotusCount, InvariantUnderInputReordering) {
     EXPECT_EQ(r.triangles, r.hhh + r.hhn + r.hnn + r.nnn)
         << g::ordering_name(ordering);
   }
-}
-
-TEST(LotusCount, IdenticalUnderBothParallelBackends) {
-  const auto graph =
-      g::build_undirected(g::rmat({.scale = 10, .edge_factor = 10, .seed = 26}));
-  lotus::parallel::set_backend(lotus::parallel::Backend::kPool);
-  const auto pool_result = lotus::core::count_triangles(graph);
-  lotus::parallel::set_backend(lotus::parallel::Backend::kOpenMP);
-  const auto omp_result = lotus::core::count_triangles(graph);
-  lotus::parallel::set_backend(lotus::parallel::Backend::kPool);
-  EXPECT_EQ(pool_result.triangles, omp_result.triangles);
-  EXPECT_EQ(pool_result.hnn, omp_result.hnn);
 }
 
 TEST(LotusCount, RepeatedRunsAreDeterministic) {
@@ -325,7 +310,7 @@ TEST(LotusCount, ChargesScratchToTheMemoryBudget) {
   // Both runs charge the topology and the relabel buffers: new_id,
   // old_of_new, the selected block and the per-thread histograms.
   const std::uint64_t n = graph.num_vertices();
-  const std::uint64_t threads = lotus::parallel::max_parallelism();
+  const std::uint64_t threads = lotus::parallel::num_threads();
   const std::uint64_t reorder =
       std::max<std::uint64_t>(config.hub_count, n / 10);
   const std::uint64_t relabel =
@@ -336,8 +321,7 @@ TEST(LotusCount, ChargesScratchToTheMemoryBudget) {
   // The vectorized run adds exactly the per-thread hub-space scratch: the
   // hub phase's popcount masks and the HNN bitmaps, ⌈hubs/64⌉ words each.
   const std::uint64_t bitmap_bytes = (config.hub_count + 63) / 64 * 8;
-  EXPECT_EQ(vectorized - scalar,
-            (lotus::parallel::default_pool().size() + threads) * bitmap_bytes);
+  EXPECT_EQ(vectorized - scalar, 2 * threads * bitmap_bytes);
 }
 
 TEST(LotusCount, BuildChargesExactlyItsArrays) {
@@ -353,7 +337,7 @@ TEST(LotusCount, BuildChargesExactlyItsArrays) {
   // histograms and two per-block counters. (No degree reaches the overflow
   // bucket often enough to need its extra list here.)
   const std::uint64_t n = graph.num_vertices();
-  const std::uint64_t threads = lotus::parallel::max_parallelism();
+  const std::uint64_t threads = lotus::parallel::num_threads();
   const std::uint64_t blocks =
       (n + lotus::core::kRelabelBlock - 1) / lotus::core::kRelabelBlock;
   const std::uint64_t relabel =

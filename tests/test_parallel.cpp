@@ -81,6 +81,36 @@ TEST(ParallelReduce, MatchesSerialSum) {
   EXPECT_EQ(total, expected);
 }
 
+TEST(ParallelFor, ThreadIndicesStayBelowTheScopedPoolSize) {
+  // Every thread index parallel_for hands its body is < num_threads(): the
+  // per-thread arrays and budget charges of parallel_reduce_add, the kernels
+  // and the analytics are sized with it. A ScopedPool (the Engine's
+  // per-driver pool) narrows that bound for its scope only.
+  const auto max_index = [] {
+    std::atomic<unsigned> max_seen{0};
+    lotus::parallel::parallel_for(0, 20000, 16,
+        [&](unsigned t, std::uint64_t, std::uint64_t) {
+          unsigned prev = max_seen.load();
+          while (t > prev && !max_seen.compare_exchange_weak(prev, t)) {
+          }
+        });
+    return max_seen.load();
+  };
+  for (const unsigned threads : {1u, 2u, 5u}) {
+    lotus::parallel::set_num_threads(threads);
+    EXPECT_LT(max_index(), lotus::parallel::num_threads()) << "threads=" << threads;
+  }
+  ASSERT_EQ(lotus::parallel::num_threads(), 5u);
+  {
+    ThreadPool narrow(2);
+    lotus::parallel::ScopedPool scope(&narrow);
+    EXPECT_EQ(lotus::parallel::num_threads(), 2u);
+    EXPECT_LT(max_index(), 2u);
+  }
+  EXPECT_EQ(lotus::parallel::num_threads(), 5u);
+  lotus::parallel::set_num_threads(0);
+}
+
 TEST(WorkStealing, RunsAllTasks) {
   ThreadPool pool(4);
   WorkStealingScheduler scheduler(pool);
@@ -121,90 +151,11 @@ TEST(WorkStealing, EmptyTaskListReturnsImmediately) {
   EXPECT_EQ(busy.size(), 2u);
 }
 
-class BackendGuard {
- public:
-  explicit BackendGuard(lotus::parallel::Backend b) { lotus::parallel::set_backend(b); }
-  ~BackendGuard() { lotus::parallel::set_backend(lotus::parallel::Backend::kPool); }
-};
-
-TEST(OpenMPBackend, ParallelForCoversRange) {
-  BackendGuard guard(lotus::parallel::Backend::kOpenMP);
-  constexpr std::uint64_t kN = 50000;
-  std::vector<std::atomic<int>> hits(kN);
-  lotus::parallel::parallel_for(0, kN, 64,
-      [&](unsigned t, std::uint64_t b, std::uint64_t e) {
-        ASSERT_LT(t, lotus::parallel::max_parallelism());
-        for (std::uint64_t i = b; i < e; ++i) hits[i].fetch_add(1);
-      });
-  for (std::uint64_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(OpenMPBackend, ReduceMatchesPoolBackend) {
-  const auto body = [](std::uint64_t i) { return i * i; };
-  std::uint64_t pool_sum = 0, omp_sum = 0;
-  {
-    BackendGuard guard(lotus::parallel::Backend::kPool);
-    pool_sum = lotus::parallel::parallel_reduce_add<std::uint64_t>(0, 100000, 128, body);
-  }
-  {
-    BackendGuard guard(lotus::parallel::Backend::kOpenMP);
-    omp_sum = lotus::parallel::parallel_reduce_add<std::uint64_t>(0, 100000, 128, body);
-  }
-  EXPECT_EQ(pool_sum, omp_sum);
-}
-
 TEST(DefaultPool, RespectsThreadOverride) {
   lotus::parallel::set_num_threads(3);
   EXPECT_EQ(lotus::parallel::num_threads(), 3u);
   lotus::parallel::set_num_threads(0);  // back to hardware default
   EXPECT_GE(lotus::parallel::num_threads(), 1u);
-}
-
-TEST(Backend, SetBackendReportsAvailability) {
-  // Selecting the pool always succeeds; selecting OpenMP succeeds exactly
-  // when it is compiled in — and on failure the pool stays active instead of
-  // a silent pretend-switch.
-  EXPECT_TRUE(lotus::parallel::set_backend(lotus::parallel::Backend::kPool));
-  const bool switched =
-      lotus::parallel::set_backend(lotus::parallel::Backend::kOpenMP);
-  EXPECT_EQ(switched, lotus::parallel::openmp_available());
-  if (switched) {
-    EXPECT_EQ(lotus::parallel::backend(), lotus::parallel::Backend::kOpenMP);
-  } else {
-    EXPECT_EQ(lotus::parallel::backend(), lotus::parallel::Backend::kPool);
-  }
-  EXPECT_TRUE(lotus::parallel::set_backend(lotus::parallel::Backend::kPool));
-}
-
-TEST(Backend, MaxParallelismBoundsThreadIndicesUnderBothBackends) {
-  // Whatever the backend and pool size, every thread index parallel_for
-  // hands to its body must be < max_parallelism() — per-thread accumulator
-  // arrays are sized with it (parallel_reduce_add, kernels, analytics).
-  for (const auto backend :
-       {lotus::parallel::Backend::kPool, lotus::parallel::Backend::kOpenMP}) {
-    if (backend == lotus::parallel::Backend::kOpenMP &&
-        !lotus::parallel::openmp_available())
-      continue;
-    for (const unsigned threads : {1u, 2u, 5u}) {
-      lotus::parallel::set_num_threads(threads);
-      ASSERT_TRUE(lotus::parallel::set_backend(backend));
-      const unsigned bound = lotus::parallel::max_parallelism();
-      ASSERT_GE(bound, 1u);
-      std::atomic<unsigned> max_seen{0};
-      lotus::parallel::parallel_for(0, 20000, 16,
-          [&](unsigned t, std::uint64_t, std::uint64_t) {
-            unsigned prev = max_seen.load();
-            while (t > prev && !max_seen.compare_exchange_weak(prev, t)) {
-            }
-          });
-      EXPECT_LT(max_seen.load(), bound)
-          << "backend="
-          << (backend == lotus::parallel::Backend::kPool ? "pool" : "openmp")
-          << " threads=" << threads;
-    }
-  }
-  lotus::parallel::set_backend(lotus::parallel::Backend::kPool);
-  lotus::parallel::set_num_threads(0);
 }
 
 TEST(ThreadPool, SurvivesThreadSpawnFailure) {

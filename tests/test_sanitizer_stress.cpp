@@ -7,9 +7,6 @@
 // writes, and a reduced differential matrix all execute under race and
 // memory-error detection. Workloads are sized for the ~10x sanitizer
 // slowdown: hostile interleavings, small data.
-//
-// The OpenMP backend is intentionally not exercised under TSan: libgomp is
-// not TSan-instrumented and reports false positives on its own barriers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -109,16 +106,9 @@ TEST(SanitizerStress, H2HConcurrentSetAtomic) {
 }
 
 TEST(SanitizerStress, ParallelForBothBackends) {
-  for (const par::Backend backend :
-       {par::Backend::kPool, par::Backend::kOpenMP}) {
-    if (backend == par::Backend::kOpenMP && (kTsan || !par::openmp_available()))
-      continue;
-    ASSERT_TRUE(par::set_backend(backend));
-    const auto total = par::parallel_reduce_add<std::uint64_t>(
-        0, 100000, 64, [](std::uint64_t i) { return i; });
-    EXPECT_EQ(total, 99999ull * 100000 / 2);
-  }
-  par::set_backend(par::Backend::kPool);
+  const auto total = par::parallel_reduce_add<std::uint64_t>(
+      0, 100000, 64, [](std::uint64_t i) { return i; });
+  EXPECT_EQ(total, 99999ull * 100000 / 2);
 }
 
 TEST(SanitizerStress, LotusEndToEndUnderFourThreads) {
@@ -212,7 +202,7 @@ TEST(SanitizerStress, LotusBuildInterruptedInEachPhaseReturnsFromIt) {
     at_partition = full - lotus::core::TriangularBitArray::size_bytes_for(hubs) -
                    lg.he().num_edges() * sizeof(std::uint16_t) -
                    lg.nhe().num_edges() * sizeof(g::VertexId) -
-                   par::max_parallelism() * ((std::uint64_t{hubs} + 63) / 64) * sizeof(std::uint64_t);
+                   par::num_threads() * ((std::uint64_t{hubs} + 63) / 64) * sizeof(std::uint64_t);
   }
   const std::uint64_t offsets = (n + 1) * 2 * sizeof(std::uint64_t);
 
@@ -460,12 +450,11 @@ TEST(SanitizerStress, EngineStatsSnapshotsStayCoherent) {
 }
 
 TEST(SanitizerStress, DifferentialSmokeMatrix) {
-  // Reduced differential matrix: adversarial corpus only, pool backend only
-  // (see the file comment), threads {1, 4}.
+  // Reduced differential matrix: adversarial corpus only, threads {1, 4}.
   const auto corpus = lotus::testing::smoke_corpus();
   const auto paths = lotus::testing::differential_paths();
   for (const unsigned threads : {1u, 4u}) {
-    lotus::testing::apply_execution({par::Backend::kPool, threads});
+    par::set_num_threads(threads);
     for (const auto& spec : corpus) {
       const auto csr = g::build_undirected(spec.edges);
       const auto expected = lotus::baselines::brute_force(csr);
@@ -475,7 +464,7 @@ TEST(SanitizerStress, DifferentialSmokeMatrix) {
       }
     }
   }
-  lotus::testing::apply_execution({par::Backend::kPool, 0});
+  par::set_num_threads(0);
 }
 
 }  // namespace
