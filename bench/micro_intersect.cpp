@@ -69,7 +69,7 @@ void BM_Simd(benchmark::State& state) {
   const auto b = make_sorted(static_cast<std::size_t>(state.range(1)), 1 << 20, 2);
   const std::span<const std::uint32_t> sa(a), sb(b);
   for (auto _ : state)
-    benchmark::DoNotOptimize(lotus::kernels::intersect<std::uint32_t>(sa, sb));
+    benchmark::DoNotOptimize(lotus::kernels::intersect(sa, sb));
   state.SetItemsProcessed(state.iterations() *
                           (state.range(0) + state.range(1)));
 }

@@ -523,7 +523,7 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
   lotus::util::Xoshiro256 rng(4242);
   const std::size_t len = suite.kernel_len;
 
-  // Sorted-unique lists with ~1-in-3 overlap; same shape for both widths.
+  // Sorted-unique lists with ~1-in-3 overlap.
   const auto make_u32 = [&rng](std::size_t n, std::uint64_t universe) {
     std::set<std::uint32_t> s;
     while (s.size() < n)
@@ -532,20 +532,9 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
   };
   const auto a32 = make_u32(len, 3 * len);
   const auto b32 = make_u32(len, 3 * len);
-  const std::size_t len16 = std::min<std::size_t>(len, 20000);
-  std::vector<std::uint16_t> a16, b16;
-  for (const std::uint32_t v : make_u32(len16, 60000))
-    a16.push_back(static_cast<std::uint16_t>(v));
-  for (const std::uint32_t v : make_u32(len16, 60000))
-    b16.push_back(static_cast<std::uint16_t>(v));
-  std::vector<std::uint64_t> wa(len), wb(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    wa[i] = rng();
-    wb[i] = rng();
-  }
+  std::vector<std::uint64_t> words(len);
+  for (auto& w : words) w = rng();
   const auto keys = make_u32(len, 64 * len);
-  const std::uint64_t window_offset = 1217;  // unaligned: exercises the shift
-  const std::size_t window_words = len / 2;
 
   struct TimedKernel {
     const char* name;
@@ -556,18 +545,22 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
        [&](const k::KernelTable& t) {
          return t.merge_u32(a32.data(), a32.size(), b32.data(), b32.size());
        }},
-      {"merge_u16",
-       [&](const k::KernelTable& t) {
-         return t.merge_u16(a16.data(), a16.size(), b16.data(), b16.size());
-       }},
       {"hits_bitset",
        [&](const k::KernelTable& t) {
-         return t.hits_bitset(keys.data(), keys.size(), wa.data());
+         return t.hits_bitset(keys.data(), keys.size(), words.data());
        }},
-      {"and_window_popcount",
+      {"checksum_stripes",
        [&](const k::KernelTable& t) {
-         return t.and_window_popcount(wa.data(), wa.size(), window_offset,
-                                      wb.data(), window_words);
+         // The words as len / 8 stripes; every lane of the state goes into
+         // the result, so the scalar check is lane-exact.
+         std::uint64_t acc[8] = {};
+         t.checksum_stripes(acc,
+                            reinterpret_cast<const unsigned char*>(words.data()),
+                            len / 8);
+         std::uint64_t folded = 0;
+         for (const std::uint64_t lane : acc)
+           folded = folded * 0x9E3779B97F4A7C15ULL + lane;
+         return folded;
        }},
   };
 

@@ -25,8 +25,8 @@ std::uint64_t forward_merge_prepared(const OrientedCsr& oriented,
         auto nv = oriented.neighbors(v);
         std::uint64_t local = 0;
         for (VertexId u : nv)
-          local += kernels::intersect<VertexId>(nv, oriented.neighbors(u),
-                                                null_probe, vectorize);
+          local += kernels::intersect(nv, oriented.neighbors(u), null_probe,
+                                      vectorize);
         return local;
       });
 }

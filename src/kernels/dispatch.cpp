@@ -6,7 +6,7 @@ namespace lotus::kernels {
 
 namespace {
 
-// Scalar reference kernels. The merges are the branch-free loop of
+// Scalar reference kernels. The merge is the branch-free loop of
 // detail::merge_branchless rather than the branching merge of
 // baselines/intersect.hpp: the dispatched fast path has no probe to report
 // branches to, so the branchless form is strictly better here. Counts are
@@ -16,35 +16,11 @@ std::uint64_t merge_u32_scalar(const std::uint32_t* a, std::size_t na,
   return detail::merge_branchless(a, na, b, nb);
 }
 
-std::uint64_t merge_u16_scalar(const std::uint16_t* a, std::size_t na,
-                               const std::uint16_t* b, std::size_t nb) {
-  return detail::merge_branchless(a, na, b, nb);
-}
-
 std::uint64_t hits_bitset_scalar(const std::uint32_t* keys, std::size_t count,
                                  const std::uint64_t* bits) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < count; ++i)
     total += (bits[keys[i] >> 6] >> (keys[i] & 63)) & 1ULL;
-  return total;
-}
-
-std::uint64_t and_window_popcount_scalar(const std::uint64_t* bits,
-                                         std::size_t bits_words,
-                                         std::uint64_t offset,
-                                         const std::uint64_t* mask,
-                                         std::size_t mask_words) {
-  const std::size_t base = static_cast<std::size_t>(offset >> 6);
-  const unsigned shift = static_cast<unsigned>(offset & 63);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < mask_words; ++i) {
-    std::uint64_t window = bits[base + i] >> shift;
-    // The straddling high half; the last valid word has no successor, and
-    // the caller's mask is zero wherever the window runs past its row.
-    if (shift != 0 && base + i + 1 < bits_words)
-      window |= bits[base + i + 1] << (64 - shift);
-    total += static_cast<std::uint64_t>(__builtin_popcountll(window & mask[i]));
-  }
   return total;
 }
 
@@ -62,8 +38,10 @@ void checksum_stripes_scalar(std::uint64_t* acc, const unsigned char* data,
 }
 
 constexpr KernelTable kScalarTable = {
-    Isa::kScalar,        &merge_u32_scalar,           &merge_u16_scalar,
-    &hits_bitset_scalar, &and_window_popcount_scalar, &checksum_stripes_scalar,
+    Isa::kScalar,
+    &merge_u32_scalar,
+    &hits_bitset_scalar,
+    &checksum_stripes_scalar,
 };
 
 }  // namespace

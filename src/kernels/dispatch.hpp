@@ -3,8 +3,9 @@
 // One KernelTable per ISA tier (scalar always; AVX2/AVX-512 on x86, NEON on
 // aarch64), each entry a plain function pointer so the per-tier code can be
 // compiled with __attribute__((target(...))) in its own translation unit and
-// selected by cpuid at runtime. Entries a tier does not specialize fall back
-// to the scalar implementation, so every table is always fully populated.
+// selected by cpuid at runtime. Each tier starts from the table below it
+// (AVX-512 from AVX2, AVX2 and NEON from scalar) and overrides only the
+// entries it measurably speeds up, so every table is always fully populated.
 //
 // These kernels are the *uninstrumented* fast paths: they take raw pointers,
 // carry no memory probe, and flush no obs counters themselves. The
@@ -29,25 +30,11 @@ struct KernelTable {
   std::uint64_t (*merge_u32)(const std::uint32_t* a, std::size_t na,
                              const std::uint32_t* b, std::size_t nb);
 
-  /// 16-bit variant for the LOTUS HE compact-ID lists (twice the lanes).
-  std::uint64_t (*merge_u16)(const std::uint16_t* a, std::size_t na,
-                             const std::uint16_t* b, std::size_t nb);
-
   /// Sparse × dense: how many of `keys` have their bit set in `bits`
   /// (bit k lives at bits[k >> 6] >> (k & 63)). Every key must index a
   /// word the caller allocated.
   std::uint64_t (*hits_bitset)(const std::uint32_t* keys, std::size_t count,
                                const std::uint64_t* bits);
-
-  /// popcount(window & mask) where the window is `mask_words` 64-bit words
-  /// of the bit stream `bits` starting at *bit* `offset` (not word-aligned;
-  /// `bits_words` bounds the reads) — the H2H triangular-row kernel: rows
-  /// start at row_base(h1), a bit offset with no alignment guarantee.
-  std::uint64_t (*and_window_popcount)(const std::uint64_t* bits,
-                                       std::size_t bits_words,
-                                       std::uint64_t offset,
-                                       const std::uint64_t* mask,
-                                       std::size_t mask_words);
 
   /// Accumulate `stripes` 64-byte stripes into the 8-lane block-checksum
   /// state (util/checksum.hpp): per u64 lane j with data word x and
@@ -79,8 +66,9 @@ inline constexpr std::uint64_t kChecksumSecret[8] = {
 /// inventory entry for every name — keep the markers intact.
 // KERNEL-INVENTORY-BEGIN
 inline constexpr const char* kKernelNames[] = {
-    "merge_u32",           "merge_u16",        "hits_bitset",
-    "and_window_popcount", "checksum_stripes",
+    "merge_u32",
+    "hits_bitset",
+    "checksum_stripes",
 };
 // KERNEL-INVENTORY-END
 
@@ -88,7 +76,7 @@ namespace detail {
 /// |a ∩ b| by a branch-free scalar merge: each step compares one element of
 /// each list and advances either or both with conditional adds (cmov)
 /// instead of a three-way branch, so it costs the same whatever the data.
-/// The scalar merge kernels are this loop; every SIMD tier's merge runs it
+/// The scalar merge kernel is this loop; every SIMD tier's merge runs it
 /// over the tails its block loop leaves, which on the ~8-entry lists of the
 /// NNN phase is nearly the whole merge.
 template <typename T>
@@ -109,7 +97,7 @@ inline std::uint64_t merge_branchless(const T* a, std::size_t na, const T* b,
 /// Per-tier table builders. The scalar table always exists; the SIMD tiers
 /// return nullptr when their architecture is not compiled in (their TUs
 /// still build everywhere — the bodies are preprocessor-gated). Tier tables
-/// copy scalar entries for kernels they do not specialize.
+/// copy the entries they do not override from the table they start from.
 [[nodiscard]] const KernelTable& scalar_kernel_table() noexcept;
 [[nodiscard]] const KernelTable* avx2_kernel_table() noexcept;
 [[nodiscard]] const KernelTable* avx512_kernel_table() noexcept;

@@ -1,4 +1,4 @@
-// Probe-aware front door to the dispatched merge kernels.
+// Probe-aware front door to the dispatched u32 merge kernel.
 //
 // The instrumentation contract (baselines/intersect.hpp): every kernel the
 // counting phases call must accept a memory probe and, when one is attached,
@@ -27,28 +27,19 @@
 
 namespace lotus::kernels {
 
-/// |a ∩ b| of strictly ascending lists (u16 for the HE compact IDs, u32 for
-/// vertex IDs), dispatched per active_isa() when uninstrumented.
-template <typename T, typename Probe = baselines::NullProbe>
-std::uint64_t intersect(std::span<const T> a, std::span<const T> b,
+/// |a ∩ b| of strictly ascending u32 lists (vertex IDs), dispatched per
+/// active_isa() when uninstrumented. The 16-bit HE lists have no dispatched
+/// merge: their phases probe a hub bitmap, and their scalar paths call
+/// baselines::intersect_merge<std::uint16_t> directly.
+template <typename Probe = baselines::NullProbe>
+std::uint64_t intersect(std::span<const std::uint32_t> a,
+                        std::span<const std::uint32_t> b,
                         Probe& probe = baselines::null_probe,
                         bool vectorize = true) {
-  static_assert(std::is_unsigned_v<T> && (sizeof(T) == 2 || sizeof(T) == 4),
-                "dispatch table covers u16 and u32 element types");
   if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
     if (vectorize) {
-      const KernelTable& table = kernel_table();
-      std::uint64_t found;
-      if constexpr (sizeof(T) == 2)
-        found = table.merge_u16(reinterpret_cast<const std::uint16_t*>(a.data()),
-                                a.size(),
-                                reinterpret_cast<const std::uint16_t*>(b.data()),
-                                b.size());
-      else
-        found = table.merge_u32(reinterpret_cast<const std::uint32_t*>(a.data()),
-                                a.size(),
-                                reinterpret_cast<const std::uint32_t*>(b.data()),
-                                b.size());
+      const std::uint64_t found =
+          kernel_table().merge_u32(a.data(), a.size(), b.data(), b.size());
       const std::uint64_t comparisons =
           a.empty() || b.empty() ? 0 : a.size() + b.size();
       obs::count(obs::Counter::kIntersectComparisons, comparisons);
@@ -57,7 +48,7 @@ std::uint64_t intersect(std::span<const T> a, std::span<const T> b,
       return found;
     }
   }
-  return baselines::intersect_merge<T>(a, b, probe);
+  return baselines::intersect_merge<std::uint32_t>(a, b, probe);
 }
 
 }  // namespace lotus::kernels

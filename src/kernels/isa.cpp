@@ -10,8 +10,7 @@ namespace {
 
 Isa probe_cpu() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw"))
-    return Isa::kAvx512;
+  if (__builtin_cpu_supports("avx512f")) return Isa::kAvx512;
   if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
   return Isa::kScalar;
 #elif defined(__aarch64__)

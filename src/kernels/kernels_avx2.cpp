@@ -1,5 +1,5 @@
-// AVX2 tier: 8×u32 / 16×u16 block-compare merge (each block of one list
-// compared against every lane rotation of the other's block), gathered
+// AVX2 tier: 8×u32 block-compare merge (each block of one list compared
+// against every lane rotation of the other's block), gathered
 // sparse-vs-dense bitmap probing and the checksum stripes. Compiled with
 // per-function target attributes so the rest of the binary stays baseline;
 // only reachable after cpuid reports AVX2 (kernels/isa.cpp).
@@ -48,38 +48,6 @@ __attribute__((target("avx2"))) std::uint64_t merge_u32_avx2(
   }
 
   // Branch-free scalar merge over the tails.
-  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
-}
-
-__attribute__((target("avx2"))) std::uint64_t merge_u16_avx2(
-    const std::uint16_t* a, std::size_t na, const std::uint16_t* b,
-    std::size_t nb) {
-  std::uint64_t count = 0;
-  std::size_t i = 0, j = 0;
-
-  while (i + 16 <= na && j + 16 <= nb) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    __m256i match = _mm256_setzero_si256();
-    // 16 lane pairings: rotate b by one 16-bit lane per step. AVX2 has no
-    // cross-lane 16-bit rotate, so compose an in-lane byte shift with a
-    // 128-bit half swap every step.
-    for (int r = 0; r < 16; ++r) {
-      match = _mm256_or_si256(match, _mm256_cmpeq_epi16(va, vb));
-      const __m256i swapped = _mm256_permute2x128_si256(vb, vb, 0x01);
-      vb = _mm256_alignr_epi8(swapped, vb, 2);
-    }
-    const auto mask = static_cast<std::uint32_t>(_mm256_movemask_epi8(match));
-    // Each 16-bit match sets 2 mask bits.
-    count += static_cast<unsigned>(__builtin_popcount(mask)) / 2;
-
-    const std::uint16_t amax = a[i + 15];
-    const std::uint16_t bmax = b[j + 15];
-    i += amax <= bmax ? 16u : 0u;
-    j += bmax <= amax ? 16u : 0u;
-  }
-
   return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
 }
 
@@ -148,7 +116,6 @@ const KernelTable* avx2_kernel_table() noexcept {
     KernelTable t = scalar_kernel_table();  // unspecialized entries stay scalar
     t.isa = Isa::kAvx2;
     t.merge_u32 = &merge_u32_avx2;
-    t.merge_u16 = &merge_u16_avx2;
     t.hits_bitset = &hits_bitset_avx2;
     t.checksum_stripes = &checksum_stripes_avx2;
     return t;

@@ -1,6 +1,8 @@
-// AVX-512 tier: 16×u32 / 32×u16 block-compare merge on the 512-bit lane
-// permute units (vpermd/vpermw), 8-wide gathered bitmap probing and the
-// checksum stripes. The tier requires avx512f + avx512bw (kernels/isa.cpp).
+// AVX-512 tier: the AVX2 table with the two entries that measure faster at
+// 512 bits overridden — 8-wide gathered bitmap probing and the checksum
+// stripes. The merge stays AVX2's: a 16-lane block compare measured slower
+// than the 8-lane one (docs/KERNELS.md). The tier requires avx512f
+// (kernels/isa.cpp).
 #include "kernels/dispatch.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -13,64 +15,6 @@ namespace lotus::kernels::detail {
 #ifdef LOTUS_KERNELS_X86
 
 namespace {
-
-__attribute__((target("avx512f,avx512bw"))) std::uint64_t merge_u32_avx512(
-    const std::uint32_t* a, std::size_t na, const std::uint32_t* b,
-    std::size_t nb) {
-  std::uint64_t count = 0;
-  std::size_t i = 0, j = 0;
-
-  const __m512i rotate = _mm512_set_epi32(0, 15, 14, 13, 12, 11, 10, 9, 8, 7,
-                                          6, 5, 4, 3, 2, 1);
-
-  while (i + 16 <= na && j + 16 <= nb) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    __m512i vb = _mm512_loadu_si512(b + j);
-    __mmask16 match = 0;
-    for (int r = 0; r < 16; ++r) {
-      match |= _mm512_cmpeq_epi32_mask(va, vb);
-      vb = _mm512_permutexvar_epi32(rotate, vb);
-    }
-    count += static_cast<unsigned>(
-        __builtin_popcount(static_cast<unsigned>(match)));
-
-    const std::uint32_t amax = a[i + 15];
-    const std::uint32_t bmax = b[j + 15];
-    i += amax <= bmax ? 16u : 0u;
-    j += bmax <= amax ? 16u : 0u;
-  }
-
-  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
-}
-
-__attribute__((target("avx512f,avx512bw"))) std::uint64_t merge_u16_avx512(
-    const std::uint16_t* a, std::size_t na, const std::uint16_t* b,
-    std::size_t nb) {
-  std::uint64_t count = 0;
-  std::size_t i = 0, j = 0;
-
-  const __m512i rotate = _mm512_set_epi16(
-      0, 31, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15,
-      14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1);
-
-  while (i + 32 <= na && j + 32 <= nb) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    __m512i vb = _mm512_loadu_si512(b + j);
-    __mmask32 match = 0;
-    for (int r = 0; r < 32; ++r) {
-      match |= _mm512_cmpeq_epi16_mask(va, vb);
-      vb = _mm512_permutexvar_epi16(rotate, vb);
-    }
-    count += static_cast<unsigned>(__builtin_popcount(match));
-
-    const std::uint16_t amax = a[i + 31];
-    const std::uint16_t bmax = b[j + 31];
-    i += amax <= bmax ? 32u : 0u;
-    j += bmax <= amax ? 32u : 0u;
-  }
-
-  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
-}
 
 __attribute__((target("avx512f"))) std::uint64_t hits_bitset_avx512(
     const std::uint32_t* keys, std::size_t count, const std::uint64_t* bits) {
@@ -115,10 +59,8 @@ __attribute__((target("avx512f"))) void checksum_stripes_avx512(
 
 const KernelTable* avx512_kernel_table() noexcept {
   static const KernelTable table = [] {
-    KernelTable t = scalar_kernel_table();  // unspecialized entries stay scalar
+    KernelTable t = *avx2_kernel_table();  // entries not overridden stay AVX2
     t.isa = Isa::kAvx512;
-    t.merge_u32 = &merge_u32_avx512;
-    t.merge_u16 = &merge_u16_avx512;
     t.hits_bitset = &hits_bitset_avx512;
     t.checksum_stripes = &checksum_stripes_avx512;
     return t;

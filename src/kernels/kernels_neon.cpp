@@ -1,4 +1,4 @@
-// NEON tier (aarch64): 4×u32 / 8×u16 block-compare merge via vext lane
+// NEON tier (aarch64): 4×u32 block-compare merge via vext lane
 // rotation and the checksum stripes. NEON is baseline on aarch64, so
 // no target attributes or cpuid checks are needed — the whole tier is
 // compile-time gated. On x86 this TU compiles to the nullptr stub.
@@ -39,41 +39,6 @@ std::uint64_t merge_u32_neon(const std::uint32_t* a, std::size_t na,
     const std::uint32_t bmax = b[j + 3];
     i += amax <= bmax ? 4u : 0u;
     j += bmax <= amax ? 4u : 0u;
-  }
-
-  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
-}
-
-std::uint64_t merge_u16_neon(const std::uint16_t* a, std::size_t na,
-                             const std::uint16_t* b, std::size_t nb) {
-  std::uint64_t count = 0;
-  std::size_t i = 0, j = 0;
-
-  while (i + 8 <= na && j + 8 <= nb) {
-    const uint16x8_t va = vld1q_u16(a + i);
-    uint16x8_t vb = vld1q_u16(b + j);
-    uint16x8_t match = vdupq_n_u16(0);
-    match = vorrq_u16(match, vceqq_u16(va, vb));
-    vb = vextq_u16(vb, vb, 1);
-    match = vorrq_u16(match, vceqq_u16(va, vb));
-    vb = vextq_u16(vb, vb, 1);
-    match = vorrq_u16(match, vceqq_u16(va, vb));
-    vb = vextq_u16(vb, vb, 1);
-    match = vorrq_u16(match, vceqq_u16(va, vb));
-    vb = vextq_u16(vb, vb, 1);
-    match = vorrq_u16(match, vceqq_u16(va, vb));
-    vb = vextq_u16(vb, vb, 1);
-    match = vorrq_u16(match, vceqq_u16(va, vb));
-    vb = vextq_u16(vb, vb, 1);
-    match = vorrq_u16(match, vceqq_u16(va, vb));
-    vb = vextq_u16(vb, vb, 1);
-    match = vorrq_u16(match, vceqq_u16(va, vb));
-    count += vaddvq_u16(vandq_u16(match, vdupq_n_u16(1)));
-
-    const std::uint16_t amax = a[i + 7];
-    const std::uint16_t bmax = b[j + 7];
-    i += amax <= bmax ? 8u : 0u;
-    j += bmax <= amax ? 8u : 0u;
   }
 
   return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
@@ -123,7 +88,6 @@ const KernelTable* neon_kernel_table() noexcept {
     KernelTable t = scalar_kernel_table();
     t.isa = Isa::kNeon;
     t.merge_u32 = &merge_u32_neon;
-    t.merge_u16 = &merge_u16_neon;
     t.checksum_stripes = &checksum_stripes_neon;
     return t;
   }();

@@ -104,7 +104,7 @@ std::vector<std::vector<HubTile>> build_hub_tasks(const LotusGraph& lg,
 /// word-level popcount path instead of per-bit probing: the tile's hub
 /// prefix is materialized as a per-thread bitmap over hub-ID space (≤ 8 KiB)
 /// and every row of the H2H triangle is ANDed against it 64 bits at a time
-/// (kernels/dispatch.hpp, and_window_popcount). A per-tile cost model picks
+/// (TriangularBitArray::row_hits). A per-tile cost model picks
 /// whichever side is cheaper, so sparse tiles — where the row scan would
 /// read mostly zero words — keep the scalar bit probes. The obs counter
 /// kBitarrayProbes keeps counting *logical* (h1, h2) membership tests under
@@ -120,7 +120,6 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
   parallel::ThreadPool& pool = parallel::default_pool();
   auto tasks = build_hub_tasks(lg, config, policy, pool.size());
 
-  const kernels::KernelTable& kernel_table = kernels::kernel_table();
   std::optional<HubBitmaps> masks;  // the popcount path's scratch
   if (std::is_same_v<Probe, baselines::NullProbe> && config.vectorize)
     masks.emplace(lg.hub_count(), pool.size(), "hub/popcount-masks");
@@ -157,9 +156,7 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
                   // words end at list[a-1]'s word.
                   const std::size_t live_words =
                       (static_cast<std::size_t>(list[a - 1]) >> 6) + 1;
-                  found += kernel_table.and_window_popcount(
-                      h2h.words().data(), h2h.words().size(),
-                      TriangularBitArray::row_base(h1), mask, live_words);
+                  found += h2h.row_hits(h1, mask, live_words);
                 }
                 mask[h1 >> 6] |= 1ULL << (h1 & 63);
               }
@@ -268,8 +265,8 @@ std::uint64_t count_hnn(const LotusGraph& lg,
         std::uint64_t local = 0;
         for (graph::VertexId u : nhe.neighbors(v)) {
           probe.read(&u, sizeof(graph::VertexId));
-          local += kernels::intersect<std::uint16_t>(hub_list, he.neighbors(u),
-                                                     probe, vectorize);
+          local += baselines::intersect_merge<std::uint16_t>(
+              hub_list, he.neighbors(u), probe);
         }
         return local;
       });
@@ -315,10 +312,10 @@ std::uint64_t count_nnn(const LotusGraph& lg,
 /// Blocked HNN (the second Sec. 7 future-work item): processes non-hub
 /// edges in blocks of their target u, so the randomly accessed HE lists of
 /// one pass come from a bounded ID range and can stay cached. Counting is
-/// identical to count_hnn; only the traversal order changes. This ablation
-/// keeps the 16-bit merge (kernels::intersect, merge_u16) rather than
-/// count_hnn's bitmap probe: a vertex's NHE edges are split across blocks,
-/// so a bitmap of HE(v) would be set and cleared once per block.
+/// identical to count_hnn; only the traversal order changes. Uninstrumented
+/// vectorized runs take count_hnn's bitmap step, setting HE(v) once per
+/// block in which v has NHE edges, so the ablation compares traversal
+/// orders with the same HNN step as the real phase.
 template <typename Probe = baselines::NullProbe>
 std::uint64_t count_hnn_blocked(const LotusGraph& lg,
                                 graph::VertexId block_size,
@@ -328,25 +325,47 @@ std::uint64_t count_hnn_blocked(const LotusGraph& lg,
   const graph::CsrGraph& nhe = lg.nhe();
   const graph::VertexId n = lg.num_vertices();
   if (block_size == 0) block_size = 1;
-  std::uint64_t total = 0;
+  std::optional<HubBitmaps> bitmaps;
+  if (std::is_same_v<Probe, baselines::NullProbe> && vectorize)
+    bitmaps.emplace(lg.hub_count(), parallel::num_threads(),
+                    "hnn/hub-bitmaps");
+  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::num_threads());
   for (graph::VertexId block_begin = lg.hub_count(); block_begin < n;
        block_begin += block_size) {
     const graph::VertexId block_end =
         block_begin + block_size < n ? block_begin + block_size : n;
-    total += parallel::parallel_reduce_add<std::uint64_t>(
-        0, n, 256, [&](std::uint64_t vi) {
-          const auto v = static_cast<graph::VertexId>(vi);
-          auto nv = nhe.neighbors(v);
-          auto first = std::lower_bound(nv.begin(), nv.end(), block_begin);
+    parallel::parallel_for(
+        0, n, 256,
+        [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
+          std::uint64_t* bitmap = bitmaps ? bitmaps->get(thread_index) : nullptr;
           std::uint64_t local = 0;
-          for (auto it = first; it != nv.end() && *it < block_end; ++it) {
-            probe.read(&*it, sizeof(graph::VertexId));
-            local += kernels::intersect<std::uint16_t>(
-                he.neighbors(v), he.neighbors(*it), probe, vectorize);
+          HnnHitCounter counter;
+          for (std::uint64_t vi = b; vi < e; ++vi) {
+            const auto v = static_cast<graph::VertexId>(vi);
+            auto nv = nhe.neighbors(v);
+            auto hub_list = he.neighbors(v);
+            const auto first = std::lower_bound(nv.begin(), nv.end(), block_begin);
+            const auto last = std::lower_bound(first, nv.end(), block_end);
+            if (bitmap == nullptr) {
+              for (auto it = first; it != last; ++it) {
+                probe.read(&*it, sizeof(graph::VertexId));
+                local += baselines::intersect_merge<std::uint16_t>(
+                    hub_list, he.neighbors(*it), probe);
+              }
+              continue;
+            }
+            if (hub_list.empty() || first == last) continue;
+            set_hub_bits(bitmap, hub_list);
+            for (auto it = first; it != last; ++it)
+              local += counter.count(bitmap, he.neighbors(*it));
+            clear_hub_bits(bitmap, hub_list);
           }
-          return local;
+          counter.flush();
+          partial[thread_index].value += local;
         });
   }
+  std::uint64_t total = 0;
+  for (const auto& p : partial) total += p.value;
   return total;
 }
 
@@ -381,12 +400,11 @@ std::uint64_t count_hnn_nnn_fused(const LotusGraph& lg,
           for (graph::VertexId u : nv) {
             probe.read(&u, sizeof(graph::VertexId));
             if (bitmap == nullptr)
-              local += kernels::intersect<std::uint16_t>(
-                  hub_list, he.neighbors(u), probe, vectorize);
+              local += baselines::intersect_merge<std::uint16_t>(
+                  hub_list, he.neighbors(u), probe);
             else if (!hub_list.empty())  // count_hnn skips these vertices
               local += counter.count(bitmap, he.neighbors(u));
-            local += kernels::intersect<graph::VertexId>(nv, nhe.neighbors(u),
-                                                         probe, vectorize);
+            local += kernels::intersect(nv, nhe.neighbors(u), probe, vectorize);
           }
           if (bitmap != nullptr) clear_hub_bits(bitmap, hub_list);
         }

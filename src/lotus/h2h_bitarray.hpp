@@ -121,6 +121,31 @@ class TriangularBitArray {
     return (words_[bit >> 6] >> (bit & 63)) & 1ULL;
   }
 
+  /// popcount(row h1 & mask): how many h2 with their bit set in `mask`
+  /// (bit h2 at mask[h2 >> 6]) have (h1, h2) set — the word-level form of
+  /// testing every member of the mask against row h1, as the HHH/HHN
+  /// popcount path does. The mask covers h2 < 64·live_words; it must be
+  /// zero at every h2 >= h1 (those bits belong to the next rows), so
+  /// live_words <= ⌈h1/64⌉. Row h1 starts at bit row_base(h1), which has no
+  /// word alignment, so each window word is stitched from two stored words.
+  [[nodiscard]] std::uint64_t row_hits(graph::VertexId h1,
+                                       const std::uint64_t* mask,
+                                       std::size_t live_words) const noexcept {
+    const std::uint64_t offset = row_base(h1);
+    const std::uint64_t* words = words_.data() + (offset >> 6);
+    const std::size_t words_left = words_.size() - (offset >> 6);
+    const unsigned shift = static_cast<unsigned>(offset & 63);
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < live_words; ++i) {
+      std::uint64_t window = words[i] >> shift;
+      // The straddling high half; the last stored word has no successor,
+      // and the mask is zero wherever the window runs past the row.
+      if (shift != 0 && i + 1 < words_left) window |= words[i + 1] << (64 - shift);
+      total += static_cast<std::uint64_t>(__builtin_popcountll(window & mask[i]));
+    }
+    return total;
+  }
+
   /// Address of the word containing `bit` — what the hardware actually
   /// loads; used by the instrumented replays and cacheline histograms.
   [[nodiscard]] const void* word_address(std::uint64_t bit) const noexcept {

@@ -10,13 +10,13 @@ Cli::Cli(std::string program_description) : description_(std::move(program_descr
 
 Cli& Cli::opt(const std::string& name, const std::string& default_value,
               const std::string& help) {
-  options_[name] = Option{default_value, help, false};
+  options_[name] = Option{default_value, default_value, help, false};
   order_.push_back(name);
   return *this;
 }
 
 Cli& Cli::flag(const std::string& name, const std::string& help) {
-  options_[name] = Option{"0", help, true};
+  options_[name] = Option{"0", "0", help, true};
   order_.push_back(name);
   return *this;
 }
@@ -88,7 +88,7 @@ void Cli::print_usage(const std::string& argv0) const {
   for (const auto& name : order_) {
     const Option& o = options_.at(name);
     std::cerr << "  --" << name;
-    if (!o.is_flag) std::cerr << " <value> (default: " << o.value << ")";
+    if (!o.is_flag) std::cerr << " <value> (default: " << o.default_value << ")";
     std::cerr << "\n      " << o.help << "\n";
   }
 }

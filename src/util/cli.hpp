@@ -33,6 +33,7 @@ class Cli {
  private:
   struct Option {
     std::string value;
+    std::string default_value;  // as declared; usage prints this
     std::string help;
     bool is_flag = false;
   };

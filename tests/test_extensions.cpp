@@ -180,8 +180,14 @@ TEST(BlockedHnn, MatchesUnblockedForAllBlockSizes) {
       g::build_undirected(g::rmat({.scale = 10, .edge_factor = 10, .seed = 56}));
   const auto lg = core::LotusGraph::build(graph, {});
   const std::uint64_t expected = core::count_hnn(lg);
-  for (g::VertexId block : {1u, 7u, 64u, 1024u, 1u << 20})
+  for (g::VertexId block : {1u, 7u, 64u, 1024u, 1u << 20}) {
+    // The hub-bitmap step and the scalar-merge reference path.
     EXPECT_EQ(core::count_hnn_blocked(lg, block), expected) << block;
+    EXPECT_EQ(core::count_hnn_blocked(lg, block, lotus::baselines::null_probe,
+                                      /*vectorize=*/false),
+              expected)
+        << block << " (scalar)";
+  }
 }
 
 }  // namespace

@@ -1,14 +1,44 @@
-// The triangular H2H bit array: index math, atomicity, size accounting, and
-// the Table-8 density/zero-cacheline metrics.
+// The triangular H2H bit array: index math, atomicity, size accounting, the
+// word-level row popcount, and the Table-8 density/zero-cacheline metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
+#include <vector>
 
 #include "lotus/h2h_bitarray.hpp"
+#include "util/prng.hpp"
 
 namespace {
 
 using lotus::core::TriangularBitArray;
+
+// Check row_hits for rows [first_row, hub_count) against per-bit
+// test_bit, at the smallest, a middle and the largest live_words each row
+// allows, with random masks that are zero at h2 >= h1 (the caller contract).
+void check_row_hits(const TriangularBitArray& h2h, std::uint32_t first_row,
+                    lotus::util::Xoshiro256& rng) {
+  for (std::uint32_t h1 = std::max(first_row, 1u); h1 < h2h.hub_count(); ++h1) {
+    const std::size_t max_words = (h1 + 63) / 64;
+    for (const std::size_t live_words :
+         {std::size_t{1}, (max_words + 1) / 2, max_words}) {
+      std::vector<std::uint64_t> mask(live_words);
+      for (auto& w : mask) w = rng();
+      std::uint64_t expected = 0;
+      for (std::uint32_t h2 = 0; h2 < 64 * live_words; ++h2) {
+        std::uint64_t& word = mask[h2 >> 6];
+        if (h2 >= h1) {
+          word &= ~(1ULL << (h2 & 63));
+        } else if ((word >> (h2 & 63)) & 1) {
+          expected += h2h.test_bit(TriangularBitArray::row_base(h1) + h2) ? 1u : 0u;
+        }
+      }
+      ASSERT_EQ(h2h.row_hits(h1, mask.data(), live_words), expected)
+          << "hubs=" << h2h.hub_count() << " h1=" << h1
+          << " live_words=" << live_words;
+    }
+  }
+}
 
 TEST(H2H, BitIndexMatchesPaperFormula) {
   // Sec. 4.2: bit h1(h1-1)/2 + h2 for h1 > h2 >= 0.
@@ -88,6 +118,27 @@ TEST(H2H, DensityOfEmptyAndFull) {
   for (std::uint32_t h1 = 1; h1 < 64; ++h1)
     for (std::uint32_t h2 = 0; h2 < h1; ++h2) full.set_atomic(h1, h2);
   EXPECT_EQ(full.count_set_bits(), full.num_bits());
+}
+
+TEST(H2H, RowHitsMatchTestBit) {
+  lotus::util::Xoshiro256 rng(2026);
+  // Every row of small arrays: row starts at every bit alignment, windows
+  // that straddle two stored words, and the last row ending in the last
+  // word (which has no successor to borrow a high half from).
+  for (const std::uint32_t hubs : {2u, 3u, 64u, 65u, 100u, 129u, 300u}) {
+    TriangularBitArray h2h(hubs);
+    for (std::uint32_t h1 = 1; h1 < hubs; ++h1)
+      for (std::uint32_t h2 = 0; h2 < h1; ++h2)
+        if (rng.next_below(2) != 0) h2h.set_atomic(h1, h2);
+    check_row_hits(h2h, 1, rng);
+  }
+  // The last rows at 65536 hubs, the 16-bit HE boundary: 1024-word windows
+  // ending at the array's last word.
+  TriangularBitArray h2h(65536);
+  for (std::uint32_t h1 = 65532; h1 < 65536; ++h1)
+    for (std::uint32_t h2 = 0; h2 < h1; ++h2)
+      if (rng.next_below(3) == 0) h2h.set_atomic(h1, h2);
+  check_row_hits(h2h, 65532, rng);
 }
 
 TEST(H2H, TestBitAndWordAddressAgree) {

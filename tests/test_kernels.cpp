@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <span>
@@ -52,22 +53,13 @@ std::vector<T> sorted_unique(lotus::util::Xoshiro256& rng, std::size_t n,
   return {s.begin(), s.end()};
 }
 
-// Bit-by-bit reference for the unaligned-window kernel: bit w*64+b of the
-// window lives at absolute bit offset + w*64 + b; words at or past
-// bits_words read as zero.
-std::uint64_t naive_window_popcount(const std::vector<std::uint64_t>& bits,
-                                    std::uint64_t offset,
-                                    const std::vector<std::uint64_t>& mask) {
-  std::uint64_t total = 0;
-  for (std::size_t w = 0; w < mask.size(); ++w)
-    for (unsigned b = 0; b < 64; ++b) {
-      if (((mask[w] >> b) & 1) == 0) continue;
-      const std::uint64_t bit = offset + w * 64 + b;
-      const std::size_t word = static_cast<std::size_t>(bit >> 6);
-      if (word >= bits.size()) continue;
-      total += (bits[word] >> (bit & 63)) & 1;
-    }
-  return total;
+// |a ∩ b| by std::set_intersection: the oracle of the u16 merge cases.
+std::uint64_t set_intersection_size(const std::vector<std::uint16_t>& a,
+                                    const std::vector<std::uint16_t>& b) {
+  std::vector<std::uint16_t> common;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(common));
+  return common.size();
 }
 
 TEST(KernelIsa, NameParseRoundTrip) {
@@ -114,59 +106,73 @@ TEST(KernelIsa, EveryTierTableIsFullyPopulated) {
   for (const k::Isa isa : kAllTiers) {
     const k::KernelTable& table = k::kernel_table(isa);
     EXPECT_NE(table.merge_u32, nullptr);
-    EXPECT_NE(table.merge_u16, nullptr);
     EXPECT_NE(table.hits_bitset, nullptr);
-    EXPECT_NE(table.and_window_popcount, nullptr);
+    EXPECT_NE(table.checksum_stripes, nullptr);
     EXPECT_TRUE(k::isa_supported(table.isa));
   }
 }
 
-// --- merge kernels: every tier × adversarial list shapes ------------------
+TEST(KernelIsa, Avx512InheritsAvx2Merge) {
+  // A tier overrides an entry only where it measures faster than the table
+  // it starts from; AVX-512's 16-lane merge did not, so it runs AVX2's.
+  if (!k::isa_supported(k::Isa::kAvx512) || !k::isa_supported(k::Isa::kAvx2))
+    GTEST_SKIP() << "needs both the AVX2 and the AVX-512 tier";
+  EXPECT_EQ(k::kernel_table(k::Isa::kAvx512).merge_u32,
+            k::kernel_table(k::Isa::kAvx2).merge_u32);
+}
 
-template <typename T>
-void check_merge_all_tiers(const std::vector<T>& a, const std::vector<T>& b) {
-  const k::KernelTable& scalar = k::kernel_table(k::Isa::kScalar);
-  std::uint64_t expected;
-  if constexpr (sizeof(T) == 2)
-    expected = scalar.merge_u16(a.data(), a.size(), b.data(), b.size());
-  else
-    expected = scalar.merge_u32(a.data(), a.size(), b.data(), b.size());
+// --- merges: u32 at every tier, the u16 merge, adversarial list shapes ----
+
+void check_merge_all_tiers(const std::vector<std::uint32_t>& a,
+                           const std::vector<std::uint32_t>& b) {
+  const std::uint64_t expected = k::kernel_table(k::Isa::kScalar)
+                                     .merge_u32(a.data(), a.size(), b.data(),
+                                                b.size());
   for (const k::Isa isa : kAllTiers) {
     const k::KernelTable& table = k::kernel_table(isa);
-    std::uint64_t got;
-    if constexpr (sizeof(T) == 2)
-      got = table.merge_u16(a.data(), a.size(), b.data(), b.size());
-    else
-      got = table.merge_u32(a.data(), a.size(), b.data(), b.size());
-    EXPECT_EQ(got, expected) << k::isa_name(isa) << " |a|=" << a.size()
-                             << " |b|=" << b.size();
+    EXPECT_EQ(table.merge_u32(a.data(), a.size(), b.data(), b.size()), expected)
+        << k::isa_name(isa) << " |a|=" << a.size() << " |b|=" << b.size();
     // Intersection is symmetric; the block kernels are not — check both
     // argument orders.
-    if constexpr (sizeof(T) == 2)
-      got = table.merge_u16(b.data(), b.size(), a.data(), a.size());
-    else
-      got = table.merge_u32(b.data(), b.size(), a.data(), a.size());
-    EXPECT_EQ(got, expected) << k::isa_name(isa) << " (swapped)";
+    EXPECT_EQ(table.merge_u32(b.data(), b.size(), a.data(), a.size()), expected)
+        << k::isa_name(isa) << " (swapped)";
   }
+}
+
+// The 16-bit HE lists have one merge, the scalar baselines::intersect_merge
+// (the probed and vectorize == false HNN paths); both argument orders must
+// give `expected`.
+void expect_merge_u16(const std::vector<std::uint16_t>& a,
+                      const std::vector<std::uint16_t>& b,
+                      std::uint64_t expected) {
+  EXPECT_EQ(lotus::baselines::intersect_merge<std::uint16_t>(a, b), expected)
+      << "|a|=" << a.size() << " |b|=" << b.size();
+  EXPECT_EQ(lotus::baselines::intersect_merge<std::uint16_t>(b, a), expected)
+      << "(swapped)";
+}
+
+void check_merge_u16(const std::vector<std::uint16_t>& a,
+                     const std::vector<std::uint16_t>& b) {
+  expect_merge_u16(a, b, set_intersection_size(a, b));
 }
 
 TEST(KernelMerge, AdversarialListsU32) {
   using V = std::vector<std::uint32_t>;
-  check_merge_all_tiers<std::uint32_t>({}, {});
-  check_merge_all_tiers<std::uint32_t>({}, {1, 2, 3});
-  check_merge_all_tiers<std::uint32_t>({7}, {7});
+  check_merge_all_tiers({}, {});
+  check_merge_all_tiers({}, {1, 2, 3});
+  check_merge_all_tiers({7}, {7});
   // Disjoint interleaved (evens vs odds) across block boundaries.
   V evens, odds;
   for (std::uint32_t i = 0; i < 70; ++i) {
     evens.push_back(2 * i);
     odds.push_back(2 * i + 1);
   }
-  check_merge_all_tiers<std::uint32_t>(evens, odds);
-  check_merge_all_tiers<std::uint32_t>(evens, evens);  // identical
+  check_merge_all_tiers(evens, odds);
+  check_merge_all_tiers(evens, evens);  // identical
   // Skewed lengths: 3 probes into a long run.
   V longrun(1000);
   for (std::uint32_t i = 0; i < 1000; ++i) longrun[i] = 3 * i;
-  check_merge_all_tiers<std::uint32_t>({0, 999, 2997}, longrun);
+  check_merge_all_tiers({0, 999, 2997}, longrun);
   // IDs at the top of the u32 range: lane compares must stay unsigned.
   V hi_a, hi_b;
   for (std::uint32_t i = 0; i < 20; ++i) {
@@ -175,42 +181,44 @@ TEST(KernelMerge, AdversarialListsU32) {
   }
   std::reverse(hi_a.begin(), hi_a.end());
   std::reverse(hi_b.begin(), hi_b.end());
-  check_merge_all_tiers<std::uint32_t>(hi_a, hi_b);
+  check_merge_all_tiers(hi_a, hi_b);
   // One list straddling the sign bit.
-  check_merge_all_tiers<std::uint32_t>(
+  check_merge_all_tiers(
       {0x7FFFFFFEu, 0x7FFFFFFFu, 0x80000000u, 0x80000001u},
       {0x7FFFFFFFu, 0x80000001u, 0xFFFFFFFFu});
 }
 
 TEST(KernelMerge, AdversarialListsU16) {
   using V = std::vector<std::uint16_t>;
-  check_merge_all_tiers<std::uint16_t>({}, {});
-  check_merge_all_tiers<std::uint16_t>({}, {1, 2, 3});
+  check_merge_u16({}, {});
+  check_merge_u16({}, {1, 2, 3});
   V evens, odds;
   for (std::uint16_t i = 0; i < 100; ++i) {
     evens.push_back(static_cast<std::uint16_t>(2 * i));
     odds.push_back(static_cast<std::uint16_t>(2 * i + 1));
   }
-  check_merge_all_tiers<std::uint16_t>(evens, odds);
-  check_merge_all_tiers<std::uint16_t>(evens, evens);
+  check_merge_u16(evens, odds);
+  check_merge_u16(evens, evens);
+  expect_merge_u16(evens, odds, 0);
+  expect_merge_u16(evens, evens, 100);
   // Top of the u16 range, including 0xFFFF itself.
-  check_merge_all_tiers<std::uint16_t>({0xFFF0, 0xFFF8, 0xFFFE, 0xFFFF},
-                                       {0xFFF1, 0xFFF8, 0xFFFF});
+  expect_merge_u16({0xFFF0, 0xFFF8, 0xFFFE, 0xFFFF}, {0xFFF1, 0xFFF8, 0xFFFF},
+                   2);
 }
 
 TEST(KernelMerge, RandomizedSizeSweep) {
   lotus::util::Xoshiro256 rng(1234);
-  // Sizes around the 8/16/32-lane block boundaries of every tier.
+  // Sizes around the 4- and 8-lane block boundaries of the SIMD merges.
   const std::size_t sizes[] = {0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100};
   for (const std::size_t na : sizes)
     for (const std::size_t nb : {std::size_t{0}, std::size_t{16},
                                  std::size_t{33}, std::size_t{257}}) {
       const auto a32 = sorted_unique<std::uint32_t>(rng, na, 4 * (na + nb) + 8);
       const auto b32 = sorted_unique<std::uint32_t>(rng, nb, 4 * (na + nb) + 8);
-      check_merge_all_tiers<std::uint32_t>(a32, b32);
+      check_merge_all_tiers(a32, b32);
       const auto a16 = sorted_unique<std::uint16_t>(rng, na, 65536);
       const auto b16 = sorted_unique<std::uint16_t>(rng, nb, 65536);
-      check_merge_all_tiers<std::uint16_t>(a16, b16);
+      check_merge_u16(a16, b16);
     }
 }
 
@@ -247,38 +255,6 @@ TEST(KernelBitmap, HitsBitsetAllTiers) {
         << k::isa_name(isa);
 }
 
-TEST(KernelBitmap, AndWindowPopcountOffsetsAndStraddles) {
-  lotus::util::Xoshiro256 rng(2026);
-  std::vector<std::uint64_t> bits(24);
-  for (auto& w : bits) w = rng();
-  for (const std::uint64_t offset :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{63}, std::uint64_t{64},
-        std::uint64_t{65}, std::uint64_t{640}, std::uint64_t{1217}}) {
-    const std::size_t base = static_cast<std::size_t>(offset >> 6);
-    // Largest window whose word reads stay inside `bits` (the caller
-    // contract): base + mask_words <= bits_words.
-    const std::size_t max_mask = bits.size() - base;
-    for (const std::size_t mask_words :
-         {std::size_t{1}, max_mask / 2 + 1, max_mask}) {
-      std::vector<std::uint64_t> mask(mask_words);
-      for (auto& w : mask) w = rng();
-      if (mask_words == max_mask && (offset & 63) != 0) {
-        // Straddle case: the final window word has no successor word to
-        // borrow its high half from — those mask bits must read zero.
-        mask.back() = (1ULL << (64 - (offset & 63))) - 1;
-      }
-      const std::uint64_t expected = naive_window_popcount(bits, offset, mask);
-      for (const k::Isa isa : kAllTiers)
-        EXPECT_EQ(k::kernel_table(isa).and_window_popcount(
-                      bits.data(), bits.size(), offset, mask.data(),
-                      mask.size()),
-                  expected)
-            << k::isa_name(isa) << " offset=" << offset
-            << " mask_words=" << mask_words;
-    }
-  }
-}
-
 // --- probe/obs contract of the dispatching wrapper ------------------------
 
 TEST(KernelIntersect, DispatchedProbedAndScalarPathsAgree) {
@@ -287,8 +263,8 @@ TEST(KernelIntersect, DispatchedProbedAndScalarPathsAgree) {
     const auto a = sorted_unique<std::uint32_t>(rng, 40, 300);
     const auto b = sorted_unique<std::uint32_t>(rng, 25, 300);
     const std::span<const std::uint32_t> sa(a), sb(b);
-    const std::uint64_t dispatched = k::intersect<std::uint32_t>(sa, sb);
-    const std::uint64_t scalar = k::intersect<std::uint32_t>(
+    const std::uint64_t dispatched = k::intersect(sa, sb);
+    const std::uint64_t scalar = k::intersect(
         sa, sb, lotus::baselines::null_probe, /*vectorize=*/false);
     lotus::baselines::NullProbe probe;  // distinct type value, same semantics
     const std::uint64_t reference =
@@ -302,27 +278,27 @@ TEST(KernelIntersect, DispatchedProbedAndScalarPathsAgree) {
 // The front door gap-forward and the LOTUS phases call: each case must give
 // `expected` under every tier and on the scalar (vectorize = false) path.
 
-template <typename T>
-void expect_intersect(const std::vector<T>& a, const std::vector<T>& b,
+void expect_intersect(const std::vector<std::uint32_t>& a,
+                      const std::vector<std::uint32_t>& b,
                       std::uint64_t expected) {
-  const std::span<const T> sa(a), sb(b);
+  const std::span<const std::uint32_t> sa(a), sb(b);
   for (const k::Isa isa : kAllTiers) {
     ScopedIsa forced(isa);
-    EXPECT_EQ(k::intersect<T>(sa, sb), expected) << k::isa_name(isa);
+    EXPECT_EQ(k::intersect(sa, sb), expected) << k::isa_name(isa);
   }
-  EXPECT_EQ(k::intersect<T>(sa, sb, lotus::baselines::null_probe,
-                            /*vectorize=*/false),
+  EXPECT_EQ(k::intersect(sa, sb, lotus::baselines::null_probe,
+                         /*vectorize=*/false),
             expected)
       << "scalar";
 }
 
 TEST(SimdIntersect, TinyListsUseTailPath) {
-  expect_intersect<std::uint32_t>({1, 5, 9}, {5, 9, 11}, 2);
+  expect_intersect({1, 5, 9}, {5, 9, 11}, 2);
 }
 
 TEST(SimdIntersect, EmptyInputs) {
-  expect_intersect<std::uint32_t>({}, {1, 2, 3}, 0);
-  expect_intersect<std::uint32_t>({1, 2, 3}, {}, 0);
+  expect_intersect({}, {1, 2, 3}, 0);
+  expect_intersect({1, 2, 3}, {}, 0);
 }
 
 TEST(SimdIntersect, ExactBlockMultiples) {
@@ -332,7 +308,7 @@ TEST(SimdIntersect, ExactBlockMultiples) {
     b[i] = 3 * i;  // multiples of 3
   }
   // Common: multiples of 6 below min(62, 93): 0,6,...,60 -> 11 values.
-  expect_intersect<std::uint32_t>(a, b, 11);
+  expect_intersect(a, b, 11);
 }
 
 TEST(SimdIntersect, MatchesAcrossBlockBoundaries) {
@@ -348,7 +324,7 @@ TEST(SimdIntersect, MatchesAcrossBlockBoundaries) {
       b[pos_b] = 10 * pos_b + 5;
       SCOPED_TRACE("pos_a=" + std::to_string(pos_a) +
                    " pos_b=" + std::to_string(pos_b));
-      expect_intersect<std::uint32_t>(a, b, pos_a == pos_b ? 1 : 0);
+      expect_intersect(a, b, pos_a == pos_b ? 1 : 0);
     }
   }
 }
@@ -364,7 +340,7 @@ TEST(SimdIntersect, RandomizedAgreementWithMerge) {
         rng, std::min<std::uint64_t>(1 + rng.next_below(300), universe / 2),
         universe);
     SCOPED_TRACE("round " + std::to_string(round));
-    expect_intersect<std::uint32_t>(
+    expect_intersect(
         a, b, lotus::baselines::intersect_merge<std::uint32_t>(a, b));
   }
 }
@@ -384,32 +360,29 @@ TEST(KernelIntersect, RandomShortListsAllTiers) {
       const auto b32 = sorted_unique<std::uint32_t>(rng, nb, universe);
       const std::uint64_t expect32 =
           lotus::baselines::intersect_merge<std::uint32_t>(a32, b32);
-      expect_intersect<std::uint32_t>(a32, b32, expect32);
-      const auto a16 = sorted_unique<std::uint16_t>(rng, na, universe);
-      const auto b16 = sorted_unique<std::uint16_t>(rng, nb, universe);
-      const std::uint64_t expect16 =
-          lotus::baselines::intersect_merge<std::uint16_t>(a16, b16);
-      expect_intersect<std::uint16_t>(a16, b16, expect16);
-      for (const k::Isa isa : kAllTiers) {
-        const k::KernelTable& table = k::kernel_table(isa);
-        EXPECT_EQ(table.merge_u32(b32.data(), nb, a32.data(), na), expect32)
+      expect_intersect(a32, b32, expect32);
+      for (const k::Isa isa : kAllTiers)
+        EXPECT_EQ(k::kernel_table(isa).merge_u32(b32.data(), nb, a32.data(), na),
+                  expect32)
             << k::isa_name(isa) << " (swapped)";
-        EXPECT_EQ(table.merge_u16(b16.data(), nb, a16.data(), na), expect16)
-            << k::isa_name(isa) << " (swapped)";
-      }
     }
 }
 
 TEST(SimdIntersect, IdenticalLargeLists) {
   std::vector<std::uint32_t> a(1000);
   for (std::uint32_t i = 0; i < 1000; ++i) a[i] = i * 7 + 3;
-  expect_intersect<std::uint32_t>(a, a, 1000);
+  expect_intersect(a, a, 1000);
 }
 
+// --- the u16 merge of the HE lists --------------------------------------
+// The scalar baselines::intersect_merge<std::uint16_t>, which the probed and
+// vectorize == false HNN paths call; the vectorized HNN paths probe a hub
+// bitmap instead (lotus/count.hpp).
+
 TEST(SimdIntersect16, TinyAndEmpty) {
-  expect_intersect<std::uint16_t>({1, 5, 9}, {5, 9, 11}, 2);
-  expect_intersect<std::uint16_t>({}, {5, 9, 11}, 0);
-  expect_intersect<std::uint16_t>({1, 5, 9}, {}, 0);
+  expect_merge_u16({1, 5, 9}, {5, 9, 11}, 2);
+  expect_merge_u16({}, {5, 9, 11}, 0);
+  expect_merge_u16({1, 5, 9}, {}, 0);
 }
 
 TEST(SimdIntersect16, FullBlocksWithKnownOverlap) {
@@ -419,11 +392,11 @@ TEST(SimdIntersect16, FullBlocksWithKnownOverlap) {
     b[i] = static_cast<std::uint16_t>(3 * i);  // multiples of 3, 0..189
   }
   // Common: multiples of 6 up to min(126, 189) -> 0, 6, ..., 126: 22 values.
-  expect_intersect<std::uint16_t>(a, b, 22);
+  expect_merge_u16(a, b, 22);
 }
 
 TEST(SimdIntersect16, MatchAtEveryRotationOffset) {
-  // One common element at every relative lane offset within 16-lane blocks.
+  // One common element at every pair of positions in two 16-entry lists.
   for (std::uint32_t pos_a = 0; pos_a < 16; ++pos_a) {
     for (std::uint32_t pos_b = 0; pos_b < 16; ++pos_b) {
       std::vector<std::uint16_t> a(16), b(16);
@@ -435,7 +408,7 @@ TEST(SimdIntersect16, MatchAtEveryRotationOffset) {
       b[pos_b] = static_cast<std::uint16_t>(100 * pos_b + 50);
       SCOPED_TRACE("pos_a=" + std::to_string(pos_a) +
                    " pos_b=" + std::to_string(pos_b));
-      expect_intersect<std::uint16_t>(a, b, pos_a == pos_b ? 1 : 0);
+      expect_merge_u16(a, b, pos_a == pos_b ? 1 : 0);
     }
   }
 }
@@ -446,15 +419,13 @@ TEST(SimdIntersect16, RandomizedAgreementWithMerge) {
     const auto a = sorted_unique<std::uint16_t>(rng, 1 + rng.next_below(400), 2000);
     const auto b = sorted_unique<std::uint16_t>(rng, 1 + rng.next_below(400), 2000);
     SCOPED_TRACE("round " + std::to_string(round));
-    expect_intersect<std::uint16_t>(
-        a, b, lotus::baselines::intersect_merge<std::uint16_t>(a, b));
+    expect_merge_u16(a, b, set_intersection_size(a, b));
   }
 }
 
 TEST(SimdIntersect16, MaxValueIds) {
   // 16-bit boundary values (the largest hub IDs LOTUS can store in HE).
-  expect_intersect<std::uint16_t>({65530, 65533, 65535}, {65531, 65533, 65535},
-                                  2);
+  expect_merge_u16({65530, 65533, 65535}, {65531, 65533, 65535}, 2);
 }
 
 // --- hybrid kernel --------------------------------------------------------

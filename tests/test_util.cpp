@@ -3,6 +3,7 @@
 
 #include <set>
 #include <sstream>
+#include <string>
 
 #include "util/bitset.hpp"
 #include "util/cli.hpp"
@@ -142,6 +143,23 @@ TEST(Cli, RejectsUnknownOption) {
   cli.opt("scale", "16", "rmat scale");
   const char* argv[] = {"prog", "--bogus", "1"};
   EXPECT_FALSE(cli.parse(3, argv));
+}
+
+TEST(Cli, UsageShowsDeclaredDefaultsAfterParse) {
+  // The usage printed on a parse error lists the declared defaults, not the
+  // values parsed before the error.
+  Cli cli("test");
+  cli.opt("graph", "", "graph name").opt("path", "lotus", "counting path");
+  const char* argv[] = {"prog", "--graph", "clique_24", "--path", "fused",
+                        "--bogus"};
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(cli.parse(6, argv));
+  const std::string usage = testing::internal::GetCapturedStderr();
+  EXPECT_NE(usage.find("--graph <value> (default: )"), std::string::npos)
+      << usage;
+  EXPECT_NE(usage.find("--path <value> (default: lotus)"), std::string::npos)
+      << usage;
+  EXPECT_EQ(usage.find("clique_24"), std::string::npos) << usage;
 }
 
 TEST(Cli, DefaultsApplyWhenUnset) {
