@@ -22,7 +22,8 @@
 // baseline entry missing from the current run is skipped (with a note)
 // instead of failing the compare, so snapshots stay portable across ISAs
 // while same-tier comparisons stay strict. Timings are best-of-N (--repeat)
-// to damp scheduler noise.
+// to damp scheduler noise, except the kernel speedups: those are the median
+// of paired, order-alternating rounds (kernels_metrics).
 #include <algorithm>
 #include <cmath>
 #include <ctime>
@@ -514,10 +515,13 @@ volatile std::uint64_t g_kernel_sink = 0;
 /// against the scalar reference table, on pinned synthetic inputs. Each
 /// measurement first checks the tier's count against scalar (a forced-ISA
 /// consistency check — a wrong count is a hard error, not a slow metric),
-/// then emits "kernels.<tier>.<kernel>.speedup". AVX2 hosts additionally
-/// gate the merge_u32 speedup at >= 1.5x, the floor the vectorized merge
-/// must clear for the dispatch layer to pay for itself (docs/KERNELS.md);
-/// hosts without AVX2 skip the gate (and the metric) entirely.
+/// then emits "kernels.<tier>.<kernel>.speedup", the median ratio of paired
+/// rounds. Every entry the AVX-512 table overrides also gets
+/// "kernels.avx512.<kernel>.speedup_over_avx2", measured the same way
+/// against the AVX2 body. AVX2 hosts additionally gate the median merge_u32
+/// speedup at >= 1.5x, the floor the vectorized merge must clear for the
+/// dispatch layer to pay for itself (docs/KERNELS.md); hosts without AVX2
+/// skip the gate (and the metric) entirely.
 void kernels_metrics(JsonValue& metrics, const Suite& suite) {
   namespace k = lotus::kernels;
   lotus::util::Xoshiro256 rng(4242);
@@ -539,15 +543,23 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
   struct TimedKernel {
     const char* name;
     std::function<std::uint64_t(const k::KernelTable&)> once;
+    // True when two tables run the same body for this entry.
+    std::function<bool(const k::KernelTable&, const k::KernelTable&)> same;
   };
   const std::vector<TimedKernel> kernels = {
       {"merge_u32",
        [&](const k::KernelTable& t) {
          return t.merge_u32(a32.data(), a32.size(), b32.data(), b32.size());
+       },
+       [](const k::KernelTable& x, const k::KernelTable& y) {
+         return x.merge_u32 == y.merge_u32;
        }},
       {"hits_bitset",
        [&](const k::KernelTable& t) {
          return t.hits_bitset(keys.data(), keys.size(), words.data());
+       },
+       [](const k::KernelTable& x, const k::KernelTable& y) {
+         return x.hits_bitset == y.hits_bitset;
        }},
       {"checksum_stripes",
        [&](const k::KernelTable& t) {
@@ -561,24 +573,48 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
          for (const std::uint64_t lane : acc)
            folded = folded * 0x9E3779B97F4A7C15ULL + lane;
          return folded;
+       },
+       [](const k::KernelTable& x, const k::KernelTable& y) {
+         return x.checksum_stripes == y.checksum_stripes;
        }},
   };
 
-  const auto measure = [&](const TimedKernel& kernel,
-                           const k::KernelTable& table) {
-    double best = 0.0;
-    for (int r = 0; r < suite.repeat; ++r) {
-      lotus::util::Timer timer;
-      std::uint64_t sink = 0;
-      for (int i = 0; i < suite.kernel_iters; ++i) sink += kernel.once(table);
-      const double s = timer.elapsed_s();
-      g_kernel_sink = sink;
-      if (r == 0 || s < best) best = s;
+  // One sample: kernel_iters calls through one table.
+  const auto sample = [&](const TimedKernel& kernel,
+                          const k::KernelTable& table) {
+    lotus::util::Timer timer;
+    std::uint64_t sink = 0;
+    for (int i = 0; i < suite.kernel_iters; ++i) sink += kernel.once(table);
+    const double s = timer.elapsed_s();
+    g_kernel_sink = sink;
+    return s;
+  };
+  // Speedup of `table` over `base`: each round samples both back to back,
+  // alternating which goes first, and the row is the median of the
+  // per-round ratios, so a slow stretch of the host lands inside one
+  // round's pair instead of on one side of the comparison.
+  const auto median_speedup = [&](const TimedKernel& kernel,
+                                  const k::KernelTable& base,
+                                  const k::KernelTable& table) {
+    constexpr int kRounds = 11;  // odd, so the median is one round's ratio
+    std::vector<double> ratios;
+    for (int r = 0; r < kRounds; ++r) {
+      const bool base_first = r % 2 == 0;
+      const double first = sample(kernel, base_first ? base : table);
+      const double second = sample(kernel, base_first ? table : base);
+      const double base_s = base_first ? first : second;
+      const double table_s = base_first ? second : first;
+      if (table_s > 0.0) ratios.push_back(base_s / table_s);
     }
-    return best;
+    if (ratios.empty()) return 0.0;
+    const auto mid = ratios.begin() + static_cast<std::ptrdiff_t>(ratios.size() / 2);
+    std::nth_element(ratios.begin(), mid, ratios.end());
+    return *mid;
   };
 
   const k::KernelTable& scalar = k::kernel_table(k::Isa::kScalar);
+  const k::KernelTable& avx2 = k::kernel_table(k::Isa::kAvx2);
+  const bool avx2_runs = k::isa_supported(k::Isa::kAvx2) && avx2.isa == k::Isa::kAvx2;
   for (const k::Isa tier : {k::Isa::kAvx2, k::Isa::kAvx512, k::Isa::kNeon}) {
     if (!k::isa_supported(tier)) continue;
     const k::KernelTable& table = k::kernel_table(tier);
@@ -591,17 +627,21 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
             std::string("kernels.") + k::isa_name(tier) + "." + kernel.name +
             " disagrees with scalar: " + std::to_string(got) + " vs " +
             std::to_string(want));
-      const double scalar_s = measure(kernel, scalar);
-      const double tier_s = measure(kernel, table);
-      const double speedup = tier_s > 0.0 ? scalar_s / tier_s : 0.0;
-      metrics.set(std::string("kernels.") + k::isa_name(tier) + "." +
-                      kernel.name + ".speedup",
-                  optional_metric(speedup, "x", "higher"));
+      const std::string key =
+          std::string("kernels.") + k::isa_name(tier) + "." + kernel.name;
+      const double speedup = median_speedup(kernel, scalar, table);
+      metrics.set(key + ".speedup", optional_metric(speedup, "x", "higher"));
       if (tier == k::Isa::kAvx2 &&
           std::string_view(kernel.name) == "merge_u32" && speedup < 1.5)
         throw std::runtime_error(
-            "kernels.avx2.merge_u32.speedup gate failed: " +
+            "kernels.avx2.merge_u32.speedup gate failed: median " +
             std::to_string(speedup) + "x < 1.5x over scalar");
+      // An entry the AVX-512 table overrides must beat the AVX2 body it
+      // replaces (docs/KERNELS.md), so it gets a tier-against-tier row.
+      if (tier == k::Isa::kAvx512 && avx2_runs && !kernel.same(table, avx2))
+        metrics.set(key + ".speedup_over_avx2",
+                    optional_metric(median_speedup(kernel, avx2, table), "x",
+                                    "higher"));
     }
   }
 }

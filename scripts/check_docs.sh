@@ -14,7 +14,8 @@
 #      read_csr_binary_parallel_s, LoaderOptions, direct_io, loader_threads,
 #      LOTUSLG1, set_backend, openmp_available, kOpenMP, max_parallelism,
 #      fuse_hnn_nnn, --backend openmp, the kernel-table and_popcount and
-#      `popcount`, merge_u16, merge_u32_avx512, and_window_popcount) —
+#      `popcount`, merge_u16, merge_u32_avx512, and_window_popcount,
+#      intersect_merge_visit, for_each_triangle, TriangleVisitPolicy) —
 #      docs/API.md is exempt because it documents the migration away from
 #      them;
 #   5. every out-of-core knob (src/graph/oocore.hpp, LOTUS-KNOB-INVENTORY
@@ -102,7 +103,11 @@ done
 # and_popcount stays, hence the `::` exclusion). The kernel table keeps only
 # entries that beat their fallback: the SIMD u16 merge (merge_u16) and the
 # AVX-512 merge (merge_u32_avx512) are gone, and the H2H row popcount is
-# TriangularBitArray::row_hits, not the and_window_popcount entry.
+# TriangularBitArray::row_hits, not the and_window_popcount entry. The
+# per-vertex and per-edge analytics walk triangles once per substrate: the
+# on-hit positions of intersect_merge replace intersect_merge_visit, and
+# mining::forward_walk replaces the DAG for_each_triangle and its
+# TriangleVisitPolicy.
 # docs/API.md keeps the migration table and is exempt, as are the
 # changelog/issue worklogs.
 for md in README.md DESIGN.md docs/*.md; do
@@ -110,7 +115,7 @@ for md in README.md DESIGN.md docs/*.md; do
   case "$md" in
     docs/API.md) continue ;;
   esac
-  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|\(^\|[^:]\)and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount' "$md")
+  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|\(^\|[^:]\)and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|TriangleVisitPolicy' "$md")
   if [ -n "$hits" ]; then
     echo "check_docs: $md references a deprecated or removed entry point:" >&2
     echo "$hits" | sed 's/^/  /' >&2

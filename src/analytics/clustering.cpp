@@ -1,8 +1,6 @@
 #include "analytics/clustering.hpp"
 
-#include <atomic>
-
-#include "mining/vertex_miner.hpp"
+#include "mining/triangle_walk.hpp"
 #include "util/memory_budget.hpp"
 
 namespace lotus::analytics {
@@ -12,35 +10,34 @@ using graph::VertexId;
 
 std::vector<std::uint64_t> local_triangle_counts_prepared(
     const graph::OrientedCsr& oriented, const std::vector<VertexId>& new_id) {
-  const VertexId n = oriented.num_vertices();
-  // Atomic accumulators + the remapped output coexist: charge both.
-  util::charge_current(2 * static_cast<std::uint64_t>(n) * sizeof(std::uint64_t),
-                       "clustering/per-vertex-counts");
-  std::vector<std::atomic<std::uint64_t>> counts(n);  // indexed by NEW id
-  mining::for_each_triangle(oriented, [&](VertexId v, VertexId u, VertexId w) {
-    counts[v].fetch_add(1, std::memory_order_relaxed);
-    counts[u].fetch_add(1, std::memory_order_relaxed);
-    counts[w].fetch_add(1, std::memory_order_relaxed);
+  mining::CornerCredits credits(oriented.num_vertices(),
+                                "clustering/per-vertex-counts");
+  mining::forward_walk(oriented, [&credits](VertexId v, VertexId u, VertexId w,
+                                            auto&&... /*edge positions*/) {
+    credits.add(v, u, w);
   });
-
-  std::vector<std::uint64_t> by_original(n);
-  for (VertexId v = 0; v < n; ++v)
-    by_original[v] = counts[new_id[v]].load(std::memory_order_relaxed);
-  return by_original;
+  return credits.by_original(new_id);
 }
+
+namespace {
+
+/// t / C(d, 2), and 0 below degree 2.
+double coefficient(std::uint64_t d, std::uint64_t t) {
+  return d < 2 ? 0.0
+               : 2.0 * static_cast<double>(t) /
+                     (static_cast<double>(d) * static_cast<double>(d - 1));
+}
+
+}  // namespace
 
 std::vector<double> coefficients_from_counts(
     const CsrGraph& graph, const std::vector<std::uint64_t>& triangles) {
   const VertexId n = graph.num_vertices();
   util::charge_current(static_cast<std::uint64_t>(n) * sizeof(double),
                        "clustering/coefficients");
-  std::vector<double> coefficients(n, 0.0);
-  for (VertexId v = 0; v < n; ++v) {
-    const std::uint64_t d = graph.degree(v);
-    if (d >= 2)
-      coefficients[v] = 2.0 * static_cast<double>(triangles[v]) /
-                        (static_cast<double>(d) * static_cast<double>(d - 1));
-  }
+  std::vector<double> coefficients(n);
+  for (VertexId v = 0; v < n; ++v)
+    coefficients[v] = coefficient(graph.degree(v), triangles[v]);
   return coefficients;
 }
 
@@ -54,9 +51,7 @@ TransitivitySummary transitivity_from_counts(
     const std::uint64_t d = graph.degree(v);
     out.wedges += d * (d - 1) / 2;
     corner_sum += triangles[v];
-    if (d >= 2)
-      coefficient_sum += 2.0 * static_cast<double>(triangles[v]) /
-                         (static_cast<double>(d) * static_cast<double>(d - 1));
+    coefficient_sum += coefficient(d, triangles[v]);
   }
   out.triangles = corner_sum / 3;
   out.global_transitivity =

@@ -19,11 +19,10 @@ struct TransitivitySummary {
 };
 
 /// Per-vertex counts over a prebuilt degree-ordered oriented CSR (the cached
-/// artifact tc::query and tc::Engine share, see tc/analytics_exec.cpp);
-/// `new_id[v]` is v's ID in the oriented graph (i.e. the degree-descending
-/// permutation used to build it), so nothing here re-sorts the graph. Results are indexed by ORIGINAL vertex ID. Charges the per-vertex
-/// arrays against the active memory budget; triangle enumeration runs
-/// through the mining layer and honours cancellation/deadline.
+/// artifact, see tc/analytics_exec.cpp) by the positional Forward walk
+/// (mining/triangle_walk.hpp); `new_id[v]` is v's ID in it (the
+/// degree-descending permutation), and results are indexed by ORIGINAL ID.
+/// Charges the per-vertex arrays against the active memory budget.
 std::vector<std::uint64_t> local_triangle_counts_prepared(
     const graph::OrientedCsr& oriented,
     const std::vector<graph::VertexId>& new_id);

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
-#include "mining/vertex_miner.hpp"
+#include "baselines/intersect.hpp"
+#include "mining/triangle_walk.hpp"
 #include "parallel/exec_context.hpp"
 #include "util/memory_budget.hpp"
 
@@ -42,25 +43,24 @@ KTrussResult ktruss_prepared(const CsrGraph& graph,
   util::charge_current(m * 32, "ktruss/edge-state");
   result.trussness.assign(m, 0);
 
-  // Edge endpoints (u < v) in flattened order.
-  std::vector<VertexId> edge_u(m), edge_v(m);
-  for (VertexId v = 0; v < oriented.num_vertices(); ++v) {
-    std::uint64_t e = oriented.offset(v);
-    for (VertexId u : oriented.neighbors(v)) {
-      edge_u[e] = u;
+  // Edge e = (u, v), u < v, in flattened order: u is the neighbour-array
+  // entry itself, v the list it sits in.
+  const auto& edge_u = oriented.neighbor_array();
+  std::vector<VertexId> edge_v(m);
+  for (VertexId v = 0; v < oriented.num_vertices(); ++v)
+    for (std::uint64_t e = oriented.offset(v); e < oriented.offset(v + 1); ++e)
       edge_v[e] = v;
-      ++e;
-    }
-  }
 
-  // Initial supports via one parallel pass over the oriented triangles
-  // (mining layer): triangle v > u > w touches oriented edges (u,v), (w,v)
-  // and (w,u). Atomic relaxed increments — counts only, no ordering needed.
+  // Initial supports via one positional Forward walk: the flat positions of
+  // each triangle's edges (u,v), (w,v) and (w,u) are their edge IDs.
+  // Relaxed atomic increments — counts only, no ordering needed.
   std::vector<std::atomic<std::uint32_t>> support_atomic(m);
-  mining::for_each_triangle(oriented, [&](VertexId v, VertexId u, VertexId w) {
-    support_atomic[edge_id(oriented, u, v)].fetch_add(1, std::memory_order_relaxed);
-    support_atomic[edge_id(oriented, w, v)].fetch_add(1, std::memory_order_relaxed);
-    support_atomic[edge_id(oriented, w, u)].fetch_add(1, std::memory_order_relaxed);
+  mining::forward_walk(oriented, [&](VertexId, VertexId, VertexId,
+                                     std::uint64_t e_uv, std::uint64_t e_wv,
+                                     std::uint64_t e_wu) {
+    support_atomic[e_uv].fetch_add(1, std::memory_order_relaxed);
+    support_atomic[e_wv].fetch_add(1, std::memory_order_relaxed);
+    support_atomic[e_wu].fetch_add(1, std::memory_order_relaxed);
   });
   if (parallel::interrupted()) return result;  // partial: all-zero trussness
 
@@ -101,24 +101,21 @@ KTrussResult ktruss_prepared(const CsrGraph& graph,
     // Decrement the supports of the two other edges of every surviving
     // triangle through e.
     const VertexId a = edge_u[e], b = edge_v[e];
-    auto na = graph.neighbors(a);
-    auto nb = graph.neighbors(b);
-    std::size_t i = 0, j = 0;
-    while (i < na.size() && j < nb.size()) {
-      if (na[i] < nb[j]) { ++i; continue; }
-      if (na[i] > nb[j]) { ++j; continue; }
-      const VertexId w = na[i];
-      ++i; ++j;
-      const std::uint64_t e1 = edge_id(oriented, std::min(w, a), std::max(w, a));
-      const std::uint64_t e2 = edge_id(oriented, std::min(w, b), std::max(w, b));
-      if (!alive[e1] || !alive[e2]) continue;
-      for (std::uint64_t other : {e1, e2}) {
-        if (support[other] > current) {
-          --support[other];
-          buckets[support[other]].push_back(other);
-        }
-      }
-    }
+    const auto na = graph.neighbors(a);
+    baselines::intersect_merge<VertexId>(
+        na, graph.neighbors(b), baselines::null_probe,
+        [&](std::size_t i, std::size_t) {
+          const VertexId w = na[i];
+          const std::uint64_t e1 = edge_id(oriented, std::min(w, a), std::max(w, a));
+          const std::uint64_t e2 = edge_id(oriented, std::min(w, b), std::max(w, b));
+          if (!alive[e1] || !alive[e2]) return;
+          for (std::uint64_t other : {e1, e2}) {
+            if (support[other] > current) {
+              --support[other];
+              buckets[support[other]].push_back(other);
+            }
+          }
+        });
     // New bucket entries are always >= current (supports are floored at the
     // threshold), so the scan never needs to move backwards.
   }

@@ -32,11 +32,20 @@ struct NullProbe {
 
 inline NullProbe null_probe;  // shared default; stateless by construction
 
+/// No-op callback, the default on-hit and triangle visitor: kernels
+/// instantiated with it compile to their counting-only form.
+struct NoVisit {
+  template <typename... Args>
+  constexpr void operator()(Args&&... /*args*/) const noexcept {}
+};
+
 /// |a ∩ b| by simultaneous scan. The kernel of choice for short, similarly
-/// sized lists (LOTUS uses it for NNN and HNN; Sec. 4.4.3).
-template <typename T, typename Probe = NullProbe>
+/// sized lists (LOTUS uses it for NNN and HNN; Sec. 4.4.3). `on_hit(i, j)`
+/// sees the positions of each common element (a[i] == b[j]); the per-vertex
+/// and per-edge walks use them to name the third vertex and its edges.
+template <typename T, typename Probe = NullProbe, typename OnHit = NoVisit>
 std::uint64_t intersect_merge(std::span<const T> a, std::span<const T> b,
-                              Probe& probe = null_probe) {
+                              Probe& probe = null_probe, OnHit on_hit = {}) {
   std::uint64_t count = 0;
   std::uint64_t comparisons = 0;  // dead when LOTUS_OBS=0
   std::size_t i = 0, j = 0;
@@ -55,6 +64,7 @@ std::uint64_t intersect_merge(std::span<const T> a, std::span<const T> b,
       if (greater) {
         ++j;
       } else {
+        on_hit(i, j);
         ++count;
         ++i;
         ++j;
@@ -119,26 +129,6 @@ std::uint64_t intersect_gallop(std::span<const T> a, std::span<const T> b,
   if (count == 0 && comparisons > 0)
     obs::count(obs::Counter::kFruitlessSearches);
   return count;
-}
-
-/// Merge join that reports each common element to `visit` — used by the
-/// per-vertex (local) triangle counter, which must know *which* third
-/// vertex closes each triangle, not just how many do.
-template <typename T, typename Visitor>
-void intersect_merge_visit(std::span<const T> a, std::span<const T> b,
-                           Visitor&& visit) {
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      visit(a[i]);
-      ++i;
-      ++j;
-    }
-  }
 }
 
 /// Branch-free merge: advances are computed arithmetically so the

@@ -5,8 +5,10 @@
 // materializing the list as a dense per-thread bitmap and popcount-probing
 // each second list against it (one O(1) probe per element instead of a
 // merge step), while the low-degree tail keeps the vectorized merge, whose
-// locality is unbeatable on short lists. The threshold is a QueryOptions /
-// LotusConfig knob (hybrid_degree_threshold).
+// locality is unbeatable on short lists. The threshold is the caller's
+// `degree_threshold`: LOTUS's NNN phase passes
+// LotusConfig::hybrid_degree_threshold, and forward_hybrid_prepared takes it
+// as a parameter (64 by default, which the forward-hybrid query uses).
 //
 // Memory: each thread lazily allocates one ⌈n/64⌉-word bitmap the first
 // time it meets a dense vertex. Callers running under an active memory

@@ -5,12 +5,17 @@
 // overhead) so the instrumented replays in src/tc reuse this exact code.
 // Probes are stateful and unsynchronized: instrumented runs must execute
 // with parallel::set_num_threads(1).
+// count_hhh_hhn and count_hnn also take a trailing triangle visitor (default
+// baselines::NoVisit: the counting-only code); `visit(v, u, w)` sees each
+// triangle the phase finds, in LOTUS IDs, from any pool worker.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "baselines/intersect.hpp"
@@ -49,33 +54,24 @@ inline void clear_hub_bits(std::uint64_t* bitmap, std::span<const std::uint16_t>
   for (const std::uint16_t h : hubs) bitmap[h >> 6] = 0;
 }
 
-/// The HNN inner step: how many hubs of `hubs` (HE(u)) have their bit set
-/// in `bitmap` (which holds HE(v)); `on_hit(h)` sees each common hub. A
-/// plain scalar bit test — one L1 load per element, no merge branches.
-template <typename OnHit>
-std::uint64_t hub_bitmap_hits(const std::uint64_t* bitmap,
-                              std::span<const std::uint16_t> hubs,
-                              OnHit&& on_hit) {
-  std::uint64_t hits = 0;
-  for (const std::uint16_t h : hubs) {
-    const std::uint64_t bit = (bitmap[h >> 6] >> (h & 63)) & 1;
-    if (bit != 0) on_hit(h);
-    hits += bit;
-  }
-  return hits;
-}
-
-/// The counting form of the HNN step, plus its obs tallies, flushed once
-/// per chunk: every probed element is one intersect comparison, and an NHE
-/// edge that probed elements without a hit is one fruitless search (the
-/// merge's convention). The tallies are dead when LOTUS_OBS=0.
+/// The HNN step: how many hubs of HE(u) have their bit set in `bitmap`
+/// (HE(v)), one L1 bit test per element; `on_hit(h)` sees each common hub.
+/// obs tallies, flushed once per chunk (dead when LOTUS_OBS=0): each probed
+/// element is one intersect comparison, and an NHE edge that probed
+/// elements without a hit is one fruitless search (the merge's convention).
 struct HnnHitCounter {
   std::uint64_t probed = 0;
   std::uint64_t fruitless = 0;
 
+  template <typename OnHit = baselines::NoVisit>
   std::uint64_t count(const std::uint64_t* bitmap,
-                      std::span<const std::uint16_t> hubs) {
-    const std::uint64_t hits = hub_bitmap_hits(bitmap, hubs, [](std::uint16_t) {});
+                      std::span<const std::uint16_t> hubs, OnHit on_hit = {}) {
+    std::uint64_t hits = 0;
+    for (const std::uint16_t h : hubs) {
+      const std::uint64_t bit = (bitmap[h >> 6] >> (h & 63)) & 1;
+      if (bit != 0) on_hit(h);
+      hits += bit;
+    }
     probed += hubs.size();
     if (hits == 0 && !hubs.empty()) ++fruitless;
     return hits;
@@ -108,20 +104,25 @@ std::vector<std::vector<HubTile>> build_hub_tasks(const LotusGraph& lg,
 /// whichever side is cheaper, so sparse tiles — where the row scan would
 /// read mostly zero words — keep the scalar bit probes. The obs counter
 /// kBitarrayProbes keeps counting *logical* (h1, h2) membership tests under
-/// both paths, so the Table 8 probe totals stay comparable.
-template <typename Probe = baselines::NullProbe>
+/// both paths, so the Table 8 probe totals stay comparable. A visitor, like
+/// a probe, pins the scalar pair path: `visit(tile.v, h1, h2)` per hit.
+template <typename Probe = baselines::NullProbe,
+          typename Visit = baselines::NoVisit>
 HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
                              TilingPolicy policy = TilingPolicy::kSquared,
                              std::vector<double>* busy_s_out = nullptr,
-                             Probe& probe = baselines::null_probe) {
+                             Probe& probe = baselines::null_probe,
+                             Visit visit = {}) {
   const TriangularBitArray& h2h = lg.h2h();
   const graph::Csr16& he = lg.he();
+  constexpr bool kPopcount = std::is_same_v<Probe, baselines::NullProbe> &&
+                             std::is_same_v<Visit, baselines::NoVisit>;
 
   parallel::ThreadPool& pool = parallel::default_pool();
   auto tasks = build_hub_tasks(lg, config, policy, pool.size());
 
   std::optional<HubBitmaps> masks;  // the popcount path's scratch
-  if (std::is_same_v<Probe, baselines::NullProbe> && config.vectorize)
+  if (kPopcount && config.vectorize)
     masks.emplace(lg.hub_count(), pool.size(), "hub/popcount-masks");
 
   std::vector<parallel::Padded<HubPhaseCounts>> partial(pool.size());
@@ -136,7 +137,7 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
         probes += pair_work(tile.begin, tile.end);
         std::uint64_t found = 0;
         bool counted = false;
-        if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
+        if constexpr (kPopcount) {
           if (config.vectorize && tile.end >= 2) {
             // Model: scalar pays ~1 op per enumerated pair; the popcount
             // path pays ~1 op per row window word plus the bitmap
@@ -179,6 +180,7 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
               const bool hit = h2h.test_bit(bit);
               probe.branch(4, hit);
               found += hit ? 1u : 0u;
+              if (hit) visit(tile.v, h1, h2);
             }
           }
         }
@@ -213,12 +215,13 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
 /// stream, prefetching HE(u) ahead of use (kernels/edge_stream.hpp).
 /// Otherwise (vectorize == false, or a probe attached for an instrumented
 /// replay) the probe-templated scalar merge runs; it is the reference the
-/// differential harness compares against.
-/// obs accounting: see HnnHitCounter.
-template <typename Probe = baselines::NullProbe>
+/// differential harness compares against. Both paths report each (v, u, h)
+/// triangle to `visit`. obs accounting: see HnnHitCounter.
+template <typename Probe = baselines::NullProbe,
+          typename Visit = baselines::NoVisit>
 std::uint64_t count_hnn(const LotusGraph& lg,
                         Probe& probe = baselines::null_probe,
-                        bool vectorize = true) {
+                        bool vectorize = true, Visit visit = {}) {
   const graph::Csr16& he = lg.he();
   const graph::CsrGraph& nhe = lg.nhe();
   if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
@@ -239,14 +242,17 @@ std::uint64_t count_hnn(const LotusGraph& lg,
                 nhe_adj, nhe_offsets[e], he.offsets().data(),
                 he.neighbor_array().data());
             for (std::uint64_t vi = b; vi < e; ++vi) {
-              auto hub_list = he.neighbors(static_cast<graph::VertexId>(vi));
+              const auto v = static_cast<graph::VertexId>(vi);
+              auto hub_list = he.neighbors(v);
               const std::uint64_t lo = nhe_offsets[vi];
               const std::uint64_t hi = nhe_offsets[vi + 1];
               if (hub_list.empty() || lo == hi) continue;
               set_hub_bits(bitmap, hub_list);
               for (std::uint64_t k = lo; k < hi; ++k) {
                 prefetch(k);
-                local += counter.count(bitmap, he.neighbors(nhe_adj[k]));
+                const graph::VertexId u = nhe_adj[k];
+                local += counter.count(bitmap, he.neighbors(u),
+                                       [&](std::uint16_t h) { visit(v, u, h); });
               }
               clear_hub_bits(bitmap, hub_list);
             }
@@ -266,7 +272,8 @@ std::uint64_t count_hnn(const LotusGraph& lg,
         for (graph::VertexId u : nhe.neighbors(v)) {
           probe.read(&u, sizeof(graph::VertexId));
           local += baselines::intersect_merge<std::uint16_t>(
-              hub_list, he.neighbors(u), probe);
+              hub_list, he.neighbors(u), probe,
+              [&](std::size_t i, std::size_t) { visit(v, u, hub_list[i]); });
         }
         return local;
       });
@@ -312,10 +319,11 @@ std::uint64_t count_nnn(const LotusGraph& lg,
 /// Blocked HNN (the second Sec. 7 future-work item): processes non-hub
 /// edges in blocks of their target u, so the randomly accessed HE lists of
 /// one pass come from a bounded ID range and can stay cached. Counting is
-/// identical to count_hnn; only the traversal order changes. Uninstrumented
-/// vectorized runs take count_hnn's bitmap step, setting HE(v) once per
-/// block in which v has NHE edges, so the ablation compares traversal
-/// orders with the same HNN step as the real phase.
+/// identical to count_hnn; only the traversal order changes. NHE entries are
+/// bucketed by block once, as (begin, v, size) runs charged to the budget,
+/// so each block pass walks only its own runs. Uninstrumented vectorized
+/// runs take count_hnn's bitmap step, setting HE(v) once per run, so the
+/// ablation compares traversal orders with the same HNN step as the phase.
 template <typename Probe = baselines::NullProbe>
 std::uint64_t count_hnn_blocked(const LotusGraph& lg,
                                 graph::VertexId block_size,
@@ -324,40 +332,85 @@ std::uint64_t count_hnn_blocked(const LotusGraph& lg,
   const graph::Csr16& he = lg.he();
   const graph::CsrGraph& nhe = lg.nhe();
   const graph::VertexId n = lg.num_vertices();
+  const graph::VertexId first = lg.hub_count();  // NHE targets are non-hubs
   if (block_size == 0) block_size = 1;
+  const std::uint64_t blocks =
+      n > first ? (std::uint64_t{n} - first + block_size - 1) / block_size : 0;
+  const std::uint64_t* offsets = nhe.offsets().data();
+  const graph::VertexId* adj = nhe.neighbor_array().data();
+  struct Run { std::uint64_t begin; graph::VertexId v; std::uint32_t size; };
+
+  // Each of `parts` vertex ranges calls fn(part · blocks + block, v, lo, hi)
+  // per maximal one-block run of an NHE list, in parallel: once to count
+  // into its own row of cursors, once to place; ranges are block-major.
+  const unsigned parts = parallel::num_threads();
+  const std::uint64_t part_size = (std::uint64_t{n} + parts - 1) / parts;
+  const auto for_each_run = [&](auto&& fn) {
+    parallel::parallel_for(
+        0, parts, 1, [&](unsigned, std::uint64_t pb, std::uint64_t pe) {
+          for (std::uint64_t part = pb; part < pe; ++part) {
+            const std::uint64_t v_end =
+                std::min<std::uint64_t>(n, (part + 1) * part_size);
+            for (std::uint64_t v = part * part_size; v < v_end; ++v) {
+              for (std::uint64_t k = offsets[v], hi = offsets[v + 1]; k < hi;) {
+                const std::uint64_t block = (adj[k] - first) / block_size;
+                const std::uint64_t limit = first + (block + 1) * block_size;
+                const std::uint64_t lo = k;
+                while (k < hi && adj[k] < limit) ++k;
+                fn(part * blocks + block, static_cast<graph::VertexId>(v), lo, k);
+              }
+            }
+          }
+        });
+  };
+  util::charge_current((parts + 1) * (blocks + 1) * sizeof(std::uint64_t),
+                       "hnn/block-index");
+  std::vector<std::uint64_t> cursor(parts * blocks, 0);
+  for_each_run([&](std::uint64_t slot, graph::VertexId, std::uint64_t,
+                   std::uint64_t) { ++cursor[slot]; });
+  std::vector<std::uint64_t> block_start(blocks + 1, 0);
+  std::uint64_t placed = 0;
+  for (std::uint64_t block = 0; block < blocks; ++block) {
+    block_start[block] = placed;
+    for (std::uint64_t part = 0; part < parts; ++part)
+      placed += std::exchange(cursor[part * blocks + block], placed);
+  }
+  block_start[blocks] = placed;
+  util::charge_current(placed * sizeof(Run), "hnn/block-ranges");
+  const auto ranges = std::make_unique_for_overwrite<Run[]>(placed);
+  for_each_run([&](std::uint64_t slot, graph::VertexId v, std::uint64_t lo,
+                   std::uint64_t hi) {
+    ranges[cursor[slot]++] = {lo, v, static_cast<std::uint32_t>(hi - lo)};
+  });
+
   std::optional<HubBitmaps> bitmaps;
   if (std::is_same_v<Probe, baselines::NullProbe> && vectorize)
     bitmaps.emplace(lg.hub_count(), parallel::num_threads(),
                     "hnn/hub-bitmaps");
   std::vector<parallel::Padded<std::uint64_t>> partial(parallel::num_threads());
-  for (graph::VertexId block_begin = lg.hub_count(); block_begin < n;
-       block_begin += block_size) {
-    const graph::VertexId block_end =
-        block_begin + block_size < n ? block_begin + block_size : n;
+  for (std::uint64_t block = 0; block < blocks; ++block) {
     parallel::parallel_for(
-        0, n, 256,
+        block_start[block], block_start[block + 1], 64,
         [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
           std::uint64_t* bitmap = bitmaps ? bitmaps->get(thread_index) : nullptr;
           std::uint64_t local = 0;
           HnnHitCounter counter;
-          for (std::uint64_t vi = b; vi < e; ++vi) {
-            const auto v = static_cast<graph::VertexId>(vi);
-            auto nv = nhe.neighbors(v);
-            auto hub_list = he.neighbors(v);
-            const auto first = std::lower_bound(nv.begin(), nv.end(), block_begin);
-            const auto last = std::lower_bound(first, nv.end(), block_end);
+          for (std::uint64_t r = b; r < e; ++r) {
+            const Run& range = ranges[r];
+            auto hub_list = he.neighbors(range.v);
+            const std::uint64_t end = range.begin + range.size;
             if (bitmap == nullptr) {
-              for (auto it = first; it != last; ++it) {
-                probe.read(&*it, sizeof(graph::VertexId));
+              for (std::uint64_t k = range.begin; k < end; ++k) {
+                probe.read(&adj[k], sizeof(graph::VertexId));
                 local += baselines::intersect_merge<std::uint16_t>(
-                    hub_list, he.neighbors(*it), probe);
+                    hub_list, he.neighbors(adj[k]), probe);
               }
               continue;
             }
-            if (hub_list.empty() || first == last) continue;
+            if (hub_list.empty()) continue;
             set_hub_bits(bitmap, hub_list);
-            for (auto it = first; it != last; ++it)
-              local += counter.count(bitmap, he.neighbors(*it));
+            for (std::uint64_t k = range.begin; k < end; ++k)
+              local += counter.count(bitmap, he.neighbors(adj[k]));
             clear_hub_bits(bitmap, hub_list);
           }
           counter.flush();

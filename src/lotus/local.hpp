@@ -1,24 +1,26 @@
-// Per-vertex (local) triangle counting through the LOTUS phases.
-//
-// Local triangle counts drive the clustering-coefficient and local-motif
-// analyses the paper's introduction motivates [11, 12]. This runs the same
-// three locality-optimized phases as the scalar counter, crediting all
-// three corners of every discovered triangle.
+// Per-vertex (local) triangle counting on the LOTUS substrate, for the
+// clustering-coefficient and local-motif analyses the paper's introduction
+// motivates [11, 12]. The credits come from the counting phases themselves:
+// count_hhh_hhn and count_hnn report each triangle to a visitor, and NNN
+// runs the positional Forward walk over NHE (mining/triangle_walk.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "lotus/config.hpp"
+
 namespace lotus::core {
 
 class LotusGraph;
 
-/// Triangles through each vertex of an already-built LotusGraph — the
-/// kernel behind the kLocalCounts/kClustering analytics on the lotus
-/// substrate, so a cached ArtifactKind::kLotus artifact is shared with scalar
-/// LOTUS counting. Output is indexed by ORIGINAL vertex ID (remapped via
-/// lg.relabeling()); the sum over all vertices is 3 × the triangle count.
-/// Charges the per-vertex output against the active memory budget.
-std::vector<std::uint64_t> count_triangles_local_prepared(const LotusGraph& lg);
+/// Triangles through each vertex of a built LotusGraph (the kLocalCounts /
+/// kClustering kernel on the lotus substrate, sharing the kLotus artifact).
+/// `config` is the query's: the hub phase runs its squared tiling and
+/// work-stealing, and `config.vectorize` picks count_hnn's step. Indexed by
+/// ORIGINAL vertex ID; sums to 3 × the triangle count. Charges the
+/// per-vertex arrays against the active memory budget.
+std::vector<std::uint64_t> count_triangles_local_prepared(
+    const LotusGraph& lg, const LotusConfig& config);
 
 }  // namespace lotus::core

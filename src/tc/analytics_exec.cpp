@@ -7,8 +7,8 @@
 // analytics, the degree-ordered oriented CSR otherwise), borrow it from the
 // prepared artifact (the Engine's cached one, or the one tc::query just
 // built), then hand off to the analytic kernels (mining::count_cliques,
-// lotus/local.hpp, analytics/ktruss.hpp, analytics/clustering.hpp — all
-// but the LOTUS substrate sharing the mining layer's DAG traversal).
+// lotus/local.hpp, analytics/ktruss.hpp, analytics/clustering.hpp), which
+// walk triangles once per substrate (docs/API.md).
 //
 // Timing model: the residual per-query work the artifact cannot cover — the
 // degree permutation for per-vertex remaps, the relabeled full graph for the
@@ -138,7 +138,7 @@ RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
     case AnalyticKind::kClustering: {
       std::vector<std::uint64_t> counts =
           lotus_substrate
-              ? core::count_triangles_local_prepared(*lg)
+              ? core::count_triangles_local_prepared(*lg, options.config)
               : analytics::local_triangle_counts_prepared(*oriented, perm);
       const std::uint64_t corner_sum =
           std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});

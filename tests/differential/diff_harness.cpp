@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -177,13 +178,37 @@ std::uint64_t forward_with_kernel(const g::CsrGraph& graph, Kernel&& kernel) {
 
 /// The production path: tc::query builds the algorithm's artifact and counts
 /// against it, exactly as an Engine miss does.
-std::uint64_t query_count(tc::Algorithm algorithm, const g::CsrGraph& graph,
-                          const tc::QueryOptions& options = {}) {
-  const auto outcome = tc::query(algorithm, graph, options);
+tc::RunResult query_result(tc::Algorithm algorithm, const g::CsrGraph& graph,
+                           const tc::QueryOptions& options) {
+  auto outcome = tc::query(algorithm, graph, options);
   if (!outcome.ok()) throw std::runtime_error(outcome.status().to_string());
   if (!outcome.value().ok())
     throw std::runtime_error(outcome.value().status.to_string());
-  return outcome.value().result.triangles;
+  return std::move(outcome.take().result);
+}
+
+std::uint64_t query_count(tc::Algorithm algorithm, const g::CsrGraph& graph,
+                          const tc::QueryOptions& options = {}) {
+  return query_result(algorithm, graph, options).triangles;
+}
+
+/// Per-vertex triangle counts on one substrate, cross-checked against the
+/// other: Σ local / 3, or a sentinel no graph reaches (so the cell fails)
+/// when the two per-vertex arrays differ or Σ local is not a multiple of 3.
+std::uint64_t local_counts(tc::Algorithm substrate, tc::Algorithm other,
+                           const g::CsrGraph& graph,
+                           const core::LotusConfig& config) {
+  tc::QueryOptions options;
+  options.config = config;
+  options.analytic.kind = tc::AnalyticKind::kLocalCounts;
+  const auto counts =
+      query_result(substrate, graph, options).analytics.vertex_counts;
+  const auto cross =
+      query_result(other, graph, options).analytics.vertex_counts;
+  const std::uint64_t corners =
+      std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
+  constexpr std::uint64_t kMismatch = ~std::uint64_t{0};
+  return counts != cross || corners % 3 != 0 ? kMismatch : corners / 3;
 }
 
 /// On-disk rows stage each corpus graph in a uniquely named temp file and
@@ -348,6 +373,20 @@ std::vector<DiffPath> differential_paths() {
                      census.analytic.k = 3;
                      return query_count(tc::Algorithm::kForwardMerge, graph,
                                         census);
+                   }});
+
+  // --- Per-vertex counts, Σ local / 3: the LOTUS phase visitors and the
+  // positional Forward walk, each checked against the other's array.
+  paths.push_back({"local_counts_lotus", [](const auto& graph,
+                                            const auto& config) {
+                     return local_counts(tc::Algorithm::kLotus,
+                                         tc::Algorithm::kForwardMerge, graph,
+                                         config);
+                   }});
+  paths.push_back({"local_counts_oriented", [](const auto& graph,
+                                               const auto& config) {
+                     return local_counts(tc::Algorithm::kForwardMerge,
+                                         tc::Algorithm::kLotus, graph, config);
                    }});
 
   // --- On-disk pipelines (docs/OUT_OF_CORE.md).

@@ -1,16 +1,24 @@
 // Analytics layer on closed-form families and against brute force: the
 // k-truss peel, and the k-clique census, per-vertex triangle counts,
-// clustering coefficients and transitivity as tc::query serves them.
+// clustering coefficients and transitivity as tc::query serves them; and
+// the shared triangle walks under them (the LOTUS phase visitors, the
+// positional Forward walk, intersect_merge's on-hit positions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "analytics/ktruss.hpp"
+#include "baselines/intersect.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
+#include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tc/api.hpp"
 
 namespace {
@@ -26,8 +34,10 @@ constexpr tc::Algorithm kSubstrates[] = {tc::Algorithm::kForwardMerge,
 
 /// One analytic query's payload; a rejected or failed query fails the test.
 tc::AnalyticsResult analytic(tc::Algorithm algorithm, const g::CsrGraph& graph,
-                             const tc::AnalyticsRequest& request) {
+                             const tc::AnalyticsRequest& request,
+                             const lotus::core::LotusConfig& config = {}) {
   tc::QueryOptions options;
+  options.config = config;
   options.analytic = request;
   auto attempted = tc::query(algorithm, graph, options);
   if (!attempted.ok()) {
@@ -47,11 +57,12 @@ tc::AnalyticsResult kcliques(const g::CsrGraph& graph, unsigned k,
                    .hub_fraction = hub_fraction});
 }
 
-std::vector<std::uint64_t> local_counts(tc::Algorithm algorithm,
-                                        const g::CsrGraph& graph) {
-  auto counts =
-      analytic(algorithm, graph, {.kind = tc::AnalyticKind::kLocalCounts})
-          .vertex_counts;
+std::vector<std::uint64_t> local_counts(
+    tc::Algorithm algorithm, const g::CsrGraph& graph,
+    const lotus::core::LotusConfig& config = {}) {
+  auto counts = analytic(algorithm, graph,
+                         {.kind = tc::AnalyticKind::kLocalCounts}, config)
+                    .vertex_counts;
   EXPECT_EQ(counts.size(), graph.num_vertices()) << tc::name(algorithm);
   return counts;
 }
@@ -274,6 +285,184 @@ TEST(LotusLocal, CompleteGraph) {
   const auto counts =
       local_counts(tc::Algorithm::kLotus, g::build_undirected(g::complete(9)));
   for (auto c : counts) EXPECT_EQ(c, 8u * 7 / 2);
+}
+
+/// Triangles through each vertex by set_intersection over the full
+/// symmetric lists: each triangle v < u < w is credited once to each corner.
+std::vector<std::uint64_t> local_counts_oracle(const g::CsrGraph& graph) {
+  std::vector<std::uint64_t> counts(graph.num_vertices(), 0);
+  std::vector<g::VertexId> common;
+  for (g::VertexId v = 0; v < graph.num_vertices(); ++v) {
+    const auto nv = graph.neighbors(v);
+    for (const g::VertexId u : nv) {
+      if (u <= v) continue;
+      const auto nu = graph.neighbors(u);
+      common.clear();
+      std::set_intersection(nv.begin(), nv.end(), nu.begin(), nu.end(),
+                            std::back_inserter(common));
+      for (const g::VertexId w : common) {
+        if (w <= u) continue;
+        ++counts[v];
+        ++counts[u];
+        ++counts[w];
+      }
+    }
+  }
+  return counts;
+}
+
+/// 40 whales forming a clique, whale w adjacent to every (w+1)-th of 3000
+/// ring-linked leaves: leaf 0 sees every whale, so hub lists run to 40
+/// entries, and with 40 hubs every class (HHH, HHN, HNN, NNN) is populated.
+g::CsrGraph hub_whale_graph() {
+  constexpr g::VertexId kWhales = 40, kLeaves = 3000;
+  g::EdgeList el{kWhales + kLeaves, {}};
+  for (g::VertexId w = 0; w < kWhales; ++w) {
+    for (g::VertexId x = w + 1; x < kWhales; ++x) el.edges.push_back({w, x});
+    for (g::VertexId l = 0; l < kLeaves; l += w + 1)
+      el.edges.push_back({w, kWhales + l});
+  }
+  for (g::VertexId l = 0; l < kLeaves; ++l) {
+    el.edges.push_back({kWhales + l, kWhales + (l + 1) % kLeaves});
+    el.edges.push_back({kWhales + l, kWhales + (l + 2) % kLeaves});
+  }
+  return g::build_undirected(el);
+}
+
+// The LOTUS substrate (phase-kernel visitors + the NHE walk) and the
+// oriented substrate (the positional Forward walk) against the oracle, with
+// every HE list tiled (threshold 1) so one vertex's hub pairs are split
+// across tiles and threads, under both count_hnn steps.
+TEST(LocalCounts, SubstratesMatchOracleOnTiledWhaleGraph) {
+  const auto graph = hub_whale_graph();
+  const auto oracle = local_counts_oracle(graph);
+  ASSERT_GT(std::accumulate(oracle.begin(), oracle.end(), std::uint64_t{0}), 0u);
+  lotus::core::LotusConfig config;
+  config.hub_count = 40;
+  config.tiling_degree_threshold = 1;
+  for (const unsigned threads : {1u, 4u}) {
+    lotus::parallel::set_num_threads(threads);
+    for (const bool vectorize : {true, false}) {
+      config.vectorize = vectorize;
+      EXPECT_EQ(local_counts(tc::Algorithm::kLotus, graph, config), oracle)
+          << "lotus threads=" << threads << " vectorize=" << vectorize;
+    }
+    EXPECT_EQ(local_counts(tc::Algorithm::kForwardMerge, graph), oracle)
+        << "oriented threads=" << threads;
+  }
+  lotus::parallel::set_num_threads(0);
+}
+
+// The k-truss support pass reads edge positions from the walk, so trussness
+// must not depend on the orientation: map each oriented edge to its
+// undirected endpoints and compare the ID order with the degree order (the
+// artifact tc::query serves).
+TEST(KTruss, TrussnessIndependentOfOrientation) {
+  const g::CsrGraph graphs[] = {
+      g::build_undirected(g::rmat({.scale = 9, .edge_factor = 8, .seed = 71})),
+      g::build_undirected(g::holme_kim({.num_vertices = 800,
+                                        .edges_per_vertex = 5,
+                                        .p_triad = 0.6,
+                                        .seed = 72}))};
+  using Edge = std::pair<g::VertexId, g::VertexId>;
+  const auto by_endpoints = [](const g::OrientedCsr& oriented,
+                               const std::vector<std::uint32_t>& trussness,
+                               const std::vector<g::VertexId>& original) {
+    std::map<Edge, std::uint32_t> out;
+    for (g::VertexId v = 0; v < oriented.num_vertices(); ++v) {
+      std::uint64_t e = oriented.offset(v);
+      for (const g::VertexId u : oriented.neighbors(v)) {
+        const g::VertexId a = original[u], b = original[v];
+        out[{std::min(a, b), std::max(a, b)}] = trussness[e++];
+      }
+    }
+    return out;
+  };
+  for (const auto& graph : graphs) {
+    std::vector<g::VertexId> identity(graph.num_vertices());
+    std::iota(identity.begin(), identity.end(), 0);
+    const auto by_id = by_endpoints(g::orient_by_id(graph),
+                                    ktruss(graph).trussness, identity);
+
+    const auto perm = g::degree_descending_permutation(graph);
+    std::vector<g::VertexId> original(perm.size());
+    for (g::VertexId v = 0; v < perm.size(); ++v) original[perm[v]] = v;
+    const auto served = analytic(tc::Algorithm::kForwardMerge, graph,
+                                 {.kind = tc::AnalyticKind::kKTruss});
+    const auto by_degree = by_endpoints(g::degree_ordered_oriented(graph),
+                                        served.edge_trussness, original);
+
+    ASSERT_EQ(by_id.size(), graph.num_edges() / 2);
+    EXPECT_EQ(by_id, by_degree);
+    EXPECT_GT(served.truss.max_k, 3u);
+  }
+}
+
+/// intersect_merge's on-hit callback must see exactly the positions of the
+/// common elements, in order, and the return value must be their number.
+template <typename T>
+void expect_hit_positions(const std::vector<T>& a, const std::vector<T>& b) {
+  std::vector<std::pair<std::size_t, std::size_t>> want;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto it = std::lower_bound(b.begin(), b.end(), a[i]);
+    if (it != b.end() && *it == a[i])
+      want.emplace_back(i, static_cast<std::size_t>(it - b.begin()));
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> got;
+  const std::uint64_t count = lotus::baselines::intersect_merge<T>(
+      a, b, lotus::baselines::null_probe,
+      [&](std::size_t i, std::size_t j) { got.emplace_back(i, j); });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(count, want.size());
+}
+
+// The KernelMerge adversarial u32/u16 inputs as on-hit cases.
+TEST(IntersectMergeHits, AdversarialListsReportMatchedPositions) {
+  using V32 = std::vector<std::uint32_t>;
+  using V16 = std::vector<std::uint16_t>;
+  V32 evens, odds;
+  for (std::uint32_t i = 0; i < 70; ++i) {
+    evens.push_back(2 * i);
+    odds.push_back(2 * i + 1);
+  }
+  V32 longrun(1000);
+  for (std::uint32_t i = 0; i < 1000; ++i) longrun[i] = 3 * i;
+  V32 hi_a, hi_b;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    hi_a.push_back(0xFFFFFFFFu - 2 * i);
+    hi_b.push_back(0xFFFFFFFFu - 3 * i);
+  }
+  std::reverse(hi_a.begin(), hi_a.end());
+  std::reverse(hi_b.begin(), hi_b.end());
+  const std::pair<V32, V32> cases32[] = {
+      {{}, {}},
+      {{}, {1, 2, 3}},
+      {{7}, {7}},
+      {evens, odds},
+      {evens, evens},
+      {{0, 999, 2997}, longrun},
+      {hi_a, hi_b},
+      {{0x7FFFFFFEu, 0x7FFFFFFFu, 0x80000000u, 0x80000001u},
+       {0x7FFFFFFFu, 0x80000001u, 0xFFFFFFFFu}}};
+  for (const auto& [a, b] : cases32) {
+    expect_hit_positions(a, b);
+    expect_hit_positions(b, a);
+  }
+  V16 evens16, odds16;
+  for (std::uint16_t i = 0; i < 100; ++i) {
+    evens16.push_back(static_cast<std::uint16_t>(2 * i));
+    odds16.push_back(static_cast<std::uint16_t>(2 * i + 1));
+  }
+  const std::pair<V16, V16> cases16[] = {
+      {{}, {}},
+      {{}, {1, 2, 3}},
+      {evens16, odds16},
+      {evens16, evens16},
+      {{0xFFF0, 0xFFF8, 0xFFFE, 0xFFFF}, {0xFFF1, 0xFFF8, 0xFFFF}}};
+  for (const auto& [a, b] : cases16) {
+    expect_hit_positions(a, b);
+    expect_hit_positions(b, a);
+  }
 }
 
 TEST(LotusLocal, CornerSumIsThreeTimesTotal) {
