@@ -22,8 +22,9 @@
 // baseline entry missing from the current run is skipped (with a note)
 // instead of failing the compare, so snapshots stay portable across ISAs
 // while same-tier comparisons stay strict. Timings are best-of-N (--repeat)
-// to damp scheduler noise, except the kernel speedups: those are the median
-// of paired, order-alternating rounds (kernels_metrics).
+// to damp scheduler noise, except the ratios: the kernel speedups and the
+// verify and telemetry overhead gates are the median of paired,
+// order-alternating rounds (paired_median_ratio).
 #include <algorithm>
 #include <cmath>
 #include <ctime>
@@ -92,6 +93,28 @@ JsonValue optional_metric(double value, const char* unit, const char* better) {
   JsonValue m = metric(value, unit, better);
   m.set("optional", true);
   return m;
+}
+
+/// Median over `rounds` of numerator() / denominator(), two timed samples.
+/// Each round takes both back to back and alternates which goes first, so
+/// a slow stretch of the host lands inside one round's pair instead of on
+/// one side of the comparison, and neither side always pays the warm-up.
+/// An odd `rounds` makes the median one round's ratio.
+template <typename Num, typename Den>
+double paired_median_ratio(int rounds, Num&& numerator, Den&& denominator) {
+  std::vector<double> ratios;
+  for (int r = 0; r < rounds; ++r) {
+    const bool numerator_first = r % 2 == 0;
+    const double first = numerator_first ? numerator() : denominator();
+    const double second = numerator_first ? denominator() : numerator();
+    const double num_s = numerator_first ? first : second;
+    const double den_s = numerator_first ? second : first;
+    if (den_s > 0.0) ratios.push_back(num_s / den_s);
+  }
+  if (ratios.empty()) return 0.0;
+  const auto mid = ratios.begin() + static_cast<std::ptrdiff_t>(ratios.size() / 2);
+  std::nth_element(ratios.begin(), mid, ratios.end());
+  return *mid;
 }
 
 /// Best-of-N run: keep the fastest total time (rates follow from it).
@@ -265,7 +288,8 @@ void oocore_metrics(JsonValue& metrics, const std::string& name,
   const fs::path dir = fs::temp_directory_path() / "lotus_bench_oocore";
   fs::create_directories(dir);
   const std::string csx = (dir / (name + ".bin")).string();
-  lotus::graph::write_csr_binary(csx, graph);
+  const lotus::util::Status written = lotus::graph::write_csr_binary_s(csx, graph);
+  if (!written.ok()) throw std::runtime_error(written.message());
 
   // Cold start: disk artifact -> one forward-merge count, best-of-N.
   double heap_s = 0.0;
@@ -302,27 +326,25 @@ void oocore_metrics(JsonValue& metrics, const std::string& name,
   // Eager footer verification vs MapVerify::kOff on the same mapped
   // load+count. The verify pass is one sequential checksum sweep that
   // doubles as readahead, so the end-to-end overhead must stay under 5% —
-  // a hard gate, retried like the telemetry one because both sides are a
-  // single cold-ish run; throws only when the final attempt fails.
+  // a hard gate on the paired median, retried like the telemetry one;
+  // throws only when the final attempt fails.
+  const auto mapped_count_s = [&](oo::MapVerify verify) {
+    lotus::util::Timer timer;
+    auto mapped = oo::read_csr_mapped_s(csx, verify);
+    if (!mapped.ok()) throw std::runtime_error(mapped.status().message());
+    const auto got = lotus::bench::count(lotus::tc::Algorithm::kForwardMerge,
+                                         mapped.value(), config)
+                         .triangles;
+    if (got != heap_triangles)
+      throw std::runtime_error("oocore verify count mismatch on " + name);
+    return timer.elapsed_s();
+  };
   for (int attempt = 0; attempt < 3; ++attempt) {
-    double eager_s = 0.0;
-    double off_s = 0.0;
-    for (int i = 0; i < repeat; ++i) {
-      for (const auto verify : {oo::MapVerify::kEager, oo::MapVerify::kOff}) {
-        lotus::util::Timer timer;
-        auto mapped = oo::read_csr_mapped_s(csx, verify);
-        if (!mapped.ok()) throw std::runtime_error(mapped.status().message());
-        const auto got = lotus::bench::count(lotus::tc::Algorithm::kForwardMerge,
-                                             mapped.value(), config)
-                             .triangles;
-        if (got != heap_triangles)
-          throw std::runtime_error("oocore verify count mismatch on " + name);
-        const double s = timer.elapsed_s();
-        double& best = verify == oo::MapVerify::kEager ? eager_s : off_s;
-        if (i == 0 || s < best) best = s;
-      }
-    }
-    const double overhead = off_s > 0.0 ? eager_s / off_s - 1.0 : 0.0;
+    const double overhead =
+        paired_median_ratio(
+            2 * repeat + 1, [&] { return mapped_count_s(oo::MapVerify::kEager); },
+            [&] { return mapped_count_s(oo::MapVerify::kOff); }) -
+        1.0;
     if (overhead < 0.05) {
       metrics.set("oocore." + name + ".verify_overhead_frac",
                   metric(std::max(overhead, 0.0), "fraction", "lower"));
@@ -330,9 +352,8 @@ void oocore_metrics(JsonValue& metrics, const std::string& name,
     }
     if (attempt == 2)
       throw std::runtime_error(
-          "oocore." + name + ".verify_overhead_frac gate failed: eager " +
-          std::to_string(eager_s) + "s vs off " + std::to_string(off_s) +
-          "s (>= 5% on three attempts)");
+          "oocore." + name + ".verify_overhead_frac gate failed: median " +
+          std::to_string(100.0 * overhead) + "% >= 5% on three attempts");
   }
 
   // External build: text edge list -> symmetric CSX under the default sort
@@ -344,7 +365,8 @@ void oocore_metrics(JsonValue& metrics, const std::string& name,
     for (lotus::graph::VertexId u = 0; u < graph.num_vertices(); ++u)
       for (const lotus::graph::VertexId v : graph.neighbors(u))
         if (u < v) edges.edges.push_back({u, v});
-    lotus::graph::write_edge_list_text(el, edges);
+    const lotus::util::Status status = lotus::graph::write_edge_list_text_s(el, edges);
+    if (!status.ok()) throw std::runtime_error(status.message());
   }
   double build_s = 0.0;
   for (int i = 0; i < repeat; ++i) {
@@ -406,7 +428,8 @@ void oocore_metrics(JsonValue& metrics, const std::string& name,
 
 /// telemetry: the serving-telemetry regression guard (docs/TELEMETRY.md).
 /// Replays the pinned engine mix on a warm cache with telemetry disabled and
-/// enabled (best-of-N per mode) and gates the end-to-end overhead at < 2%.
+/// enabled (the median of paired, order-alternating rounds) and gates the
+/// end-to-end overhead at < 2%.
 /// The gate is the throw, not the snapshot compare: a noisy host gets three
 /// attempts, and only "every attempt over the gate" is a hard failure. The
 /// exported overhead_frac is clamped at 0 (warm replays routinely time the
@@ -454,15 +477,9 @@ void telemetry_metrics(JsonValue& metrics, const std::string& name,
   constexpr double kOverheadGate = 0.02;
   double overhead = 0.0;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    double off_s = 0.0;
-    double on_s = 0.0;
-    for (int r = 0; r < repeat; ++r) {
-      const double off = replay_s(false);
-      const double on = replay_s(true);
-      if (r == 0 || off < off_s) off_s = off;
-      if (r == 0 || on < on_s) on_s = on;
-    }
-    overhead = off_s > 0.0 ? on_s / off_s - 1.0 : 0.0;
+    overhead = paired_median_ratio(2 * repeat + 1, [&] { return replay_s(true); },
+                                   [&] { return replay_s(false); }) -
+               1.0;
     if (overhead < kOverheadGate) break;
     if (attempt == 2)
       throw std::runtime_error(
@@ -589,27 +606,13 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
     g_kernel_sink = sink;
     return s;
   };
-  // Speedup of `table` over `base`: each round samples both back to back,
-  // alternating which goes first, and the row is the median of the
-  // per-round ratios, so a slow stretch of the host lands inside one
-  // round's pair instead of on one side of the comparison.
+  // Speedup of `table` over `base`.
   const auto median_speedup = [&](const TimedKernel& kernel,
                                   const k::KernelTable& base,
                                   const k::KernelTable& table) {
-    constexpr int kRounds = 11;  // odd, so the median is one round's ratio
-    std::vector<double> ratios;
-    for (int r = 0; r < kRounds; ++r) {
-      const bool base_first = r % 2 == 0;
-      const double first = sample(kernel, base_first ? base : table);
-      const double second = sample(kernel, base_first ? table : base);
-      const double base_s = base_first ? first : second;
-      const double table_s = base_first ? second : first;
-      if (table_s > 0.0) ratios.push_back(base_s / table_s);
-    }
-    if (ratios.empty()) return 0.0;
-    const auto mid = ratios.begin() + static_cast<std::ptrdiff_t>(ratios.size() / 2);
-    std::nth_element(ratios.begin(), mid, ratios.end());
-    return *mid;
+    constexpr int kRounds = 11;
+    return paired_median_ratio(kRounds, [&] { return sample(kernel, base); },
+                               [&] { return sample(kernel, table); });
   };
 
   const k::KernelTable& scalar = k::kernel_table(k::Isa::kScalar);

@@ -28,8 +28,12 @@ int main(int argc, char** argv) {
   std::string label;
   if (!cli.get("graph").empty()) {
     label = cli.get("graph");
-    graph = lotus::graph::build_undirected(
-        lotus::graph::read_edge_list_text(label));
+    const auto edges = lotus::graph::read_edge_list_text_s(label);
+    if (!edges.ok()) {
+      std::cerr << "error: " << edges.status().message() << "\n";
+      return lotus::util::exit_code(edges.status().code());
+    }
+    graph = lotus::graph::build_undirected(edges.value());
   } else {
     const auto& dataset = lotus::datasets::dataset(cli.get("dataset"));
     label = dataset.name + " (" + dataset.stands_for + ")";

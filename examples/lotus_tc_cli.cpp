@@ -28,6 +28,12 @@ bool has_magic(const std::string& path, const char* magic) {
   return in && std::string(buffer, 8) == magic;
 }
 
+/// One "error: <message>" line; the exit code follows util::exit_code.
+int fail(const lotus::util::Status& status) {
+  std::cerr << "error: " << status.message() << "\n";
+  return lotus::util::exit_code(status.code());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -50,8 +56,9 @@ int main(int argc, char** argv) {
 
   try {
     if (!cli.get("load-lotus").empty()) {
-      const auto lg = lotus::core::read_lotus_binary(cli.get("load-lotus"));
-      const auto r = lotus::core::count_triangles_prepared(lg, config);
+      const auto lg = lotus::core::read_lotus_binary_s(cli.get("load-lotus"));
+      if (!lg.ok()) return fail(lg.status());
+      const auto r = lotus::core::count_triangles_prepared(lg.value(), config);
       std::cout << "triangles: " << lotus::util::with_commas(r.triangles)
                 << " (counting only: " << lotus::util::fixed(r.count_s(), 3)
                 << "s; preprocessing skipped)\n";
@@ -66,10 +73,13 @@ int main(int argc, char** argv) {
 
     lotus::graph::CsrGraph graph;
     if (has_magic(cli.get("graph"), "LOTUSGR1")) {
-      graph = lotus::graph::read_csr_binary(cli.get("graph"));
+      auto loaded = lotus::graph::read_csr_binary_s(cli.get("graph"));
+      if (!loaded.ok()) return fail(loaded.status());
+      graph = loaded.take();
     } else {
-      graph = lotus::graph::build_undirected(
-          lotus::graph::read_edge_list_text(cli.get("graph")));
+      const auto edges = lotus::graph::read_edge_list_text_s(cli.get("graph"));
+      if (!edges.ok()) return fail(edges.status());
+      graph = lotus::graph::build_undirected(edges.value());
     }
     std::cout << "graph: " << lotus::util::with_commas(graph.num_vertices())
               << " vertices, " << lotus::util::with_commas(graph.num_edges() / 2)
@@ -77,7 +87,8 @@ int main(int argc, char** argv) {
 
     if (!cli.get("save-lotus").empty()) {
       const auto lg = lotus::core::LotusGraph::build(graph, config);
-      lotus::core::write_lotus_binary(cli.get("save-lotus"), lg);
+      const auto saved = lotus::core::write_lotus_binary_s(cli.get("save-lotus"), lg);
+      if (!saved.ok()) return fail(saved);
       std::cout << "wrote preprocessed LotusGraph ("
                 << lotus::util::human_bytes(lg.topology_bytes()) << ") to "
                 << cli.get("save-lotus") << "\n";
@@ -94,10 +105,7 @@ int main(int argc, char** argv) {
     for (std::int64_t i = 0; i < repeat; ++i) {
       const auto outcome = lotus::tc::query(*algorithm, graph, options);
       if (!outcome.ok() || !outcome.value().ok()) {
-        const auto status =
-            outcome.ok() ? outcome.value().status : outcome.status();
-        std::cerr << "error: " << status.message() << "\n";
-        return lotus::util::exit_code(status.code());
+        return fail(outcome.ok() ? outcome.value().status : outcome.status());
       }
       const auto& r = outcome.value().result;
       std::cout << lotus::tc::name(*algorithm) << ": "

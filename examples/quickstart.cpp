@@ -29,8 +29,12 @@ int main(int argc, char** argv) {
         {.scale = static_cast<unsigned>(cli.get_int("scale")), .edge_factor = 12, .seed = 42}));
   } else {
     std::cout << "loading " << cli.get("graph") << "...\n";
-    graph = lotus::graph::build_undirected(
-        lotus::graph::read_edge_list_text(cli.get("graph")));
+    const auto edges = lotus::graph::read_edge_list_text_s(cli.get("graph"));
+    if (!edges.ok()) {
+      std::cerr << "error: " << edges.status().message() << "\n";
+      return lotus::util::exit_code(edges.status().code());
+    }
+    graph = lotus::graph::build_undirected(edges.value());
   }
   std::cout << "graph: " << lotus::util::with_commas(graph.num_vertices())
             << " vertices, " << lotus::util::with_commas(graph.num_edges() / 2)

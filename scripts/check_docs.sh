@@ -15,9 +15,12 @@
 #      LOTUSLG1, set_backend, openmp_available, kOpenMP, max_parallelism,
 #      fuse_hnn_nnn, --backend openmp, the kernel-table and_popcount and
 #      `popcount`, merge_u16, merge_u32_avx512, and_window_popcount,
-#      intersect_merge_visit, for_each_triangle, TriangleVisitPolicy) —
-#      docs/API.md is exempt because it documents the migration away from
-#      them;
+#      intersect_merge_visit, for_each_triangle, TriangleVisitPolicy, the
+#      throwing IO wrappers read_edge_list_text, write_edge_list_text,
+#      write_csr_binary, read_csr_binary, write_lotus_binary,
+#      read_lotus_binary and read_lotus_mapped (their _s forms stay), and
+#      LOTUS_HWC_FORCE_ERROR) — docs/API.md is exempt because it documents
+#      the migration away from them;
 #   5. every out-of-core knob (src/graph/oocore.hpp, LOTUS-KNOB-INVENTORY
 #      block: ExternalBuildOptions and MapVerify) must be documented in
 #      docs/OUT_OF_CORE.md;
@@ -38,9 +41,11 @@ status=0
 # --- 1. intra-repo markdown links ------------------------------------------
 # Pull `](target)` occurrences out of every tracked markdown file, skip
 # external schemes and pure anchors, strip #fragments, and resolve the rest
-# relative to the file that contains them.
+# relative to the file that contains them. Inline code spans are stripped
+# first: a `[...](...)` inside backticks is code, not a link.
 for md in $(find . -name '*.md' -not -path './build*' -not -path './.git/*'); do
-  links=$(grep -o '](\([^)]*\))' "$md" 2>/dev/null | sed 's/^](//; s/)$//')
+  links=$(sed 's/`[^`]*`//g' "$md" 2>/dev/null | grep -o '](\([^)]*\))' |
+            sed 's/^](//; s/)$//')
   [ -z "$links" ] && continue
   dir=$(dirname "$md")
   for link in $links; do
@@ -107,7 +112,10 @@ done
 # per-vertex and per-edge analytics walk triangles once per substrate: the
 # on-hit positions of intersect_merge replace intersect_merge_visit, and
 # mining::forward_walk replaces the DAG for_each_triangle and its
-# TriangleVisitPolicy.
+# TriangleVisitPolicy. The throwing IO wrappers are gone (each format has
+# one decoder, reached through the Status-returning _s functions, so the
+# pattern matches the bare names only), and the LOTUS_HWC_FORCE_ERROR hook
+# is the `hwc` fault site.
 # docs/API.md keeps the migration table and is exempt, as are the
 # changelog/issue worklogs.
 for md in README.md DESIGN.md docs/*.md; do
@@ -115,7 +123,7 @@ for md in README.md DESIGN.md docs/*.md; do
   case "$md" in
     docs/API.md) continue ;;
   esac
-  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|\(^\|[^:]\)and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|TriangleVisitPolicy' "$md")
+  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|\(^\|[^:]\)and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|TriangleVisitPolicy\|\<read_edge_list_text\>\|\<write_edge_list_text\>\|\<write_csr_binary\>\|\<read_csr_binary\>\|\<write_lotus_binary\>\|\<read_lotus_binary\>\|\<read_lotus_mapped\>\|LOTUS_HWC_FORCE_ERROR' "$md")
   if [ -n "$hits" ]; then
     echo "check_docs: $md references a deprecated or removed entry point:" >&2
     echo "$hits" | sed 's/^/  /' >&2

@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
-#include <stdexcept>
 
+#include "graph/oocore.hpp"
 #include "util/checksum.hpp"
 #include "util/file_io.hpp"
-#include "util/memory_budget.hpp"
+#include "util/mmap_file.hpp"
 
 namespace lotus::graph {
 
@@ -36,36 +35,8 @@ Status bad_data(const std::string& path, const std::string& what) {
   return error(StatusCode::kInvalidArgument, path, what);
 }
 
-/// RAII FILE handle. close() reports the fclose return value (a failed
-/// close after buffered writes means data loss and must not be ignored);
-/// the destructor closes best-effort for early-error paths.
-class File {
- public:
-  File(const std::string& path, const char* mode)
-      : file_(std::fopen(path.c_str(), mode)) {}
-  ~File() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-  File(const File&) = delete;
-  File& operator=(const File&) = delete;
-
-  [[nodiscard]] bool open() const noexcept { return file_ != nullptr; }
-  [[nodiscard]] std::FILE* get() const noexcept { return file_; }
-
-  [[nodiscard]] bool close() noexcept {
-    if (file_ == nullptr) return true;
-    const int rc = std::fclose(file_);
-    file_ = nullptr;
-    return rc == 0;
-  }
-
- private:
-  std::FILE* file_ = nullptr;
-};
-
-// Exact-length transfers with EINTR/short retry and fault injection live in
+// Exact-length writes with EINTR/short retry and fault injection live in
 // util/file_io.hpp, shared with the LotusGraph and spill serializers.
-using util::fileio::read_fully;
 using util::fileio::write_fully;
 
 namespace cks = util::checksum;
@@ -154,8 +125,7 @@ util::Status write_edge_list_text_s(const std::string& path,
 // ---------- the LOTUSGR1 codec ----------
 
 std::uint64_t CsxLayout::image_bytes() const noexcept {
-  return footer_at() +
-         (has_footer ? cks::footer_bytes(cks::kCsxSections) : 0);
+  return footer_at() + cks::footer_bytes(cks::kCsxSections);
 }
 
 Expected<CsxLayout> parse_csx_header(const void* header, std::uint64_t image_size,
@@ -176,9 +146,8 @@ Expected<CsxLayout> parse_csx_header(const void* header, std::uint64_t image_siz
     return bad_data(path, "vertex count inconsistent with file size");
   if (e > (body_bytes - layout.offsets_bytes()) / sizeof(VertexId))
     return bad_data(path, "edge count inconsistent with file size");
-  // The payload ends the image (pre-footer files, unverified) or is
-  // followed by exactly one checksum footer (current writers).
-  layout.has_footer = image_size != layout.footer_at();
+  // Exactly one checksum footer follows the payload; an image without it
+  // is a size mismatch like any other.
   if (image_size != layout.image_bytes())
     return bad_data(path, "file size does not match header");
   return layout;
@@ -256,99 +225,21 @@ util::Status write_csr_binary_s(const std::string& path, const CsrGraph& graph) 
 }
 
 Expected<CsrGraph> read_csr_binary_s(const std::string& path) {
-  File file(path, "rb");
-  if (!file.open())
-    return io_error(path, std::string("cannot open for reading: ") +
-                              std::strerror(errno));
-  std::FILE* in = file.get();
-
-  unsigned char header[kCsxHeaderBytes];
-  Status status = read_fully(in, header, sizeof header, path);
+  Expected<std::shared_ptr<util::MappedFile>> mapped = util::MappedFile::map(path);
+  if (!mapped.ok()) return mapped.status();
+  const std::shared_ptr<util::MappedFile> file = mapped.take();
+  // Checksums are verified on the mapping; the structural scan runs on the
+  // heap copy, so bytes rewritten in place after the checksum pass are
+  // still checked, and a file cut during the copy is an io_error.
+  Expected<CsrGraph> views = oocore::read_csr_mapped_at_s(
+      file, 0, file->size(), /*validate=*/false, oocore::MapVerify::kEager);
+  if (!views.ok()) return views.status();
+  util::ConstArray<std::uint64_t> offsets = views.value().offsets();
+  util::ConstArray<VertexId> neighbors = views.value().neighbor_array();
+  Status status = util::copy_to_heap_s(path, offsets, neighbors);
+  if (status.ok()) status = check_csx_body(path, offsets, neighbors);
   if (!status.ok()) return status;
-  // tell64/seek64, not ftell/fseek: `long` is 32 bits on LLP64 and ILP32
-  // platforms, so a >2 GiB graph file would otherwise report a negative or
-  // wrapped size here and be rejected (or worse, mis-validated).
-  if (util::fileio::seek64(in, 0, SEEK_END) != 0)
-    return io_error(path, "cannot determine file size");
-  const std::int64_t end_pos = util::fileio::tell64(in);
-  if (end_pos < 0) return io_error(path, "cannot determine file size");
-  Expected<CsxLayout> parsed =
-      parse_csx_header(header, static_cast<std::uint64_t>(end_pos), path);
-  if (!parsed.ok()) return parsed.status();
-  const CsxLayout layout = parsed.value();
-
-  std::uint64_t sums[cks::kCsxSections] = {};
-  if (layout.has_footer) {
-    unsigned char footer[cks::footer_bytes(cks::kCsxSections)];
-    if (util::fileio::seek64(in, static_cast<std::int64_t>(layout.footer_at()),
-                             SEEK_SET) != 0)
-      return io_error(path, "seek failed");
-    status = read_fully(in, footer, sizeof footer, path);
-    if (status.ok())
-      status = cks::read_footer_check_header(footer, cks::kCsxSections, header,
-                                             kCsxHeaderBytes, path, sums);
-    if (!status.ok()) return status;
-  }
-  if (util::fileio::seek64(in, static_cast<std::int64_t>(kCsxHeaderBytes),
-                           SEEK_SET) != 0)
-    return io_error(path, "seek failed");
-
-  // The heap-resident load is charged to the installed memory budget (the
-  // mmap path in graph/oocore.hpp pins ~no heap and is the fallback when
-  // this charge is refused).
-  std::vector<std::uint64_t> offsets;
-  std::vector<VertexId> neighbors;
-  try {
-    util::charge_current(layout.offsets_bytes() + layout.neighbors_bytes(),
-                         "graph-load");
-    offsets.resize(layout.num_vertices + 1);
-    neighbors.resize(layout.num_edges);
-  } catch (...) {
-    return util::status_from_current_exception(StatusCode::kOutOfMemory);
-  }
-  status = read_fully(in, offsets.data(), layout.offsets_bytes(), path);
-  if (status.ok())
-    status = read_fully(in, neighbors.data(), layout.neighbors_bytes(), path);
-  // Streamed loads always verify eagerly: the bytes are already in the
-  // heap, so hashing them costs one extra pass, no extra IO.
-  if (status.ok() && layout.has_footer)
-    status = verify_csx_sections(layout, offsets.data(), neighbors.data(),
-                                 sums, path);
-  if (!status.ok()) return status;
-  util::ConstArray<std::uint64_t> offset_array(std::move(offsets));
-  util::ConstArray<VertexId> neighbor_array(std::move(neighbors));
-  status = check_csx_body(path, offset_array, neighbor_array);
-  if (!status.ok()) return status;
-  return CsrGraph(std::move(offset_array), std::move(neighbor_array));
-}
-
-namespace {
-[[noreturn]] void rethrow(const Status& status) {
-  throw std::runtime_error(status.message().empty() ? status.to_string()
-                                                    : status.message());
-}
-}  // namespace
-
-EdgeList read_edge_list_text(const std::string& path) {
-  Expected<EdgeList> result = read_edge_list_text_s(path);
-  if (!result.ok()) rethrow(result.status());
-  return result.take();
-}
-
-void write_edge_list_text(const std::string& path, const EdgeList& edges) {
-  const Status status = write_edge_list_text_s(path, edges);
-  if (!status.ok()) rethrow(status);
-}
-
-void write_csr_binary(const std::string& path, const CsrGraph& graph) {
-  const Status status = write_csr_binary_s(path, graph);
-  if (!status.ok()) rethrow(status);
-}
-
-CsrGraph read_csr_binary(const std::string& path) {
-  Expected<CsrGraph> result = read_csr_binary_s(path);
-  if (!result.ok()) rethrow(result.status());
-  return result.take();
+  return CsrGraph(std::move(offsets), std::move(neighbors));
 }
 
 }  // namespace lotus::graph

@@ -1,19 +1,16 @@
 // Graph serialization: whitespace-separated text edge lists (the common
 // interchange format of SNAP/KONECT dumps) and a fast binary CSR format.
 //
-// Two API layers: the *_s functions return util::Status/Expected and never
-// throw — this is the form services should call — while the historical
-// throwing functions wrap them and raise std::runtime_error with the status
-// message. Binary reads go through a bounded EINTR/short-read retry loop
-// and check every fread/fclose return value, so a signal-interrupted or
-// slowly-filling file descriptor is retried instead of misreported as
-// corruption (fault sites read_short / read_fail exercise both paths).
+// Every function returns util::Status/Expected and never throws. Binary
+// writes go through a bounded EINTR/short-write retry loop and check every
+// fwrite/fclose return value (fault sites write_short / write_fail).
 //
 // This file is also the one codec of the "LOTUSGR1" binary CSX format: its
 // magic, header check, layout, checksum-footer sections and body check are
-// defined here and nowhere else. The heap reader below, the mapped reader
-// and the external builder (graph/oocore.hpp) and the engine spill format
-// (tc/prepared.cpp) all go through it.
+// defined here and nowhere else. The one decoder is the mapped reader
+// (graph/oocore.hpp); read_csr_binary_s below is that decoder plus a heap
+// copy, and the external builder and the engine spill format
+// (tc/prepared.cpp) write through this codec too.
 #pragma once
 
 #include <cstdint>
@@ -50,20 +47,17 @@ util::Status write_edge_list_text_s(const std::string& path,
 /// 32-bit neighbours, checksum footer.
 util::Status write_csr_binary_s(const std::string& path, const CsrGraph& graph);
 
-/// Read the binary CSX format back. The declared (v, e) header is validated
-/// against the actual file size before anything is allocated, so corrupt or
-/// hostile headers cannot trigger multi-gigabyte allocations; offsets and
-/// neighbour IDs are range-checked after reading. Errors: io_error on
-/// unreadable/truncated files, invalid_argument on structural corruption
-/// (bad magic, inconsistent header, non-monotone offsets, out-of-range IDs).
+/// Read the binary CSX format into heap-owned arrays: the mapped decode
+/// (oocore::read_csr_mapped_at_s with MapVerify::kEager) followed by a copy
+/// charged as "graph-load" to the current memory budget, and check_csx_body
+/// over the copy. The declared (v, e) header is checked against the file
+/// size before anything is allocated, the footer sums are verified on the
+/// mapping, and the copy's offsets and neighbour IDs are range-checked. Errors: io_error on unreadable files, truncated
+/// headers and checksum mismatches; invalid_argument on structural
+/// corruption (bad magic, sizes that disagree with the file — a missing
+/// footer included —, non-monotone offsets, out-of-range IDs);
+/// out_of_memory when the budget refuses the copy.
 util::Expected<CsrGraph> read_csr_binary_s(const std::string& path);
-
-/// Throwing wrappers (std::runtime_error carrying the status message) for
-/// callers that predate the status model.
-EdgeList read_edge_list_text(const std::string& path);
-void write_edge_list_text(const std::string& path, const EdgeList& edges);
-void write_csr_binary(const std::string& path, const CsrGraph& graph);
-CsrGraph read_csr_binary(const std::string& path);
 
 // ---------------------------------------------------------------------------
 // The LOTUSGR1 codec (docs/OUT_OF_CORE.md has the byte layout).
@@ -77,9 +71,6 @@ inline constexpr std::uint64_t kCsxHeaderBytes = 24;
 struct CsxLayout {
   std::uint64_t num_vertices = 0;
   std::uint64_t num_edges = 0;
-  /// False for images written before checksum footers existed; they load
-  /// unverified.
-  bool has_footer = true;
 
   [[nodiscard]] std::uint64_t offsets_bytes() const noexcept {
     return (num_vertices + 1) * sizeof(std::uint64_t);
@@ -93,13 +84,13 @@ struct CsxLayout {
   [[nodiscard]] std::uint64_t footer_at() const noexcept {
     return neighbors_at() + neighbors_bytes();
   }
-  /// Length of the whole image, footer included when it has one.
+  /// Length of the whole image, footer included.
   [[nodiscard]] std::uint64_t image_bytes() const noexcept;
 };
 
 /// Parse the header of a LOTUSGR1 image that is `image_size` bytes long and
-/// check that the declared sizes account for it exactly, with or without a
-/// footer — before any caller allocates what the header asks for. `header`
+/// check that the declared sizes and one checksum footer account for it
+/// exactly — before any caller allocates what the header asks for. `header`
 /// must hold kCsxHeaderBytes readable bytes unless image_size is smaller.
 /// Errors: io_error when the image is shorter than its header;
 /// invalid_argument for a bad magic, a vertex count over 32 bits, or sizes

@@ -52,7 +52,7 @@ util::Expected<CsrGraph> read_csr_mapped_at_s(
   // low-to-high), so ask for aggressive readahead.
   file->advise(util::MappedFile::Advice::kSequential, base, size);
 
-  if (layout.has_footer && verify == MapVerify::kEager) {
+  if (verify == MapVerify::kEager) {
     // Touches every mapped payload byte, so a file truncated after mapping
     // (or a poisoned page) must surface as kIoError, not SIGBUS.
     const Status status = util::with_mapped_fault_guard(path, [&] {

@@ -5,8 +5,9 @@
 //   * read_csr_mapped_s — mmap a "LOTUSGR1" CSX file and serve the offset
 //     and neighbour arrays as zero-copy views into the page cache. The
 //     returned graph pins ~no heap (Csr::owned_bytes() ≈ 0), so it passes
-//     memory budgets that the heap-resident reader (graph::read_csr_binary_s)
-//     fails. Both readers share the LOTUSGR1 codec in graph/io.hpp.
+//     memory budgets that the heap-resident reader (graph::read_csr_binary_s,
+//     which is this decode plus a copy) fails. The header, layout and
+//     footer checks are the LOTUSGR1 codec in graph/io.hpp.
 //   * build_undirected_external_s / build_csx_file_external_s — build a CSR
 //     from a text edge list whose symmetrized arc set exceeds memory:
 //     arcs are bucketed to temp files by source range, each bucket is
@@ -41,15 +42,15 @@ struct ExternalBuildOptions {
   std::string temp_dir;
 };
 
-/// Checksum policy for the mapped (zero-copy) readers. Streamed loads
-/// always verify footers eagerly — the bytes are in the heap anyway.
+/// Checksum policy for the mapped (zero-copy) readers. Heap loads always
+/// decode with kEager.
 enum class MapVerify {
-  /// map_verify: kEager (default) checksum-verifies every footered section
-  /// at map time under the SIGBUS guard — one sequential pass that doubles
-  /// as readahead; kOff maps without touching the payload, preserving pure
+  /// map_verify: kEager (default) checksum-verifies every section at map
+  /// time under the SIGBUS guard — one sequential pass that doubles as
+  /// readahead; kOff maps without touching the payload, preserving pure
   /// zero-copy cold starts (the engine's background-verify knob re-checks
-  /// such mappings off the query path). Footerless legacy files always load
-  /// unverified.
+  /// such mappings off the query path). Every image must end in its
+  /// checksum footer either way; the size check rejects one without.
   kEager,
   kOff,
 };
@@ -57,9 +58,9 @@ enum class MapVerify {
 
 /// Map a "LOTUSGR1" CSX file; offsets/neighbours are zero-copy views pinned
 /// by the mapping (freed when the graph is destroyed). The file is fully
-/// validated (header vs size, offset monotonicity, neighbour range) —
-/// corrupt files are rejected, exactly like read_csr_binary_s — and its
-/// checksum footer is verified per `verify`.
+/// validated (header vs size, offset monotonicity, neighbour range) and its
+/// checksum footer is verified per `verify`. This is the format's one
+/// decoder: graph::read_csr_binary_s runs it with kEager and copies.
 [[nodiscard]] util::Expected<CsrGraph> read_csr_mapped_s(
     const std::string& path, MapVerify verify = MapVerify::kEager);
 
@@ -72,7 +73,7 @@ enum class MapVerify {
     const std::shared_ptr<util::MappedFile>& file, std::uint64_t base,
     std::uint64_t size, bool validate, MapVerify verify = MapVerify::kEager);
 
-/// External-memory equivalent of read_edge_list_text + build_undirected:
+/// External-memory equivalent of read_edge_list_text_s + build_undirected:
 /// symmetrize, drop self-loops, dedup, sort — without ever materializing the
 /// full arc set in memory (peak heap ≈ sort_budget_bytes + the result).
 [[nodiscard]] util::Expected<CsrGraph> build_undirected_external_s(

@@ -1,16 +1,12 @@
 #include "lotus/serialize.hpp"
 
 #include <array>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <stdexcept>
-#include <vector>
 
 #include "util/checksum.hpp"
 #include "util/file_io.hpp"
 #include "util/mapguard.hpp"
-#include "util/memory_budget.hpp"
 #include "util/mmap_file.hpp"
 
 namespace lotus::core {
@@ -64,7 +60,7 @@ constexpr std::uint64_t pad8(std::uint64_t bytes) noexcept {
 
 /// Checksum of a section over its pad8-padded on-disk extent: the footer
 /// sums cover the zero padding too, so a flipped pad byte is also caught.
-/// Heap-loaded arrays lack the padding; re-feed it as zeros.
+/// The writer's in-memory arrays lack the padding; feed it as zeros.
 std::uint64_t padded_checksum(const void* data, std::uint64_t bytes) {
   cks::Checksummer c;
   c.update(data, bytes);
@@ -98,10 +94,9 @@ struct LayoutV2 {
   std::array<std::uint64_t, kSections> at{};     // byte offset of section i
   std::array<std::uint64_t, kSections> bytes{};  // unpadded length
   std::uint64_t total = 0;  // end of the last padded section = footer offset
-  bool has_footer = true;   // false: a pre-footer file, loaded unverified
 
   [[nodiscard]] std::uint64_t image_bytes() const noexcept {
-    return total + (has_footer ? cks::footer_bytes(cks::kLotusSections) : 0);
+    return total + cks::footer_bytes(cks::kLotusSections);
   }
 };
 
@@ -142,27 +137,21 @@ Expected<LayoutV2> parse_header(const void* header, std::uint64_t image_size,
     return bad_data(path, "H2H word count does not match hub count");
   if (h.he_edges > (1ull << 48) || h.nhe_edges > (1ull << 48))
     return bad_data(path, "implausible edge count");
-  LayoutV2 layout = layout_for(h);
-  // The payload ends the image (pre-footer files, unverified) or is
-  // followed by exactly one checksum footer (current writers).
-  layout.has_footer = image_size != layout.total;
+  const LayoutV2 layout = layout_for(h);
+  // Exactly one checksum footer follows the payload; an image without it
+  // is a size mismatch like any other.
   if (image_size != layout.image_bytes())
     return bad_data(path, "file size does not match header");
   return layout;
 }
 
-/// Check the six payload sections against the footer sums. `data[i]` points
-/// at section i. In a mapped image its zero padding follows it (`padded`),
-/// so the padding is hashed as stored and rot there is caught too; heap
-/// arrays carry no padding, so it is re-fed as zeros.
-Status verify_payload(const LayoutV2& l,
-                      const std::array<const void*, kSections>& data,
-                      bool padded, const std::uint64_t* sums,
-                      const std::string& path) {
+/// Check the six payload sections of the image at `image` against the
+/// footer sums. Each section is hashed with its zero padding as stored, so
+/// rot in the padding is caught too.
+Status verify_payload(const LayoutV2& l, const std::byte* image,
+                      const std::uint64_t* sums, const std::string& path) {
   for (std::size_t i = 0; i < kSections; ++i) {
-    const std::uint64_t sum = padded ? cks::block_checksum(data[i], pad8(l.bytes[i]))
-                                     : padded_checksum(data[i], l.bytes[i]);
-    if (sum != sums[i + 1])
+    if (cks::block_checksum(image + l.at[i], pad8(l.bytes[i])) != sums[i + 1])
       return io_error(path, "checksum mismatch in section '" +
                                 std::string(cks::kLotusSectionNames[i + 1]) + "'");
   }
@@ -181,7 +170,7 @@ Status check_offsets(const std::string& path,
 
 /// Assemble the parts; converts from_parts' invalid_argument (and a budget
 /// bad_alloc from validation scratch) into a Status.
-Expected<LotusGraph> assemble(const std::string& path, const HeaderV2& h,
+Expected<LotusGraph> assemble(const std::string& path, std::uint64_t hubs,
                               util::ConstArray<std::uint64_t> h2h_words,
                               util::ConstArray<std::uint64_t> he_offsets,
                               util::ConstArray<std::uint16_t> he_neighbors,
@@ -195,86 +184,17 @@ Expected<LotusGraph> assemble(const std::string& path, const HeaderV2& h,
     if (!status.ok()) return status;
   }
   try {
-    TriangularBitArray h2h(static_cast<graph::VertexId>(h.hubs),
+    TriangularBitArray h2h(static_cast<graph::VertexId>(hubs),
                            std::move(h2h_words));
     graph::Csr16 he(std::move(he_offsets), std::move(he_neighbors));
     graph::CsrGraph nhe(std::move(nhe_offsets), std::move(nhe_neighbors));
-    return LotusGraph::from_parts(static_cast<graph::VertexId>(h.hubs),
+    return LotusGraph::from_parts(static_cast<graph::VertexId>(hubs),
                                   std::move(h2h), std::move(he), std::move(nhe),
                                   std::move(new_id), validate);
   } catch (...) {
     Status status = util::status_from_current_exception(StatusCode::kInvalidArgument);
     return Status{status.code(), path + ": " + status.message()};
   }
-}
-
-template <typename T>
-Status read_section(std::FILE* in, const std::string& path, std::uint64_t offset,
-                    std::uint64_t count, std::vector<T>& out) {
-  if (util::fileio::seek64(in, static_cast<std::int64_t>(offset), SEEK_SET) != 0)
-    return io_error(path, "seek failed");
-  util::charge_current(count * sizeof(T), "graph-load");
-  out.resize(count);
-  return util::fileio::read_fully(in, out.data(), count * sizeof(T), path);
-}
-
-Expected<LotusGraph> read_heap(std::FILE* in, const std::string& path) {
-  std::array<unsigned char, kHeaderBytes> header{};
-  Status status = util::fileio::read_fully(in, header.data(), header.size(), path);
-  if (!status.ok()) return status;
-  if (util::fileio::seek64(in, 0, SEEK_END) != 0)
-    return io_error(path, "cannot determine file size");
-  const std::int64_t end_pos = util::fileio::tell64(in);
-  if (end_pos < 0) return io_error(path, "cannot determine file size");
-  Expected<LayoutV2> parsed =
-      parse_header(header.data(), static_cast<std::uint64_t>(end_pos), path);
-  if (!parsed.ok()) return parsed.status();
-  const LayoutV2 l = parsed.value();
-  const HeaderV2& h = l.h;
-
-  std::uint64_t sums[cks::kLotusSections] = {};
-  if (l.has_footer) {
-    // Verify the header — the 64 bytes read, reserved ones included —
-    // before any allocation its sizes could inflate.
-    unsigned char footer[cks::footer_bytes(cks::kLotusSections)];
-    if (util::fileio::seek64(in, static_cast<std::int64_t>(l.total), SEEK_SET) != 0)
-      return io_error(path, "seek failed");
-    status = util::fileio::read_fully(in, footer, sizeof footer, path);
-    if (status.ok())
-      status = cks::read_footer_check_header(footer, cks::kLotusSections,
-                                             header.data(), header.size(), path,
-                                             sums);
-    if (!status.ok()) return status;
-  }
-
-  std::vector<graph::VertexId> new_id;
-  std::vector<std::uint64_t> h2h_words, he_offsets, nhe_offsets;
-  std::vector<std::uint16_t> he_neighbors;
-  std::vector<graph::VertexId> nhe_neighbors;
-  status = read_section(in, path, l.at[kNewId], h.n, new_id);
-  if (status.ok()) status = read_section(in, path, l.at[kH2h], h.h2h_words, h2h_words);
-  if (status.ok())
-    status = read_section(in, path, l.at[kHeOffsets], h.n + 1, he_offsets);
-  if (status.ok())
-    status = read_section(in, path, l.at[kHeNeighbors], h.he_edges, he_neighbors);
-  if (status.ok())
-    status = read_section(in, path, l.at[kNheOffsets], h.n + 1, nhe_offsets);
-  if (status.ok())
-    status =
-        read_section(in, path, l.at[kNheNeighbors], h.nhe_edges, nhe_neighbors);
-  // Streamed loads always verify eagerly: the bytes are already in the
-  // heap, so hashing them costs one extra pass, no extra IO.
-  if (status.ok() && l.has_footer)
-    status = verify_payload(l,
-                            {new_id.data(), h2h_words.data(), he_offsets.data(),
-                             he_neighbors.data(), nhe_offsets.data(),
-                             nhe_neighbors.data()},
-                            /*padded=*/false, sums, path);
-  if (!status.ok()) return status;
-  return assemble(path, h, std::move(h2h_words), std::move(he_offsets),
-                  std::move(he_neighbors), std::move(nhe_offsets),
-                  std::move(nhe_neighbors), std::move(new_id),
-                  /*validate=*/true);
 }
 
 }  // namespace
@@ -325,23 +245,6 @@ util::Status write_lotus_binary_s(const std::string& path,
   return writer.commit();
 }
 
-util::Expected<LotusGraph> read_lotus_binary_s(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr)
-    return io_error(path,
-                    std::string("cannot open for reading: ") + std::strerror(errno));
-  Expected<LotusGraph> result = [&]() -> Expected<LotusGraph> {
-    try {
-      return read_heap(in, path);
-    } catch (...) {
-      // charge_current / resize can throw under a memory budget.
-      return util::status_from_current_exception(StatusCode::kOutOfMemory);
-    }
-  }();
-  std::fclose(in);
-  return result;
-}
-
 util::Expected<LotusGraph> read_lotus_v2_mapped_at_s(
     const std::shared_ptr<util::MappedFile>& file, std::uint64_t base,
     std::uint64_t size, bool validate, graph::oocore::MapVerify verify) {
@@ -354,7 +257,7 @@ util::Expected<LotusGraph> read_lotus_v2_mapped_at_s(
   if (!parsed.ok()) return parsed.status();
   const LayoutV2 l = parsed.value();
   const HeaderV2& h = l.h;
-  if (l.has_footer && verify == graph::oocore::MapVerify::kEager) {
+  if (verify == graph::oocore::MapVerify::kEager) {
     // One sequential pass over the mapping (doubling as readahead), under
     // the SIGBUS guard: truncation or bit rot surfaces as kIoError, not a
     // crash.
@@ -364,9 +267,7 @@ util::Expected<LotusGraph> read_lotus_v2_mapped_at_s(
                                                cks::kLotusSections, image,
                                                kHeaderBytes, path, sums);
       if (!s.ok()) return s;
-      std::array<const void*, kSections> data{};
-      for (std::size_t i = 0; i < kSections; ++i) data[i] = image + l.at[i];
-      return verify_payload(l, data, /*padded=*/true, sums, path);
+      return verify_payload(l, image, sums, path);
     });
     if (!status.ok()) return status;
   }
@@ -384,7 +285,7 @@ util::Expected<LotusGraph> read_lotus_v2_mapped_at_s(
   file->advise(Advice::kWillNeed, at(kH2h), l.at[kHeOffsets] - l.at[kH2h]);
 
   return assemble(
-      path, h, util::mapped_view<std::uint64_t>(file, at(kH2h), h.h2h_words),
+      path, h.hubs, util::mapped_view<std::uint64_t>(file, at(kH2h), h.h2h_words),
       util::mapped_view<std::uint64_t>(file, at(kHeOffsets), h.n + 1),
       util::mapped_view<std::uint16_t>(file, at(kHeNeighbors), h.he_edges),
       util::mapped_view<std::uint64_t>(file, at(kNheOffsets), h.n + 1),
@@ -401,28 +302,30 @@ util::Expected<LotusGraph> read_lotus_mapped_s(const std::string& path,
   return read_lotus_v2_mapped_at_s(file, 0, file->size(), validate, verify);
 }
 
-namespace {
-[[noreturn]] void rethrow(const Status& status) {
-  throw std::runtime_error(status.message().empty() ? status.to_string()
-                                                    : status.message());
-}
-}  // namespace
-
-void write_lotus_binary(const std::string& path, const LotusGraph& lg) {
-  const Status status = write_lotus_binary_s(path, lg);
-  if (!status.ok()) rethrow(status);
-}
-
-LotusGraph read_lotus_binary(const std::string& path) {
-  Expected<LotusGraph> result = read_lotus_binary_s(path);
-  if (!result.ok()) rethrow(result.status());
-  return result.take();
-}
-
-LotusGraph read_lotus_mapped(const std::string& path) {
-  Expected<LotusGraph> result = read_lotus_mapped_s(path, /*validate=*/true);
-  if (!result.ok()) rethrow(result.status());
-  return result.take();
+util::Expected<LotusGraph> read_lotus_binary_s(const std::string& path) {
+  Expected<std::shared_ptr<util::MappedFile>> mapped = util::MappedFile::map(path);
+  if (!mapped.ok()) return mapped.status();
+  const std::shared_ptr<util::MappedFile> file = mapped.take();
+  // Checksums are verified on the mapping, the structural scan on the heap
+  // copies (see graph::read_csr_binary_s).
+  Expected<LotusGraph> views = read_lotus_v2_mapped_at_s(
+      file, 0, file->size(), /*validate=*/false, graph::oocore::MapVerify::kEager);
+  if (!views.ok()) return views.status();
+  const LotusGraph& lg = views.value();
+  util::ConstArray<graph::VertexId> new_id = lg.relabeling();
+  util::ConstArray<std::uint64_t> h2h_words = lg.h2h().words();
+  util::ConstArray<std::uint64_t> he_offsets = lg.he().offsets();
+  util::ConstArray<std::uint16_t> he_neighbors = lg.he().neighbor_array();
+  util::ConstArray<std::uint64_t> nhe_offsets = lg.nhe().offsets();
+  util::ConstArray<graph::VertexId> nhe_neighbors = lg.nhe().neighbor_array();
+  const Status status =
+      util::copy_to_heap_s(path, new_id, h2h_words, he_offsets, he_neighbors,
+                           nhe_offsets, nhe_neighbors);
+  if (!status.ok()) return status;
+  return assemble(path, lg.hub_count(), std::move(h2h_words),
+                  std::move(he_offsets), std::move(he_neighbors),
+                  std::move(nhe_offsets), std::move(nhe_neighbors),
+                  std::move(new_id), /*validate=*/true);
 }
 
 }  // namespace lotus::core

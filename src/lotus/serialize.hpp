@@ -8,10 +8,10 @@
 // array lengths, followed by the six sections each padded to an 8-byte
 // boundary, then a checksum footer (docs/OUT_OF_CORE.md has the byte-level
 // layout). Every array is naturally aligned at a header-derivable offset, so
-// a reader can either stream the file into heap vectors or mmap it and serve
-// the arrays as zero-copy views. serialize.cpp is the format's one codec:
-// the header check, the section layout and the footer section table that
-// the writer and both readers share are defined there and nowhere else.
+// the mapped reader serves the arrays as zero-copy views. serialize.cpp is
+// the format's one codec: the header check, the section layout and the
+// footer section table are defined there and nowhere else, and the mapped
+// decode is its one decoder (the heap reader copies what it returns).
 //
 // Writes go through a temp file + fsync + atomic rename (util/file_io.hpp):
 // a crash mid-write never leaves a torn artifact at the target path.
@@ -34,8 +34,10 @@ namespace lotus::core {
 [[nodiscard]] util::Status write_lotus_binary_s(const std::string& path,
                                                 const LotusGraph& lotus_graph);
 
-/// Read an artifact into heap-owned arrays, with checksum verification and
-/// full structural validation. Never throws.
+/// Read an artifact into heap-owned arrays: read_lotus_v2_mapped_at_s
+/// (checksums verified) followed by a copy charged as "graph-load" to the
+/// current memory budget, then the full structural validation of the
+/// copies. Never throws.
 [[nodiscard]] util::Expected<LotusGraph> read_lotus_binary_s(
     const std::string& path);
 
@@ -50,8 +52,8 @@ namespace lotus::core {
 /// it keeps the cold load from faulting in every page. Header consistency
 /// (sizes, offsets monotonicity bounds) is always checked. `verify` controls
 /// checksum-footer verification of the mapped sections (kEager runs it under
-/// the SIGBUS guard; footerless legacy files always load unverified).
-/// Never throws.
+/// the SIGBUS guard). The footer itself is required either way: an image
+/// without one fails the size check with invalid_argument. Never throws.
 [[nodiscard]] util::Expected<LotusGraph> read_lotus_mapped_s(
     const std::string& path, bool validate = true,
     graph::oocore::MapVerify verify = graph::oocore::MapVerify::kEager);
@@ -76,10 +78,5 @@ namespace lotus::core {
     const std::shared_ptr<util::MappedFile>& file, std::uint64_t base,
     std::uint64_t size, bool validate,
     graph::oocore::MapVerify verify = graph::oocore::MapVerify::kEager);
-
-/// Throwing conveniences (std::runtime_error on IO/format failure).
-void write_lotus_binary(const std::string& path, const LotusGraph& lotus_graph);
-LotusGraph read_lotus_binary(const std::string& path);
-LotusGraph read_lotus_mapped(const std::string& path);
 
 }  // namespace lotus::core

@@ -1,6 +1,5 @@
 #include "obs/hwc.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "util/fault.hpp"
@@ -44,20 +43,6 @@ std::optional<EventSource> parse_event_source(std::string_view text) {
   if (text == "hw" || text == "hardware") return EventSource::kHardware;
   return std::nullopt;
 }
-
-namespace {
-
-/// Deterministic failure hook for the degradation tests: pretend the kernel
-/// refused the syscall, the way a perf_event_paranoid-locked container does.
-/// Two triggers: the legacy LOTUS_HWC_FORCE_ERROR env hook, and the `hwc`
-/// fault-injection site (LOTUS_FAULTS=hwc:..., util/fault.hpp).
-const char* forced_error() {
-  if (util::fault::should_fail(util::fault::Site::kHwc))
-    return "injected perf_event_open failure (fault site hwc)";
-  return std::getenv("LOTUS_HWC_FORCE_ERROR");
-}
-
-}  // namespace
 
 #if defined(__linux__)
 
@@ -144,12 +129,12 @@ std::uint64_t read_scaled(int fd) {
 }  // namespace
 
 std::unique_ptr<HwcProvider> HwcProvider::create(std::string* error) {
-  if (const char* forced = forced_error()) {
+  // The `hwc` fault site (LOTUS_FAULTS=hwc:..., util/fault.hpp) pretends
+  // the kernel refused the syscall, the way a perf_event_paranoid-locked
+  // container does: the degradation tests' deterministic trigger.
+  if (util::fault::should_fail(util::fault::Site::kHwc)) {
     if (error != nullptr)
-      *error = std::string(
-                   "perf_event_open disabled by LOTUS_HWC_FORCE_ERROR/fault "
-                   "site hwc (") +
-               forced + ")";
+      *error = "injected perf_event_open failure (fault site hwc)";
     return nullptr;
   }
   // Probe with the cycles counter: if the kernel refuses that, nothing else
@@ -213,8 +198,8 @@ EventCounts HwcProvider::read() {
 
 std::unique_ptr<HwcProvider> HwcProvider::create(std::string* error) {
   if (error != nullptr) {
-    *error = forced_error() != nullptr
-                 ? "perf_event_open disabled by LOTUS_HWC_FORCE_ERROR"
+    *error = util::fault::should_fail(util::fault::Site::kHwc)
+                 ? "injected perf_event_open failure (fault site hwc)"
                  : "perf_event_open is Linux-only";
   }
   return nullptr;

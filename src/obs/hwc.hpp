@@ -122,9 +122,9 @@ class HwcProvider final : public EventProvider {
  public:
   /// Probe availability and construct. Returns nullptr (with `*error`
   /// explaining why: EPERM, ENOSYS, non-Linux build, ...) when the first
-  /// counter cannot be opened. Setting the environment variable
-  /// LOTUS_HWC_FORCE_ERROR makes this fail deterministically — the hook the
-  /// degradation tests use to simulate a locked-down container.
+  /// counter cannot be opened. The `hwc` fault site (util/fault.hpp) makes
+  /// this fail deterministically — the hook the degradation tests use to
+  /// simulate a locked-down container.
   static std::unique_ptr<HwcProvider> create(std::string* error = nullptr);
 
   ~HwcProvider() override;

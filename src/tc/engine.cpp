@@ -584,36 +584,30 @@ std::string Engine::prometheus_text() const {
   const obs::TelemetrySnapshot t = telemetry_->snapshot();
   const MetricSource source{s, t, options_};
   obs::PrometheusWriter w;
-  for (const EngineMetric* m = std::begin(kEngineMetrics);
-       m != std::end(kEngineMetrics); ++m) {
-    if (m->family == nullptr) continue;
-    if (m->shape == MetricShape::kScalar && m->type == MetricType::kCounter) {
-      w.counter(m->family, m->help, m->value(source).as_uint());
-    } else if (m->shape == MetricShape::kScalar) {
-      w.gauge(m->family, m->help, m->value(source).as_double());
-    } else if (m->shape == MetricShape::kQuantiles) {
+  for (const EngineMetric& m : kEngineMetrics) {
+    if (m.family == nullptr) continue;
+    if (m.shape == MetricShape::kScalar && m.type == MetricType::kCounter) {
+      w.counter(m.family, m.help, m.value(source).as_uint());
+    } else if (m.shape == MetricShape::kScalar) {
+      w.gauge(m.family, m.help, m.value(source).as_double());
+    } else if (m.shape == MetricShape::kQuantiles) {
       for (const double q : {0.5, 0.95, 0.99, 0.999}) {
         char label[16];
         std::snprintf(label, sizeof label, "%g", q);
-        w.gauge(m->family, m->help, t.window.hist.quantile_s(q),
-                {{m->labels[0], label}});
+        w.gauge(m.family, m.help, t.window.hist.quantile_s(q),
+                {{m.labels[0], label}});
       }
-    } else if (m->shape == MetricShape::kStages) {
-      // A kLabelTotals row right after this one counts each label's queries
-      // next to that label's histograms.
-      const EngineMetric* totals = m + 1;
-      if (totals == std::end(kEngineMetrics) ||
-          totals->shape != MetricShape::kLabelTotals)
-        totals = nullptr;
-      for (const obs::SeriesSnapshot& series : t.*m->series) {
-        w.histogram(m->family, m->help,
-                    {{m->labels[0], series.label},
-                     {m->labels[1], obs::query_stage_name(series.stage)}},
+    } else if (m.shape == MetricShape::kStages) {
+      for (const obs::SeriesSnapshot& series : t.*m.series)
+        w.histogram(m.family, m.help,
+                    {{m.labels[0], series.label},
+                     {m.labels[1], obs::query_stage_name(series.stage)}},
                     series.hist);
-        if (totals != nullptr && series.stage == obs::QueryStage::kTotal)
-          w.counter(totals->family, totals->help, series.hist.count(),
-                    {{totals->labels[0], series.label}});
-      }
+    } else {  // kLabelTotals
+      for (const obs::SeriesSnapshot& series : t.*m.series)
+        if (series.stage == obs::QueryStage::kTotal)
+          w.counter(m.family, m.help, series.hist.count(),
+                    {{m.labels[0], series.label}});
     }
   }
   return w.str();

@@ -27,8 +27,7 @@ enum class MetricShape : unsigned char {
   kScalar,       // one unlabelled sample: value()
   kQuantiles,    // one sample per rolling-window quantile
   kStages,       // one histogram per (label, stage) series of `series`
-  kLabelTotals,  // per-label counts of the kStages row before it, emitted
-                 // inside that row's loop
+  kLabelTotals,  // one counter per label of `series`: its total-stage count
 };
 
 /// One consistent view of the engine: what every accessor reads.
@@ -121,7 +120,7 @@ inline constexpr EngineMetric kEngineMetrics[] = {
      MetricShape::kStages, {"analytic", "stage"}, &obs::TelemetrySnapshot::analytics},
     {"lotus_engine_analytic_queries_total", "Completed queries by analytic kind.",
      MetricType::kCounter, nullptr, -1, nullptr,
-     MetricShape::kLabelTotals, {"analytic"}},
+     MetricShape::kLabelTotals, {"analytic"}, &obs::TelemetrySnapshot::analytics},
     {nullptr, "Summed queue wait of completed queries, in seconds.",
      MetricType::kCounter, "queue_s_total", 18, stats_field<&EngineStats::queue_s_total>},
     {nullptr, "Summed preprocess seconds (about 0 on hits).",

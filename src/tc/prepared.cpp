@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "baselines/intersect.hpp"
 #include "baselines/tc_baselines.hpp"
@@ -184,15 +185,14 @@ util::Expected<PreparedGraph> PreparedGraph::load_mapped_s(
   if (std::memcmp(file->data(), kSpillMagic.data(), kSpillMagic.size()) != 0)
     return spill_error(path, "not a lotus spill artifact (bad magic)");
 
-  // The spill footer sits at the very end of the file (detected by its
-  // trailing magic, so it survives corrupt header offsets); it covers the
-  // header bytes, including the embedded-image section table.
+  // The spill footer ends the file and covers the header bytes, including
+  // the embedded-image section table, so it is checked before that table
+  // is trusted.
   constexpr std::uint64_t kSpillFooterBytes =
       cks::footer_bytes(cks::kSpillSections);
-  const bool has_footer =
-      file->size() >= kSpillHeaderBytes + kSpillFooterBytes &&
-      cks::has_footer_magic(file->data(), file->size());
-  if (has_footer && verify == graph::oocore::MapVerify::kEager) {
+  if (file->size() < kSpillHeaderBytes + kSpillFooterBytes)
+    return spill_error(path, "file size does not match header");
+  if (verify == graph::oocore::MapVerify::kEager) {
     const util::Status vs = util::with_mapped_fault_guard(path, [&] {
       std::uint64_t sums[cks::kSpillSections] = {};
       return cks::read_footer_check_header(
@@ -214,6 +214,19 @@ util::Expected<PreparedGraph> PreparedGraph::load_mapped_s(
   if (kind32 > static_cast<std::uint32_t>(ArtifactKind::kNone) ||
       static_cast<ArtifactKind>(kind32) == ArtifactKind::kNone)
     return spill_error(path, "corrupt spill header (kind)");
+  // Exact size accounting, as in the embedded formats: the images follow
+  // the header in writer order, each padded to 8 bytes, and the footer
+  // ends the file, so a spill without its footer is a size mismatch.
+  std::uint64_t end = kSpillHeaderBytes;
+  for (const auto& [off, len] : {std::pair{oriented_off, oriented_len},
+                                 std::pair{lotus_off, lotus_len}}) {
+    if (len == 0) continue;
+    if (off != end || len > file->size())
+      return spill_error(path, "file size does not match header");
+    end += pad8(len);
+  }
+  if (end + kSpillFooterBytes != file->size())
+    return spill_error(path, "file size does not match header");
 
   PreparedGraph out;
   out.kind_ = static_cast<ArtifactKind>(kind32);

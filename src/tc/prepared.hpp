@@ -96,8 +96,9 @@ class PreparedGraph {
 
   /// Reload a spill artifact as zero-copy views into the mapped file (bytes()
   /// ≈ 0). The file is trusted — this process wrote it — so the O(V+E)
-  /// structural scans are skipped; headers and section bounds are still
-  /// checked, and `verify` controls checksum verification of the spill
+  /// structural scans are skipped; headers, section bounds and the exact
+  /// file size (footers included) are still checked, and `verify` controls
+  /// checksum verification of the spill
   /// header and both embedded images (kEager runs it under the SIGBUS guard;
   /// the engine's background-verify knob re-checks kOff mappings off the
   /// query path). The mapping is pinned by the contained graphs, so the

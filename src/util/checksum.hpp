@@ -19,9 +19,9 @@
 //   u64 sums_checksum                checksum of the section_sums array
 //   char magic[8]                    "LOTUSCK1"
 //
-// Readers that know their payload size from the header detect the footer by
-// exact size accounting + trailing magic; files without a footer (written
-// before this layer existed) still load, they are just unverified.
+// Every reader requires the footer: the header's sizes plus footer_bytes()
+// must account for the image exactly, so an image without one is rejected
+// as a size mismatch before any checksum is read.
 //
 // Thread-safety: Checksummer is a plain value type; free functions are
 // reentrant and lock-free.
@@ -175,16 +175,6 @@ inline void write_footer(const std::uint64_t* sums, std::size_t count,
   std::memcpy(t + 4, &count32, 4);
   std::memcpy(t + 8, &sums_checksum, 8);
   std::memcpy(t + 16, kFooterMagic, 8);
-}
-
-/// True when the last kFooterTrailerBytes of [data, data+bytes) carry the
-/// footer magic — the cheap "does this image end in a footer?" probe.
-[[nodiscard]] inline bool has_footer_magic(const void* data,
-                                           std::size_t bytes) {
-  if (bytes < kFooterTrailerBytes) return false;
-  return std::memcmp(
-             static_cast<const unsigned char*>(data) + bytes - 8,
-             kFooterMagic, 8) == 0;
 }
 
 /// Parse + self-check a footer expected to describe `count` sections.

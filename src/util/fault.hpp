@@ -9,16 +9,17 @@
 // ("site:prob[,site:prob...][,seed=N]", e.g. "alloc:0.5,read_short:1,seed=7")
 // or are installed programmatically by tests (ScopedFaultPlan). Sites:
 //   alloc        — memory-budget charges fail (util/memory_budget.hpp)
-//   read_short   — binary graph reads return short (retried; graph/io.cpp)
-//   read_fail    — binary graph reads fail hard with an I/O error
+//   read_short   — streamed file reads return short (retried;
+//                  util/file_io.hpp read_fully: the external builder's
+//                  bucket reads, graph/oocore.cpp)
+//   read_fail    — streamed file reads fail hard with an I/O error
 //   write_short  — binary graph writes return short (retried;
 //                  util/file_io.hpp write_fully)
 //   write_fail   — binary graph writes fail hard with an I/O error (the
 //                  durability tests assert no torn file survives at the
 //                  final path)
 //   thread_spawn — std::thread construction fails (parallel/thread_pool.cpp)
-//   hwc          — perf_event_open is refused (obs/hwc.cpp; supersedes the
-//                  legacy LOTUS_HWC_FORCE_ERROR hook, which still works)
+//   hwc          — perf_event_open is refused (obs/hwc.cpp)
 //   bitflip      — a committed artifact is corrupted: AtomicFileWriter flips
 //                  one bit of the temp file (at a hash-derived offset) just
 //                  before the rename, simulating storage bit rot on a

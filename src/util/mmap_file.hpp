@@ -14,18 +14,27 @@
 // probed randomly and small enough to want residency, so it gets kWillNeed.
 // Hints are best-effort: a failing madvise never fails a load.
 //
-// POSIX only; on Windows map() returns kUnimplemented and callers fall back
-// to the heap-owned read paths.
+// copy_to_heap_s turns such views into heap-owned arrays: the heap loaders
+// (graph::read_csr_binary_s, core::read_lotus_binary_s) are the mapped
+// decode followed by this copy, so each format has one decoder.
+//
+// POSIX only; on Windows map() returns kIoError, so no binary artifact
+// loads there.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "util/array_ref.hpp"
+#include "util/mapguard.hpp"
+#include "util/memory_budget.hpp"
 #include "util/status.hpp"
 
 #if !defined(_WIN32)
@@ -144,6 +153,44 @@ template <typename T>
   assert(reinterpret_cast<std::uintptr_t>(base) % alignof(T) == 0);
   return ConstArray<T>(reinterpret_cast<const T*>(base),
                        static_cast<std::size_t>(count), file);
+}
+
+/// Replace each view in `arrays` with a heap-owned copy of its elements,
+/// charged as one "graph-load" to the current memory budget; the copies no
+/// longer pin the mapping. The arrays are allocated first and the copy runs
+/// under the mapped-fault guard (its body owns nothing that must unwind), so
+/// a file cut after the views were checked yields kIoError naming `path`.
+/// Errors: out_of_memory when the budget refuses the charge; io_error on a
+/// lost mapping. On error the views are left as they were.
+template <typename... T>
+[[nodiscard]] Status copy_to_heap_s(const std::string& path,
+                                    ConstArray<T>&... arrays) {
+  std::tuple<std::vector<T>...> heap;
+  try {
+    charge_current((std::uint64_t{0} + ... + (arrays.size() * sizeof(T))),
+                   "graph-load");
+    heap = std::tuple<std::vector<T>...>(std::vector<T>(arrays.size())...);
+  } catch (...) {
+    return status_from_current_exception(StatusCode::kOutOfMemory);
+  }
+  const Status status = with_mapped_fault_guard(path, [&] {
+    std::apply(
+        [&](std::vector<T>&... copy) {
+          ((copy.empty() ? nullptr
+                         : std::memcpy(copy.data(), arrays.data(),
+                                       copy.size() * sizeof(T))),
+           ...);
+        },
+        heap);
+    return Status::Ok();
+  });
+  if (!status.ok()) return status;
+  std::apply(
+      [&](std::vector<T>&... copy) {
+        ((arrays = ConstArray<T>(std::move(copy))), ...);
+      },
+      heap);
+  return Status::Ok();
 }
 
 }  // namespace lotus::util

@@ -21,6 +21,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "graph/oocore.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tc/api.hpp"
 #include "tc/engine.hpp"
@@ -99,34 +100,45 @@ TEST(Chaos, AllocFaultsWithoutDegradationFailCleanly) {
   }
 }
 
+/// The oracle as a text edge list, for the external builder: its bucket
+/// reads are the streamed reads (util::fileio::read_fully) that the read
+/// sites fault. The heap loaders decode a mapping and read no stream.
+g::CsrGraph write_oracle_edge_list(const std::string& path) {
+  g::EdgeList edges{oracle().graph.num_vertices(), {}};
+  for (g::VertexId v = 0; v < oracle().graph.num_vertices(); ++v)
+    for (const g::VertexId u : oracle().graph.neighbors(v))
+      if (v < u) edges.edges.push_back({v, u});
+  EXPECT_TRUE(g::write_edge_list_text_s(path, edges).ok());
+  return g::build_undirected(g::read_edge_list_text_s(path).value());
+}
+
 TEST(Chaos, ShortReadsAreRetriedToTheExactGraph) {
-  TempFile file("chaos_short_read.bin");
-  ASSERT_TRUE(g::write_csr_binary_s(file.path(), oracle().graph).ok());
+  TempFile file("chaos_short_read.el");
+  const g::CsrGraph expected = write_oracle_edge_list(file.path());
   for (const std::uint64_t seed : kSeeds) {
     // Every read returns short; the bounded retry loop must still assemble
     // the full graph (each retry halves the request, which is progress).
     fault::ScopedFaultPlan plan(
         fault::single_site_plan(fault::Site::kReadShort, 1.0, seed));
-    auto loaded = g::read_csr_binary_s(file.path());
+    auto loaded = g::oocore::build_undirected_external_s(file.path());
     ASSERT_TRUE(loaded.ok()) << "seed=" << seed << ": "
                              << loaded.status().to_string();
     EXPECT_GT(fault::injected_count(fault::Site::kReadShort), 0u);
     const g::CsrGraph& graph = loaded.value();
-    ASSERT_EQ(graph.num_vertices(), oracle().graph.num_vertices());
-    ASSERT_EQ(graph.num_edges(), oracle().graph.num_edges());
+    ASSERT_EQ(graph, expected);
     EXPECT_EQ(lotus::baselines::brute_force(graph), oracle().triangles);
   }
 }
 
 TEST(Chaos, ReadFailuresMapToIoErrorOrExactGraph) {
-  TempFile file("chaos_read_fail.bin");
-  ASSERT_TRUE(g::write_csr_binary_s(file.path(), oracle().graph).ok());
+  TempFile file("chaos_read_fail.el");
+  (void)write_oracle_edge_list(file.path());
   bool saw_failure = false;
   for (const double p : {0.5, 1.0}) {
     for (const std::uint64_t seed : kSeeds) {
       fault::ScopedFaultPlan plan(
           fault::single_site_plan(fault::Site::kReadFail, p, seed));
-      auto loaded = g::read_csr_binary_s(file.path());
+      auto loaded = g::oocore::build_undirected_external_s(file.path());
       if (loaded.ok()) {
         EXPECT_EQ(lotus::baselines::brute_force(loaded.value()),
                   oracle().triangles)
@@ -136,6 +148,7 @@ TEST(Chaos, ReadFailuresMapToIoErrorOrExactGraph) {
         EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
             << "p=" << p << " seed=" << seed << ": "
             << loaded.status().to_string();
+        EXPECT_GT(fault::injected_count(fault::Site::kReadFail), 0u);
       }
     }
   }

@@ -235,7 +235,8 @@ std::uint64_t oocore_external_build(const g::CsrGraph& graph) {
     for (g::VertexId v = 0; v < graph.num_vertices(); ++v)
       for (g::VertexId u : graph.neighbors(v))
         if (v < u) el.edges.push_back({v, u});
-    g::write_edge_list_text(file, el);
+    const lotus::util::Status written = g::write_edge_list_text_s(file, el);
+    if (!written.ok()) throw std::runtime_error(written.to_string());
   }
   g::oocore::ExternalBuildOptions options;
   options.sort_budget_bytes = 1ull << 20;  // the floor: smallest buckets
@@ -248,7 +249,8 @@ std::uint64_t oocore_external_build(const g::CsrGraph& graph) {
 std::uint64_t oocore_mapped_csx(const g::CsrGraph& graph,
                                 const core::LotusConfig& config) {
   const std::string file = oocore_temp_path("csx");
-  g::write_csr_binary(file, graph);
+  const lotus::util::Status written = g::write_csr_binary_s(file, graph);
+  if (!written.ok()) throw std::runtime_error(written.to_string());
   auto mapped = g::oocore::read_csr_mapped_s(file);
   std::remove(file.c_str());  // the mapping outlives the unlink
   if (!mapped.ok()) throw std::runtime_error(mapped.status().to_string());
@@ -258,7 +260,8 @@ std::uint64_t oocore_mapped_csx(const g::CsrGraph& graph,
 
 std::uint64_t heap_csx_load(const g::CsrGraph& graph) {
   const std::string file = oocore_temp_path("heap");
-  g::write_csr_binary(file, graph);
+  const lotus::util::Status written = g::write_csr_binary_s(file, graph);
+  if (!written.ok()) throw std::runtime_error(written.to_string());
   auto loaded = g::read_csr_binary_s(file);
   std::remove(file.c_str());
   if (!loaded.ok()) throw std::runtime_error(loaded.status().to_string());

@@ -71,7 +71,7 @@ TEST_P(DifferentialMatrix, EveryPathMatchesBruteForce) {
       // Mismatch: dump the graph and print the single-cell repro command.
       const std::string dump =
           "diff_" + graph.spec.name + "_" + path.name + ".el";
-      lotus::graph::write_edge_list_text(dump, graph.spec.edges);
+      EXPECT_TRUE(lotus::graph::write_edge_list_text_s(dump, graph.spec.edges).ok());
       ADD_FAILURE() << "triangle count mismatch: graph=" << graph.spec.name
                     << " path=" << path.name << " threads=" << threads
                     << " expected="
@@ -121,9 +121,9 @@ TEST(DifferentialCoverage, DumpRoundTripPreservesCount) {
                                    ? prepared_corpus()[2]
                                    : prepared_corpus().front();
   const std::string dump = "diff_roundtrip_check.el";
-  lotus::graph::write_edge_list_text(dump, graph.spec.edges);
-  const auto reloaded =
-      lotus::graph::build_undirected(lotus::graph::read_edge_list_text(dump));
+  ASSERT_TRUE(lotus::graph::write_edge_list_text_s(dump, graph.spec.edges).ok());
+  const auto reloaded = lotus::graph::build_undirected(
+      lotus::graph::read_edge_list_text_s(dump).value());
   EXPECT_EQ(lotus::baselines::brute_force(reloaded), graph.expected);
   std::remove(dump.c_str());
 }

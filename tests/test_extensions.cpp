@@ -129,8 +129,8 @@ TEST_F(SerializeTest, RoundTripPreservesCounts) {
   const auto graph =
       g::build_undirected(g::rmat({.scale = 10, .edge_factor = 8, .seed = 63}));
   const auto lg = core::LotusGraph::build(graph, {});
-  core::write_lotus_binary(path("g.lotus"), lg);
-  const auto loaded = core::read_lotus_binary(path("g.lotus"));
+  ASSERT_TRUE(core::write_lotus_binary_s(path("g.lotus"), lg).ok());
+  const auto loaded = core::read_lotus_binary_s(path("g.lotus")).value();
 
   EXPECT_EQ(loaded.hub_count(), lg.hub_count());
   EXPECT_EQ(loaded.he().num_edges(), lg.he().num_edges());
@@ -148,15 +148,20 @@ TEST_F(SerializeTest, RejectsBadMagic) {
   std::ofstream f(path("bad.lotus"), std::ios::binary);
   f << "GARBAGEWITHPADDINGBEYONDTHEHEADER";
   f.close();
-  EXPECT_THROW(core::read_lotus_binary(path("bad.lotus")), std::runtime_error);
+  // 33 bytes: shorter than the 64-byte header.
+  EXPECT_EQ(core::read_lotus_binary_s(path("bad.lotus")).status().code(),
+            lotus::util::StatusCode::kIoError);
 }
 
 TEST_F(SerializeTest, RejectsTruncation) {
   const auto graph = g::build_undirected(g::complete(30));
-  core::write_lotus_binary(path("t.lotus"), core::LotusGraph::build(graph, {}));
+  ASSERT_TRUE(
+      core::write_lotus_binary_s(path("t.lotus"), core::LotusGraph::build(graph, {}))
+          .ok());
   const auto size = std::filesystem::file_size(path("t.lotus"));
   std::filesystem::resize_file(path("t.lotus"), size / 2);
-  EXPECT_THROW(core::read_lotus_binary(path("t.lotus")), std::runtime_error);
+  EXPECT_EQ(core::read_lotus_binary_s(path("t.lotus")).status().code(),
+            lotus::util::StatusCode::kInvalidArgument);
 }
 
 TEST(FromParts, RejectsInconsistentParts) {

@@ -3,7 +3,6 @@
 // event pipeline — hw-degrades-to-sim, sim replay attribution, and off.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "graph/builder.hpp"
@@ -12,12 +11,14 @@
 #include "simcache/machines.hpp"
 #include "simcache/sim_events.hpp"
 #include "tc/api.hpp"
+#include "util/fault.hpp"
 
 namespace {
 
 namespace g = lotus::graph;
 namespace obs = lotus::obs;
 namespace tc = lotus::tc;
+namespace fault = lotus::util::fault;
 
 using obs::Event;
 using obs::EventCounts;
@@ -31,20 +32,6 @@ tc::ProfileReport profiled(tc::Algorithm algorithm, const g::CsrGraph& graph,
   return tc::query(algorithm, graph, options).value().profile.value();
 }
 
-/// Scoped setenv/unsetenv so a failing test never leaks the forced-error
-/// hook into later tests.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-};
 
 TEST(EventCounts, ArithmeticAndSaturation) {
   EventCounts a;
@@ -94,11 +81,13 @@ TEST(EventSourceParsing, AcceptsCliSpellings) {
 }
 
 TEST(HwcProvider, ForcedErrorFailsCreateWithMessage) {
-  ScopedEnv force("LOTUS_HWC_FORCE_ERROR", "EPERM");
+  // The `hwc` fault site refuses perf_event_open like a locked-down
+  // container does.
+  fault::ScopedFaultPlan plan(fault::single_site_plan(fault::Site::kHwc, 1.0));
   std::string error;
   const auto provider = obs::HwcProvider::create(&error);
   EXPECT_EQ(provider, nullptr);
-  EXPECT_NE(error.find("LOTUS_HWC_FORCE_ERROR"), std::string::npos) << error;
+  EXPECT_NE(error.find("fault site hwc"), std::string::npos) << error;
 }
 
 TEST(SimEvents, StallModelMatchesDocumentedFormula) {
@@ -191,7 +180,9 @@ TEST(RunProfiled, SimulatedEventsUnsupportedBaselineReportsZeroWithNote) {
 }
 
 TEST(RunProfiled, HardwareDegradesToSimulatedWhenPerfUnavailable) {
-  ScopedEnv force("LOTUS_HWC_FORCE_ERROR", "ENOSYS");
+  // The `hwc` fault site refuses perf_event_open like a locked-down
+  // container does.
+  fault::ScopedFaultPlan plan(fault::single_site_plan(fault::Site::kHwc, 1.0));
   const auto graph =
       g::build_undirected(g::rmat({.scale = 9, .edge_factor = 8, .seed = 6}));
   tc::QueryOptions options;

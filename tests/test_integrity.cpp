@@ -172,7 +172,6 @@ TEST(ChecksumTest, FooterRoundTripsAndRejectsEveryCorruption) {
   const std::uint64_t sums[3] = {0x1111, 0x2222, 0x3333};
   std::vector<unsigned char> footer(cks::footer_bytes(3));
   cks::write_footer(sums, 3, footer.data());
-  EXPECT_TRUE(cks::has_footer_magic(footer.data(), footer.size()));
 
   std::uint64_t out[3] = {};
   ASSERT_TRUE(cks::read_footer(footer.data(), 3, "t", out).ok());
@@ -225,7 +224,7 @@ TEST_F(IntegrityTest, CsxMatrixEverySectionDetected) {
 
   for (const auto& m : matrix) {
     const std::string file = path(std::string("csx_") + m.section + ".bin");
-    g::write_csr_binary(file, graph);
+    ASSERT_TRUE(g::write_csr_binary_s(file, graph).ok());
     flip_byte(file, m.offset);
 
     const auto mapped = oo::read_csr_mapped_s(file);
@@ -354,7 +353,7 @@ TEST_F(IntegrityTest, TruncationIsDetectedNotCrashed) {
   const auto graph = test_graph();
   const auto lg = core::LotusGraph::build(graph);
 
-  g::write_csr_binary(path("t.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("t.bin"), graph).ok());
   ASSERT_TRUE(core::write_lotus_binary_s(path("t.lg2"), lg).ok());
   const auto prepared =
       tc::PreparedGraph::build(tc::ArtifactKind::kLotus, graph);
@@ -362,22 +361,10 @@ TEST_F(IntegrityTest, TruncationIsDetectedNotCrashed) {
 
   for (const char* name : {"t.bin", "t.lg2", "t.lpa"}) {
     const std::uint64_t size = fs::file_size(path(name));
-    // CSX and LG2 know their exact payload size from the header, so even a
-    // footer-only shave is rejected. The spill format detects its footer by
-    // the trailing magic probe (robust to corrupt header offsets), so only
-    // payload-cutting truncations are testable here — see below for the
-    // footer-shave trade-off.
-    std::vector<std::uint64_t> keeps = {size / 4, size / 2};
-    if (std::string(name) != "t.lpa") {
-      keeps.push_back(size - cks::kFooterTrailerBytes);
-      keeps.push_back(size - 1);
-    } else {
-      // Shaving the whole spill footer is also caught: the embedded image's
-      // own footer magic lands at the file tail, so the magic probe fires
-      // and the misplaced spill footer fails to parse.
-      keeps.push_back(size - cks::footer_bytes(cks::kSpillSections));
-    }
-    for (const std::uint64_t keep : keeps) {
+    // Every format knows its exact size from its header, footer included,
+    // so even a shave of the footer trailer or of one byte is rejected.
+    for (const std::uint64_t keep :
+         {size / 4, size / 2, size - cks::kFooterTrailerBytes, size - 1}) {
       const std::string cut = path(std::string("cut_") + name);
       fs::copy_file(path(name), cut, fs::copy_options::overwrite_existing);
       fs::resize_file(cut, keep);
@@ -391,16 +378,15 @@ TEST_F(IntegrityTest, TruncationIsDetectedNotCrashed) {
     }
   }
 
-  // The documented spill-format trade-off: cutting only the 24-byte footer
-  // trailer leaves the sums array at the tail — no trailing magic, so the
-  // probe reads the file as a legacy (pre-checksum) artifact and loads its
-  // header unverified. The embedded images keep their own footers and still
-  // verify (docs/ROBUSTNESS.md).
+  // A spill cut to its embedded images fails the size check even when
+  // nothing verifies the checksums.
   const std::string shaved = path("shaved.lpa");
   fs::copy_file(path("t.lpa"), shaved);
-  fs::resize_file(shaved,
-                  fs::file_size(shaved) - cks::kFooterTrailerBytes);
-  EXPECT_TRUE(tc::PreparedGraph::load_mapped_s(shaved).ok());
+  fs::resize_file(shaved, fs::file_size(shaved) -
+                              cks::footer_bytes(cks::kSpillSections));
+  const auto loaded = tc::PreparedGraph::load_mapped_s(shaved, oo::MapVerify::kOff);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << loaded.status().to_string();
 }
 
 TEST_F(IntegrityTest, MapVerifyOffSkipsChecksumsEagerCatchesThem) {
@@ -415,17 +401,6 @@ TEST_F(IntegrityTest, MapVerifyOffSkipsChecksumsEagerCatchesThem) {
       tc::PreparedGraph::load_mapped_s(file, oo::MapVerify::kOff);
   ASSERT_TRUE(off.ok()) << off.status().to_string();
   EXPECT_NE(off.value().lotus(), nullptr);
-}
-
-TEST_F(IntegrityTest, LegacyFooterlessFilesStillLoad) {
-  const auto graph = test_graph();
-  const std::string file = path("legacy.bin");
-  g::write_csr_binary(file, graph);
-  fs::resize_file(file,
-                  fs::file_size(file) - cks::footer_bytes(cks::kCsxSections));
-  const auto mapped = oo::read_csr_mapped_s(file);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().to_string();
-  EXPECT_EQ(mapped.value(), graph);
 }
 
 // ---------- the mapped-fault guard ----------
@@ -512,7 +487,7 @@ TEST(MapGuardDeathTest, DisabledGuardCrashesOnTruncatedMapping) {
 TEST_F(IntegrityTest, FailedRenameNeverTearsTheDestination) {
   const std::string file = path("durable.bin");
   const auto v1 = test_graph(1);
-  g::write_csr_binary(file, v1);
+  ASSERT_TRUE(g::write_csr_binary_s(file, v1).ok());
   const std::uint64_t v1_size = fs::file_size(file);
 
   {
@@ -578,7 +553,7 @@ TEST_F(IntegrityTest, BitflipFaultSitePublishesDetectableCorruption) {
   {
     fault::ScopedFaultPlan plan(
         fault::single_site_plan(fault::Site::kBitflip, 1.0, /*seed=*/3));
-    g::write_csr_binary(file, graph);  // commit succeeds, artifact is tampered
+    ASSERT_TRUE(g::write_csr_binary_s(file, graph).ok());  // commit succeeds, artifact is tampered
     EXPECT_EQ(fault::injected_count(fault::Site::kBitflip), 1u);
   }
   // The committed artifact is corrupt — the checksum layer must notice, on
@@ -591,11 +566,11 @@ TEST_F(IntegrityTest, TruncateFaultSitePublishesDetectableCorruption) {
   const auto graph = test_graph();
   const std::string file = path("cut.bin");
   const std::string intact = path("intact.bin");
-  g::write_csr_binary(intact, graph);
+  ASSERT_TRUE(g::write_csr_binary_s(intact, graph).ok());
   {
     fault::ScopedFaultPlan plan(
         fault::single_site_plan(fault::Site::kTruncate, 1.0, /*seed=*/4));
-    g::write_csr_binary(file, graph);
+    ASSERT_TRUE(g::write_csr_binary_s(file, graph).ok());
     EXPECT_EQ(fault::injected_count(fault::Site::kTruncate), 1u);
   }
   EXPECT_LT(fs::file_size(file), fs::file_size(intact));

@@ -17,8 +17,10 @@
 #include "graph/oocore.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "lotus/serialize.hpp"
+#include "util/checksum.hpp"
 #include "util/fault.hpp"
 #include "util/status.hpp"
+#include "sealed_image.hpp"
 
 namespace {
 
@@ -45,8 +47,8 @@ class IoTest : public ::testing::Test {
 
 TEST_F(IoTest, EdgeListTextRoundTrip) {
   const g::EdgeList original{5, {{0, 1}, {1, 2}, {3, 4}}};
-  g::write_edge_list_text(path("g.txt"), original);
-  const g::EdgeList loaded = g::read_edge_list_text(path("g.txt"));
+  ASSERT_TRUE(g::write_edge_list_text_s(path("g.txt"), original).ok());
+  const g::EdgeList loaded = g::read_edge_list_text_s(path("g.txt")).value();
   EXPECT_EQ(loaded.num_vertices, 5u);
   ASSERT_EQ(loaded.edges.size(), 3u);
   EXPECT_EQ(loaded.edges[0], (g::Edge{0, 1}));
@@ -57,7 +59,7 @@ TEST_F(IoTest, EdgeListSkipsComments) {
   std::ofstream f(path("c.txt"));
   f << "# comment\n% other comment\n1 2\n\n3 4\n";
   f.close();
-  const g::EdgeList loaded = g::read_edge_list_text(path("c.txt"));
+  const g::EdgeList loaded = g::read_edge_list_text_s(path("c.txt")).value();
   EXPECT_EQ(loaded.edges.size(), 2u);
   EXPECT_EQ(loaded.num_vertices, 5u);
 }
@@ -66,25 +68,28 @@ TEST_F(IoTest, EdgeListRejectsMalformedLine) {
   std::ofstream f(path("bad.txt"));
   f << "1 2\nnot an edge\n";
   f.close();
-  EXPECT_THROW(g::read_edge_list_text(path("bad.txt")), std::runtime_error);
+  EXPECT_EQ(g::read_edge_list_text_s(path("bad.txt")).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(IoTest, EdgeListRejectsMissingFile) {
-  EXPECT_THROW(g::read_edge_list_text(path("nope.txt")), std::runtime_error);
+  EXPECT_EQ(g::read_edge_list_text_s(path("nope.txt")).status().code(),
+            StatusCode::kIoError);
 }
 
 TEST_F(IoTest, EdgeListRejectsHugeIds) {
   std::ofstream f(path("huge.txt"));
   f << "1 99999999999\n";
   f.close();
-  EXPECT_THROW(g::read_edge_list_text(path("huge.txt")), std::runtime_error);
+  EXPECT_EQ(g::read_edge_list_text_s(path("huge.txt")).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(IoTest, BinaryRoundTrip) {
   const auto graph =
       g::build_undirected(g::rmat({.scale = 10, .edge_factor = 8, .seed = 7}));
-  g::write_csr_binary(path("g.bin"), graph);
-  const auto loaded = g::read_csr_binary(path("g.bin"));
+  ASSERT_TRUE(g::write_csr_binary_s(path("g.bin"), graph).ok());
+  const auto loaded = g::read_csr_binary_s(path("g.bin")).value();
   EXPECT_EQ(loaded, graph);
 }
 
@@ -92,35 +97,51 @@ TEST_F(IoTest, BinaryRejectsBadMagic) {
   std::ofstream f(path("bad.bin"), std::ios::binary);
   f << "NOTLOTUS and then some bytes to get past the header";
   f.close();
-  EXPECT_THROW(g::read_csr_binary(path("bad.bin")), std::runtime_error);
+  EXPECT_EQ(g::read_csr_binary_s(path("bad.bin")).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(IoTest, BinaryRejectsTruncatedBody) {
   const auto graph = g::build_undirected(g::complete(20));
-  g::write_csr_binary(path("t.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("t.bin"), graph).ok());
   // Chop the file in half.
   const auto full = fs::file_size(path("t.bin"));
   fs::resize_file(path("t.bin"), full / 2);
-  EXPECT_THROW(g::read_csr_binary(path("t.bin")), std::runtime_error);
+  EXPECT_EQ(g::read_csr_binary_s(path("t.bin")).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(IoTest, BinaryRejectsCorruptNeighbor) {
   const auto graph = g::build_undirected(g::complete(4));
-  g::write_csr_binary(path("c.bin"), graph);
-  // Overwrite the last neighbour with an out-of-range ID.
-  std::fstream f(path("c.bin"), std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(-4, std::ios::end);
+  ASSERT_TRUE(g::write_csr_binary_s(path("c.bin"), graph).ok());
+  std::string image;
+  {
+    std::ifstream in(path("c.bin"), std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Overwrite the last neighbour with an out-of-range ID and re-seal the
+  // footer, so the checksums pass and the range check has to catch it.
+  image.resize(image.size() - lotus::util::checksum::footer_bytes(
+                                  lotus::util::checksum::kCsxSections));
   const std::uint32_t bogus = 0xdeadbeef;
-  f.write(reinterpret_cast<const char*>(&bogus), 4);
-  f.close();
-  EXPECT_THROW(g::read_csr_binary(path("c.bin")), std::runtime_error);
+  image.replace(image.size() - 4, 4, reinterpret_cast<const char*>(&bogus), 4);
+  image = lotus::testing::seal_csx(image);
+  {
+    std::ofstream out(path("c.bin"), std::ios::binary | std::ios::trunc);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+  }
+  const auto loaded = g::read_csr_binary_s(path("c.bin"));
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("neighbour ID out of range"),
+            std::string::npos)
+      << loaded.status().to_string();
 }
 
 TEST_F(IoTest, EmptyEdgeListFileYieldsEmptyGraph) {
   std::ofstream f(path("empty.txt"));
   f << "# nothing here\n";
   f.close();
-  const g::EdgeList loaded = g::read_edge_list_text(path("empty.txt"));
+  const g::EdgeList loaded = g::read_edge_list_text_s(path("empty.txt")).value();
   EXPECT_EQ(loaded.num_vertices, 0u);
   EXPECT_TRUE(loaded.edges.empty());
 }
@@ -133,7 +154,7 @@ TEST_F(IoTest, EdgeListIgnoresTrailingTokens) {
   std::ofstream f(path("weighted.txt"));
   f << "0 1 0.75\n1 2 1588000000 some-label\n";
   f.close();
-  const g::EdgeList loaded = g::read_edge_list_text(path("weighted.txt"));
+  const g::EdgeList loaded = g::read_edge_list_text_s(path("weighted.txt")).value();
   ASSERT_EQ(loaded.edges.size(), 2u);
   EXPECT_EQ(loaded.edges[0], (g::Edge{0, 1}));
   EXPECT_EQ(loaded.edges[1], (g::Edge{1, 2}));
@@ -143,7 +164,7 @@ TEST_F(IoTest, EdgeListSkipsWhitespaceOnlyLines) {
   std::ofstream f(path("ws.txt"));
   f << "0 1\n   \n\t\n1 2\n \t \r\n";
   f.close();
-  const g::EdgeList loaded = g::read_edge_list_text(path("ws.txt"));
+  const g::EdgeList loaded = g::read_edge_list_text_s(path("ws.txt")).value();
   EXPECT_EQ(loaded.edges.size(), 2u);
 }
 
@@ -151,7 +172,7 @@ TEST_F(IoTest, EdgeListAcceptsLargestUsableId) {
   std::ofstream f(path("max32.txt"));
   f << "0 4294967294\n";  // 2^32 - 2: num_vertices = 2^32 - 1 still fits
   f.close();
-  const g::EdgeList loaded = g::read_edge_list_text(path("max32.txt"));
+  const g::EdgeList loaded = g::read_edge_list_text_s(path("max32.txt")).value();
   ASSERT_EQ(loaded.edges.size(), 1u);
   EXPECT_EQ(loaded.edges[0].v, 4294967294u);
   EXPECT_EQ(loaded.num_vertices, 4294967295u);
@@ -164,7 +185,8 @@ TEST_F(IoTest, EdgeListRejectsIdsWhoseUniverseOverflows32Bits) {
     std::ofstream f(path("over32.txt"));
     f << "0 " << id << "\n";
     f.close();
-    EXPECT_THROW(g::read_edge_list_text(path("over32.txt")), std::runtime_error)
+    EXPECT_EQ(g::read_edge_list_text_s(path("over32.txt")).status().code(),
+              StatusCode::kInvalidArgument)
         << id;
   }
 }
@@ -175,14 +197,15 @@ TEST_F(IoTest, EdgeListRejectsNegativeIds) {
   std::ofstream f(path("neg.txt"));
   f << "-1 2\n";
   f.close();
-  EXPECT_THROW(g::read_edge_list_text(path("neg.txt")), std::runtime_error);
+  EXPECT_EQ(g::read_edge_list_text_s(path("neg.txt")).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(IoTest, EdgeListKeepsSelfLoopsForBuilderToDrop) {
   std::ofstream f(path("loops.txt"));
   f << "0 0\n0 1\n1 1\n";
   f.close();
-  const g::EdgeList loaded = g::read_edge_list_text(path("loops.txt"));
+  const g::EdgeList loaded = g::read_edge_list_text_s(path("loops.txt")).value();
   EXPECT_EQ(loaded.edges.size(), 3u);  // parser preserves, builder cleans
   const auto csr = g::build_undirected(loaded);
   EXPECT_EQ(csr.num_edges(), 2u);  // only 0-1 survives, both directions
@@ -192,17 +215,18 @@ TEST_F(IoTest, EdgeListRejectsLoneToken) {
   std::ofstream f(path("lone.txt"));
   f << "0 1\n7\n";
   f.close();
-  EXPECT_THROW(g::read_edge_list_text(path("lone.txt")), std::runtime_error);
+  EXPECT_EQ(g::read_edge_list_text_s(path("lone.txt")).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------- malformed binary corpus ----------
 //
 // Hostile images fed to every reader of their format. Each entry must get
-// one StatusCode from all of them: the readers share one codec per format
-// and differ only in where the bytes come from (a FILE stream or a mapping).
-// Headers whose sizes disagree with the file must be rejected BEFORE the
-// heap readers allocate — a hostile header must not demand gigabytes (the
-// ASan suite would flag the allocation blowup).
+// one StatusCode from all of them: each format has one decoder (the mapped
+// one), and its heap reader is that decode plus a copy. Headers whose sizes
+// disagree with the file must be rejected BEFORE the heap readers allocate
+// — a hostile header must not demand gigabytes (the ASan suite would flag
+// the allocation blowup).
 
 class BinaryCorpusTest : public IoTest {
  protected:
@@ -222,26 +246,33 @@ class BinaryCorpusTest : public IoTest {
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
+  /// Both statuses carry `expected`, and `message` when it is non-empty.
+  static void expect_both(const std::string& name, const lotus::util::Status& heap,
+                          const lotus::util::Status& mapped, StatusCode expected,
+                          const std::string& message) {
+    for (const auto* status : {&heap, &mapped}) {
+      EXPECT_EQ(status->code(), expected) << name << ": " << status->to_string();
+      EXPECT_NE(status->message().find(message), std::string::npos)
+          << name << ": " << status->to_string();
+    }
+  }
+
   /// Load `name` through the heap and the mapped LOTUSGR1 reader.
-  void expect_csx_status(const std::string& name, StatusCode expected) const {
-    const auto heap = g::read_csr_binary_s(path(name));
-    const auto mapped = g::oocore::read_csr_mapped_s(path(name));
-    EXPECT_EQ(heap.status().code(), expected) << name << ": "
-                                              << heap.status().to_string();
-    EXPECT_EQ(mapped.status().code(), expected) << name << ": "
-                                                << mapped.status().to_string();
+  void expect_csx_status(const std::string& name, StatusCode expected,
+                         const std::string& message = "") const {
+    expect_both(name, g::read_csr_binary_s(path(name)).status(),
+                g::oocore::read_csr_mapped_s(path(name)).status(), expected,
+                message);
   }
 
   /// Load `bytes` through the heap and the mapped LOTUSLG2 reader.
   void expect_lg2_status(const std::string& name, const std::string& bytes,
-                         StatusCode expected) const {
+                         StatusCode expected,
+                         const std::string& message = "") const {
     write_raw(name, bytes);
-    const auto heap = lotus::core::read_lotus_binary_s(path(name));
-    const auto mapped = lotus::core::read_lotus_mapped_s(path(name));
-    EXPECT_EQ(heap.status().code(), expected) << name << ": "
-                                              << heap.status().to_string();
-    EXPECT_EQ(mapped.status().code(), expected) << name << ": "
-                                                << mapped.status().to_string();
+    expect_both(name, lotus::core::read_lotus_binary_s(path(name)).status(),
+                lotus::core::read_lotus_mapped_s(path(name)).status(), expected,
+                message);
   }
 };
 
@@ -266,7 +297,7 @@ TEST_F(BinaryCorpusTest, RejectsVertexCountOver32Bits) {
 
 TEST_F(BinaryCorpusTest, RejectsTrailingGarbage) {
   const auto graph = g::build_undirected(g::complete(5));
-  g::write_csr_binary(path("trail.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("trail.bin"), graph).ok());
   std::ofstream f(path("trail.bin"), std::ios::binary | std::ios::app);
   f << 'x';
   f.close();
@@ -295,8 +326,10 @@ TEST_F(BinaryCorpusTest, RejectsNonMonotonicOffsets) {
   std::string bad = bytes;
   std::uint64_t three = 3;
   bad.replace(8 + 16 + 8, 8, reinterpret_cast<const char*>(&three), 8);
-  write_raw("nonmono.bin", bad);
-  expect_csx_status("nonmono.bin", StatusCode::kInvalidArgument);
+  // Sealed, so the size and checksum checks pass and the scan runs.
+  write_raw("nonmono.bin", lotus::testing::seal_csx(bad));
+  expect_csx_status("nonmono.bin", StatusCode::kInvalidArgument,
+                    "corrupt offsets");
 }
 
 TEST_F(BinaryCorpusTest, RejectsNonZeroFirstOffset) {
@@ -304,15 +337,16 @@ TEST_F(BinaryCorpusTest, RejectsNonZeroFirstOffset) {
   append_u64(bytes, 1);  // offsets[0] != 0
   append_u64(bytes, 1);  // offsets[1] == e
   bytes.append(4, '\0');
-  write_raw("first.bin", bytes);
-  expect_csx_status("first.bin", StatusCode::kInvalidArgument);
+  write_raw("first.bin", lotus::testing::seal_csx(bytes));
+  expect_csx_status("first.bin", StatusCode::kInvalidArgument,
+                    "corrupt offsets");
 }
 
 TEST_F(BinaryCorpusTest, ValidEmptyGraphRoundTrips) {
   const auto graph = g::build_undirected({0, {}});
-  g::write_csr_binary(path("empty.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("empty.bin"), graph).ok());
   expect_csx_status("empty.bin", StatusCode::kOk);
-  const auto loaded = g::read_csr_binary(path("empty.bin"));
+  const auto loaded = g::read_csr_binary_s(path("empty.bin")).value();
   EXPECT_EQ(loaded.num_vertices(), 0u);
   EXPECT_EQ(loaded.num_edges(), 0u);
 }
@@ -352,6 +386,19 @@ TEST_F(BinaryCorpusTest, Lg2CorpusGetsOneStatusFromEveryReader) {
                     StatusCode::kInvalidArgument);
   expect_lg2_status("lg2_he.lg2", with_field(32, (1ull << 48) + 1),
                     StatusCode::kInvalidArgument);
+  // A sealed body with non-monotone HE offsets ({0, he + 1, ...}, ending at
+  // he): it passes the size and checksum checks, so the structural scan
+  // must reject it.
+  const std::uint64_t n = lotus::testing::header_field(master, 8);
+  const std::uint64_t he_edges = lotus::testing::header_field(master, 32);
+  ASSERT_GE(n, 2u);
+  const std::size_t he_offsets_at =
+      64 + ((n * 4 + 7) & ~std::uint64_t{7}) + h2h_words * 8;
+  std::string nonmono = with_field(he_offsets_at + 8, he_edges + 1);
+  nonmono.resize(nonmono.size() - lotus::util::checksum::footer_bytes(
+                                      lotus::util::checksum::kLotusSections));
+  expect_lg2_status("lg2_nonmono.lg2", lotus::testing::seal_lg2(nonmono),
+                    StatusCode::kInvalidArgument, "corrupt offsets");
 }
 
 // ---------- status-layer API and mid-read failure injection ----------
@@ -386,11 +433,11 @@ TEST_F(IoTest, StatusApiMapsErrorClasses) {
 TEST_F(IoTest, TruncationAtEveryRegionFailsCleanly) {
   // Cut the file mid-magic, mid-header, mid-offsets, and mid-neighbours:
   // every truncation point must surface as a clean status (no throw, no
-  // partial graph). Cuts inside the magic/header are io_error (the read
-  // itself comes up short); body cuts are invalid_argument, because the
-  // pre-allocation size-vs-header check rejects them before any read.
+  // partial graph). Cuts inside the magic/header are io_error (the header
+  // itself is incomplete); body cuts are invalid_argument, because the
+  // size-vs-header check rejects them before anything is allocated.
   const auto graph = g::build_undirected(g::complete(20));
-  g::write_csr_binary(path("full.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("full.bin"), graph).ok());
   const auto full = static_cast<std::uint64_t>(fs::file_size(path("full.bin")));
   constexpr std::uint64_t kHeader = 8 + 16;
   const std::uint64_t offsets_end = kHeader + (20 + 1) * 8;
@@ -411,27 +458,32 @@ TEST_F(IoTest, TruncationAtEveryRegionFailsCleanly) {
   }
 }
 
+// The heap loaders decode a mapping, so the streamed reads left are the
+// external builder's bucket reads (util::fileio::read_fully).
 TEST_F(IoTest, ShortReadsAreRetriedToCompletion) {
-  const auto graph =
-      g::build_undirected(g::rmat({.scale = 8, .edge_factor = 6, .seed = 3}));
-  g::write_csr_binary(path("short.bin"), graph);
+  ASSERT_TRUE(g::write_edge_list_text_s(
+                  path("short.el"),
+                  g::rmat({.scale = 8, .edge_factor = 6, .seed = 3}))
+                  .ok());
+  const auto expected =
+      g::build_undirected(g::read_edge_list_text_s(path("short.el")).value());
   fault::ScopedFaultPlan plan(
       fault::single_site_plan(fault::Site::kReadShort, 1.0));
-  const auto loaded = g::read_csr_binary_s(path("short.bin"));
+  const auto loaded = g::oocore::build_undirected_external_s(path("short.el"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded.value(), graph);
+  EXPECT_EQ(loaded.value(), expected);
   EXPECT_GT(fault::injected_count(fault::Site::kReadShort), 0u);
 }
 
 TEST_F(IoTest, InjectedReadFailureIsIoError) {
-  const auto graph = g::build_undirected(g::complete(10));
-  g::write_csr_binary(path("fail.bin"), graph);
+  ASSERT_TRUE(g::write_edge_list_text_s(path("fail.el"), g::complete(10)).ok());
   fault::ScopedFaultPlan plan(
       fault::single_site_plan(fault::Site::kReadFail, 1.0));
-  const auto loaded = g::read_csr_binary_s(path("fail.bin"));
+  const auto loaded = g::oocore::build_undirected_external_s(path("fail.el"));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   EXPECT_NE(loaded.status().message().find("injected"), std::string::npos);
+  EXPECT_GT(fault::injected_count(fault::Site::kReadFail), 0u);
 }
 
 TEST_F(IoTest, ShortWritesAreRetriedToCompletion) {
@@ -497,16 +549,6 @@ TEST_F(IoTest, WriteFaultMatrixNeverTearsTheFinalPath) {
           << "stranded temp file after site=" << fault::site_name(site)
           << " p=" << probability;
     }
-  }
-}
-
-TEST_F(IoTest, LegacyWrappersPreserveStatusMessage) {
-  try {
-    (void)g::read_csr_binary(path("absent.bin"));
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const auto status = g::read_csr_binary_s(path("absent.bin")).status();
-    EXPECT_EQ(std::string(e.what()), status.message());
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "baselines/tc_baselines.hpp"
@@ -17,6 +18,7 @@
 #include "util/checksum.hpp"
 #include "util/memory_budget.hpp"
 #include "util/status.hpp"
+#include "sealed_image.hpp"
 
 namespace {
 
@@ -59,7 +61,7 @@ class OocoreTest : public ::testing::Test {
     for (g::VertexId v = 0; v < graph.num_vertices(); ++v)
       for (g::VertexId u : graph.neighbors(v))
         if (v < u) el.edges.push_back({v, u});
-    g::write_edge_list_text(file, el);
+    ASSERT_TRUE(g::write_edge_list_text_s(file, el).ok());
   }
 
   fs::path dir_;
@@ -69,7 +71,7 @@ class OocoreTest : public ::testing::Test {
 
 TEST_F(OocoreTest, MappedCsxMatchesHeapLoad) {
   const auto graph = test_graph();
-  g::write_csr_binary(path("g.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("g.bin"), graph).ok());
   const auto mapped = oo::read_csr_mapped_s(path("g.bin"));
   ASSERT_TRUE(mapped.ok()) << mapped.status().to_string();
   EXPECT_EQ(mapped.value(), graph);
@@ -79,7 +81,7 @@ TEST_F(OocoreTest, MappedCsxMatchesHeapLoad) {
 
 TEST_F(OocoreTest, MappedEmptyGraphRoundTrips) {
   const auto graph = g::build_undirected({0, {}});
-  g::write_csr_binary(path("empty.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("empty.bin"), graph).ok());
   const auto mapped = oo::read_csr_mapped_s(path("empty.bin"));
   ASSERT_TRUE(mapped.ok()) << mapped.status().to_string();
   EXPECT_EQ(mapped.value().num_vertices(), 0u);
@@ -88,7 +90,7 @@ TEST_F(OocoreTest, MappedEmptyGraphRoundTrips) {
 
 TEST_F(OocoreTest, MappedGraphSurvivesFileUnlink) {
   const auto graph = test_graph();
-  g::write_csr_binary(path("gone.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("gone.bin"), graph).ok());
   const auto mapped = oo::read_csr_mapped_s(path("gone.bin"));
   ASSERT_TRUE(mapped.ok());
   fs::remove(path("gone.bin"));
@@ -108,7 +110,7 @@ TEST_F(OocoreTest, MappedRejectsCorruptFiles) {
             StatusCode::kInvalidArgument);
 
   const auto graph = g::build_undirected(g::complete(20));
-  g::write_csr_binary(path("cut.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("cut.bin"), graph).ok());
   fs::resize_file(path("cut.bin"), fs::file_size(path("cut.bin")) / 2);
   EXPECT_EQ(oo::read_csr_mapped_s(path("cut.bin")).status().code(),
             StatusCode::kInvalidArgument);
@@ -117,7 +119,7 @@ TEST_F(OocoreTest, MappedRejectsCorruptFiles) {
   // verification (kIoError) before the structural scan ever runs.
   const auto kFooterSize = static_cast<std::streamoff>(
       cks::footer_bytes(cks::kCsxSections));
-  g::write_csr_binary(path("corrupt.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("corrupt.bin"), graph).ok());
   {
     std::fstream f(path("corrupt.bin"),
                    std::ios::in | std::ios::out | std::ios::binary);
@@ -131,22 +133,24 @@ TEST_F(OocoreTest, MappedRejectsCorruptFiles) {
             std::string::npos)
       << corrupt.status().to_string();
 
-  // Strip the footer to get a legacy (pre-checksum) file: the same
-  // out-of-range neighbour must now be caught by the mapped validation scan
-  // exactly like the heap reader catches it.
-  g::write_csr_binary(path("legacy.bin"), graph);
-  fs::resize_file(path("legacy.bin"),
-                  fs::file_size(path("legacy.bin")) -
-                      static_cast<std::uintmax_t>(kFooterSize));
+  // The same neighbour under a re-sealed footer passes the checksums, so
+  // the structural scan must catch it.
+  std::string image;
   {
-    std::fstream f(path("legacy.bin"),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(-4, std::ios::end);
-    const std::uint32_t bogus = 0xdeadbeef;
-    f.write(reinterpret_cast<const char*>(&bogus), 4);
+    std::ifstream in(path("corrupt.bin"), std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), {});
   }
-  EXPECT_EQ(oo::read_csr_mapped_s(path("legacy.bin")).status().code(),
-            StatusCode::kInvalidArgument);
+  image.resize(image.size() - static_cast<std::size_t>(kFooterSize));
+  {
+    std::ofstream out(path("resealed.bin"), std::ios::binary);
+    const std::string sealed = lotus::testing::seal_csx(image);
+    out.write(sealed.data(), static_cast<std::streamsize>(sealed.size()));
+  }
+  const auto resealed = oo::read_csr_mapped_s(path("resealed.bin"));
+  EXPECT_EQ(resealed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(resealed.status().message().find("neighbour ID out of range"),
+            std::string::npos)
+      << resealed.status().to_string();
 }
 
 // The paper-level acceptance bar of the mmap path: with a memory budget the
@@ -155,7 +159,7 @@ TEST_F(OocoreTest, MappedRejectsCorruptFiles) {
 TEST_F(OocoreTest, CountingCompletesUnderBudgetTheHeapLoadFails) {
   const auto graph = test_graph();
   const std::uint64_t expected = lotus::baselines::brute_force(graph);
-  g::write_csr_binary(path("big.bin"), graph);
+  ASSERT_TRUE(g::write_csr_binary_s(path("big.bin"), graph).ok());
 
   lotus::util::MemoryBudget budget(graph.topology_bytes() / 4);
   lotus::util::ScopedMemoryBudget scoped(&budget);
@@ -179,7 +183,7 @@ TEST_F(OocoreTest, ExternalBuildReproducesInMemoryBuilder) {
   // cannot represent the rmat graph's trailing isolated vertices, so both
   // builders size the result to max_id + 1.
   const auto expected =
-      g::build_undirected(g::read_edge_list_text(path("g.el")));
+      g::build_undirected(g::read_edge_list_text_s(path("g.el")).value());
   oo::ExternalBuildOptions options;
   options.sort_budget_bytes = 1;  // clamped to the 1 MiB floor
   const auto rebuilt = oo::build_undirected_external_s(path("g.el"), options);
@@ -200,7 +204,7 @@ TEST_F(OocoreTest, ExternalBuildCleansDirtyInput) {
   std::ofstream f(path("dirty.el"));
   f << "# dirty\n0 1\n1 0\n2 2\n0 1\n1 2\n0 2\n3 4\n4 3\n4 4\n";
   f.close();
-  const auto expected = g::build_undirected(g::read_edge_list_text(path("dirty.el")));
+  const auto expected = g::build_undirected(g::read_edge_list_text_s(path("dirty.el")).value());
   const auto rebuilt = oo::build_undirected_external_s(path("dirty.el"));
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().to_string();
   EXPECT_EQ(rebuilt.value(), expected);
@@ -239,7 +243,7 @@ TEST_F(OocoreTest, ExternalBuildHonoursTheSortBudget) {
   const auto rebuilt = oo::build_undirected_external_s(path("b.el"), options);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().to_string();
   EXPECT_EQ(rebuilt.value(),
-            g::build_undirected(g::read_edge_list_text(path("b.el"))));
+            g::build_undirected(g::read_edge_list_text_s(path("b.el")).value()));
 }
 
 TEST_F(OocoreTest, ExternalBuildSplitsWideIdRangesIntoRealBuckets) {
@@ -254,7 +258,7 @@ TEST_F(OocoreTest, ExternalBuildSplitsWideIdRangesIntoRealBuckets) {
     el.edges.push_back({i, (i + 1) % kRing});
   for (g::VertexId i = 0; i + 2 < kRing; i += 50000)
     el.edges.push_back({i, i + 2});
-  g::write_edge_list_text(path("ring.el"), el);
+  ASSERT_TRUE(g::write_edge_list_text_s(path("ring.el"), el).ok());
 
   const auto expected = g::build_undirected(el);
   oo::ExternalBuildOptions options;
@@ -274,12 +278,12 @@ TEST_F(OocoreTest, ExternalCsxFileBuildsAMappableArtifact) {
   ASSERT_TRUE(
       oo::build_csx_file_external_s(path("c.el"), path("c.bin"), options).ok());
   const auto expected =
-      g::build_undirected(g::read_edge_list_text(path("c.el")));
+      g::build_undirected(g::read_edge_list_text_s(path("c.el")).value());
   const auto mapped = oo::read_csr_mapped_s(path("c.bin"));
   ASSERT_TRUE(mapped.ok()) << mapped.status().to_string();
   EXPECT_EQ(mapped.value(), expected);
   // The artifact is byte-identical to what the in-memory writer produces.
-  g::write_csr_binary(path("reference.bin"), expected);
+  ASSERT_TRUE(g::write_csr_binary_s(path("reference.bin"), expected).ok());
   EXPECT_EQ(fs::file_size(path("c.bin")), fs::file_size(path("reference.bin")));
 }
 

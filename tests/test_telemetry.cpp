@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -572,18 +573,54 @@ TEST(EngineTelemetry, PrometheusTextCoversInventory) {
             std::string::npos);
 }
 
+TEST(EngineTelemetry, PrometheusFamiliesAreOneGroupEach) {
+  // Three analytic kinds give the labelled families three series each. The
+  // text format allows one group per family: every sample must sit in the
+  // block its own family's # TYPE line opened, and no family is opened
+  // twice.
+  const auto graph = small_graph();
+  tc::Engine engine({.num_drivers = 1});
+  for (const auto kind : {tc::AnalyticKind::kLocalCounts,
+                          tc::AnalyticKind::kClustering,
+                          tc::AnalyticKind::kKTruss}) {
+    tc::QueryOptions options;
+    options.analytic.kind = kind;
+    (void)get_ok<tc::QueryResult>(
+        engine.submit({tc::Algorithm::kForwardMerge, "g", &graph, options}));
+  }
+  const std::string text = engine.prometheus_text();
+  std::set<std::string> opened;
+  std::string family;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# HELP ", 0) == 0) continue;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      family = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_TRUE(opened.insert(family).second) << "second group of " << family;
+      continue;
+    }
+    const std::string name = line.substr(0, line.find_first_of("{ "));
+    EXPECT_TRUE(name == family || name == family + "_bucket" ||
+                name == family + "_sum" || name == family + "_count")
+        << name << " sample inside the " << family << " group";
+  }
+  EXPECT_NE(text.find("lotus_engine_analytic_queries_total{analytic=\"ktruss\"} 1"),
+            std::string::npos);
+}
+
 TEST(EngineTelemetry, MetricTableRowsAreWellFormed) {
-  // Accessors exactly on the scalar rows, a kLabelTotals row only right
-  // after a kStages row, and json_slot numbering the keyed rows
+  // Accessors exactly on the scalar rows, a series on exactly the kStages
+  // and kLabelTotals rows, and json_slot numbering the keyed rows
   // 0..kEngineJsonKeys-1, each slot once.
   std::vector<const char*> by_slot(tc::kEngineJsonKeys, nullptr);
   for (std::size_t i = 0; i < std::size(tc::kEngineMetrics); ++i) {
     const tc::EngineMetric& m = tc::kEngineMetrics[i];
     EXPECT_EQ(m.shape == tc::MetricShape::kScalar, m.value != nullptr) << i;
-    if (m.shape == tc::MetricShape::kLabelTotals) {
-      ASSERT_GT(i, 0u);
-      EXPECT_EQ(tc::kEngineMetrics[i - 1].shape, tc::MetricShape::kStages);
-    }
+    EXPECT_EQ(m.shape == tc::MetricShape::kStages ||
+                  m.shape == tc::MetricShape::kLabelTotals,
+              m.series != nullptr)
+        << i;
     if (m.json_key == nullptr) continue;
     ASSERT_GE(m.json_slot, 0) << m.json_key;
     const auto slot = static_cast<std::size_t>(m.json_slot);
