@@ -1,6 +1,6 @@
 // tc_profile: run one triangle-counting algorithm through tc::query() and
 // dump the complete observability report — span tree, query-scoped counters,
-// hardware events, and scalar metrics — in the versioned "lotus-metrics/7"
+// hardware events, and scalar metrics — in the versioned "lotus-metrics/8"
 // schema (docs/METRICS.md).
 //
 //   tc_profile --algo lotus                        # synthetic Twtr-S, JSON

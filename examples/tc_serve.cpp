@@ -12,7 +12,7 @@
 //   tc_serve --query-log queries.jsonl --stats-interval-s 1
 //
 // Prints per-mode wall time, the warm/cold speedup, and the engine's cache
-// statistics; --metrics-out additionally writes the "lotus-metrics/7"
+// statistics; --metrics-out additionally writes the "lotus-metrics/8"
 // engine + engine_telemetry sections (docs/METRICS.md, docs/API.md),
 // --telemetry-out the Prometheus exposition, --query-log a JSON-lines
 // record of sampled queries, and --stats-interval-s a periodic rolling
@@ -274,8 +274,10 @@ int main(int argc, char** argv) {
                << "ms hits=" << stats.cache_hits
                << " misses=" << stats.cache_misses
                << " deadline_misses=" << stats.deadline_misses << "\n";
-          for (const auto& series : snap.algorithms) {
-            if (series.stage != lotus::obs::QueryStage::kTotal) continue;
+          for (const auto& series : snap.series) {
+            if (series.dimension != lotus::obs::Dimension::kAlgorithm ||
+                series.stage != lotus::obs::QueryStage::kTotal)
+              continue;
             line << "[telemetry]   " << series.label
                  << ": n=" << series.hist.count() << " p50/p95/p99 = "
                  << lotus::util::fixed(series.hist.quantile_s(0.5) * 1e3, 2)

@@ -113,8 +113,8 @@ if [ -n "$TC_SERVE" ]; then
   grep -q 'cache hits' "$TMP/out" || fail "tc_serve: no cache-hit summary"
   grep -q '"engine"' "$TMP/engine.json" ||
     fail "tc_serve: metrics JSON lacks the engine section"
-  grep -q '"schema_version": "lotus-metrics/7"' "$TMP/engine.json" ||
-    fail "tc_serve: metrics JSON is not schema lotus-metrics/7"
+  grep -q '"schema_version": "lotus-metrics/8"' "$TMP/engine.json" ||
+    fail "tc_serve: metrics JSON is not schema lotus-metrics/8"
   grep -q '"engine_telemetry"' "$TMP/engine.json" ||
     fail "tc_serve: metrics JSON lacks the engine_telemetry section"
 

@@ -19,7 +19,9 @@
 #      throwing IO wrappers read_edge_list_text, write_edge_list_text,
 #      write_csr_binary, read_csr_binary, write_lotus_binary,
 #      read_lotus_binary and read_lotus_mapped (their _s forms stay), and
-#      LOTUS_HWC_FORCE_ERROR) — docs/API.md is exempt because it documents
+#      LOTUS_HWC_FORCE_ERROR, the engine-less telemetry sink
+#      QueryOptions::telemetry and the hand-written telemetry_to_json) —
+#      docs/API.md is exempt because it documents
 #      the migration away from them;
 #   5. every out-of-core knob (src/graph/oocore.hpp, LOTUS-KNOB-INVENTORY
 #      block: ExternalBuildOptions and MapVerify) must be documented in
@@ -27,7 +29,8 @@
 #   6. every engine metric in the metric table (src/tc/engine_metrics.hpp,
 #      LOTUS-METRIC-INVENTORY block) must be documented: its Prometheus
 #      family in docs/TELEMETRY.md, its `engine` JSON key in the `engine`
-#      section of docs/METRICS.md;
+#      section of docs/METRICS.md, and its `engine_telemetry` (or `window`)
+#      key in the `engine_telemetry` section of docs/METRICS.md;
 #   7. every checksum-footer field and per-format section name
 #      (src/util/checksum.hpp, LOTUS-FOOTER-INVENTORY block) must be
 #      documented in docs/OUT_OF_CORE.md;
@@ -115,7 +118,9 @@ done
 # TriangleVisitPolicy. The throwing IO wrappers are gone (each format has
 # one decoder, reached through the Status-returning _s functions, so the
 # pattern matches the bare names only), and the LOTUS_HWC_FORCE_ERROR hook
-# is the `hwc` fault site.
+# is the `hwc` fault site. Serving telemetry is recorded by tc::Engine only
+# (QueryOptions::telemetry is gone), and both engine JSON sections render
+# from tc::kEngineMetrics (telemetry_to_json is gone).
 # docs/API.md keeps the migration table and is exempt, as are the
 # changelog/issue worklogs.
 for md in README.md DESIGN.md docs/*.md; do
@@ -123,7 +128,7 @@ for md in README.md DESIGN.md docs/*.md; do
   case "$md" in
     docs/API.md) continue ;;
   esac
-  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|\(^\|[^:]\)and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|TriangleVisitPolicy\|\<read_edge_list_text\>\|\<write_edge_list_text\>\|\<write_csr_binary\>\|\<read_csr_binary\>\|\<write_lotus_binary\>\|\<read_lotus_binary\>\|\<read_lotus_mapped\>\|LOTUS_HWC_FORCE_ERROR' "$md")
+  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|\(^\|[^:]\)and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|TriangleVisitPolicy\|\<read_edge_list_text\>\|\<write_edge_list_text\>\|\<write_csr_binary\>\|\<read_csr_binary\>\|\<write_lotus_binary\>\|\<read_lotus_binary\>\|\<read_lotus_mapped\>\|LOTUS_HWC_FORCE_ERROR\|QueryOptions::telemetry\|telemetry_to_json' "$md")
   if [ -n "$hits" ]; then
     echo "check_docs: $md references a deprecated or removed entry point:" >&2
     echo "$hits" | sed 's/^/  /' >&2
@@ -151,15 +156,18 @@ done
 # --- 6. engine metric table vs docs/TELEMETRY.md and docs/METRICS.md ------
 # tc::kEngineMetrics declares every engine metric between
 # LOTUS-METRIC-INVENTORY markers. Each Prometheus family ("lotus_engine_*")
-# must appear (backtick-quoted) in the telemetry guide. Each `engine` JSON
-# key (the literal right before its json_slot number) must appear
-# (backtick-quoted) in the `engine` section of the metrics guide, which ends
-# where the `engine_telemetry` section begins.
+# must appear (backtick-quoted) in the telemetry guide. Each JSON key (the
+# literal right after its JsonSection) must appear (backtick-quoted) in its
+# section of the metrics guide: `engine` keys in the `engine` section, which
+# ends where the `engine_telemetry` section begins; `engine_telemetry` and
+# `window` keys in the `engine_telemetry` section, which ends where the
+# `spans` section begins.
 metric_table=$(sed -n '/LOTUS-METRIC-INVENTORY-BEGIN/,/LOTUS-METRIC-INVENTORY-END/p' \
                  src/tc/engine_metrics.hpp)
 metric_names=$(echo "$metric_table" | grep -o '"lotus_engine_[a-z0-9_]*"' | tr -d '"')
-engine_keys=$(echo "$metric_table" | grep -o '"[a-z0-9_]*", [0-9][0-9]*,' | sed 's/^"\([a-z0-9_]*\)".*/\1/')
-if [ -z "$metric_names" ] || [ -z "$engine_keys" ]; then
+engine_keys=$(echo "$metric_table" | grep -o 'JsonSection::kEngine, "[a-z0-9_]*"' | sed 's/.*"\([a-z0-9_]*\)"/\1/')
+telemetry_keys=$(echo "$metric_table" | grep -o 'JsonSection::k\(Telemetry\|Window\), "[a-z0-9_]*"' | sed 's/.*"\([a-z0-9_]*\)"/\1/' | sort -u)
+if [ -z "$metric_names" ] || [ -z "$engine_keys" ] || [ -z "$telemetry_keys" ]; then
   echo "check_docs: no metric table found in src/tc/engine_metrics.hpp" >&2
   status=1
 fi
@@ -173,6 +181,13 @@ engine_section=$(sed -n '/^### `engine` /,/^### `engine_telemetry` /p' docs/METR
 for engine_key in $engine_keys; do
   if ! echo "$engine_section" | grep -q "\`$engine_key\`"; then
     echo "check_docs: engine key '$engine_key' (src/tc/engine_metrics.hpp) is not documented in the engine section of docs/METRICS.md" >&2
+    status=1
+  fi
+done
+telemetry_section=$(sed -n '/^### `engine_telemetry` /,/^### `spans` /p' docs/METRICS.md)
+for telemetry_key in $telemetry_keys; do
+  if ! echo "$telemetry_section" | grep -q "\`$telemetry_key\`"; then
+    echo "check_docs: engine_telemetry key '$telemetry_key' (src/tc/engine_metrics.hpp) is not documented in the engine_telemetry section of docs/METRICS.md" >&2
     status=1
   fi
 done

@@ -230,13 +230,17 @@ Expected<CsrGraph> read_csr_binary_s(const std::string& path) {
   const std::shared_ptr<util::MappedFile> file = mapped.take();
   // Checksums are verified on the mapping; the structural scan runs on the
   // heap copy, so bytes rewritten in place after the checksum pass are
-  // still checked, and a file cut during the copy is an io_error.
+  // still checked, and a file cut during the copy is an io_error. The
+  // mapped pages are dropped after the checksum pass and again chunk by
+  // chunk as copy_to_heap_s copies them, so the load peaks near the
+  // artifact's size rather than twice it.
   Expected<CsrGraph> views = oocore::read_csr_mapped_at_s(
       file, 0, file->size(), /*validate=*/false, oocore::MapVerify::kEager);
   if (!views.ok()) return views.status();
+  file->advise(util::MappedFile::Advice::kDontNeed);
   util::ConstArray<std::uint64_t> offsets = views.value().offsets();
   util::ConstArray<VertexId> neighbors = views.value().neighbor_array();
-  Status status = util::copy_to_heap_s(path, offsets, neighbors);
+  Status status = util::copy_to_heap_s(*file, offsets, neighbors);
   if (status.ok()) status = check_csx_body(path, offsets, neighbors);
   if (!status.ok()) return status;
   return CsrGraph(std::move(offsets), std::move(neighbors));

@@ -18,33 +18,14 @@ using graph::VertexId;
 
 LotusGraph LotusGraph::from_parts(VertexId hub_count, TriangularBitArray h2h,
                                   graph::Csr16 he, CsrGraph nhe,
-                                  util::ConstArray<VertexId> new_id,
-                                  bool validate) {
+                                  util::ConstArray<VertexId> new_id) {
   if (he.num_vertices() != nhe.num_vertices() ||
       static_cast<std::size_t>(he.num_vertices()) != new_id.size())
     throw std::invalid_argument("LotusGraph parts disagree on vertex count");
   if (h2h.hub_count() != hub_count)
     throw std::invalid_argument("H2H hub count mismatch");
-  const auto n = he.num_vertices();
-  if (validate) {
-    std::vector<bool> seen(n, false);
-    for (VertexId id : new_id) {
-      if (id >= n || seen[id])
-        throw std::invalid_argument("relabeling array is not a permutation");
-      seen[id] = true;
-    }
-    for (VertexId v = 0; v < n; ++v)
-      for (std::uint16_t h : he.neighbors(v))
-        if (h >= hub_count || static_cast<VertexId>(h) >= v)
-          throw std::invalid_argument("HE entry out of range");
-    for (VertexId v = 0; v < n; ++v)
-      for (VertexId u : nhe.neighbors(v))
-        if (u < hub_count || u >= v)
-          throw std::invalid_argument("NHE entry out of range");
-  }
-
   LotusGraph lg;
-  lg.num_vertices_ = n;
+  lg.num_vertices_ = he.num_vertices();
   lg.hub_count_ = hub_count;
   lg.h2h_ = std::move(h2h);
   lg.he_ = std::move(he);

@@ -39,16 +39,14 @@ class LotusGraph {
   static LotusGraph build(const graph::CsrGraph& graph, const LotusConfig& config = {},
                           obs::PhaseTracer* tracer = nullptr);
 
-  /// Reassemble from previously built parts (deserialization); validates
-  /// structural consistency and throws std::invalid_argument on mismatch.
-  /// Parts may be owned or mmap-backed (see lotus/serialize.hpp). Pass
-  /// `validate = false` only for artifacts this process wrote itself (engine
-  /// spill files): it skips the O(V+E) structural scan so a cold mapped load
-  /// does not have to fault in every page up front.
+  /// Reassemble from previously built parts (deserialization); throws
+  /// std::invalid_argument when the parts disagree on the vertex or hub
+  /// count. It reads no section body: the O(V+E) structural scan is
+  /// core::check_lotus_body (lotus/serialize.hpp), which the readers run
+  /// before assembling. Parts may be owned or mmap-backed.
   static LotusGraph from_parts(graph::VertexId hub_count, TriangularBitArray h2h,
                                graph::Csr16 he, graph::CsrGraph nhe,
-                               util::ConstArray<graph::VertexId> new_id,
-                               bool validate = true);
+                               util::ConstArray<graph::VertexId> new_id);
 
   [[nodiscard]] graph::VertexId num_vertices() const noexcept { return num_vertices_; }
   [[nodiscard]] graph::VertexId hub_count() const noexcept { return hub_count_; }

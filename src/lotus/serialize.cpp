@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "util/checksum.hpp"
 #include "util/file_io.hpp"
@@ -168,21 +169,14 @@ Status check_offsets(const std::string& path,
   return Status::Ok();
 }
 
-/// Assemble the parts; converts from_parts' invalid_argument (and a budget
-/// bad_alloc from validation scratch) into a Status.
+/// Assemble the parts; converts from_parts' invalid_argument into a Status.
 Expected<LotusGraph> assemble(const std::string& path, std::uint64_t hubs,
                               util::ConstArray<std::uint64_t> h2h_words,
                               util::ConstArray<std::uint64_t> he_offsets,
                               util::ConstArray<std::uint16_t> he_neighbors,
                               util::ConstArray<std::uint64_t> nhe_offsets,
                               util::ConstArray<graph::VertexId> nhe_neighbors,
-                              util::ConstArray<graph::VertexId> new_id,
-                              bool validate) {
-  if (validate) {
-    Status status = check_offsets(path, he_offsets, he_neighbors.size());
-    if (status.ok()) status = check_offsets(path, nhe_offsets, nhe_neighbors.size());
-    if (!status.ok()) return status;
-  }
+                              util::ConstArray<graph::VertexId> new_id) {
   try {
     TriangularBitArray h2h(static_cast<graph::VertexId>(hubs),
                            std::move(h2h_words));
@@ -190,7 +184,7 @@ Expected<LotusGraph> assemble(const std::string& path, std::uint64_t hubs,
     graph::CsrGraph nhe(std::move(nhe_offsets), std::move(nhe_neighbors));
     return LotusGraph::from_parts(static_cast<graph::VertexId>(hubs),
                                   std::move(h2h), std::move(he), std::move(nhe),
-                                  std::move(new_id), validate);
+                                  std::move(new_id));
   } catch (...) {
     Status status = util::status_from_current_exception(StatusCode::kInvalidArgument);
     return Status{status.code(), path + ": " + status.message()};
@@ -201,6 +195,45 @@ Expected<LotusGraph> assemble(const std::string& path, std::uint64_t hubs,
 
 std::uint64_t lotus_image_bytes(const LotusGraph& lotus_graph) noexcept {
   return layout_for(header_of(lotus_graph)).image_bytes();
+}
+
+util::Status check_lotus_body(const std::string& path, std::uint64_t hubs,
+                              const util::ConstArray<graph::VertexId>& new_id,
+                              const util::ConstArray<std::uint64_t>& he_offsets,
+                              const util::ConstArray<std::uint16_t>& he_neighbors,
+                              const util::ConstArray<std::uint64_t>& nhe_offsets,
+                              const util::ConstArray<graph::VertexId>& nhe_neighbors) {
+  const std::uint64_t n = new_id.size();
+  if (he_offsets.size() != n + 1 || nhe_offsets.size() != n + 1)
+    return bad_data(path, "section sizes disagree on vertex count");
+  std::vector<std::uint64_t> seen;  // one bit per vertex
+  try {
+    seen.resize((n + 63) / 64);
+  } catch (...) {
+    return util::status_from_current_exception(StatusCode::kOutOfMemory);
+  }
+  // The scan reads every body page, so a file cut under a mapping must end
+  // it with kIoError; the guarded body owns nothing that must unwind.
+  return util::with_mapped_fault_guard(path, [&]() -> Status {
+    Status status = check_offsets(path, he_offsets, he_neighbors.size());
+    if (status.ok()) status = check_offsets(path, nhe_offsets, nhe_neighbors.size());
+    if (!status.ok()) return status;
+    for (const graph::VertexId id : new_id) {
+      const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+      if (id >= n || (seen[id >> 6] & bit) != 0)
+        return bad_data(path, "relabeling array is not a permutation");
+      seen[id >> 6] |= bit;
+    }
+    for (std::uint64_t v = 0; v < n; ++v)
+      for (std::uint64_t i = he_offsets[v]; i < he_offsets[v + 1]; ++i)
+        if (he_neighbors[i] >= hubs || he_neighbors[i] >= v)
+          return bad_data(path, "HE entry out of range");
+    for (std::uint64_t v = 0; v < n; ++v)
+      for (std::uint64_t i = nhe_offsets[v]; i < nhe_offsets[v + 1]; ++i)
+        if (nhe_neighbors[i] < hubs || nhe_neighbors[i] >= v)
+          return bad_data(path, "NHE entry out of range");
+    return Status::Ok();
+  });
 }
 
 util::Status write_lotus_v2_stream_s(std::FILE* out, const std::string& tmp,
@@ -284,13 +317,21 @@ util::Expected<LotusGraph> read_lotus_v2_mapped_at_s(
   file->advise(Advice::kSequential, at(kNewId), l.at[kH2h] - l.at[kNewId]);
   file->advise(Advice::kWillNeed, at(kH2h), l.at[kHeOffsets] - l.at[kH2h]);
 
+  auto new_id = util::mapped_view<graph::VertexId>(file, at(kNewId), h.n);
+  auto he_offsets = util::mapped_view<std::uint64_t>(file, at(kHeOffsets), h.n + 1);
+  auto he_neighbors = util::mapped_view<std::uint16_t>(file, at(kHeNeighbors), h.he_edges);
+  auto nhe_offsets = util::mapped_view<std::uint64_t>(file, at(kNheOffsets), h.n + 1);
+  auto nhe_neighbors =
+      util::mapped_view<graph::VertexId>(file, at(kNheNeighbors), h.nhe_edges);
+  if (validate) {
+    const Status status = check_lotus_body(path, h.hubs, new_id, he_offsets,
+                                           he_neighbors, nhe_offsets, nhe_neighbors);
+    if (!status.ok()) return status;
+  }
   return assemble(
       path, h.hubs, util::mapped_view<std::uint64_t>(file, at(kH2h), h.h2h_words),
-      util::mapped_view<std::uint64_t>(file, at(kHeOffsets), h.n + 1),
-      util::mapped_view<std::uint16_t>(file, at(kHeNeighbors), h.he_edges),
-      util::mapped_view<std::uint64_t>(file, at(kNheOffsets), h.n + 1),
-      util::mapped_view<graph::VertexId>(file, at(kNheNeighbors), h.nhe_edges),
-      util::mapped_view<graph::VertexId>(file, at(kNewId), h.n), validate);
+      std::move(he_offsets), std::move(he_neighbors), std::move(nhe_offsets),
+      std::move(nhe_neighbors), std::move(new_id));
 }
 
 util::Expected<LotusGraph> read_lotus_mapped_s(const std::string& path,
@@ -307,10 +348,13 @@ util::Expected<LotusGraph> read_lotus_binary_s(const std::string& path) {
   if (!mapped.ok()) return mapped.status();
   const std::shared_ptr<util::MappedFile> file = mapped.take();
   // Checksums are verified on the mapping, the structural scan on the heap
-  // copies (see graph::read_csr_binary_s).
+  // copies (see graph::read_csr_binary_s). The mapped pages are dropped
+  // after the checksum pass and again chunk by chunk as copy_to_heap_s
+  // copies them, so the load peaks near the artifact's size, not twice it.
   Expected<LotusGraph> views = read_lotus_v2_mapped_at_s(
       file, 0, file->size(), /*validate=*/false, graph::oocore::MapVerify::kEager);
   if (!views.ok()) return views.status();
+  file->advise(util::MappedFile::Advice::kDontNeed);
   const LotusGraph& lg = views.value();
   util::ConstArray<graph::VertexId> new_id = lg.relabeling();
   util::ConstArray<std::uint64_t> h2h_words = lg.h2h().words();
@@ -318,14 +362,17 @@ util::Expected<LotusGraph> read_lotus_binary_s(const std::string& path) {
   util::ConstArray<std::uint16_t> he_neighbors = lg.he().neighbor_array();
   util::ConstArray<std::uint64_t> nhe_offsets = lg.nhe().offsets();
   util::ConstArray<graph::VertexId> nhe_neighbors = lg.nhe().neighbor_array();
-  const Status status =
-      util::copy_to_heap_s(path, new_id, h2h_words, he_offsets, he_neighbors,
+  Status status =
+      util::copy_to_heap_s(*file, new_id, h2h_words, he_offsets, he_neighbors,
                            nhe_offsets, nhe_neighbors);
+  if (status.ok())
+    status = check_lotus_body(path, lg.hub_count(), new_id, he_offsets,
+                              he_neighbors, nhe_offsets, nhe_neighbors);
   if (!status.ok()) return status;
   return assemble(path, lg.hub_count(), std::move(h2h_words),
                   std::move(he_offsets), std::move(he_neighbors),
                   std::move(nhe_offsets), std::move(nhe_neighbors),
-                  std::move(new_id), /*validate=*/true);
+                  std::move(new_id));
 }
 
 }  // namespace lotus::core

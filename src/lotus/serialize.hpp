@@ -47,9 +47,10 @@ namespace lotus::core {
 /// (ascending relabeled-vertex order — the order the squared edge tiling
 /// visits), the H2H words get MADV_WILLNEED (small, randomly probed).
 ///
-/// `validate` controls the O(V+E) structural scan; pass false only for
-/// artifacts this process wrote itself (engine spill files), where skipping
-/// it keeps the cold load from faulting in every page. Header consistency
+/// `validate` controls the O(V+E) structural scan (check_lotus_body, run
+/// under the SIGBUS guard); pass false only for artifacts this process wrote
+/// itself (engine spill files), where skipping it keeps the cold load from
+/// faulting in every page. Header consistency
 /// (sizes, offsets monotonicity bounds) is always checked. `verify` controls
 /// checksum-footer verification of the mapped sections (kEager runs it under
 /// the SIGBUS guard). The footer itself is required either way: an image
@@ -70,6 +71,21 @@ namespace lotus::core {
 /// Byte length of the image write_lotus_v2_stream_s writes for `lotus_graph`.
 [[nodiscard]] std::uint64_t lotus_image_bytes(
     const LotusGraph& lotus_graph) noexcept;
+
+/// Structural scan of an artifact's sections: each offsets array has n + 1
+/// entries, starts at 0, never decreases and ends at its edge count; the
+/// relabeling (n entries) is a permutation; every HE entry is a hub below its
+/// vertex and every NHE entry a non-hub below its vertex. The scan runs under
+/// util::with_mapped_fault_guard (its scratch is allocated first), so over a
+/// mapping whose file was cut it returns io_error instead of crashing.
+/// Errors: invalid_argument naming `path`; out_of_memory for the scratch.
+[[nodiscard]] util::Status check_lotus_body(
+    const std::string& path, std::uint64_t hubs,
+    const util::ConstArray<graph::VertexId>& new_id,
+    const util::ConstArray<std::uint64_t>& he_offsets,
+    const util::ConstArray<std::uint16_t>& he_neighbors,
+    const util::ConstArray<std::uint64_t>& nhe_offsets,
+    const util::ConstArray<graph::VertexId>& nhe_neighbors);
 
 /// Zero-copy LotusGraph over an image spanning [base, base + size) inside
 /// an existing mapping; `base` must be 8-aligned. read_lotus_mapped_s is

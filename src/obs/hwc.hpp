@@ -40,7 +40,7 @@
 namespace lotus::obs {
 
 /// The fixed event vocabulary every provider reports. Names are part of the
-/// exported schema (docs/METRICS.md, "lotus-metrics/7" hw section).
+/// exported schema (docs/METRICS.md, "lotus-metrics/8" hw section).
 enum class Event : unsigned {
   kCycles = 0,         // CPU cycles (unhalted, user space)
   kInstructions,       // retired instructions

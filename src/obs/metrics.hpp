@@ -9,7 +9,7 @@
 // (cache hit/miss/eviction counters and queue/preprocess/count timings),
 // plus — for the engine aggregate export only — `engine_telemetry` (latency
 // histogram quantiles and rolling-window stats from obs/telemetry.hpp) —
-// and exports them as JSON (schema "lotus-metrics/7", specified in
+// and exports them as JSON (schema "lotus-metrics/8", specified in
 // docs/METRICS.md) or flat CSV. Every bench and the tc_profile example emit
 // their numbers through this type, so reports are comparable across
 // algorithms and PRs.
@@ -37,7 +37,7 @@ namespace lotus::obs {
 
 /// Version tag stamped into every export; bump when the layout or the
 /// counter names change (docs/METRICS.md is the changelog).
-inline constexpr const char* kMetricsSchemaVersion = "lotus-metrics/7";
+inline constexpr const char* kMetricsSchemaVersion = "lotus-metrics/8";
 
 /// One graceful-degradation event: at `site` the run switched to a cheaper
 /// `action` because of `reason` (e.g. the memory budget or an injected

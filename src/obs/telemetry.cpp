@@ -148,6 +148,18 @@ const char* cache_outcome_name(CacheOutcome outcome) noexcept {
   return "unknown";
 }
 
+const char* dimension_name(Dimension dimension) noexcept {
+  switch (dimension) {
+    case Dimension::kAlgorithm:
+      return "algorithm";
+    case Dimension::kOutcome:
+      return "outcome";
+    case Dimension::kAnalytic:
+      return "analytic";
+  }
+  return "unknown";
+}
+
 // ---------------------------------------------------------------------------
 // RollingWindow
 // ---------------------------------------------------------------------------
@@ -203,14 +215,19 @@ Telemetry::Telemetry(TelemetryOptions options,
                      std::vector<std::string> algorithm_labels,
                      std::vector<std::string> analytic_labels)
     : options_(std::move(options)),
-      labels_(std::move(algorithm_labels)),
-      analytic_labels_(std::move(analytic_labels)),
-      cells_(options_.enabled
-                 ? static_cast<std::size_t>(kShards) * series_count() *
-                       kCellsPerSeries
-                 : 0),
+      dims_{DimensionLayout{std::move(algorithm_labels)}, DimensionLayout{},
+            DimensionLayout{std::move(analytic_labels)}},
       window_(options_.window_s) {
+  for (std::size_t o = 0; o < kNumCacheOutcomes; ++o)
+    dims_[static_cast<std::size_t>(Dimension::kOutcome)].labels.emplace_back(
+        cache_outcome_name(static_cast<CacheOutcome>(o)));
+  for (DimensionLayout& dim : dims_) {
+    dim.first_series = aggregate_series_;
+    aggregate_series_ += (dim.labels.size() + 1) * kNumQueryStages;
+  }
   if (!options_.enabled) return;
+  cells_ = std::vector<std::atomic<std::uint64_t>>(
+      static_cast<std::size_t>(kShards) * series_count() * kCellsPerSeries);
   // Seed the window with a zero baseline at t=0 so the first real slot has
   // something to delta against.
   window_.advance(0.0, 0, LatencyHistogram{});
@@ -240,26 +257,22 @@ std::uint64_t Telemetry::record(const QuerySample& sample) {
   const std::uint64_t id =
       recorded_.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::size_t shard = this_thread_shard();
-  // Out-of-range indices route to the reserved "unknown" row at
-  // labels_.size() instead of silently riding on the last real label.
-  const std::size_t algorithm = std::min(sample.algorithm, labels_.size());
-
   const std::uint64_t by_stage[kNumQueryStages] = {
       sample.queue_ns, sample.prepare_ns, sample.count_ns, sample.total_ns};
-  for (std::size_t s = 0; s < kNumQueryStages; ++s) {
-    const auto stage = static_cast<QueryStage>(s);
-    bump(shard, algo_series(algorithm, stage), by_stage[s]);
-    bump(shard, outcome_series(sample.outcome, stage), by_stage[s]);
-    if (num_analytic_rows() != 0) {
-      const std::size_t analytic =
-          std::min(sample.analytic, analytic_labels_.size());
-      bump(shard, analytic_series(analytic, stage), by_stage[s]);
-    }
+  const std::size_t index[kNumDimensions] = {
+      sample.algorithm, static_cast<std::size_t>(sample.outcome),
+      sample.analytic};
+  for (std::size_t d = 0; d < kNumDimensions; ++d) {
+    // Out-of-range indices route to the reserved "unknown" row instead of
+    // silently riding on the last real label.
+    const DimensionLayout& dim = dims_[d];
+    const std::size_t first = dim.first_series +
+                              std::min(index[d], dim.labels.size()) *
+                                  kNumQueryStages;
+    for (std::size_t s = 0; s < kNumQueryStages; ++s)
+      bump(shard, first + s, by_stage[s]);
   }
-  bump(shard, aggregate_series(), sample.total_ns);
-
-  if (sample.deadline_missed)
-    deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+  bump(shard, aggregate_series_, sample.total_ns);
 
   // Lazy window rotation. window_ is only ever touched under window_mutex_;
   // the steady-state check reads the cached next-rotation timestamp
@@ -271,7 +284,7 @@ std::uint64_t Telemetry::record(const QuerySample& sample) {
     if (lock.owns_lock()) {
       if (window_.due(now_s)) {
         window_.advance(now_s, recorded_.load(std::memory_order_relaxed),
-                        merge_series(aggregate_series()));
+                        merge_series(aggregate_series_));
       }
       next_rotation_s_.store(window_.next_due_s(), std::memory_order_relaxed);
     }
@@ -308,37 +321,19 @@ TelemetrySnapshot Telemetry::snapshot() const {
   if (!options_.enabled) return out;
 
   // Every label row plus the trailing reserved "unknown" row (which only
-  // surfaces if an out-of-range algorithm index was ever recorded).
-  for (std::size_t a = 0; a < num_algo_rows(); ++a) {
-    for (std::size_t s = 0; s < kNumQueryStages; ++s) {
-      const auto stage = static_cast<QueryStage>(s);
-      LatencyHistogram hist = merge_series(algo_series(a, stage));
-      if (hist.empty()) continue;
-      out.algorithms.push_back(SeriesSnapshot{
-          a < labels_.size() ? labels_[a] : std::string("unknown"), stage,
-          hist});
-    }
-  }
-  for (std::size_t o = 0; o < kNumCacheOutcomes; ++o) {
-    const auto outcome = static_cast<CacheOutcome>(o);
-    for (std::size_t s = 0; s < kNumQueryStages; ++s) {
-      const auto stage = static_cast<QueryStage>(s);
-      LatencyHistogram hist = merge_series(outcome_series(outcome, stage));
-      if (hist.empty()) continue;
-      out.outcomes.push_back(
-          SeriesSnapshot{cache_outcome_name(outcome), stage, hist});
-    }
-  }
-
-  for (std::size_t a = 0; a < num_analytic_rows(); ++a) {
-    for (std::size_t s = 0; s < kNumQueryStages; ++s) {
-      const auto stage = static_cast<QueryStage>(s);
-      LatencyHistogram hist = merge_series(analytic_series(a, stage));
-      if (hist.empty()) continue;
-      out.analytics.push_back(SeriesSnapshot{
-          a < analytic_labels_.size() ? analytic_labels_[a]
-                                      : std::string("unknown"),
-          stage, hist});
+  // surfaces if an out-of-range index was ever recorded).
+  for (std::size_t d = 0; d < kNumDimensions; ++d) {
+    const DimensionLayout& dim = dims_[d];
+    for (std::size_t row = 0; row <= dim.labels.size(); ++row) {
+      for (std::size_t s = 0; s < kNumQueryStages; ++s) {
+        LatencyHistogram hist =
+            merge_series(dim.first_series + row * kNumQueryStages + s);
+        if (hist.empty()) continue;
+        out.series.push_back(SeriesSnapshot{
+            static_cast<Dimension>(d),
+            row < dim.labels.size() ? dim.labels[row] : std::string("unknown"),
+            static_cast<QueryStage>(s), std::move(hist)});
+      }
     }
   }
 
@@ -349,13 +344,12 @@ TelemetrySnapshot Telemetry::snapshot() const {
   // too, not just x86 TSO (cross-bin skew between series remains possible
   // and is documented).
   out.queries_recorded = recorded_.load(std::memory_order_relaxed);
-  out.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
   out.query_log_lines = log_lines_.load(std::memory_order_relaxed);
   out.query_log_failures = log_failures_.load(std::memory_order_relaxed);
 
   const double now_s = clock_.elapsed_s();
   out.uptime_s = now_s;
-  const LatencyHistogram cumulative = merge_series(aggregate_series());
+  const LatencyHistogram cumulative = merge_series(aggregate_series_);
   {
     std::lock_guard<std::mutex> lock(window_mutex_);
     const_cast<RollingWindow&>(window_).advance(now_s, out.queries_recorded,
@@ -371,8 +365,10 @@ void Telemetry::log_event(std::string_view kind, std::string_view detail) {
   JsonValue line;
   line.set("event", std::string(kind));
   line.set("detail", std::string(detail));
-  const std::string text = line.dump(-1);
+  append_log_line(line.dump(-1));
+}
 
+void Telemetry::append_log_line(const std::string& text) {
   std::lock_guard<std::mutex> lock(log_mutex_);
   log_ << text << '\n';
   log_.flush();
@@ -387,13 +383,13 @@ void Telemetry::log_event(std::string_view kind, std::string_view detail) {
 void Telemetry::write_log_line(std::uint64_t id, const QuerySample& sample) {
   JsonValue line;
   line.set("query_id", id);
-  line.set("algorithm", sample.algorithm < labels_.size()
-                            ? labels_[sample.algorithm]
-                            : std::string("unknown"));
-  if (!analytic_labels_.empty())
-    line.set("analytic", sample.analytic < analytic_labels_.size()
-                             ? analytic_labels_[sample.analytic]
-                             : std::string("unknown"));
+  const auto label = [this](Dimension d, std::size_t index) {
+    const std::vector<std::string>& labels =
+        dims_[static_cast<std::size_t>(d)].labels;
+    return index < labels.size() ? labels[index] : std::string("unknown");
+  };
+  line.set("algorithm", label(Dimension::kAlgorithm, sample.algorithm));
+  line.set("analytic", label(Dimension::kAnalytic, sample.analytic));
   line.set("graph_key", std::string(sample.graph_key));
   line.set("threads", static_cast<std::uint64_t>(sample.threads));
   line.set("cache_outcome", std::string(cache_outcome_name(sample.outcome)));
@@ -403,17 +399,7 @@ void Telemetry::write_log_line(std::uint64_t id, const QuerySample& sample) {
   line.set("prepare_s", static_cast<double>(sample.prepare_ns) * 1e-9);
   line.set("count_s", static_cast<double>(sample.count_ns) * 1e-9);
   line.set("total_s", static_cast<double>(sample.total_ns) * 1e-9);
-  const std::string text = line.dump(-1);
-
-  std::lock_guard<std::mutex> lock(log_mutex_);
-  log_ << text << '\n';
-  log_.flush();
-  if (log_.good()) {
-    log_lines_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    log_failures_.fetch_add(1, std::memory_order_relaxed);
-    log_.clear();
-  }
+  append_log_line(line.dump(-1));
 }
 
 // ---------------------------------------------------------------------------

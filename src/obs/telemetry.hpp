@@ -16,10 +16,10 @@
 //     mergeable: bin-wise add/subtract is exact, which makes per-thread
 //     shards and rolling-window deltas trivial.
 //   * Recording is lock-free: each recording thread owns a shard of plain
-//     atomic bins; one record() is a handful of bit operations plus ~18
-//     release fetch_adds (plain lock-prefixed adds on x86), no mutex, no
-//     allocation. Shards are merged only on read (snapshot/export), which
-//     is off the serving path.
+//     atomic bins; one record() is a handful of bit operations plus 26
+//     release fetch_adds (two per series, 13 series; plain lock-prefixed
+//     adds on x86), no mutex, no allocation. Shards are merged only on read
+//     (snapshot/export), which is off the serving path.
 //   * The query log is sampled (TelemetryOptions::query_log_sample) so its
 //     cost is bounded and under the operator's control; histograms are
 //     always on. The bench `telemetry` scenario regression-gates the
@@ -142,6 +142,13 @@ enum class CacheOutcome : unsigned { kUncached = 0, kHit, kMiss, kRemap, kHeal }
 inline constexpr std::size_t kNumCacheOutcomes = 5;
 [[nodiscard]] const char* cache_outcome_name(CacheOutcome outcome) noexcept;
 
+/// The label families every query is recorded under, one histogram series
+/// per (label, stage) each. Names are part of the exported schema (the
+/// Prometheus label names, the `series` field of `engine_telemetry` rows).
+enum class Dimension : unsigned { kAlgorithm = 0, kOutcome, kAnalytic };
+inline constexpr std::size_t kNumDimensions = 3;
+[[nodiscard]] const char* dimension_name(Dimension dimension) noexcept;
+
 // ---------------------------------------------------------------------------
 // Rolling window
 // ---------------------------------------------------------------------------
@@ -221,13 +228,10 @@ struct TelemetryOptions {
 /// Everything one completed query reports. Timings are per stage; `total`
 /// is end-to-end (queue + prepare + count, as measured by the caller).
 struct QuerySample {
-  /// Index into the label table; out-of-range values (including anything
-  /// when the table is empty) land in a reserved "unknown" series.
+  /// Indices into the algorithm and analytic label tables; out-of-range
+  /// values (including anything when a table is empty) land in that
+  /// dimension's reserved "unknown" series.
   std::size_t algorithm = 0;
-  /// Index into the analytic label table (the third constructor argument) —
-  /// tc sets this from AnalyticKind. Ignored entirely when no analytic
-  /// labels were configured; out-of-range values land in a reserved
-  /// "unknown" analytic series.
   std::size_t analytic = 0;
   CacheOutcome outcome = CacheOutcome::kUncached;
   std::string_view graph_key;
@@ -242,7 +246,8 @@ struct QuerySample {
 
 /// One merged histogram series in a snapshot.
 struct SeriesSnapshot {
-  std::string label;  // algorithm name or cache-outcome name
+  Dimension dimension = Dimension::kAlgorithm;
+  std::string label;  // a label of `dimension`, or "unknown"
   QueryStage stage = QueryStage::kTotal;
   LatencyHistogram hist;
 };
@@ -251,15 +256,12 @@ struct SeriesSnapshot {
 struct TelemetrySnapshot {
   bool enabled = false;
   std::uint64_t queries_recorded = 0;
-  std::uint64_t deadline_misses = 0;
   std::uint64_t query_log_lines = 0;
   std::uint64_t query_log_failures = 0;
   double uptime_s = 0.0;
-  std::vector<SeriesSnapshot> algorithms;  // non-empty series only
-  std::vector<SeriesSnapshot> outcomes;    // non-empty series only
-  std::vector<SeriesSnapshot> analytics;   // non-empty series only (empty
-                                           // unless analytic labels were
-                                           // configured)
+  /// Non-empty series only, grouped by dimension in Dimension order, then
+  /// by label row and stage.
+  std::vector<SeriesSnapshot> series;
   RollingWindow::Stats window;
   double window_span_s = 0.0;  // configured span
 };
@@ -269,32 +271,19 @@ class Telemetry {
   static constexpr unsigned kShards = 8;
 
   /// `algorithm_labels[i]` names QuerySample::algorithm == i in every
-  /// export, and `analytic_labels[i]` likewise names QuerySample::analytic.
-  /// Both tables are frozen at construction (fixed series layout). An empty
-  /// analytic table (the default, preserving the historical two-argument
-  /// shape) allocates no analytic series at all — QuerySample::analytic is
-  /// then ignored.
+  /// export, and `analytic_labels[i]` likewise names QuerySample::analytic;
+  /// the outcome dimension is labelled by cache_outcome_name(). The tables
+  /// are frozen at construction (fixed series layout).
   Telemetry(TelemetryOptions options, std::vector<std::string> algorithm_labels,
-            std::vector<std::string> analytic_labels = {});
+            std::vector<std::string> analytic_labels);
 
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept { return options_.enabled; }
-  [[nodiscard]] const TelemetryOptions& options() const noexcept {
-    return options_;
-  }
-  [[nodiscard]] const std::vector<std::string>& algorithm_labels() const noexcept {
-    return labels_;
-  }
-  [[nodiscard]] const std::vector<std::string>& analytic_labels() const noexcept {
-    return analytic_labels_;
-  }
-
-  /// Record one completed query: histogram increments (lock-free), the
-  /// deadline-miss counter, a lazy rolling-window rotation, and — when the
-  /// query id hits the sampling stride — one query-log line. Returns the
-  /// assigned monotonic query id (1-based; 0 when disabled).
+  /// Record one completed query: histogram increments (lock-free), a lazy
+  /// rolling-window rotation, and — when the query id hits the sampling
+  /// stride — one query-log line. Returns the assigned monotonic query id
+  /// (1-based; 0 when disabled).
   std::uint64_t record(const QuerySample& sample);
 
   /// Append an out-of-band operational event ({"event": kind, ...detail})
@@ -306,62 +295,34 @@ class Telemetry {
   /// Merge every shard into a consistent read-side view.
   [[nodiscard]] TelemetrySnapshot snapshot() const;
 
-  /// Seconds since construction (the monotonic clock every window timestamp
-  /// is expressed in).
-  [[nodiscard]] double uptime_s() const { return clock_.elapsed_s(); }
-
  private:
   static constexpr std::size_t kCellsPerSeries =
       LatencyHistogram::kBuckets + 1;  // bins + sum_ns
 
-  /// Algorithm rows: one per label plus a trailing reserved "unknown" row
-  /// for out-of-range QuerySample::algorithm indices. The extra row also
-  /// keeps the algorithm family disjoint from the outcome family when the
-  /// label table is empty.
-  [[nodiscard]] std::size_t num_algo_rows() const noexcept {
-    return labels_.size() + 1;
-  }
-  [[nodiscard]] std::size_t algo_series(std::size_t algorithm,
-                                        QueryStage stage) const noexcept {
-    return algorithm * kNumQueryStages + static_cast<std::size_t>(stage);
-  }
-  [[nodiscard]] std::size_t outcome_series(CacheOutcome outcome,
-                                           QueryStage stage) const noexcept {
-    return num_algo_rows() * kNumQueryStages +
-           static_cast<std::size_t>(outcome) * kNumQueryStages +
-           static_cast<std::size_t>(stage);
-  }
-  /// Analytic rows: one per label plus a reserved "unknown" row — but only
-  /// when an analytic table was configured at all. Zero rows keeps the
-  /// historical two-argument construction byte-identical in layout.
-  [[nodiscard]] std::size_t num_analytic_rows() const noexcept {
-    return analytic_labels_.empty() ? 0 : analytic_labels_.size() + 1;
-  }
-  [[nodiscard]] std::size_t analytic_series(std::size_t analytic,
-                                            QueryStage stage) const noexcept {
-    return (num_algo_rows() + kNumCacheOutcomes + analytic) * kNumQueryStages +
-           static_cast<std::size_t>(stage);
-  }
-  /// Aggregate end-to-end series feeding the rolling window.
-  [[nodiscard]] std::size_t aggregate_series() const noexcept {
-    return (num_algo_rows() + kNumCacheOutcomes + num_analytic_rows()) *
-           kNumQueryStages;
-  }
+  /// One dimension's series: a row per label plus a trailing reserved
+  /// "unknown" row for out-of-range indices, kNumQueryStages series per row,
+  /// numbered from `first_series`. The end-to-end aggregate feeding the
+  /// rolling window is the one series after the last dimension.
+  struct DimensionLayout {
+    std::vector<std::string> labels;
+    std::size_t first_series = 0;
+  };
   [[nodiscard]] std::size_t series_count() const noexcept {
-    return aggregate_series() + 1;
+    return aggregate_series_ + 1;
   }
 
   void bump(std::size_t shard, std::size_t series, std::uint64_t ns) noexcept;
   [[nodiscard]] LatencyHistogram merge_series(std::size_t series) const;
   void write_log_line(std::uint64_t id, const QuerySample& sample);
+  /// One line to the log under log_mutex_, counted as written or failed.
+  void append_log_line(const std::string& text);
 
   TelemetryOptions options_;
-  std::vector<std::string> labels_;
-  std::vector<std::string> analytic_labels_;
+  std::array<DimensionLayout, kNumDimensions> dims_;  // Dimension order
+  std::size_t aggregate_series_ = 0;
   std::vector<std::atomic<std::uint64_t>> cells_;  // [shard][series][cell]
 
   std::atomic<std::uint64_t> recorded_{0};
-  std::atomic<std::uint64_t> deadline_misses_{0};
 
   util::Timer clock_;
   mutable std::mutex window_mutex_;

@@ -7,13 +7,11 @@
 #include "lotus/adaptive.hpp"
 #include "parallel/exec_context.hpp"
 #include "parallel/thread_pool.hpp"
-#include "obs/telemetry.hpp"
 #include "simcache/machines.hpp"
 #include "simcache/sim_events.hpp"
 #include "tc/instrumented.hpp"
 #include "tc/prepared.hpp"
 #include "util/memory_budget.hpp"
-#include "util/timer.hpp"
 
 namespace lotus::tc {
 
@@ -267,30 +265,6 @@ Algorithm resolve_adaptive(Algorithm algorithm, const graph::CsrGraph& graph) {
                                        : Algorithm::kForwardMerge;
 }
 
-void record_query(obs::Telemetry& sink, Algorithm algorithm,
-                  AnalyticKind analytic, const QueryResult& result,
-                  obs::CacheOutcome outcome, std::string_view graph_key,
-                  double queue_s, double total_s) {
-  const auto to_ns = [](double seconds) {
-    return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9)
-                         : std::uint64_t{0};
-  };
-  // The *requested* algorithm labels the series: a budget fallback shows up
-  // in the requested algorithm's latency, not as phantom gap-forward traffic.
-  sink.record({.algorithm = static_cast<std::size_t>(algorithm),
-               .analytic = static_cast<std::size_t>(analytic),
-               .outcome = outcome,
-               .graph_key = graph_key,
-               .status = util::status_code_name(result.status.code()),
-               .threads = result.threads,
-               .deadline_missed = result.status.code() ==
-                                  util::StatusCode::kDeadlineExceeded,
-               .queue_ns = to_ns(queue_s),
-               .prepare_ns = to_ns(result.result.preprocess_s),
-               .count_ns = to_ns(result.result.count_s),
-               .total_ns = to_ns(total_s)});
-}
-
 QueryResult execute_query(Algorithm algorithm, Algorithm runs_as,
                           const graph::CsrGraph& graph,
                           const QueryOptions& options,
@@ -446,16 +420,9 @@ util::Expected<QueryResult> query(Algorithm algorithm,
   if (util::Status admission = validate(algorithm, options);
       !admission.ok())
     return admission;
-  util::Timer timer;
-  QueryResult out = detail::execute_query(
+  return detail::execute_query(
       algorithm, detail::resolve_adaptive(algorithm, graph), graph, options,
       nullptr);
-  if (options.telemetry == nullptr || !options.telemetry->enabled())
-    return out;
-  detail::record_query(*options.telemetry, algorithm, options.analytic.kind,
-                       out, obs::CacheOutcome::kUncached, {}, 0.0,
-                       timer.elapsed_s());
-  return out;
 }
 
 obs::MetricsRegistry ProfileReport::metrics() const {

@@ -59,11 +59,6 @@
 #include "util/cancel.hpp"
 #include "util/status.hpp"
 
-namespace lotus::obs {  // obs/telemetry.hpp
-class Telemetry;
-enum class CacheOutcome : unsigned;
-}  // namespace lotus::obs
-
 namespace lotus::tc {
 
 enum class Algorithm {
@@ -255,15 +250,6 @@ struct QueryOptions {
   /// hardware events and scheduler timeline) into QueryResult::profile.
   bool profile = false;
 
-  /// Optional serving-telemetry sink (docs/TELEMETRY.md) for engine-less
-  /// queries: when non-null, query() records one sample — algorithm, status,
-  /// deadline-miss flag, per-stage timings, cache outcome "uncached" — into
-  /// it. Construct the sink with tc::algorithm_labels() so the algorithm
-  /// indices resolve. Must outlive the call; nullptr (default) = no
-  /// recording. Engine-served queries ignore this and record into the
-  /// engine's own telemetry.
-  obs::Telemetry* telemetry = nullptr;
-
   // --- knobs below apply only when profile == true ---
 
   /// Requested hardware-event source. kHardware degrades to kSimulated
@@ -283,7 +269,7 @@ struct QueryOptions {
 /// Everything one profiled run produced: the RunResult plus the span tree,
 /// the counter snapshot, hardware-event totals, and (optionally) the
 /// scheduler timeline taken over exactly this run. Exported via metrics() /
-/// to_json() in the versioned "lotus-metrics/7" schema (docs/METRICS.md).
+/// to_json() in the versioned "lotus-metrics/8" schema (docs/METRICS.md).
 ///
 /// Counter provenance: reports carry the query-scoped CounterDomain totals
 /// (threads breakdown empty — per-thread rows are a property of the
@@ -398,9 +384,8 @@ util::Expected<QueryResult> query(Algorithm algorithm,
 /// All analytic kinds in declaration (display) order, kTriangles first.
 [[nodiscard]] std::vector<AnalyticKind> all_analytics();
 /// kAnalyticNames as a vector, indexed by static_cast<size_t>(AnalyticKind)
-/// — the label table for the telemetry layer's per-analytic series (used by
-/// tc::Engine internally; pass it as the third obs::Telemetry constructor
-/// argument for a standalone sink).
+/// — the label table of the telemetry layer's analytic dimension (tc::Engine
+/// passes it to its obs::Telemetry).
 [[nodiscard]] std::vector<std::string> analytic_labels();
 
 /// Stable CLI/schema name of an algorithm ("lotus", "gap-forward", ...).
@@ -413,9 +398,8 @@ util::Expected<QueryResult> query(Algorithm algorithm,
 [[nodiscard]] std::vector<Algorithm> all_algorithms();
 
 /// Stable name() labels indexed by static_cast<size_t>(Algorithm) — the
-/// label table an obs::Telemetry needs so its per-algorithm series resolve
-/// (used by tc::Engine internally; pass it when constructing a standalone
-/// sink for QueryOptions::telemetry).
+/// label table of the telemetry layer's algorithm dimension (tc::Engine
+/// passes it to its obs::Telemetry).
 [[nodiscard]] std::vector<std::string> algorithm_labels();
 
 /// The comparator set of Tables 5/6: BBTC, GraphGrind, GAP, GBBS, Lotus.
@@ -429,14 +413,6 @@ namespace detail {
 /// Every other algorithm maps to itself. query(), query_prepared() and the
 /// Engine resolve once, before looking up the artifact kind.
 Algorithm resolve_adaptive(Algorithm algorithm, const graph::CsrGraph& graph);
-
-/// Record one finished query into `sink` — the one obs::QuerySample builder,
-/// shared by query()'s caller-owned sink and the Engine. The engine-less path
-/// passes queue_s = 0, CacheOutcome::kUncached and no graph key.
-void record_query(obs::Telemetry& sink, Algorithm algorithm,
-                  AnalyticKind analytic, const QueryResult& result,
-                  obs::CacheOutcome outcome, std::string_view graph_key,
-                  double queue_s, double total_s);
 
 /// Shared execution core behind query() and Engine: installs the
 /// query-scoped context/budget, runs `runs_as` (resolve_adaptive of the

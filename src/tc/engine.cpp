@@ -75,6 +75,39 @@ bool file_exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
+/// Record one finished query into `sink`. The *requested* algorithm labels
+/// the series: a budget fallback shows up in the requested algorithm's
+/// latency, not as phantom gap-forward traffic.
+void record_query(obs::Telemetry& sink, const QuerySpec& spec,
+                  const QueryResult& result, obs::CacheOutcome outcome,
+                  double queue_s, double total_s) {
+  const auto to_ns = [](double seconds) {
+    return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9)
+                         : std::uint64_t{0};
+  };
+  sink.record({.algorithm = static_cast<std::size_t>(spec.algorithm),
+               .analytic = static_cast<std::size_t>(spec.options.analytic.kind),
+               .outcome = outcome,
+               .graph_key = spec.graph_key,
+               .status = util::status_code_name(result.status.code()),
+               .threads = result.threads,
+               .deadline_missed = result.status.code() ==
+                                  util::StatusCode::kDeadlineExceeded,
+               .queue_ns = to_ns(queue_s),
+               .prepare_ns = to_ns(result.result.preprocess_s),
+               .count_ns = to_ns(result.result.count_s),
+               .total_ns = to_ns(total_s)});
+}
+
+/// The member `key` of `object`, appended as `fresh` when absent.
+obs::JsonValue& member(obs::JsonValue& object, const char* key,
+                       obs::JsonValue fresh) {
+  for (auto& [k, v] : object.object())
+    if (k == key) return v;
+  object.set(key, std::move(fresh));
+  return object.object().back().second;
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions options)
@@ -224,10 +257,8 @@ void Engine::run_job(Job job) {
 
   // Record before resolving the promise so a caller that waits on the
   // future and then snapshots telemetry always sees its own query.
-  detail::record_query(*telemetry_, job.spec.algorithm,
-                       job.spec.options.analytic.kind, result,
-                       acquired.outcome, job.spec.graph_key, queue_s,
-                       queue_s + exec_s + acquired.build_s);
+  record_query(*telemetry_, job.spec, result, acquired.outcome, queue_s,
+               queue_s + exec_s + acquired.build_s);
 
   job.promise.set_value(std::move(result));
 }
@@ -505,57 +536,6 @@ EngineStats Engine::stats() const {
   return out;
 }
 
-namespace {
-
-/// Quantile row shared by the JSON exporter ("p50_s"... keys).
-void set_quantiles(obs::JsonValue& row, const obs::LatencyHistogram& hist) {
-  row.set("p50_s", hist.quantile_s(0.50));
-  row.set("p95_s", hist.quantile_s(0.95));
-  row.set("p99_s", hist.quantile_s(0.99));
-  row.set("p999_s", hist.quantile_s(0.999));
-}
-
-/// The `engine_telemetry` section body (schema v5, docs/METRICS.md).
-obs::JsonValue telemetry_to_json(const obs::TelemetrySnapshot& snap) {
-  obs::JsonValue out;
-  out.set("enabled", snap.enabled);
-  if (!snap.enabled) return out;
-  out.set("queries_recorded", snap.queries_recorded);
-  out.set("deadline_misses", snap.deadline_misses);
-  out.set("query_log_lines", snap.query_log_lines);
-  if (snap.query_log_failures != 0)
-    out.set("query_log_failures", snap.query_log_failures);
-  out.set("uptime_s", snap.uptime_s);
-
-  obs::JsonValue window;
-  window.set("configured_span_s", snap.window_span_s);
-  window.set("span_s", snap.window.span_s);
-  window.set("queries", snap.window.queries);
-  window.set("qps", snap.window.qps);
-  set_quantiles(window, snap.window.hist);
-  out.set("window", std::move(window));
-
-  obs::JsonValue rows{obs::JsonValue::Array{}};
-  const auto emit = [&rows](const char* series,
-                            const obs::SeriesSnapshot& s) {
-    obs::JsonValue row;
-    row.set("series", series);
-    row.set("label", s.label);
-    row.set("stage", obs::query_stage_name(s.stage));
-    row.set("count", s.hist.count());
-    row.set("sum_s", s.hist.sum_s());
-    set_quantiles(row, s.hist);
-    rows.push_back(std::move(row));
-  };
-  for (const obs::SeriesSnapshot& s : snap.algorithms) emit("algorithm", s);
-  for (const obs::SeriesSnapshot& s : snap.outcomes) emit("outcome", s);
-  for (const obs::SeriesSnapshot& s : snap.analytics) emit("analytic", s);
-  out.set("histograms", std::move(rows));
-  return out;
-}
-
-}  // namespace
-
 obs::MetricsRegistry Engine::metrics() const {
   const EngineStats s = stats();
   const obs::TelemetrySnapshot t = telemetry_->snapshot();
@@ -565,13 +545,47 @@ obs::MetricsRegistry Engine::metrics() const {
   registry.set_meta("drivers", static_cast<std::uint64_t>(num_drivers()));
   registry.set_meta("threads_per_query",
                     static_cast<std::uint64_t>(threads_per_query_));
-  std::vector<std::pair<std::string, obs::JsonValue>> engine(kEngineJsonKeys);
-  for (const EngineMetric& m : kEngineMetrics)
-    if (m.json_key != nullptr)
-      engine[static_cast<std::size_t>(m.json_slot)] = {m.json_key,
-                                                       m.value(source)};
-  registry.set_engine(std::move(engine));
-  registry.set_engine_telemetry(telemetry_to_json(t));
+  const auto quantiles = [](obs::JsonValue& object,
+                            const obs::LatencyHistogram& hist) {
+    for (const LatencyQuantile& q : kLatencyQuantiles)
+      object.set(q.json_key, hist.quantile_s(q.q));
+  };
+  obs::JsonValue engine{obs::JsonValue::Object{}};
+  obs::JsonValue telemetry{obs::JsonValue::Object{}};
+  for (const EngineMetric& m : kEngineMetrics) {
+    if (m.json == JsonSection::kNone) continue;
+    // A disabled telemetry layer exports its switch and nothing else.
+    if (m.json != JsonSection::kEngine && !t.enabled &&
+        m.value != &telemetry_enabled)
+      continue;
+    obs::JsonValue& section =
+        m.json == JsonSection::kEngine   ? engine
+        : m.json == JsonSection::kWindow ? member(telemetry, "window",
+                                                  obs::JsonValue::Object{})
+                                         : telemetry;
+    if (m.shape == MetricShape::kScalar) {
+      obs::JsonValue value = m.value(source);
+      if (!value.is_null()) section.set(m.json_key, std::move(value));
+    } else if (m.shape == MetricShape::kQuantiles) {
+      quantiles(section, t.window.hist);
+    } else {  // kStages
+      obs::JsonValue& rows =
+          member(section, m.json_key, obs::JsonValue::Array{});
+      for (const obs::SeriesSnapshot& series : t.series) {
+        if (series.dimension != m.dimension) continue;
+        obs::JsonValue row;
+        row.set("series", obs::dimension_name(series.dimension));
+        row.set("label", series.label);
+        row.set("stage", obs::query_stage_name(series.stage));
+        row.set("count", series.hist.count());
+        row.set("sum_s", series.hist.sum_s());
+        quantiles(row, series.hist);
+        rows.push_back(std::move(row));
+      }
+    }
+  }
+  registry.set_engine(std::move(engine.object()));
+  registry.set_engine_telemetry(std::move(telemetry));
   return registry;
 }
 
@@ -591,23 +605,21 @@ std::string Engine::prometheus_text() const {
     } else if (m.shape == MetricShape::kScalar) {
       w.gauge(m.family, m.help, m.value(source).as_double());
     } else if (m.shape == MetricShape::kQuantiles) {
-      for (const double q : {0.5, 0.95, 0.99, 0.999}) {
-        char label[16];
-        std::snprintf(label, sizeof label, "%g", q);
-        w.gauge(m.family, m.help, t.window.hist.quantile_s(q),
-                {{m.labels[0], label}});
-      }
-    } else if (m.shape == MetricShape::kStages) {
-      for (const obs::SeriesSnapshot& series : t.*m.series)
-        w.histogram(m.family, m.help,
-                    {{m.labels[0], series.label},
-                     {m.labels[1], obs::query_stage_name(series.stage)}},
-                    series.hist);
-    } else {  // kLabelTotals
-      for (const obs::SeriesSnapshot& series : t.*m.series)
-        if (series.stage == obs::QueryStage::kTotal)
+      for (const LatencyQuantile& q : kLatencyQuantiles)
+        w.gauge(m.family, m.help, t.window.hist.quantile_s(q.q),
+                {{m.labels[0], q.label}});
+    } else {
+      for (const obs::SeriesSnapshot& series : t.series) {
+        if (series.dimension != m.dimension) continue;
+        if (m.shape == MetricShape::kStages)
+          w.histogram(m.family, m.help,
+                      {{m.labels[0], series.label},
+                       {m.labels[1], obs::query_stage_name(series.stage)}},
+                      series.hist);
+        else if (series.stage == obs::QueryStage::kTotal)  // kLabelTotals
           w.counter(m.family, m.help, series.hist.count(),
                     {{m.labels[0], series.label}});
+      }
     }
   }
   return w.str();

@@ -47,7 +47,7 @@
 // per-stage latency histograms labeled by algorithm, analytic kind, and
 // cache outcome, a rolling window for "now" stats, and a sampled JSON-lines
 // query log. Exported three ways: prometheus_text() (text exposition),
-// metrics() (`engine_telemetry` section, lotus-metrics/7),
+// metrics() (`engine_telemetry` section, lotus-metrics/8),
 // telemetry_snapshot()
 // (programmatic). See docs/TELEMETRY.md.
 //
@@ -180,14 +180,15 @@ class Engine {
   /// see the EngineStats invariants).
   [[nodiscard]] EngineStats stats() const;
 
-  /// Aggregate serving metrics as a "lotus-metrics/7" registry whose
+  /// Aggregate serving metrics as a "lotus-metrics/8" registry whose
   /// `engine` section carries the EngineStats fields and whose
   /// `engine_telemetry` section carries histogram quantiles + the rolling
   /// window (docs/METRICS.md, docs/TELEMETRY.md).
   [[nodiscard]] obs::MetricsRegistry metrics() const;
 
   /// Merged point-in-time view of the telemetry layer (latency histograms
-  /// per algorithm / cache outcome, rolling window, query-log counters).
+  /// per algorithm / cache outcome / analytic kind, rolling window,
+  /// query-log counters).
   [[nodiscard]] obs::TelemetrySnapshot telemetry_snapshot() const;
 
   /// Prometheus text exposition (version 0.0.4) of the serving counters and

@@ -50,7 +50,9 @@ namespace lotus::util {
 
 class MappedFile {
  public:
-  enum class Advice { kNormal, kSequential, kRandom, kWillNeed };
+  /// kDontNeed drops the range's pages from this process's resident set;
+  /// they stay in the page cache and fault back in from there when read.
+  enum class Advice { kNormal, kSequential, kRandom, kWillNeed, kDontNeed };
 
   /// Map `path` read-only in its entirety. Shared ownership so ConstArray
   /// views can pin the mapping via their keepalive pointer.
@@ -118,6 +120,7 @@ class MappedFile {
       case Advice::kSequential: native = MADV_SEQUENTIAL; break;
       case Advice::kRandom: native = MADV_RANDOM; break;
       case Advice::kWillNeed: native = MADV_WILLNEED; break;
+      case Advice::kDontNeed: native = MADV_DONTNEED; break;
     }
     (void)::madvise(static_cast<char*>(addr_) + begin, end - begin, native);
 #else
@@ -155,15 +158,17 @@ template <typename T>
                        static_cast<std::size_t>(count), file);
 }
 
-/// Replace each view in `arrays` with a heap-owned copy of its elements,
-/// charged as one "graph-load" to the current memory budget; the copies no
-/// longer pin the mapping. The arrays are allocated first and the copy runs
-/// under the mapped-fault guard (its body owns nothing that must unwind), so
-/// a file cut after the views were checked yields kIoError naming `path`.
-/// Errors: out_of_memory when the budget refuses the charge; io_error on a
-/// lost mapping. On error the views are left as they were.
+/// Replace each view into `file` in `arrays` with a heap-owned copy of its
+/// elements, charged as one "graph-load" to the current memory budget; the
+/// copies no longer pin the mapping. The arrays are allocated first and the
+/// copy runs under the mapped-fault guard (its body owns nothing that must
+/// unwind), so a file cut after the views were checked yields kIoError
+/// naming the file. The copy runs in 4 MiB chunks whose mapped pages are
+/// dropped (kDontNeed) once copied, so at most one chunk is resident twice. Errors: out_of_memory when the
+/// budget refuses the charge; io_error on a lost mapping. On error the views
+/// are left as they were.
 template <typename... T>
-[[nodiscard]] Status copy_to_heap_s(const std::string& path,
+[[nodiscard]] Status copy_to_heap_s(const MappedFile& file,
                                     ConstArray<T>&... arrays) {
   std::tuple<std::vector<T>...> heap;
   try {
@@ -173,15 +178,20 @@ template <typename... T>
   } catch (...) {
     return status_from_current_exception(StatusCode::kOutOfMemory);
   }
-  const Status status = with_mapped_fault_guard(path, [&] {
-    std::apply(
-        [&](std::vector<T>&... copy) {
-          ((copy.empty() ? nullptr
-                         : std::memcpy(copy.data(), arrays.data(),
-                                       copy.size() * sizeof(T))),
-           ...);
-        },
-        heap);
+  const auto copy_out = [&file](auto& copy, const auto& view) {
+    constexpr std::uint64_t kChunk = std::uint64_t{4} << 20;
+    const auto* from = reinterpret_cast<const std::byte*>(view.data());
+    const std::uint64_t bytes = copy.size() * sizeof(copy[0]);
+    for (std::uint64_t at = 0; at < bytes; at += kChunk) {
+      const std::uint64_t n = std::min(kChunk, bytes - at);
+      std::memcpy(reinterpret_cast<std::byte*>(copy.data()) + at, from + at, n);
+      file.advise(MappedFile::Advice::kDontNeed,
+                  static_cast<std::uint64_t>(from + at - file.data()), n);
+    }
+  };
+  const Status status = with_mapped_fault_guard(file.path(), [&] {
+    std::apply([&](std::vector<T>&... copy) { (copy_out(copy, arrays), ...); },
+               heap);
     return Status::Ok();
   });
   if (!status.ok()) return status;

@@ -47,8 +47,7 @@ inline core::LotusGraph reference_build(const graph::CsrGraph& input,
   }
   return core::LotusGraph::from_parts(
       hubs, std::move(h2h), graph::Csr16(std::move(he_offsets), std::move(he)),
-      graph::CsrGraph(std::move(nhe_offsets), std::move(nhe)), std::move(new_id),
-      /*validate=*/false);
+      graph::CsrGraph(std::move(nhe_offsets), std::move(nhe)), std::move(new_id));
 }
 
 }  // namespace lotus::test

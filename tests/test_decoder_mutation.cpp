@@ -1,6 +1,8 @@
 // Decoder mutation suite (label `integrity`): small LOTUSGR1, LOTUSLG2 and
 // LOTUSPA1 images are cut at every length and have every byte flipped, and
-// each mutant goes through every reader of its format. A mutant must load as
+// each mutant goes through every reader of its format. A small edge-list
+// text file gets the same treatment through both text pipelines, which must
+// agree with each other. A mutant must load as
 // the original graph or fail with a typed Status (io_error or
 // invalid_argument): never a crash, a hang, or a different graph. Each
 // format has one decoder (the mapped one; the heap readers copy what it
@@ -207,6 +209,55 @@ TEST_F(DecoderMutation, SpillCutsAndFlipsLoadTheOriginalOrFailTyped) {
     ASSERT_TRUE(prepared.save_s(path(name + ".master.lpa")).ok());
     mutate_everywhere(name + ".lpa", slurp(path(name + ".master.lpa")),
                       spill_readers(prepared));
+  }
+}
+
+// The text pipelines: read_edge_list_text_s + build_undirected in memory,
+// and oocore::build_undirected_external_s through bucket files. Every cut
+// and every byte replaced by a digit, a comment or sign character, a line
+// break, a space or its bitwise complement must give both pipelines the same
+// graph or the same typed status code. IDs stay at two digits, so a mutant's
+// largest ID (digits merged across a replaced space) stays small.
+TEST_F(DecoderMutation, TextCutsAndReplacementsAgreeAcrossBothBuilders) {
+  const std::string text =
+      "# five-cycle with chords\n0 1\n1 2\n2 3 7\n3 4\n%x\n4 0\n\n0 2\n13 4\n";
+  const std::string file = path("edges.txt");
+  const auto agree = [&](const std::string& what) {
+    spit(file, what);
+    lotus::util::Expected<g::EdgeList> edges = g::read_edge_list_text_s(file);
+    const lotus::util::Expected<g::CsrGraph> external =
+        g::oocore::build_undirected_external_s(file, {.temp_dir = dir_.string()});
+    if (edges.ok() != external.ok())
+      return ::testing::AssertionFailure()
+             << "one builder failed: "
+             << (edges.ok() ? external.status() : edges.status()).to_string();
+    if (!edges.ok()) {
+      const StatusCode code = edges.status().code();
+      if (code != external.status().code())
+        return ::testing::AssertionFailure()
+               << edges.status().to_string() << " vs "
+               << external.status().to_string();
+      if (code != StatusCode::kIoError && code != StatusCode::kInvalidArgument)
+        return ::testing::AssertionFailure()
+               << "untyped: " << edges.status().to_string();
+      return ::testing::AssertionSuccess();
+    }
+    if (!(g::build_undirected(edges.value()) == external.value()))
+      return ::testing::AssertionFailure() << "the builders disagree";
+    return ::testing::AssertionSuccess();
+  };
+  ASSERT_TRUE(agree(text)) << "the unmutated file";
+  for (std::size_t keep = 0; keep < text.size(); ++keep)
+    ASSERT_TRUE(agree(text.substr(0, keep))) << "cut to " << keep << " bytes";
+  for (std::size_t at = 0; at < text.size(); ++at) {
+    for (const char replacement :
+         {'9', '0', '#', '%', '-', '+', '\n', ' ', '\t',
+          static_cast<char>(text[at] ^ 0xff)}) {
+      std::string mutant = text;
+      mutant[at] = replacement;
+      ASSERT_TRUE(agree(mutant))
+          << "byte " << at << " replaced by " << static_cast<int>(replacement);
+    }
   }
 }
 

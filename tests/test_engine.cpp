@@ -381,7 +381,7 @@ TEST(Engine, EngineMetricsExportAggregates) {
   (void)get_ok(engine.submit({tc::Algorithm::kLotus, "g", &graph, {}}));
   (void)get_ok(engine.submit({tc::Algorithm::kLotus, "g", &graph, {}}));
   const std::string json = engine.metrics().to_json_string();
-  EXPECT_NE(json.find("\"schema_version\": \"lotus-metrics/7\""),
+  EXPECT_NE(json.find("\"schema_version\": \"lotus-metrics/8\""),
             std::string::npos);
   EXPECT_NE(json.find("\"component\": \"tc-engine\""), std::string::npos);
   EXPECT_NE(json.find("\"cache_hits\": 1"), std::string::npos);

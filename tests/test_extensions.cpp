@@ -167,10 +167,22 @@ TEST_F(SerializeTest, RejectsTruncation) {
 TEST(FromParts, RejectsInconsistentParts) {
   const auto graph = g::build_undirected(g::complete(10));
   const auto lg = core::LotusGraph::build(graph, {});
-  // Non-permutation relabeling.
-  std::vector<g::VertexId> bad_ids(10, 0);
+  // Non-permutation relabeling: the structural scan the readers run before
+  // assembling rejects it (from_parts itself reads no section body).
+  ASSERT_TRUE(core::check_lotus_body("parts", lg.hub_count(), lg.relabeling(),
+                                     lg.he().offsets(), lg.he().neighbor_array(),
+                                     lg.nhe().offsets(),
+                                     lg.nhe().neighbor_array())
+                  .ok());
+  const std::vector<g::VertexId> bad_ids(10, 0);
+  const lotus::util::Status bad = core::check_lotus_body(
+      "parts", lg.hub_count(), bad_ids, lg.he().offsets(),
+      lg.he().neighbor_array(), lg.nhe().offsets(), lg.nhe().neighbor_array());
+  EXPECT_EQ(bad.code(), lotus::util::StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.message().find("not a permutation"), std::string::npos);
+  // Parts that disagree on the vertex count.
   EXPECT_THROW(core::LotusGraph::from_parts(lg.hub_count(), lg.h2h(), lg.he(),
-                                            lg.nhe(), bad_ids),
+                                            lg.nhe(), std::vector<g::VertexId>(9, 0)),
                std::invalid_argument);
   // Wrong hub count for the H2H array.
   EXPECT_THROW(core::LotusGraph::from_parts(lg.hub_count() + 1, lg.h2h(),

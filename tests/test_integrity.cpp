@@ -444,6 +444,28 @@ TEST_F(IntegrityTest, MapGuardTurnsSigbusIntoIoError) {
   EXPECT_TRUE(ok.ok());
 }
 
+TEST_F(IntegrityTest, Lg2StructuralScanRunsUnderMapGuard) {
+  // With checksums off, the LOTUSLG2 structural scan is the first read of
+  // the body pages. A file cut to one page under the live mapping must give
+  // kIoError from that scan too, not kill the process.
+  lotus::util::set_mapped_fault_guard_enabled(true);
+  const std::string file = path("scan.lg2");
+  const auto lg =
+      core::LotusGraph::build(g::build_undirected(g::complete(120)), {});
+  ASSERT_TRUE(core::write_lotus_binary_s(file, lg).ok());
+  auto mapped = MappedFile::map(file);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().to_string();
+  const std::uint64_t size = mapped.value()->size();
+  ASSERT_GT(size, 4u * 4096);
+
+  fs::resize_file(file, 4096);
+  const auto loaded = core::read_lotus_v2_mapped_at_s(
+      mapped.value(), 0, size, /*validate=*/true, oo::MapVerify::kOff);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError)
+      << loaded.status().to_string();
+}
+
 // The LOTUS_MAPGUARD=0 control: the exact read the guard absorbs above kills
 // the process when the guard is disabled — demonstrating the crash the
 // guard prevents (run as a death test so the crash is contained).
@@ -667,8 +689,10 @@ TEST(EngineIntegrity, HealsCorruptSpillFileAndStillAnswersCorrectly) {
 
     // The heal is visible as its own telemetry outcome series.
     bool saw_heal = false;
-    for (const auto& series : engine.telemetry_snapshot().outcomes)
-      saw_heal = saw_heal || series.label == "heal";
+    for (const auto& series : engine.telemetry_snapshot().series)
+      saw_heal = saw_heal ||
+                 (series.dimension == lotus::obs::Dimension::kOutcome &&
+                  series.label == "heal");
     EXPECT_TRUE(saw_heal);
 
     const std::string json = engine.metrics().to_json_string();
@@ -709,8 +733,9 @@ TEST(EngineIntegrity, SpillRemapIsRecordedAsRemapOutcome) {
     EXPECT_EQ(engine.stats().cache_remaps, 1u);
 
     std::uint64_t remap_totals = 0;
-    for (const auto& series : engine.telemetry_snapshot().outcomes)
-      if (series.label == "remap" &&
+    for (const auto& series : engine.telemetry_snapshot().series)
+      if (series.dimension == lotus::obs::Dimension::kOutcome &&
+          series.label == "remap" &&
           series.stage == lotus::obs::QueryStage::kTotal)
         remap_totals += series.hist.count();
     EXPECT_EQ(remap_totals, 1u);

@@ -372,7 +372,7 @@ TEST(SanitizerStress, TelemetryRecordConcurrentWithSnapshot) {
   // obs::Telemetry documents record() as safe against any number of
   // concurrent record()/snapshot() calls; hammer that contract with a
   // snapshot reader racing 4 recording threads on shared shards.
-  lotus::obs::Telemetry telemetry({.window_s = 1.0}, {"alpha", "beta"});
+  lotus::obs::Telemetry telemetry({.window_s = 1.0}, {"alpha", "beta"}, {});
   constexpr int kThreads = 4;
   constexpr int kPerThread = kTsan ? 1000 : 4000;
   std::atomic<bool> stop{false};
@@ -381,7 +381,7 @@ TEST(SanitizerStress, TelemetryRecordConcurrentWithSnapshot) {
       const auto snap = telemetry.snapshot();
       // Mid-flight snapshots are relaxed (cross-bin skew is documented),
       // but merged totals can never exceed the whole workload.
-      for (const auto& series : snap.algorithms)
+      for (const auto& series : snap.series)
         ASSERT_LE(series.hist.count(),
                   static_cast<std::uint64_t>(kThreads) * kPerThread);
     }
