@@ -12,9 +12,10 @@ std::vector<std::uint64_t> local_triangle_counts_prepared(
     const graph::OrientedCsr& oriented, const std::vector<VertexId>& new_id) {
   mining::CornerCredits credits(oriented.num_vertices(),
                                 "clustering/per-vertex-counts");
-  mining::forward_walk(oriented, [&credits](VertexId v, VertexId u, VertexId w,
+  mining::forward_walk(oriented, [&credits](unsigned thread, VertexId v,
+                                            VertexId u, VertexId w,
                                             auto&&... /*edge positions*/) {
-    credits.add(v, u, w);
+    credits.add(thread, v, u, w);
   });
   return credits.by_original(new_id);
 }

@@ -55,7 +55,7 @@ KTrussResult ktruss_prepared(const CsrGraph& graph,
   // each triangle's edges (u,v), (w,v) and (w,u) are their edge IDs.
   // Relaxed atomic increments — counts only, no ordering needed.
   std::vector<std::atomic<std::uint32_t>> support_atomic(m);
-  mining::forward_walk(oriented, [&](VertexId, VertexId, VertexId,
+  mining::forward_walk(oriented, [&](unsigned, VertexId, VertexId, VertexId,
                                      std::uint64_t e_uv, std::uint64_t e_wv,
                                      std::uint64_t e_wu) {
     support_atomic[e_uv].fetch_add(1, std::memory_order_relaxed);

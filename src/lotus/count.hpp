@@ -6,8 +6,10 @@
 // Probes are stateful and unsynchronized: instrumented runs must execute
 // with parallel::set_num_threads(1).
 // count_hhh_hhn and count_hnn also take a trailing triangle visitor (default
-// baselines::NoVisit: the counting-only code); `visit(v, u, w)` sees each
-// triangle the phase finds, in LOTUS IDs, from any pool worker.
+// baselines::NoVisit: the counting-only code); `visit(thread, v, u, w)` sees
+// each triangle the phase finds, in LOTUS IDs, on the pool worker whose
+// thread index (in [0, parallel::num_threads())) is `thread`, so a visitor
+// can credit thread-private rows (mining::CornerCredits).
 #pragma once
 
 #include <algorithm>
@@ -105,7 +107,8 @@ std::vector<std::vector<HubTile>> build_hub_tasks(const LotusGraph& lg,
 /// read mostly zero words — keep the scalar bit probes. The obs counter
 /// kBitarrayProbes keeps counting *logical* (h1, h2) membership tests under
 /// both paths, so the Table 8 probe totals stay comparable. A visitor, like
-/// a probe, pins the scalar pair path: `visit(tile.v, h1, h2)` per hit.
+/// a probe, pins the scalar pair path: `visit(thread_index, tile.v, h1, h2)`
+/// per hit.
 template <typename Probe = baselines::NullProbe,
           typename Visit = baselines::NoVisit>
 HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
@@ -180,7 +183,7 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
               const bool hit = h2h.test_bit(bit);
               probe.branch(4, hit);
               found += hit ? 1u : 0u;
-              if (hit) visit(tile.v, h1, h2);
+              if (hit) visit(thread_index, tile.v, h1, h2);
             }
           }
         }
@@ -216,7 +219,8 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
 /// Otherwise (vectorize == false, or a probe attached for an instrumented
 /// replay) the probe-templated scalar merge runs; it is the reference the
 /// differential harness compares against. Both paths report each (v, u, h)
-/// triangle to `visit`. obs accounting: see HnnHitCounter.
+/// triangle to `visit(thread_index, v, u, h)`. obs accounting: see
+/// HnnHitCounter.
 template <typename Probe = baselines::NullProbe,
           typename Visit = baselines::NoVisit>
 std::uint64_t count_hnn(const LotusGraph& lg,
@@ -251,8 +255,9 @@ std::uint64_t count_hnn(const LotusGraph& lg,
               for (std::uint64_t k = lo; k < hi; ++k) {
                 prefetch(k);
                 const graph::VertexId u = nhe_adj[k];
-                local += counter.count(bitmap, he.neighbors(u),
-                                       [&](std::uint16_t h) { visit(v, u, h); });
+                local += counter.count(
+                    bitmap, he.neighbors(u),
+                    [&](std::uint16_t h) { visit(thread_index, v, u, h); });
               }
               clear_hub_bits(bitmap, hub_list);
             }
@@ -264,19 +269,28 @@ std::uint64_t count_hnn(const LotusGraph& lg,
       return total;
     }
   }
-  return parallel::parallel_reduce_add<std::uint64_t>(
-      0, lg.num_vertices(), 64, [&](std::uint64_t vi) {
-        const auto v = static_cast<graph::VertexId>(vi);
-        auto hub_list = he.neighbors(v);
+  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::num_threads());
+  parallel::parallel_for(
+      0, lg.num_vertices(), 64,
+      [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
         std::uint64_t local = 0;
-        for (graph::VertexId u : nhe.neighbors(v)) {
-          probe.read(&u, sizeof(graph::VertexId));
-          local += baselines::intersect_merge<std::uint16_t>(
-              hub_list, he.neighbors(u), probe,
-              [&](std::size_t i, std::size_t) { visit(v, u, hub_list[i]); });
+        for (std::uint64_t vi = b; vi < e; ++vi) {
+          const auto v = static_cast<graph::VertexId>(vi);
+          auto hub_list = he.neighbors(v);
+          for (graph::VertexId u : nhe.neighbors(v)) {
+            probe.read(&u, sizeof(graph::VertexId));
+            local += baselines::intersect_merge<std::uint16_t>(
+                hub_list, he.neighbors(u), probe,
+                [&](std::size_t i, std::size_t) {
+                  visit(thread_index, v, u, hub_list[i]);
+                });
+          }
         }
-        return local;
+        partial[thread_index].value += local;
       });
+  std::uint64_t total = 0;
+  for (const auto& p : partial) total += p.value;
+  return total;
 }
 
 /// Phase 3 — NNN (Alg. 3 lines 10-12): Forward algorithm restricted to the

@@ -11,9 +11,9 @@ using graph::VertexId;
 std::vector<std::uint64_t> count_triangles_local_prepared(
     const LotusGraph& lg, const LotusConfig& config) {
   mining::CornerCredits credits(lg.num_vertices(), "local/per-vertex-counts");
-  const auto corners = [&credits](VertexId v, VertexId u, VertexId w,
-                                  auto&&... /*edge positions*/) {
-    credits.add(v, u, w);
+  const auto corners = [&credits](unsigned thread, VertexId v, VertexId u,
+                                  VertexId w, auto&&... /*edge positions*/) {
+    credits.add(thread, v, u, w);
   };
   count_hhh_hhn(lg, config, TilingPolicy::kSquared, nullptr,
                 baselines::null_probe, corners);

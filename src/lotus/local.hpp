@@ -2,7 +2,10 @@
 // clustering-coefficient and local-motif analyses the paper's introduction
 // motivates [11, 12]. The credits come from the counting phases themselves:
 // count_hhh_hhn and count_hnn report each triangle to a visitor, and NNN
-// runs the positional Forward walk over NHE (mining/triangle_walk.hpp).
+// runs the positional Forward walk over NHE (mining/triangle_walk.hpp). Each
+// visit carries the pool thread index, so the hub corners — every hub ID is
+// below 65,536 — are credited to that thread's private row of
+// mining::CornerCredits, not to a cache line shared with the other threads.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +22,8 @@ class LotusGraph;
 /// `config` is the query's: the hub phase runs its squared tiling and
 /// work-stealing, and `config.vectorize` picks count_hnn's step. Indexed by
 /// ORIGINAL vertex ID; sums to 3 × the triangle count. Charges the
-/// per-vertex arrays against the active memory budget.
+/// per-vertex arrays and the per-thread rows (threads × min(n, 65,536) × 8 B)
+/// against the active memory budget.
 std::vector<std::uint64_t> count_triangles_local_prepared(
     const LotusGraph& lg, const LotusConfig& config);
 

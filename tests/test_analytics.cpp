@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -18,6 +17,7 @@
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
+#include "lotus_reference.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tc/api.hpp"
 
@@ -25,6 +25,7 @@ namespace {
 
 namespace g = lotus::graph;
 namespace tc = lotus::tc;
+using lotus::test::local_counts_oracle;
 using lotus::util::StatusCode;
 
 /// The per-vertex analytics run on both substrates: the degree-ordered
@@ -287,44 +288,21 @@ TEST(LotusLocal, CompleteGraph) {
   for (auto c : counts) EXPECT_EQ(c, 8u * 7 / 2);
 }
 
-/// Triangles through each vertex by set_intersection over the full
-/// symmetric lists: each triangle v < u < w is credited once to each corner.
-std::vector<std::uint64_t> local_counts_oracle(const g::CsrGraph& graph) {
-  std::vector<std::uint64_t> counts(graph.num_vertices(), 0);
-  std::vector<g::VertexId> common;
-  for (g::VertexId v = 0; v < graph.num_vertices(); ++v) {
-    const auto nv = graph.neighbors(v);
-    for (const g::VertexId u : nv) {
-      if (u <= v) continue;
-      const auto nu = graph.neighbors(u);
-      common.clear();
-      std::set_intersection(nv.begin(), nv.end(), nu.begin(), nu.end(),
-                            std::back_inserter(common));
-      for (const g::VertexId w : common) {
-        if (w <= u) continue;
-        ++counts[v];
-        ++counts[u];
-        ++counts[w];
-      }
-    }
-  }
-  return counts;
-}
-
-/// 40 whales forming a clique, whale w adjacent to every (w+1)-th of 3000
-/// ring-linked leaves: leaf 0 sees every whale, so hub lists run to 40
-/// entries, and with 40 hubs every class (HHH, HHN, HNN, NNN) is populated.
-g::CsrGraph hub_whale_graph() {
-  constexpr g::VertexId kWhales = 40, kLeaves = 3000;
-  g::EdgeList el{kWhales + kLeaves, {}};
+/// 40 whales forming a clique, whale w adjacent to every (w+1)-th of
+/// `leaves` ring-linked leaves: leaf 0 sees every whale, so hub lists run to
+/// 40 entries, and with 40 hubs every class (HHH, HHN, HNN, NNN) is
+/// populated. Each leaf closes a ring triangle with its next two leaves.
+g::CsrGraph hub_whale_graph(g::VertexId leaves) {
+  constexpr g::VertexId kWhales = 40;
+  g::EdgeList el{kWhales + leaves, {}};
   for (g::VertexId w = 0; w < kWhales; ++w) {
     for (g::VertexId x = w + 1; x < kWhales; ++x) el.edges.push_back({w, x});
-    for (g::VertexId l = 0; l < kLeaves; l += w + 1)
+    for (g::VertexId l = 0; l < leaves; l += w + 1)
       el.edges.push_back({w, kWhales + l});
   }
-  for (g::VertexId l = 0; l < kLeaves; ++l) {
-    el.edges.push_back({kWhales + l, kWhales + (l + 1) % kLeaves});
-    el.edges.push_back({kWhales + l, kWhales + (l + 2) % kLeaves});
+  for (g::VertexId l = 0; l < leaves; ++l) {
+    el.edges.push_back({kWhales + l, kWhales + (l + 1) % leaves});
+    el.edges.push_back({kWhales + l, kWhales + (l + 2) % leaves});
   }
   return g::build_undirected(el);
 }
@@ -332,23 +310,31 @@ g::CsrGraph hub_whale_graph() {
 // The LOTUS substrate (phase-kernel visitors + the NHE walk) and the
 // oriented substrate (the positional Forward walk) against the oracle, with
 // every HE list tiled (threshold 1) so one vertex's hub pairs are split
-// across tiles and threads, under both count_hnn steps.
+// across tiles and threads, under both count_hnn steps. Corner credits go to
+// thread-private rows for internal IDs below 65,536 and to a shared atomic
+// tail above; with 70,000 leaves the ring triangles put corners on both
+// sides of that boundary in both substrates, so a lost tail credit or a row
+// left out of the reduce shows up against the oracle.
 TEST(LocalCounts, SubstratesMatchOracleOnTiledWhaleGraph) {
-  const auto graph = hub_whale_graph();
-  const auto oracle = local_counts_oracle(graph);
-  ASSERT_GT(std::accumulate(oracle.begin(), oracle.end(), std::uint64_t{0}), 0u);
-  lotus::core::LotusConfig config;
-  config.hub_count = 40;
-  config.tiling_degree_threshold = 1;
-  for (const unsigned threads : {1u, 4u}) {
-    lotus::parallel::set_num_threads(threads);
-    for (const bool vectorize : {true, false}) {
-      config.vectorize = vectorize;
-      EXPECT_EQ(local_counts(tc::Algorithm::kLotus, graph, config), oracle)
-          << "lotus threads=" << threads << " vectorize=" << vectorize;
+  for (const g::VertexId leaves : {3000u, 70000u}) {
+    const auto graph = hub_whale_graph(leaves);
+    const auto oracle = local_counts_oracle(graph);
+    ASSERT_GT(std::accumulate(oracle.begin(), oracle.end(), std::uint64_t{0}),
+              0u);
+    lotus::core::LotusConfig config;
+    config.hub_count = 40;
+    config.tiling_degree_threshold = 1;
+    for (const unsigned threads : {1u, 4u}) {
+      lotus::parallel::set_num_threads(threads);
+      for (const bool vectorize : {true, false}) {
+        config.vectorize = vectorize;
+        EXPECT_EQ(local_counts(tc::Algorithm::kLotus, graph, config), oracle)
+            << "lotus leaves=" << leaves << " threads=" << threads
+            << " vectorize=" << vectorize;
+      }
+      EXPECT_EQ(local_counts(tc::Algorithm::kForwardMerge, graph), oracle)
+          << "oriented leaves=" << leaves << " threads=" << threads;
     }
-    EXPECT_EQ(local_counts(tc::Algorithm::kForwardMerge, graph), oracle)
-        << "oriented threads=" << threads;
   }
   lotus::parallel::set_num_threads(0);
 }

@@ -449,6 +449,60 @@ TEST(SanitizerStress, EngineStatsSnapshotsStayCoherent) {
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kQueries));
 }
 
+TEST(SanitizerStress, EnginePerVertexAnalyticsUnderInvalidate) {
+  // Per-vertex credits go to one private row per pool thread and are summed
+  // after the walk. Two drivers of two threads each run lotus local-counts
+  // (the phase visitors) and forward-merge clustering (the oriented walk)
+  // side by side, while invalidate() drops the artifacts between submits so
+  // queries race rebuilds too; every answer must match the oracle.
+  const auto graph = g::build_undirected(
+      g::rmat({.scale = 8, .edge_factor = 8, .seed = 53}));
+  const auto counts = lotus::test::local_counts_oracle(graph);
+  std::vector<double> coefficients(graph.num_vertices(), 0.0);
+  for (g::VertexId v = 0; v < graph.num_vertices(); ++v) {
+    const std::uint64_t d = graph.degree(v);
+    if (d >= 2)
+      coefficients[v] = 2.0 * static_cast<double>(counts[v]) /
+                        (static_cast<double>(d) * static_cast<double>(d - 1));
+  }
+
+  lotus::tc::EngineOptions engine_options;
+  engine_options.num_drivers = 2;
+  engine_options.threads_per_query = 2;
+  lotus::tc::Engine engine(engine_options);
+  lotus::tc::QueryOptions local_counts;
+  local_counts.analytic.kind = lotus::tc::AnalyticKind::kLocalCounts;
+  lotus::tc::QueryOptions clustering;
+  clustering.analytic.kind = lotus::tc::AnalyticKind::kClustering;
+  constexpr int kRounds = kTsan ? 4 : 8;
+  int failures = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::future<lotus::util::Expected<lotus::tc::QueryResult>>>
+        futures;
+    for (int i = 0; i < 4; ++i) {
+      if (i == 2) engine.invalidate("g");
+      futures.push_back(engine.submit(
+          i % 2 == 0
+              ? lotus::tc::QuerySpec{lotus::tc::Algorithm::kLotus, "g",
+                                     &graph, local_counts}
+              : lotus::tc::QuerySpec{lotus::tc::Algorithm::kForwardMerge,
+                                     "g", &graph, clustering}));
+    }
+    for (auto& future : futures) {
+      auto outcome = future.get();
+      ASSERT_TRUE(outcome.ok()) << outcome.status().to_string();
+      const auto& result = outcome.value();
+      ASSERT_TRUE(result.ok()) << result.status.to_string();
+      const auto& analytics = result.result.analytics;
+      if (analytics.kind == lotus::tc::AnalyticKind::kLocalCounts)
+        failures += analytics.vertex_counts != counts;
+      else
+        failures += analytics.vertex_coefficients != coefficients;
+    }
+  }
+  EXPECT_EQ(failures, 0);
+}
+
 TEST(SanitizerStress, DifferentialSmokeMatrix) {
   // Reduced differential matrix: adversarial corpus only, threads {1, 4}.
   const auto corpus = lotus::testing::smoke_corpus();
