@@ -2,7 +2,7 @@
 // sparsification sweep and wedge sampling against the exact LOTUS count.
 #include <iostream>
 
-#include "analytics/approx.hpp"
+#include "bench/ablations/approx.hpp"
 #include "bench/common.hpp"
 #include "lotus/lotus.hpp"
 
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     const auto exact = lotus::core::count_triangles(graph, ctx.lotus_config);
     const auto exact_count = static_cast<double>(exact.triangles);
 
-    auto emit = [&](const std::string& method, const lotus::analytics::ApproxResult& r) {
+    auto emit = [&](const std::string& method, const lotus::ablation::ApproxResult& r) {
       const double error =
           exact_count > 0 ? 100.0 * std::abs(r.estimated_triangles - exact_count) / exact_count
                           : 0.0;
@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
 
     for (double p : {0.1, 0.25, 0.5})
       emit("doulion p=" + lotus::util::fixed(p, 2),
-           lotus::analytics::doulion(graph, p, 17));
+           lotus::ablation::doulion(graph, p, 17));
     emit("wedges n=" + lotus::util::human_count(static_cast<double>(samples)),
-         lotus::analytics::wedge_sampling(graph, samples, 17));
+         lotus::ablation::wedge_sampling(graph, samples, 17));
   }
   table.print(std::cout);
   return 0;

@@ -6,6 +6,7 @@
 // skewed datasets, with the gap growing with graph size.
 #include <iostream>
 
+#include "bench/ablations/hnn.hpp"
 #include "bench/common.hpp"
 #include "lotus/count.hpp"
 #include "lotus/lotus_graph.hpp"
@@ -35,8 +36,7 @@ int main(int argc, char** argv) {
                                config.hybrid_degree_threshold);
     const double split_s = timer.elapsed_s();
     timer.reset();
-    const std::uint64_t fused =
-        lotus::core::count_hnn_nnn_fused(lg, probe, config.vectorize);
+    const std::uint64_t fused = lotus::ablation::count_hnn_nnn_fused(lg);
     const double fused_s = timer.elapsed_s();
     if (split != fused) {
       std::cerr << "count mismatch on " << dataset.name << "\n";

@@ -2,7 +2,9 @@
 // HNN pass. Blocking bounds the ID range of the randomly accessed HE lists
 // per pass; the trade-off is re-scanning the NHE index once per block.
 #include <iostream>
+#include <sstream>
 
+#include "bench/ablations/hnn.hpp"
 #include "bench/common.hpp"
 #include "lotus/count.hpp"
 #include "lotus/lotus_graph.hpp"
@@ -38,7 +40,7 @@ int main(int argc, char** argv) {
 
     for (auto block : blocks) {
       timer.reset();
-      const std::uint64_t got = lotus::core::count_hnn_blocked(lg, block);
+      const std::uint64_t got = lotus::ablation::count_hnn_blocked(lg, block);
       const double seconds = timer.elapsed_s();
       if (got != expected) {
         std::cerr << "count mismatch on " << dataset.name << "\n";

@@ -7,6 +7,7 @@
 // work into the NNN phase; too many blow up the H2H bit array and phase-1
 // pair enumeration; a broad sweet spot sits near the 1% rule.
 #include <iostream>
+#include <sstream>
 
 #include "bench/common.hpp"
 #include "lotus/lotus.hpp"

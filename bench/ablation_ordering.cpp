@@ -8,10 +8,9 @@
 // compression cost, and NNN time; BFS ≈ original ≈ best.
 #include <iostream>
 
+#include "bench/ablations/reorder.hpp"
 #include "bench/common.hpp"
 #include "graph/builder.hpp"
-#include "graph/compressed.hpp"
-#include "graph/reorder.hpp"
 #include "lotus/lotus.hpp"
 
 int main(int argc, char** argv) {
@@ -27,21 +26,20 @@ int main(int argc, char** argv) {
   for (const auto& dataset : ctx.selection) {
     const auto graph = lotus::bench::load(dataset, ctx.factor);
     std::uint64_t expected = 0;
-    for (auto ordering : lotus::graph::all_orderings()) {
+    for (auto ordering : lotus::ablation::all_orderings()) {
       const auto relabeled = lotus::graph::relabel(
-          graph, lotus::graph::make_ordering(graph, ordering, 11));
+          graph, lotus::ablation::make_ordering(graph, ordering, 11));
       const auto r = lotus::core::count_triangles(relabeled, ctx.lotus_config);
       if (expected == 0) expected = r.triangles;
       if (r.triangles != expected) {
         std::cerr << "count mismatch under ordering "
-                  << lotus::graph::ordering_name(ordering) << "\n";
+                  << lotus::ablation::ordering_name(ordering) << "\n";
         return 1;
       }
-      table.row({dataset.name, lotus::graph::ordering_name(ordering),
-                 lotus::util::fixed(lotus::graph::average_neighbor_gap(relabeled), 0),
-                 lotus::util::fixed(lotus::graph::log_gap_cost_bits(relabeled), 2),
-                 lotus::util::human_bytes(
-                     lotus::graph::CompressedCsr::encode(relabeled).topology_bytes()),
+      table.row({dataset.name, lotus::ablation::ordering_name(ordering),
+                 lotus::util::fixed(lotus::ablation::average_neighbor_gap(relabeled), 0),
+                 lotus::util::fixed(lotus::ablation::log_gap_cost_bits(relabeled), 2),
+                 lotus::util::human_bytes(lotus::ablation::gap_varint_bytes(relabeled)),
                  lotus::util::fixed(r.total_s(), 3),
                  lotus::util::fixed(r.nnn_s, 3)});
     }

@@ -3,9 +3,8 @@
 // hub extraction to the NHE residue shifts NNN work into cheaper hub phases.
 #include <iostream>
 
+#include "bench/ablations/recursive.hpp"
 #include "bench/common.hpp"
-#include "lotus/lotus.hpp"
-#include "lotus/recursive.hpp"
 
 int main(int argc, char** argv) {
   lotus::util::Cli cli("Ablation: recursive LOTUS levels");
@@ -28,7 +27,7 @@ int main(int argc, char** argv) {
     std::uint64_t triangles = 0;
     bool consistent = true;
     for (unsigned level = 1; level <= max_levels; ++level) {
-      const auto r = lotus::core::count_triangles_recursive(graph, ctx.lotus_config, level);
+      const auto r = lotus::ablation::count_triangles_recursive(graph, ctx.lotus_config, level);
       row.push_back(lotus::util::fixed(r.preprocess_s + r.count_s, 3) +
                     " (used " + std::to_string(r.levels_used) + ")");
       if (level == 1)

@@ -13,16 +13,20 @@
 #      count_kcliques, ktruss_decomposition, lotus_algorithms,
 #      read_csr_binary_parallel_s, LoaderOptions, direct_io, loader_threads,
 #      LOTUSLG1, set_backend, openmp_available, kOpenMP, max_parallelism,
-#      fuse_hnn_nnn, --backend openmp, the kernel-table and_popcount and
+#      fuse_hnn_nnn, --backend openmp, and_popcount, the kernel-table
 #      `popcount`, merge_u16, merge_u32_avx512, and_window_popcount,
 #      intersect_merge_visit, for_each_triangle, TriangleVisitPolicy, the
 #      throwing IO wrappers read_edge_list_text, write_edge_list_text,
 #      write_csr_binary, read_csr_binary, write_lotus_binary,
 #      read_lotus_binary and read_lotus_mapped (their _s forms stay), and
 #      LOTUS_HWC_FORCE_ERROR, the engine-less telemetry sink
-#      QueryOptions::telemetry and the hand-written telemetry_to_json) —
-#      docs/API.md is exempt because it documents
-#      the migration away from them;
+#      QueryOptions::telemetry and the hand-written telemetry_to_json, the
+#      streaming counter StreamingHubCounter with its streaming_triangles
+#      example and lotus_streaming_replay differential path, CompressedCsr,
+#      and the include paths of the five modules that left src/:
+#      lotus/streaming.hpp, graph/compressed.hpp, lotus/recursive.hpp,
+#      graph/reorder.hpp and analytics/approx.hpp) — docs/API.md is exempt
+#      because it documents the migration away from them;
 #   5. every out-of-core knob (src/graph/oocore.hpp, LOTUS-KNOB-INVENTORY
 #      block: ExternalBuildOptions and MapVerify) must be documented in
 #      docs/OUT_OF_CORE.md;
@@ -35,7 +39,10 @@
 #      (src/util/checksum.hpp, LOTUS-FOOTER-INVENTORY block) must be
 #      documented in docs/OUT_OF_CORE.md;
 #   8. every analytic kind (src/tc/api.hpp, LOTUS-ANALYTIC-INVENTORY block)
-#      must be documented in docs/API.md.
+#      must be documented in docs/API.md;
+#   9. every header under src/ must be included by another file inside src/
+#      (its own .cpp does not count), except the bench/example scaffolding
+#      datasets/registry.hpp, util/cli.hpp and util/table.hpp.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -107,8 +114,9 @@ done
 # (set_backend / openmp_available / kOpenMP, lotus_diff_repro's
 # --backend openmp) and max_parallelism() (now num_threads()) are gone; so
 # are LotusConfig::fuse_hnn_nnn (the ablation calls count_hnn_nnn_fused) and
-# the kernel-table and_popcount / `popcount` entries (util::Bitset's own
-# and_popcount stays, hence the `::` exclusion). The kernel table keeps only
+# the kernel-table and_popcount / `popcount` entries; util::Bitset's
+# and_popcount went with the streaming counter, its only caller. The kernel
+# table keeps only
 # entries that beat their fallback: the SIMD u16 merge (merge_u16) and the
 # AVX-512 merge (merge_u32_avx512) are gone, and the H2H row popcount is
 # TriangularBitArray::row_hits, not the and_window_popcount entry. The
@@ -120,7 +128,12 @@ done
 # pattern matches the bare names only), and the LOTUS_HWC_FORCE_ERROR hook
 # is the `hwc` fault site. Serving telemetry is recorded by tc::Engine only
 # (QueryOptions::telemetry is gone), and both engine JSON sections render
-# from tc::kEngineMetrics (telemetry_to_json is gone).
+# from tc::kEngineMetrics (telemetry_to_json is gone). src/ holds the TC
+# system only: the streaming counter (StreamingHubCounter, its
+# streaming_triangles example and lotus_streaming_replay path) and the
+# CompressedCsr codec are gone, and recursive LOTUS, the approximate
+# estimators and the orderings moved to bench/ablations, so the five old
+# include paths name nothing.
 # docs/API.md keeps the migration table and is exempt, as are the
 # changelog/issue worklogs.
 for md in README.md DESIGN.md docs/*.md; do
@@ -128,7 +141,7 @@ for md in README.md DESIGN.md docs/*.md; do
   case "$md" in
     docs/API.md) continue ;;
   esac
-  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|\(^\|[^:]\)and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|TriangleVisitPolicy\|\<read_edge_list_text\>\|\<write_edge_list_text\>\|\<write_csr_binary\>\|\<read_csr_binary\>\|\<write_lotus_binary\>\|\<read_lotus_binary\>\|\<read_lotus_mapped\>\|LOTUS_HWC_FORCE_ERROR\|QueryOptions::telemetry\|telemetry_to_json' "$md")
+  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|TriangleVisitPolicy\|\<read_edge_list_text\>\|\<write_edge_list_text\>\|\<write_csr_binary\>\|\<read_csr_binary\>\|\<write_lotus_binary\>\|\<read_lotus_binary\>\|\<read_lotus_mapped\>\|LOTUS_HWC_FORCE_ERROR\|QueryOptions::telemetry\|telemetry_to_json\|StreamingHubCounter\|streaming_triangles\|lotus_streaming_replay\|CompressedCsr\|lotus/streaming\.hpp\|graph/compressed\.hpp\|lotus/recursive\.hpp\|graph/reorder\.hpp\|analytics/approx\.hpp' "$md")
   if [ -n "$hits" ]; then
     echo "check_docs: $md references a deprecated or removed entry point:" >&2
     echo "$hits" | sed 's/^/  /' >&2
@@ -222,6 +235,23 @@ fi
 for analytic_name in $analytic_names; do
   if ! grep -q "\`$analytic_name\`" docs/API.md 2>/dev/null; then
     echo "check_docs: analytic '$analytic_name' (src/tc/api.hpp) is not documented in docs/API.md" >&2
+    status=1
+  fi
+done
+
+# --- 9. every src/ header has an includer inside src/ -----------------------
+# src/ holds the TC system: a header that nothing else in src/ includes
+# serves only benches, examples or tests, and belongs beside them (the
+# ablation-only code lives in bench/ablations). The bench/example scaffolding
+# below is the one exception.
+for header in $(find src -name '*.hpp' | sort); do
+  rel=${header#src/}
+  case "$rel" in
+    datasets/registry.hpp|util/cli.hpp|util/table.hpp) continue ;;
+  esac
+  if ! grep -rlF "#include \"$rel\"" src --include='*.hpp' --include='*.cpp' |
+       grep -qvx "src/${rel%.hpp}.cpp"; then
+    echo "check_docs: $header has no includer inside src/ (its own .cpp does not count)" >&2
     status=1
   fi
 done

@@ -12,9 +12,7 @@
 // can credit thread-private rows (mining::CornerCredits).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -23,7 +21,6 @@
 #include "baselines/intersect.hpp"
 #include "kernels/edge_stream.hpp"
 #include "kernels/hybrid.hpp"
-#include "kernels/intersect.hpp"
 #include "lotus/hub_bitmaps.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "lotus/tiling.hpp"
@@ -328,159 +325,6 @@ std::uint64_t count_nnn(const LotusGraph& lg,
         }
         return local;
       });
-}
-
-/// Blocked HNN (the second Sec. 7 future-work item): processes non-hub
-/// edges in blocks of their target u, so the randomly accessed HE lists of
-/// one pass come from a bounded ID range and can stay cached. Counting is
-/// identical to count_hnn; only the traversal order changes. NHE entries are
-/// bucketed by block once, as (begin, v, size) runs charged to the budget,
-/// so each block pass walks only its own runs. Uninstrumented vectorized
-/// runs take count_hnn's bitmap step, setting HE(v) once per run, so the
-/// ablation compares traversal orders with the same HNN step as the phase.
-template <typename Probe = baselines::NullProbe>
-std::uint64_t count_hnn_blocked(const LotusGraph& lg,
-                                graph::VertexId block_size,
-                                Probe& probe = baselines::null_probe,
-                                bool vectorize = true) {
-  const graph::Csr16& he = lg.he();
-  const graph::CsrGraph& nhe = lg.nhe();
-  const graph::VertexId n = lg.num_vertices();
-  const graph::VertexId first = lg.hub_count();  // NHE targets are non-hubs
-  if (block_size == 0) block_size = 1;
-  const std::uint64_t blocks =
-      n > first ? (std::uint64_t{n} - first + block_size - 1) / block_size : 0;
-  const std::uint64_t* offsets = nhe.offsets().data();
-  const graph::VertexId* adj = nhe.neighbor_array().data();
-  struct Run { std::uint64_t begin; graph::VertexId v; std::uint32_t size; };
-
-  // Each of `parts` vertex ranges calls fn(part · blocks + block, v, lo, hi)
-  // per maximal one-block run of an NHE list, in parallel: once to count
-  // into its own row of cursors, once to place; ranges are block-major.
-  const unsigned parts = parallel::num_threads();
-  const std::uint64_t part_size = (std::uint64_t{n} + parts - 1) / parts;
-  const auto for_each_run = [&](auto&& fn) {
-    parallel::parallel_for(
-        0, parts, 1, [&](unsigned, std::uint64_t pb, std::uint64_t pe) {
-          for (std::uint64_t part = pb; part < pe; ++part) {
-            const std::uint64_t v_end =
-                std::min<std::uint64_t>(n, (part + 1) * part_size);
-            for (std::uint64_t v = part * part_size; v < v_end; ++v) {
-              for (std::uint64_t k = offsets[v], hi = offsets[v + 1]; k < hi;) {
-                const std::uint64_t block = (adj[k] - first) / block_size;
-                const std::uint64_t limit = first + (block + 1) * block_size;
-                const std::uint64_t lo = k;
-                while (k < hi && adj[k] < limit) ++k;
-                fn(part * blocks + block, static_cast<graph::VertexId>(v), lo, k);
-              }
-            }
-          }
-        });
-  };
-  util::charge_current((parts + 1) * (blocks + 1) * sizeof(std::uint64_t),
-                       "hnn/block-index");
-  std::vector<std::uint64_t> cursor(parts * blocks, 0);
-  for_each_run([&](std::uint64_t slot, graph::VertexId, std::uint64_t,
-                   std::uint64_t) { ++cursor[slot]; });
-  std::vector<std::uint64_t> block_start(blocks + 1, 0);
-  std::uint64_t placed = 0;
-  for (std::uint64_t block = 0; block < blocks; ++block) {
-    block_start[block] = placed;
-    for (std::uint64_t part = 0; part < parts; ++part)
-      placed += std::exchange(cursor[part * blocks + block], placed);
-  }
-  block_start[blocks] = placed;
-  util::charge_current(placed * sizeof(Run), "hnn/block-ranges");
-  const auto ranges = std::make_unique_for_overwrite<Run[]>(placed);
-  for_each_run([&](std::uint64_t slot, graph::VertexId v, std::uint64_t lo,
-                   std::uint64_t hi) {
-    ranges[cursor[slot]++] = {lo, v, static_cast<std::uint32_t>(hi - lo)};
-  });
-
-  std::optional<HubBitmaps> bitmaps;
-  if (std::is_same_v<Probe, baselines::NullProbe> && vectorize)
-    bitmaps.emplace(lg.hub_count(), parallel::num_threads(),
-                    "hnn/hub-bitmaps");
-  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::num_threads());
-  for (std::uint64_t block = 0; block < blocks; ++block) {
-    parallel::parallel_for(
-        block_start[block], block_start[block + 1], 64,
-        [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
-          std::uint64_t* bitmap = bitmaps ? bitmaps->get(thread_index) : nullptr;
-          std::uint64_t local = 0;
-          HnnHitCounter counter;
-          for (std::uint64_t r = b; r < e; ++r) {
-            const Run& range = ranges[r];
-            auto hub_list = he.neighbors(range.v);
-            const std::uint64_t end = range.begin + range.size;
-            if (bitmap == nullptr) {
-              for (std::uint64_t k = range.begin; k < end; ++k) {
-                probe.read(&adj[k], sizeof(graph::VertexId));
-                local += baselines::intersect_merge<std::uint16_t>(
-                    hub_list, he.neighbors(adj[k]), probe);
-              }
-              continue;
-            }
-            if (hub_list.empty()) continue;
-            set_hub_bits(bitmap, hub_list);
-            for (std::uint64_t k = range.begin; k < end; ++k)
-              local += counter.count(bitmap, he.neighbors(adj[k]));
-            clear_hub_bits(bitmap, hub_list);
-          }
-          counter.flush();
-          partial[thread_index].value += local;
-        });
-  }
-  std::uint64_t total = 0;
-  for (const auto& p : partial) total += p.value;
-  return total;
-}
-
-/// Fused HNN + NNN (the rejected alternative of Sec. 4.5, kept for the
-/// ablation bench): one pass over NHE doing both intersections, enlarging
-/// the randomly accessed working set. Uninstrumented vectorized runs take
-/// count_hnn's bitmap step for the hub half, so the ablation compares loop
-/// structure, not two different HNN kernels.
-template <typename Probe = baselines::NullProbe>
-std::uint64_t count_hnn_nnn_fused(const LotusGraph& lg,
-                                  Probe& probe = baselines::null_probe,
-                                  bool vectorize = true) {
-  const graph::Csr16& he = lg.he();
-  const graph::CsrGraph& nhe = lg.nhe();
-  constexpr bool kUnprobed = std::is_same_v<Probe, baselines::NullProbe>;
-  std::optional<HubBitmaps> bitmaps;
-  if (kUnprobed && vectorize)
-    bitmaps.emplace(lg.hub_count(), parallel::num_threads(),
-                    "hnn/hub-bitmaps");
-  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::num_threads());
-  parallel::parallel_for(
-      0, lg.num_vertices(), 64,
-      [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
-        std::uint64_t* bitmap = bitmaps ? bitmaps->get(thread_index) : nullptr;
-        std::uint64_t local = 0;
-        HnnHitCounter counter;
-        for (std::uint64_t vi = b; vi < e; ++vi) {
-          const auto v = static_cast<graph::VertexId>(vi);
-          auto nv = nhe.neighbors(v);
-          auto hub_list = he.neighbors(v);
-          if (bitmap != nullptr) set_hub_bits(bitmap, hub_list);
-          for (graph::VertexId u : nv) {
-            probe.read(&u, sizeof(graph::VertexId));
-            if (bitmap == nullptr)
-              local += baselines::intersect_merge<std::uint16_t>(
-                  hub_list, he.neighbors(u), probe);
-            else if (!hub_list.empty())  // count_hnn skips these vertices
-              local += counter.count(bitmap, he.neighbors(u));
-            local += kernels::intersect(nv, nhe.neighbors(u), probe, vectorize);
-          }
-          if (bitmap != nullptr) clear_hub_bits(bitmap, hub_list);
-        }
-        counter.flush();
-        partial[thread_index].value += local;
-      });
-  std::uint64_t total = 0;
-  for (const auto& p : partial) total += p.value;
-  return total;
 }
 
 }  // namespace lotus::core

@@ -188,7 +188,6 @@ class RollingWindow {
                             const LatencyHistogram& cumulative) const;
 
   [[nodiscard]] double window_s() const noexcept { return window_s_; }
-  [[nodiscard]] double slot_s() const noexcept { return slot_s_; }
   [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
 
  private:

@@ -62,9 +62,6 @@ class ThreadPool {
   void set_counter_domain(obs::CounterDomain* domain) noexcept {
     counter_domain_.store(domain, std::memory_order_release);
   }
-  [[nodiscard]] obs::CounterDomain* counter_domain() const noexcept {
-    return counter_domain_.load(std::memory_order_acquire);
-  }
 
   /// Pool-scoped scheduler-event sink; overrides the process-wide sink
   /// (obs::set_sched_event_sink) for runs driven through this pool, so

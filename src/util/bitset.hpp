@@ -5,6 +5,7 @@
 // because its addressing scheme is part of the algorithm.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -29,16 +30,6 @@ class Bitset {
   [[nodiscard]] std::uint64_t count() const noexcept {
     std::uint64_t total = 0;
     for (std::uint64_t w : words_) total += static_cast<std::uint64_t>(__builtin_popcountll(w));
-    return total;
-  }
-
-  /// |a ∩ b| for equal-sized bitsets — the word-parallel intersection used
-  /// by the streaming HHH counter.
-  [[nodiscard]] static std::uint64_t and_popcount(const Bitset& a, const Bitset& b) noexcept {
-    const std::size_t n = std::min(a.words_.size(), b.words_.size());
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      total += static_cast<std::uint64_t>(__builtin_popcountll(a.words_[i] & b.words_[i]));
     return total;
   }
 

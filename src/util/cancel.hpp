@@ -63,14 +63,6 @@ class Deadline {
     return has_deadline_ && std::chrono::steady_clock::now() >= at_;
   }
 
-  /// Seconds until expiry (negative once past; a large positive number when
-  /// unlimited).
-  [[nodiscard]] double remaining_s() const noexcept {
-    if (!has_deadline_) return 1e18;
-    return std::chrono::duration<double>(at_ - std::chrono::steady_clock::now())
-        .count();
-  }
-
  private:
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point at_{};

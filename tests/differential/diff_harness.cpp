@@ -13,6 +13,7 @@
 
 #include "baselines/intersect.hpp"
 #include "baselines/tc_baselines.hpp"
+#include "bench/ablations/hnn.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
@@ -21,7 +22,6 @@
 #include "lotus/count.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/lotus_graph.hpp"
-#include "lotus/streaming.hpp"
 #include "tc/api.hpp"
 
 namespace lotus::testing {
@@ -141,26 +141,9 @@ std::uint64_t lotus_phases(const g::CsrGraph& graph,
   const auto lg = core::LotusGraph::build(graph, config);
   const auto hub = core::count_hhh_hhn(lg, config, policy);
   const std::uint64_t hnn = blocked_hnn
-                                ? core::count_hnn_blocked(lg, 64)
+                                ? ablation::count_hnn_blocked(lg, 64)
                                 : core::count_hnn(lg);
   return hub.hhh + hub.hhn + hnn + core::count_nnn(lg);
-}
-
-/// Streaming replay: feed every edge of the relabeled graph (arrival order
-/// is irrelevant; CSR order is used) into the StreamingHubCounter and take
-/// its exact HHH count; the remaining triangle classes come from the offline
-/// phases. A disagreement in the HHH component shows up as a total mismatch.
-std::uint64_t streaming_replay(const g::CsrGraph& graph,
-                               const core::LotusConfig& config) {
-  const auto lg = core::LotusGraph::build(graph, config);
-  core::StreamingHubCounter counter(lg.hub_count());
-  const auto& new_id = lg.relabeling();
-  for (g::VertexId v = 0; v < graph.num_vertices(); ++v)
-    for (g::VertexId u : graph.neighbors(v))
-      if (u < v) counter.add_edge(new_id[v], new_id[u]);
-  const auto hub = core::count_hhh_hhn(lg, config);
-  return counter.hhh_triangles() + hub.hhn + core::count_hnn(lg) +
-         core::count_nnn(lg);
 }
 
 /// Forward algorithm over an explicit intersection kernel — covers the
@@ -296,13 +279,12 @@ std::vector<DiffPath> differential_paths() {
   paths.push_back({"lotus_fused", [](const auto& graph, const auto& config) {
                      const auto lg = core::LotusGraph::build(graph, config);
                      const auto hub = core::count_hhh_hhn(lg, config);
-                     return hub.hhh + hub.hhn + core::count_hnn_nnn_fused(lg);
+                     return hub.hhh + hub.hhn + ablation::count_hnn_nnn_fused(lg);
                    }});
   paths.push_back(
       {"lotus_hnn_blocked", [](const auto& graph, const auto& config) {
          return lotus_phases(graph, config, core::TilingPolicy::kSquared, true);
        }});
-  paths.push_back({"lotus_streaming_replay", streaming_replay});
   // Scalar reference path of the kernel layer: the dispatched SIMD kernels
   // disabled, probe-templated scalar mirrors everywhere.
   paths.push_back({"lotus_scalar_kernels", [](const auto& graph,

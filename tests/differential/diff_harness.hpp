@@ -1,12 +1,12 @@
 // Differential correctness harness.
 //
 // The repository implements the same quantity — the triangle count of a
-// simple undirected graph — through ~25 independent code paths: the LOTUS
+// simple undirected graph — through ~24 independent code paths: the LOTUS
 // three-phase counter under both tiling policies, the Forward baselines over
 // four intersection kernels (plus branchless and SIMD variants), k-clique
 // enumeration at k = 3, the per-vertex counts on both analytic substrates,
-// the streaming hub counter, the blocked/fused HNN alternatives and the
-// on-disk pipelines. This harness pits every path against a
+// the blocked/fused HNN alternatives of the ablations and the on-disk
+// pipelines. This harness pits every path against a
 // brute-force oracle over a seeded corpus of generated and adversarial
 // graphs, across pool thread counts.
 //

@@ -2,15 +2,15 @@
 // unbiasedness within tolerance on random graphs, input validation.
 #include <gtest/gtest.h>
 
-#include "analytics/approx.hpp"
 #include "baselines/tc_baselines.hpp"
+#include "bench/ablations/approx.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
 namespace {
 
 namespace g = lotus::graph;
-namespace a = lotus::analytics;
+namespace a = lotus::ablation;
 
 TEST(Doulion, KeepAllIsExact) {
   const auto graph =

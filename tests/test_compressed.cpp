@@ -1,54 +1,28 @@
-// Gap+varint compressed CSX: round-trips, streaming decode, and the
-// locality-compression relationship the LOTUS relabeling relies on.
+// The gap + varint byte count of the ordering ablation: exact sizes at the
+// one/two-byte varint boundary, and the locality-compression relationship
+// the LOTUS relabeling relies on.
 #include <gtest/gtest.h>
 
+#include "bench/ablations/reorder.hpp"
 #include "graph/builder.hpp"
-#include "graph/compressed.hpp"
 #include "graph/generators.hpp"
-#include "graph/reorder.hpp"
 
 namespace {
 
 namespace g = lotus::graph;
-using g::CompressedCsr;
+using lotus::ablation::gap_varint_bytes;
 
-TEST(Compressed, RoundTripSmall) {
-  const auto graph = g::build_undirected(g::wheel(12));
-  EXPECT_EQ(CompressedCsr::encode(graph).decode(), graph);
-}
-
-TEST(Compressed, RoundTripRandomGraphs) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto graph =
-        g::build_undirected(g::rmat({.scale = 10, .edge_factor = 8, .seed = seed}));
-    const auto compressed = CompressedCsr::encode(graph);
-    EXPECT_EQ(compressed.num_vertices(), graph.num_vertices());
-    EXPECT_EQ(compressed.num_edges(), graph.num_edges());
-    EXPECT_EQ(compressed.decode(), graph);
-  }
+TEST(Compressed, ExactBytesAcrossTheVarintBoundary) {
+  // N(0) = {127, 256}: gaps 127 (one byte) and 256 − 127 − 1 = 128 (two).
+  // N(127) = N(256) = {0}: one byte each. 258 offsets of 8 bytes.
+  const auto graph = g::build_undirected({257, {{0, 127}, {0, 256}}});
+  EXPECT_EQ(gap_varint_bytes(graph), 258u * 8 + 1 + 2 + 1 + 1);
 }
 
 TEST(Compressed, EmptyAndIsolatedVertices) {
-  const auto empty = g::build_undirected({0, {}});
-  EXPECT_EQ(CompressedCsr::encode(empty).decode(), empty);
-  const auto isolated = g::build_undirected({5, {{0, 4}}});
-  EXPECT_EQ(CompressedCsr::encode(isolated).decode(), isolated);
-}
-
-TEST(Compressed, ForEachMatchesDecode) {
-  const auto graph =
-      g::build_undirected(g::rmat({.scale = 9, .edge_factor = 6, .seed = 7}));
-  const auto compressed = CompressedCsr::encode(graph);
-  std::vector<g::VertexId> streamed, decoded;
-  for (g::VertexId v = 0; v < graph.num_vertices(); ++v) {
-    streamed.clear();
-    compressed.for_each_neighbor(v, [&](g::VertexId u) { streamed.push_back(u); });
-    compressed.decode_neighbors(v, decoded);
-    ASSERT_EQ(streamed, decoded);
-    auto expected = graph.neighbors(v);
-    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), streamed.begin(),
-                           streamed.end()));
-  }
+  EXPECT_EQ(gap_varint_bytes(g::build_undirected({0, {}})), 8u);
+  // Vertices 1..3 are isolated: offsets only. N(0) = {4}, N(4) = {0}.
+  EXPECT_EQ(gap_varint_bytes(g::build_undirected({5, {{0, 4}}})), 6u * 8 + 2);
 }
 
 TEST(Compressed, BeatsRawStorageOnLocalGraphs) {
@@ -57,26 +31,24 @@ TEST(Compressed, BeatsRawStorageOnLocalGraphs) {
   const auto graph = g::build_undirected(g::copy_web(
       {.num_vertices = 1 << 13, .edges_per_vertex = 10, .p_copy = 0.7,
        .locality_window = 256, .seed = 9}));
-  const auto compressed = CompressedCsr::encode(graph);
-  EXPECT_LT(compressed.topology_bytes(), graph.topology_bytes());
+  EXPECT_LT(gap_varint_bytes(graph), graph.topology_bytes());
 }
 
 TEST(Compressed, RandomOrderCompressesWorseThanLocalOrder) {
   const auto graph = g::build_undirected(g::copy_web(
       {.num_vertices = 1 << 13, .edges_per_vertex = 10, .p_copy = 0.7,
        .locality_window = 256, .seed = 9}));
-  const auto shuffled =
-      g::relabel(graph, g::make_ordering(graph, g::Ordering::kRandom, 3));
-  EXPECT_GT(CompressedCsr::encode(shuffled).topology_bytes(),
-            CompressedCsr::encode(graph).topology_bytes());
+  const auto shuffled = g::relabel(
+      graph, lotus::ablation::make_ordering(graph, lotus::ablation::Ordering::kRandom, 3));
+  EXPECT_GT(gap_varint_bytes(shuffled), gap_varint_bytes(graph));
 }
 
 TEST(Compressed, RejectsUnsortedInput) {
-  // Hand-build a CSR with a descending list.
+  // Hand-build a CSR with a descending list: its gap would wrap.
   std::vector<std::uint64_t> offsets = {0, 2};
   std::vector<g::VertexId> neighbors = {5, 3};
   const g::CsrGraph bad(std::move(offsets), std::move(neighbors));
-  EXPECT_THROW(CompressedCsr::encode(bad), std::invalid_argument);
+  EXPECT_THROW(gap_varint_bytes(bad), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Extension modules: recursive LOTUS, the streaming hub counter, LotusGraph
-// serialization, and blocked HNN.
+// Extension modules: recursive LOTUS, LotusGraph serialization, and blocked
+// HNN.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -8,14 +8,13 @@
 #include <vector>
 
 #include "baselines/tc_baselines.hpp"
+#include "bench/ablations/hnn.hpp"
+#include "bench/ablations/recursive.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "lotus/count.hpp"
 #include "lotus/lotus.hpp"
-#include "lotus/recursive.hpp"
 #include "lotus/serialize.hpp"
-#include "lotus/streaming.hpp"
-#include "util/prng.hpp"
 
 namespace {
 
@@ -29,7 +28,7 @@ TEST(RecursiveLotus, MatchesPlainLotusAcrossLevels) {
       {.num_vertices = 3000, .edges_per_vertex = 6, .p_triad = 0.5, .seed = 53}));
   const std::uint64_t expected = lotus::baselines::brute_force(graph);
   for (unsigned levels : {1u, 2u, 3u, 5u}) {
-    const auto r = core::count_triangles_recursive(graph, {}, levels);
+    const auto r = lotus::ablation::count_triangles_recursive(graph, {}, levels);
     EXPECT_EQ(r.triangles, expected) << "levels=" << levels;
     EXPECT_GE(r.levels_used, 1u);
     EXPECT_LE(r.levels_used, levels);
@@ -42,70 +41,14 @@ TEST(RecursiveLotus, UsesMultipleLevelsOnLowSkewGraphs) {
       {.num_vertices = 20000, .edges_per_vertex = 6, .p_triad = 0.4, .seed = 54}));
   core::LotusConfig config;
   config.hub_count = 64;  // tiny hub set leaves a large NHE sub-graph
-  const auto r = core::count_triangles_recursive(graph, config, 3);
+  const auto r = lotus::ablation::count_triangles_recursive(graph, config, 3);
   EXPECT_GT(r.levels_used, 1u);
   EXPECT_EQ(r.triangles, lotus::baselines::brute_force(graph));
 }
 
 TEST(RecursiveLotus, EmptyGraph) {
-  const auto r = core::count_triangles_recursive(g::build_undirected({0, {}}));
+  const auto r = lotus::ablation::count_triangles_recursive(g::build_undirected({0, {}}));
   EXPECT_EQ(r.triangles, 0u);
-}
-
-// ---------- streaming ----------
-
-TEST(Streaming, MatchesOfflineHHHInAnyOrder) {
-  const auto graph =
-      g::build_undirected(g::rmat({.scale = 10, .edge_factor = 10, .seed = 55}));
-  core::LotusConfig config;
-  config.hub_count = 512;
-  const auto lg = core::LotusGraph::build(graph, config);
-  const auto offline = core::count_triangles_prepared(lg, config);
-
-  // Stream in shuffled order, with every edge duplicated.
-  std::vector<std::pair<g::VertexId, g::VertexId>> stream;
-  const auto& new_id = lg.relabeling();
-  for (g::VertexId v = 0; v < graph.num_vertices(); ++v)
-    for (auto u : graph.neighbors(v))
-      if (u < v) {
-        stream.push_back({new_id[v], new_id[u]});
-        stream.push_back({new_id[u], new_id[v]});  // duplicate, reversed
-      }
-  lotus::util::Xoshiro256 rng(99);
-  for (std::size_t i = stream.size(); i > 1; --i)
-    std::swap(stream[i - 1], stream[rng.next_below(i)]);
-
-  core::StreamingHubCounter counter(lg.hub_count());
-  for (const auto& [u, v] : stream) counter.add_edge(u, v);
-  EXPECT_EQ(counter.hhh_triangles(), offline.hhh);
-}
-
-TEST(Streaming, EdgeClassCounters) {
-  core::StreamingHubCounter counter(4);  // hubs: 0..3
-  counter.add_edge(0, 1);                // hub-hub
-  counter.add_edge(1, 2);                // hub-hub
-  counter.add_edge(0, 2);                // closes triangle 0-1-2
-  counter.add_edge(3, 10);               // hub-nonhub
-  counter.add_edge(10, 11);              // nonhub
-  counter.add_edge(5, 5);                // self-loop: ignored
-  EXPECT_EQ(counter.hhh_triangles(), 1u);
-  EXPECT_EQ(counter.hub_hub_edges(), 3u);
-  EXPECT_EQ(counter.hub_nonhub_edges(), 1u);
-  EXPECT_EQ(counter.nonhub_edges(), 1u);
-}
-
-TEST(Streaming, DuplicateHubEdgesCountOnce) {
-  core::StreamingHubCounter counter(8);
-  counter.add_edge(0, 1);
-  counter.add_edge(1, 2);
-  counter.add_edge(0, 2);
-  counter.add_edge(2, 0);  // duplicate of the closing edge
-  EXPECT_EQ(counter.hhh_triangles(), 1u);
-  EXPECT_EQ(counter.hub_hub_edges(), 3u);
-}
-
-TEST(Streaming, RejectsOversizedHubUniverse) {
-  EXPECT_THROW(core::StreamingHubCounter(1u << 17), std::invalid_argument);
 }
 
 // ---------- LotusGraph serialization ----------
@@ -197,14 +140,8 @@ TEST(BlockedHnn, MatchesUnblockedForAllBlockSizes) {
       g::build_undirected(g::rmat({.scale = 10, .edge_factor = 10, .seed = 56}));
   const auto lg = core::LotusGraph::build(graph, {});
   const std::uint64_t expected = core::count_hnn(lg);
-  for (g::VertexId block : {1u, 7u, 64u, 1024u, 1u << 20}) {
-    // The hub-bitmap step and the scalar-merge reference path.
-    EXPECT_EQ(core::count_hnn_blocked(lg, block), expected) << block;
-    EXPECT_EQ(core::count_hnn_blocked(lg, block, lotus::baselines::null_probe,
-                                      /*vectorize=*/false),
-              expected)
-        << block << " (scalar)";
-  }
+  for (g::VertexId block : {1u, 7u, 64u, 1024u, 1u << 20})
+    EXPECT_EQ(lotus::ablation::count_hnn_blocked(lg, block), expected) << block;
 }
 
 }  // namespace

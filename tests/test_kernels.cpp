@@ -14,6 +14,7 @@
 
 #include "baselines/intersect.hpp"
 #include "baselines/tc_baselines.hpp"
+#include "bench/ablations/hnn.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
@@ -506,7 +507,7 @@ TEST(KernelGraphLevel, LotusScalarReferencePathAgrees) {
   // Fused ablation path also routes through the dispatched kernels.
   const auto lg = lotus::core::LotusGraph::build(graph);
   const auto hub = lotus::core::count_hhh_hhn(lg, {});
-  EXPECT_EQ(hub.hhh + hub.hhn + lotus::core::count_hnn_nnn_fused(lg), expected);
+  EXPECT_EQ(hub.hhh + hub.hhn + lotus::ablation::count_hnn_nnn_fused(lg), expected);
 }
 
 }  // namespace

@@ -7,9 +7,10 @@
 #include <string>
 
 #include "baselines/tc_baselines.hpp"
+#include "bench/ablations/hnn.hpp"
+#include "bench/ablations/reorder.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "graph/reorder.hpp"
 #include "lotus/count.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/relabel.hpp"
@@ -170,7 +171,7 @@ TEST(LotusCount, FusedModeMatchesSplit) {
       g::build_undirected(g::rmat({.scale = 11, .edge_factor = 10, .seed = 21}));
   const auto split = lotus::core::count_triangles(graph);
   const auto lg = LotusGraph::build(graph);
-  EXPECT_EQ(lotus::core::count_hnn_nnn_fused(lg), split.hnn + split.nnn);
+  EXPECT_EQ(lotus::ablation::count_hnn_nnn_fused(lg), split.hnn + split.nnn);
 }
 
 TEST(LotusCount, EdgeBalancedPolicyCountsIdentically) {
@@ -219,13 +220,13 @@ TEST(LotusCount, InvariantUnderInputReordering) {
   const auto graph =
       g::build_undirected(g::rmat({.scale = 10, .edge_factor = 10, .seed = 25}));
   const auto reference = lotus::core::count_triangles(graph);
-  for (auto ordering : g::all_orderings()) {
+  for (auto ordering : lotus::ablation::all_orderings()) {
     const auto relabeled =
-        g::relabel(graph, g::make_ordering(graph, ordering, 13));
+        g::relabel(graph, lotus::ablation::make_ordering(graph, ordering, 13));
     const auto r = lotus::core::count_triangles(relabeled);
-    EXPECT_EQ(r.triangles, reference.triangles) << g::ordering_name(ordering);
+    EXPECT_EQ(r.triangles, reference.triangles) << lotus::ablation::ordering_name(ordering);
     EXPECT_EQ(r.triangles, r.hhh + r.hhn + r.hnn + r.nnn)
-        << g::ordering_name(ordering);
+        << lotus::ablation::ordering_name(ordering);
   }
 }
 
@@ -287,7 +288,7 @@ TEST(LotusCount, BitmapHnnAtThe64KiHubBoundary) {
     const auto hub_phase = lotus::core::count_hhh_hhn(lg, config);
     const std::uint64_t nnn = lotus::core::count_nnn(lg);
     EXPECT_EQ(hub_phase.hhh + hub_phase.hhn + bitmap + nnn, expected) << hubs << " hubs";
-    EXPECT_EQ(lotus::core::count_hnn_nnn_fused(lg), bitmap + nnn) << hubs << " hubs";
+    EXPECT_EQ(lotus::ablation::count_hnn_nnn_fused(lg), bitmap + nnn) << hubs << " hubs";
   }
 }
 
