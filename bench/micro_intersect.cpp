@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "baselines/intersect.hpp"
+#include "bench/ablations/intersect.hpp"
 #include "kernels/intersect.hpp"
 #include "util/bitset.hpp"
 #include "util/prng.hpp"
@@ -13,6 +14,8 @@
 namespace {
 
 using namespace lotus::baselines;
+using lotus::ablation::intersect_binary_branchfree;
+using lotus::ablation::intersect_merge_branchless;
 
 std::vector<std::uint32_t> make_sorted(std::size_t n, std::uint32_t universe,
                                        std::uint64_t seed) {

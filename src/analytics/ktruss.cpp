@@ -1,7 +1,12 @@
 #include "analytics/ktruss.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
+#include <new>
+#include <span>
+#include <utility>
 
 #include "baselines/intersect.hpp"
 #include "mining/triangle_walk.hpp"
@@ -10,118 +15,190 @@
 
 namespace lotus::analytics {
 
-using graph::CsrGraph;
 using graph::OrientedCsr;
 using graph::VertexId;
 
 namespace {
 
-/// Peel loop cadence for cancellation/deadline polls: the loop is sequential
-/// (the bucket queue is inherently ordered), so it polls the installed
-/// ExecContext itself instead of relying on parallel_for.
+/// Cancellation/deadline poll cadence of the peel, which is sequential
+/// (edges leave in support order) and so cannot rely on parallel_for's.
 constexpr std::uint64_t kPeelPollInterval = 2048;
 
-/// Index of oriented edge (a, b) with a < b in the flattened (by b) order;
-/// b's list is sorted so the position is a binary search.
-std::uint64_t edge_id(const OrientedCsr& oriented, VertexId a, VertexId b) {
-  auto nb = oriented.neighbors(b);
-  const auto it = std::lower_bound(nb.begin(), nb.end(), a);
-  return oriented.offset(b) + static_cast<std::uint64_t>(it - nb.begin());
+/// `c[i + 1]` holds item i's count; make it item i's first slot. After one
+/// `c[i + 1]++` per placed entry, [c[i], c[i + 1]) is item i's range: the
+/// fill cursors become the offsets in place.
+template <typename T>
+void counts_to_cursors(std::span<T> c) {
+  T start = 0;
+  for (T& slot : c.subspan(1)) start += std::exchange(slot, start);
+}
+
+/// The triangle index's allocator: one anonymous mapping, unmapped on free.
+/// glibc would serve a block this large by mmap too, but freeing it raises
+/// the dynamic mmap threshold to its size, after which every thread's arena
+/// keeps freed blocks up to that size resident.
+template <typename T>
+struct MappedAllocator {
+  using value_type = T;
+  T* allocate(std::size_t n) {
+    void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t n) noexcept { ::munmap(p, n * sizeof(T)); }
+  bool operator==(const MappedAllocator&) const = default;
+};
+
+/// The Batagelj–Zaversnik peel. `order` holds the edges sorted by support,
+/// `bin[s]` the first position of support s. Each step peels the next edge
+/// e at its support s; every live triangle through e moves its other two
+/// edges one bin down (a swap with the first edge of their bin), never
+/// below s. `triangles(e, visit)` calls `visit(f, g)` for the other two
+/// edges of each triangle through e, which is live while neither f nor g
+/// has been peeled (trussness still 0): each triangle dies exactly once.
+template <typename EdgeId, typename Triangles>
+void peel(std::vector<std::uint32_t>& support, std::uint32_t max_support,
+          const Triangles& triangles, std::vector<std::uint32_t>& trussness) {
+  const auto m = static_cast<EdgeId>(support.size());
+  std::vector<EdgeId> bin(std::uint64_t{max_support} + 2, 0), order(m), pos(m);
+  for (EdgeId e = 0; e < m; ++e) ++bin[support[e] + 1];
+  counts_to_cursors(std::span(bin));
+  for (EdgeId e = 0; e < m; ++e) order[pos[e] = bin[support[e] + 1]++] = e;
+  for (EdgeId i = 0; i < m; ++i) {
+    // The poll at i = 0 also stops a peel whose index walk was interrupted.
+    if (i % kPeelPollInterval == 0 && parallel::interrupted()) return;
+    const EdgeId e = order[i];
+    const std::uint32_t s = support[e];
+    trussness[e] = s + 2;
+    triangles(e, [&](EdgeId f, EdgeId g) {
+      if (trussness[f] != 0 || trussness[g] != 0) return;
+      for (const EdgeId x : {f, g}) {
+        if (support[x] <= s) continue;
+        const EdgeId px = pos[x], pw = bin[support[x]--]++;
+        std::swap(pos[x], pos[order[pw]]);
+        std::swap(order[px], order[pw]);
+      }
+    });
+  }
+}
+
+template <typename EdgeId>
+void decompose(const OrientedCsr& oriented, KTrussResult& result) {
+  const std::uint64_t m = oriented.num_edges();
+  const VertexId n = oriented.num_vertices();
+  const auto& lower = oriented.neighbor_array();
+  // Trussness and support (4 B each), the peel's order and position (one
+  // edge ID each): charged before the first allocation so budgeted queries
+  // degrade instead of dying mid-build.
+  util::charge_current(m * (8 + 2 * sizeof(EdgeId)), "ktruss/edge-state");
+  result.trussness.assign(m, 0);
+
+  // Supports via one positional Forward walk: the flat positions of each
+  // triangle's edges (u,v), (w,v) and (w,u) are their edge IDs.
+  std::vector<std::uint32_t> support(m, 0);
+  mining::forward_walk(oriented, [&](unsigned, VertexId, VertexId, VertexId,
+                                     std::uint64_t e_uv, std::uint64_t e_wv,
+                                     std::uint64_t e_wu) {
+    for (const std::uint64_t e : {e_uv, e_wv, e_wu})
+      std::atomic_ref(support[e]).fetch_add(1, std::memory_order_relaxed);
+  });
+  if (parallel::interrupted()) return;  // partial: all-zero trussness
+  std::uint64_t incidences = 0;         // 3 per triangle
+  for (const std::uint32_t s : support) incidences += s;
+  const std::uint32_t max_support = *std::max_element(support.begin(), support.end());
+  util::charge_current((std::uint64_t{max_support} + 2) * sizeof(EdgeId),
+                       "ktruss/edge-state");
+
+  // The triangle index — for each edge, the (f, g) pair of every triangle
+  // through it, at offsets from the supports' prefix sum — when its IDs fit
+  // 32 bits and the budget admits it (site ktruss/triangle-index).
+  result.indexed = sizeof(EdgeId) == 4 && incidences < (std::uint64_t{1} << 32) &&
+                   util::try_charge_current(incidences * 8 + (m + 1) * 4);
+  if (result.indexed) {
+    std::vector<std::uint32_t> offsets(m + 1, 0);
+    std::copy(support.begin(), support.end(), offsets.begin() + 1);
+    counts_to_cursors(std::span(offsets));
+    using Incidence = std::pair<std::uint32_t, std::uint32_t>;
+    std::vector<Incidence, MappedAllocator<Incidence>> index(incidences);
+    mining::forward_walk(oriented, [&](unsigned, VertexId, VertexId, VertexId,
+                                       std::uint64_t e_uv, std::uint64_t e_wv,
+                                       std::uint64_t e_wu) {
+      const auto place = [&](std::uint64_t e, std::uint64_t f, std::uint64_t g) {
+        index[std::atomic_ref(offsets[e + 1]).fetch_add(1, std::memory_order_relaxed)] =
+            {static_cast<std::uint32_t>(f), static_cast<std::uint32_t>(g)};
+      };
+      place(e_uv, e_wv, e_wu);
+      place(e_wv, e_uv, e_wu);
+      place(e_wu, e_uv, e_wv);
+    });
+    peel<EdgeId>(support, max_support, [&](EdgeId e, const auto& visit) {
+      for (std::uint32_t k = offsets[e]; k < offsets[e + 1]; ++k)
+        visit(index[k].first, index[k].second);
+    }, result.trussness);
+    return;
+  }
+
+  // Otherwise a merge of the endpoints' symmetric lists: a vertex's lower
+  // neighbours are its oriented list (edge IDs are the positions), its
+  // upper ones the transposed list, filled in one pass over the oriented
+  // lists in ascending order — so sorted with no sort — with edge IDs.
+  util::charge_current((std::uint64_t{n} + 1) * 8 + m * (4 + sizeof(EdgeId)),
+                       "ktruss/merge-lists");
+  std::vector<std::uint64_t> upper_offsets(std::uint64_t{n} + 1, 0);
+  for (const VertexId u : lower) ++upper_offsets[u + 1];
+  counts_to_cursors(std::span(upper_offsets));
+  std::vector<VertexId> upper_neighbors(m);
+  std::vector<EdgeId> upper_ids(m);
+  for (VertexId v = 0; v < n; ++v)
+    for (std::uint64_t e = oriented.offset(v); e < oriented.offset(v + 1); ++e) {
+      const std::uint64_t slot = upper_offsets[lower[e] + 1]++;
+      upper_neighbors[slot] = v;
+      upper_ids[slot] = static_cast<EdgeId>(e);
+    }
+  const graph::Csr<VertexId> upper(std::move(upper_offsets), std::move(upper_neighbors));
+  const auto& offsets = oriented.offsets();
+  peel<EdgeId>(support, max_support, [&](EdgeId e, const auto& visit) {
+    // e = (a, b), a < b, sits in b's list; the third vertex w lies below a,
+    // between a and b, or above b.
+    const auto b = static_cast<VertexId>(
+        std::upper_bound(offsets.begin(), offsets.end(), e) - offsets.begin() - 1);
+    const VertexId a = lower[e];
+    const auto la = static_cast<EdgeId>(offsets[a]);
+    const auto lb = static_cast<EdgeId>(offsets[b]);
+    const EdgeId* ids_a = upper_ids.data() + upper.offset(a);
+    const EdgeId* ids_b = upper_ids.data() + upper.offset(b);
+    const auto nb = oriented.neighbors(b);
+    baselines::intersect_merge<VertexId>(
+        oriented.neighbors(a), nb.first(e - lb), baselines::null_probe,
+        [&](std::size_t i, std::size_t j) {
+          visit(static_cast<EdgeId>(la + i), static_cast<EdgeId>(lb + j));
+        });
+    baselines::intersect_merge<VertexId>(
+        upper.neighbors(a), nb.subspan(e - lb + 1), baselines::null_probe,
+        [&](std::size_t i, std::size_t j) {
+          visit(ids_a[i], static_cast<EdgeId>(e + 1 + j));
+        });
+    baselines::intersect_merge<VertexId>(
+        upper.neighbors(a), upper.neighbors(b), baselines::null_probe,
+        [&](std::size_t i, std::size_t j) { visit(ids_a[i], ids_b[j]); });
+  }, result.trussness);
 }
 
 }  // namespace
 
-KTrussResult ktruss_prepared(const CsrGraph& graph,
-                             const OrientedCsr& oriented) {
+KTrussResult ktruss_prepared(const OrientedCsr& oriented) {
   KTrussResult result;
   const std::uint64_t m = oriented.num_edges();
   if (m == 0) return result;
-
-  // Per-edge state: trussness + endpoints + support + alive ≈ 24 bytes/edge,
-  // plus bucket-queue entries (8 bytes/edge amortised). Charge before the
-  // first allocation so budgeted queries degrade instead of dying mid-build.
-  util::charge_current(m * 32, "ktruss/edge-state");
-  result.trussness.assign(m, 0);
-
-  // Edge e = (u, v), u < v, in flattened order: u is the neighbour-array
-  // entry itself, v the list it sits in.
-  const auto& edge_u = oriented.neighbor_array();
-  std::vector<VertexId> edge_v(m);
-  for (VertexId v = 0; v < oriented.num_vertices(); ++v)
-    for (std::uint64_t e = oriented.offset(v); e < oriented.offset(v + 1); ++e)
-      edge_v[e] = v;
-
-  // Initial supports via one positional Forward walk: the flat positions of
-  // each triangle's edges (u,v), (w,v) and (w,u) are their edge IDs.
-  // Relaxed atomic increments — counts only, no ordering needed.
-  std::vector<std::atomic<std::uint32_t>> support_atomic(m);
-  mining::forward_walk(oriented, [&](unsigned, VertexId, VertexId, VertexId,
-                                     std::uint64_t e_uv, std::uint64_t e_wv,
-                                     std::uint64_t e_wu) {
-    support_atomic[e_uv].fetch_add(1, std::memory_order_relaxed);
-    support_atomic[e_wv].fetch_add(1, std::memory_order_relaxed);
-    support_atomic[e_wu].fetch_add(1, std::memory_order_relaxed);
-  });
-  if (parallel::interrupted()) return result;  // partial: all-zero trussness
-
-  std::vector<std::uint32_t> support(m);
-  std::uint32_t max_support = 0;
-  for (std::uint64_t e = 0; e < m; ++e) {
-    support[e] = support_atomic[e].load(std::memory_order_relaxed);
-    max_support = std::max(max_support, support[e]);
-  }
-  support_atomic.clear();
-  support_atomic.shrink_to_fit();
-
-  // Bucket queue keyed by support; peel in non-decreasing support order.
-  std::vector<std::vector<std::uint64_t>> buckets(max_support + 1);
-  for (std::uint64_t e = 0; e < m; ++e) buckets[support[e]].push_back(e);
-  std::vector<bool> alive(m, true);
-  std::uint64_t removed = 0;
-  std::uint64_t since_poll = 0;
-  std::uint32_t current = 0;  // current peeling threshold (support floor)
-
-  while (removed < m) {
-    if (++since_poll >= kPeelPollInterval) {
-      since_poll = 0;
-      if (parallel::interrupted()) return result;  // partial decomposition
-    }
-    // Find the next non-empty bucket at or below every edge's support.
-    while (current <= max_support && buckets[current].empty()) ++current;
-    if (current > max_support) break;
-    const std::uint64_t e = buckets[current].back();
-    buckets[current].pop_back();
-    if (!alive[e] || support[e] != current) continue;  // stale entry
-
-    alive[e] = false;
-    ++removed;
-    result.trussness[e] = current + 2;
-    result.max_k = std::max(result.max_k, current + 2);
-
-    // Decrement the supports of the two other edges of every surviving
-    // triangle through e.
-    const VertexId a = edge_u[e], b = edge_v[e];
-    const auto na = graph.neighbors(a);
-    baselines::intersect_merge<VertexId>(
-        na, graph.neighbors(b), baselines::null_probe,
-        [&](std::size_t i, std::size_t) {
-          const VertexId w = na[i];
-          const std::uint64_t e1 = edge_id(oriented, std::min(w, a), std::max(w, a));
-          const std::uint64_t e2 = edge_id(oriented, std::min(w, b), std::max(w, b));
-          if (!alive[e1] || !alive[e2]) return;
-          for (std::uint64_t other : {e1, e2}) {
-            if (support[other] > current) {
-              --support[other];
-              buckets[support[other]].push_back(other);
-            }
-          }
-        });
-    // New bucket entries are always >= current (supports are floored at the
-    // threshold), so the scan never needs to move backwards.
-  }
-
-  for (std::uint64_t e = 0; e < m; ++e)
-    result.edges_in_max_truss += result.trussness[e] == result.max_k ? 1u : 0u;
+  if (edge_id_bytes(m) == 4)
+    decompose<std::uint32_t>(oriented, result);
+  else
+    decompose<std::uint64_t>(oriented, result);
+  if (parallel::interrupted()) return result;  // partial decomposition
+  result.max_k = *std::max_element(result.trussness.begin(), result.trussness.end());
+  result.edges_in_max_truss = static_cast<std::uint64_t>(
+      std::count(result.trussness.begin(), result.trussness.end(), result.max_k));
   return result;
 }
 

@@ -16,19 +16,26 @@ struct KTrussResult {
   std::vector<std::uint32_t> trussness;
   std::uint32_t max_k = 0;            // largest non-empty truss
   std::uint64_t edges_in_max_truss = 0;
+  /// Triangles came from the index (false: from the merge lists).
+  bool indexed = false;
 };
 
-/// Peeling decomposition over a prebuilt orientation of `graph` (support
-/// recomputation is O(triangles) per peel level). `oriented` must be
-/// an orientation of `graph` in the SAME vertex-ID space (each vertex lists
-/// its lower-ID neighbours) — e.g. `orient_by_id(graph)` or, for the
-/// Engine-served analytic, a cached degree-ordered artifact paired with the
-/// correspondingly relabeled graph. `trussness` is indexed by the flattened
-/// oriented edge order of `oriented`; summary fields (`max_k`,
-/// `edges_in_max_truss`) are independent of edge order. Polls the installed
-/// ExecContext (cancellation/deadline ⇒ returns a partial decomposition the
-/// caller must discard) and charges edge state against the memory budget.
-KTrussResult ktruss_prepared(const graph::CsrGraph& graph,
-                             const graph::OrientedCsr& oriented);
+/// Bytes of one edge ID in a graph of `m` edges (the peel's queue and the
+/// merge lists); the triangle index needs 4.
+[[nodiscard]] constexpr unsigned edge_id_bytes(std::uint64_t m) noexcept {
+  return m < (std::uint64_t{1} << 32) ? 4 : 8;
+}
+
+/// Batagelj–Zaversnik peel over an oriented CSR (each vertex lists its
+/// lower neighbours ascending: `orient_by_id(graph)`, or the Engine's
+/// degree-ordered artifact). Supports come from a positional Forward walk;
+/// each triangle dies once, when its first edge is peeled. Its edges come
+/// from a per-edge triangle index (24 B/triangle + 4 B/edge, filled by a
+/// second walk) when the budget admits it and the IDs fit 32 bits, else
+/// from a merge of the endpoints' symmetric lists; both give the same
+/// decomposition. `trussness` follows the flattened oriented edge order.
+/// Polls the installed ExecContext (an interrupt returns a partial result
+/// the caller must discard) and charges the memory budget first.
+KTrussResult ktruss_prepared(const graph::OrientedCsr& oriented);
 
 }  // namespace lotus::analytics

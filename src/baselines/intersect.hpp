@@ -131,59 +131,6 @@ std::uint64_t intersect_gallop(std::span<const T> a, std::span<const T> b,
   return count;
 }
 
-/// Branch-free merge: advances are computed arithmetically so the
-/// data-dependent comparison never becomes a mispredictable branch — the
-/// branch-miss reduction idea of [32] applied to merge join.
-template <typename T, typename Probe = NullProbe>
-std::uint64_t intersect_merge_branchless(std::span<const T> a,
-                                         std::span<const T> b,
-                                         Probe& probe = null_probe) {
-  std::uint64_t count = 0;
-  std::uint64_t comparisons = 0;  // dead when LOTUS_OBS=0
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const T x = a[i];
-    const T y = b[j];
-    probe.read(&a[i], sizeof(T));
-    probe.read(&b[j], sizeof(T));
-    probe.op();
-    ++comparisons;
-    count += x == y ? 1u : 0u;
-    i += x <= y ? 1u : 0u;  // compiles to cmov/setcc, not a branch
-    j += y <= x ? 1u : 0u;
-  }
-  obs::count(obs::Counter::kIntersectComparisons, comparisons);
-  if (count == 0 && comparisons > 0)
-    obs::count(obs::Counter::kFruitlessSearches);
-  return count;
-}
-
-/// Branch-free binary search of each element of the shorter list in the
-/// longer (Khuong-Morin array layout search [40], as deployed by [33]).
-template <typename T, typename Probe = NullProbe>
-std::uint64_t intersect_binary_branchfree(std::span<const T> a,
-                                          std::span<const T> b,
-                                          Probe& probe = null_probe) {
-  if (a.size() > b.size()) return intersect_binary_branchfree(b, a, probe);
-  if (b.empty()) return 0;
-  std::uint64_t count = 0;
-  for (const T& x : a) {
-    probe.read(&x, sizeof(T));
-    const T* base = b.data();
-    std::size_t n = b.size();
-    while (n > 1) {
-      const std::size_t half = n / 2;
-      probe.read(&base[half - 1], sizeof(T));
-      probe.op();
-      base += base[half - 1] < x ? half : 0;  // cmov, no branch
-      n -= half;
-    }
-    probe.read(base, sizeof(T));
-    count += *base == x ? 1u : 0u;
-  }
-  return count;
-}
-
 /// Open-addressing hash set sized for one neighbour list; reused across
 /// probes of the same list (forward-hashed of Schank & Wagner).
 ///

@@ -11,13 +11,13 @@
 // walk triangles once per substrate (docs/API.md).
 //
 // Timing model: the residual per-query work the artifact cannot cover — the
-// degree permutation for per-vertex remaps, the relabeled full graph for the
-// truss peel (OrientedCsr stores no permutation, and the LOTUSPA1 spill
-// format must not change to carry one) — lands in preprocess_s (traced as a
-// "preprocess" leaf); the traversals land in count_s. The artifact build is
-// timed by the caller. That keeps the Engine's cache-amortization metrics
-// honest: a cache hit removes exactly the artifact build, never the
-// residual.
+// degree permutation for per-vertex remaps (OrientedCsr stores no
+// permutation, and the LOTUSPA1 spill format must not change to carry one)
+// — lands in preprocess_s (traced as a "preprocess" leaf). The traversals
+// land in count_s, the truss peel's index or merge lists included: it reads
+// the oriented CSR alone. The artifact build is timed by the caller, which
+// keeps the Engine's cache-amortization metrics honest: a cache hit removes
+// exactly the artifact build, never the residual.
 //
 // Error model: budget vetoes surface as bad_alloc (execute_query's
 // degradation retry applies — the substrate switches, the analytic stays);
@@ -27,12 +27,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 
 #include "analytics/clustering.hpp"
 #include "analytics/ktruss.hpp"
-#include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
 #include "lotus/local.hpp"
 #include "lotus/lotus_graph.hpp"
@@ -43,20 +41,7 @@
 
 namespace lotus::tc::detail {
 
-namespace {
-
 using graph::VertexId;
-
-/// Time `fn()` into the preprocess accumulator and return its value.
-template <typename Fn>
-auto timed_into(double& accumulator, Fn&& fn) {
-  util::Timer timer;
-  auto value = fn();
-  accumulator += timer.elapsed_s();
-  return value;
-}
-
-}  // namespace
 
 RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
                        const QueryOptions& options,
@@ -86,8 +71,7 @@ RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
   // not carry.
   const core::LotusGraph* lg = nullptr;
   const graph::OrientedCsr* oriented = nullptr;
-  std::vector<VertexId> perm;           // degree-descending permutation
-  std::optional<graph::CsrGraph> relabeled;  // graph in the oriented ID space
+  std::vector<VertexId> perm;  // degree-descending permutation
 
   if (lotus_substrate) {
     lg = prepared.lotus();
@@ -101,14 +85,11 @@ RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
       throw std::invalid_argument(
           "prepared artifact lacks the oriented CSR required by " +
           name(algorithm));
-    const bool needs_perm = per_vertex || request.kind == AnalyticKind::kKTruss;
-    if (needs_perm)
-      perm = timed_into(out.preprocess_s, [&] {
-        return graph::degree_descending_permutation(graph);
-      });
-    if (request.kind == AnalyticKind::kKTruss)
-      relabeled.emplace(timed_into(
-          out.preprocess_s, [&] { return graph::relabel(graph, perm); }));
+    if (per_vertex) {
+      util::Timer timer;
+      perm = graph::degree_descending_permutation(graph);
+      out.preprocess_s += timer.elapsed_s();
+    }
   }
 
   util::Timer count_timer;
@@ -127,8 +108,9 @@ RunResult run_analytic(Algorithm algorithm, const graph::CsrGraph& graph,
       break;
     }
     case AnalyticKind::kKTruss: {
-      analytics::KTrussResult truss =
-          analytics::ktruss_prepared(*relabeled, *oriented);
+      analytics::KTrussResult truss = analytics::ktruss_prepared(*oriented);
+      if (trace != nullptr)
+        trace->note("truss_triangles", truss.indexed ? "index" : "merge");
       out.analytics.truss.max_k = truss.max_k;
       out.analytics.truss.edges_in_max_truss = truss.edges_in_max_truss;
       if (full) out.analytics.edge_trussness = std::move(truss.trussness);

@@ -440,7 +440,7 @@ RunResult run_prepared_kernel(Algorithm algorithm,
 /// kClustering) on the substrate `algorithm` selects, borrowing it from
 /// `prepared` (implemented in analytics_exec.cpp). Residual per-query work
 /// the artifact cannot cover — recomputing the degree permutation for
-/// per-vertex remaps, relabeling the full graph for the truss peel — is
+/// per-vertex remaps; the truss peel reads the oriented CSR alone — is
 /// timed into preprocess_s. Budget vetoes propagate as bad_alloc (the
 /// degradation retry in execute_query applies); cancellation/deadline are
 /// polled inside every traversal.

@@ -113,14 +113,19 @@ class ScopedMemoryBudget {
   MemoryBudget* previous_;
 };
 
+/// charge_current for a site with a cheaper fallback: false (and no charge)
+/// where charge_current would throw.
+[[nodiscard]] inline bool try_charge_current(std::uint64_t bytes) {
+  if (fault::should_fail(fault::Site::kAlloc)) return false;
+  MemoryBudget* budget = current_memory_budget();
+  return budget == nullptr || budget->try_charge(bytes);
+}
+
 /// Charge `bytes` at `site` against the current budget. Throws BudgetError
 /// when the budget would be exceeded or the `alloc` fault site fires.
 /// Master-thread only (see file comment).
 inline void charge_current(std::uint64_t bytes, const char* site) {
-  if (fault::should_fail(fault::Site::kAlloc)) throw BudgetError(site, bytes);
-  MemoryBudget* budget = current_memory_budget();
-  if (budget == nullptr) return;
-  if (!budget->try_charge(bytes)) throw BudgetError(site, bytes);
+  if (!try_charge_current(bytes)) throw BudgetError(site, bytes);
 }
 
 /// True when charges can currently fail (budget installed or alloc faults

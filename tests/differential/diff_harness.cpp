@@ -14,6 +14,7 @@
 #include "baselines/intersect.hpp"
 #include "baselines/tc_baselines.hpp"
 #include "bench/ablations/hnn.hpp"
+#include "bench/ablations/intersect.hpp"
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
@@ -325,14 +326,14 @@ std::vector<DiffPath> differential_paths() {
   paths.push_back({"forward_merge_branchless",
                    [](const auto& graph, const auto&) {
                      return forward_with_kernel(graph, [](auto a, auto b) {
-                       return baselines::intersect_merge_branchless<g::VertexId>(
+                       return ablation::intersect_merge_branchless<g::VertexId>(
                            a, b);
                      });
                    }});
   paths.push_back({"forward_binary_branchfree",
                    [](const auto& graph, const auto&) {
                      return forward_with_kernel(graph, [](auto a, auto b) {
-                       return baselines::intersect_binary_branchfree<g::VertexId>(
+                       return ablation::intersect_binary_branchfree<g::VertexId>(
                            a, b);
                      });
                    }});

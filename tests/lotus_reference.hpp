@@ -1,16 +1,21 @@
-// Test oracles shared by the unit and sanitizer suites: LotusGraph::build
-// and the per-vertex triangle counts.
+// Test oracles shared by the unit, analytics and sanitizer suites:
+// LotusGraph::build, the per-vertex triangle counts and the truss
+// decomposition, plus the budget that forces the truss peel's merge source.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "analytics/ktruss.hpp"
 #include "graph/csr.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "lotus/relabel.hpp"
+#include "util/memory_budget.hpp"
 
 namespace lotus::test {
 
@@ -74,6 +79,79 @@ inline std::vector<std::uint64_t> local_counts_oracle(
     for (const graph::VertexId u : nv) in_nv[u] = 0;
   }
   return counts;
+}
+
+struct TrussOracle {
+  std::uint32_t max_k = 0;
+  std::uint64_t edges_in_max_truss = 0;
+  /// trussness value -> number of edges (order-invariant form).
+  std::map<std::uint32_t, std::uint64_t> histogram;
+};
+
+/// Textbook peeling over adjacency sets: for rising k, delete every edge
+/// with fewer than k − 2 triangles, re-examining the edges that shared a
+/// triangle with a deleted one, until none is left below; an edge deleted
+/// at level k has trussness k − 1. Supports are common-neighbour counts
+/// kept in a map and decremented per deleted triangle.
+inline TrussOracle truss_oracle(const graph::CsrGraph& graph) {
+  using graph::VertexId;
+  using Edge = std::pair<VertexId, VertexId>;
+  const auto key = [](VertexId a, VertexId b) {
+    return Edge{std::min(a, b), std::max(a, b)};
+  };
+  std::vector<std::set<VertexId>> adj(graph.num_vertices());
+  for (VertexId v = 0; v < graph.num_vertices(); ++v)
+    for (const VertexId u : graph.neighbors(v)) adj[v].insert(u);
+  // Visit each w adjacent to both a and b, scanning the smaller set.
+  const auto for_common = [&](VertexId a, VertexId b, const auto& fn) {
+    const auto& small = adj[a].size() <= adj[b].size() ? adj[a] : adj[b];
+    const auto& large = adj[a].size() <= adj[b].size() ? adj[b] : adj[a];
+    for (const VertexId w : small)
+      if (large.count(w) != 0) fn(w);
+  };
+  std::map<Edge, std::uint64_t> support;  // the edges still alive
+  for (VertexId v = 0; v < graph.num_vertices(); ++v)
+    for (const VertexId u : adj[v]) {
+      if (u >= v) break;
+      std::uint64_t& s = support[{u, v}];
+      for_common(u, v, [&](VertexId) { ++s; });
+    }
+
+  TrussOracle oracle;
+  for (std::uint32_t k = 3; !support.empty(); ++k) {
+    std::vector<Edge> doomed;
+    for (const auto& [edge, s] : support)
+      if (s < k - 2) doomed.push_back(edge);
+    while (!doomed.empty()) {
+      const auto [u, v] = doomed.back();
+      doomed.pop_back();
+      if (support.erase({u, v}) == 0) continue;  // queued twice
+      oracle.histogram[k - 1] += 1;
+      adj[u].erase(v);
+      adj[v].erase(u);
+      for_common(u, v, [&](VertexId w) {
+        for (const Edge other : {key(u, w), key(v, w)})
+          if (--support[other] < k - 2) doomed.push_back(other);
+      });
+    }
+    if (!support.empty()) {
+      oracle.max_k = k;
+      oracle.edges_in_max_truss = support.size();
+    }
+  }
+  return oracle;
+}
+
+/// Budget bytes that admit analytics::ktruss_prepared's edge state on
+/// `oriented` but not its triangle index: one byte short of what the
+/// indexed peel charges, so the peel takes its triangles from the merge
+/// lists — which fit wherever they are smaller than the index (more than
+/// about (m + 2n) / 6 triangles).
+inline std::uint64_t merge_forcing_budget(const graph::OrientedCsr& oriented) {
+  util::MemoryBudget accounting;  // limit 0: counts, never refuses
+  util::ScopedMemoryBudget scoped(&accounting);
+  (void)analytics::ktruss_prepared(oriented);
+  return accounting.used() - 1;
 }
 
 }  // namespace lotus::test

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,14 +21,18 @@
 #include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
 #include "lotus_reference.hpp"
+#include "parallel/exec_context.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tc/api.hpp"
+#include "util/cancel.hpp"
+#include "util/memory_budget.hpp"
 
 namespace {
 
 namespace g = lotus::graph;
 namespace tc = lotus::tc;
 using lotus::test::local_counts_oracle;
+using lotus::test::truss_oracle;
 using lotus::util::StatusCode;
 
 /// The per-vertex analytics run on both substrates: the degree-ordered
@@ -78,7 +85,7 @@ tc::AnalyticsResult clustering(tc::Algorithm algorithm,
 }
 
 lotus::analytics::KTrussResult ktruss(const g::CsrGraph& graph) {
-  return lotus::analytics::ktruss_prepared(graph, g::orient_by_id(graph));
+  return lotus::analytics::ktruss_prepared(g::orient_by_id(graph));
 }
 
 constexpr std::uint64_t choose(std::uint64_t n, std::uint64_t k) {
@@ -127,6 +134,11 @@ TEST(KTruss, TrussnessUpperBoundsFollowSupports) {
       {.num_vertices = 500, .edges_per_vertex = 5, .p_triad = 0.7, .seed = 94})));
   EXPECT_GE(r.max_k, 3u);  // triad formation guarantees triangles
   for (auto t : r.trussness) EXPECT_GE(t, 2u);
+}
+
+TEST(KTruss, EdgeIdWidthSwitchesAtTwoToThe32) {
+  EXPECT_EQ(lotus::analytics::edge_id_bytes((std::uint64_t{1} << 32) - 1), 4u);
+  EXPECT_EQ(lotus::analytics::edge_id_bytes(std::uint64_t{1} << 32), 8u);
 }
 
 // ---------- k-cliques ----------
@@ -305,6 +317,110 @@ g::CsrGraph hub_whale_graph(g::VertexId leaves) {
     el.edges.push_back({kWhales + l, kWhales + (l + 2) % leaves});
   }
   return g::build_undirected(el);
+}
+
+// Both triangle sources of the truss peel against the oracle: the index,
+// and the merge of symmetric lists that a budget one byte short of the
+// index forces. Per-edge trussness must agree between them, and each
+// histogram must match the oracle, at 1 and 4 threads (the supports and
+// the index are filled by pool workers).
+TEST(KTruss, IndexAndMergePeelsAgreeWithOracle) {
+  g::EdgeList clique_with_tail = g::complete(5);
+  clique_with_tail.num_vertices = 7;
+  clique_with_tail.edges.push_back({4, 5});
+  clique_with_tail.edges.push_back({5, 6});
+  const g::CsrGraph graphs[] = {
+      g::build_undirected(g::complete(6)),
+      g::build_undirected(g::wheel(8)),
+      g::build_undirected(clique_with_tail),
+      g::build_undirected(g::rmat({.scale = 9, .edge_factor = 8, .seed = 71})),
+      g::build_undirected(g::holme_kim({.num_vertices = 800,
+                                        .edges_per_vertex = 5,
+                                        .p_triad = 0.6,
+                                        .seed = 72})),
+      hub_whale_graph(3000)};
+  const auto histogram = [](const std::vector<std::uint32_t>& trussness) {
+    std::map<std::uint32_t, std::uint64_t> out;
+    for (const std::uint32_t t : trussness) out[t] += 1;
+    return out;
+  };
+  for (const auto& graph : graphs) {
+    const auto oracle = truss_oracle(graph);
+    const auto oriented = g::degree_ordered_oriented(graph);
+    const std::uint64_t forcing = lotus::test::merge_forcing_budget(oriented);
+    for (const unsigned threads : {1u, 4u}) {
+      lotus::parallel::set_num_threads(threads);
+      SCOPED_TRACE("n=" + std::to_string(graph.num_vertices()) +
+                   " threads=" + std::to_string(threads));
+      const auto indexed = lotus::analytics::ktruss_prepared(oriented);
+      lotus::util::MemoryBudget budget(forcing);
+      const auto merged = [&] {
+        lotus::util::ScopedMemoryBudget scoped(&budget);
+        return lotus::analytics::ktruss_prepared(oriented);
+      }();
+      EXPECT_TRUE(indexed.indexed);
+      EXPECT_FALSE(merged.indexed);  // the index charge was refused
+      EXPECT_LE(budget.used(), forcing);
+      EXPECT_EQ(merged.trussness, indexed.trussness);
+      for (const auto* r : {&indexed, &merged}) {
+        EXPECT_EQ(histogram(r->trussness), oracle.histogram);
+        EXPECT_EQ(r->max_k, oracle.max_k);
+        EXPECT_EQ(r->edges_in_max_truss, oracle.edges_in_max_truss);
+      }
+    }
+  }
+  lotus::parallel::set_num_threads(0);
+}
+
+// The serial peel polls the installed ExecContext itself, and the index is
+// filled by a parallel walk that polls per chunk. A canceller thread cancels
+// the moment the budget shows the triangle source charged, so the cancel
+// lands in the index walk or in the peel; the call must then return with
+// edges left unpeeled, on both peels. The merge lists are filled serially,
+// so on the merge peel only the peel's own poll can stop it. Where the
+// cancel lands depends on timing, so each peel is retried until a round
+// sees it.
+TEST(KTruss, CancelAfterTheSourceChargeStopsEitherPeel) {
+  const auto oriented = g::degree_ordered_oriented(hub_whale_graph(3000));
+  const std::uint64_t forcing = lotus::test::merge_forcing_budget(oriented);
+  for (const std::uint64_t limit : {std::uint64_t{0}, forcing}) {
+    std::uint64_t charged = 0;  // the charge total once the source is charged
+    {
+      lotus::util::MemoryBudget budget(limit);
+      lotus::util::ScopedMemoryBudget scoped(&budget);
+      (void)lotus::analytics::ktruss_prepared(oriented);
+      charged = budget.used();
+    }
+    bool stopped = false;
+    for (int round = 0; round < 50 && !stopped; ++round) {
+      lotus::util::CancelToken token;
+      lotus::parallel::ExecContext context;
+      context.cancel = &token;
+      lotus::util::MemoryBudget budget(limit);
+      std::atomic<bool> done{false};
+      std::thread canceller([&] {
+        while (!done.load(std::memory_order_relaxed)) {
+          if (budget.used() >= charged) {
+            token.cancel();
+            return;
+          }
+        }
+      });
+      lotus::analytics::KTrussResult result;
+      {
+        lotus::parallel::ScopedExecContext scoped_context(&context);
+        lotus::util::ScopedMemoryBudget scoped_budget(&budget);
+        result = lotus::analytics::ktruss_prepared(oriented);
+      }
+      done = true;
+      canceller.join();
+      // No poll saw the cancel: the call finished first.
+      if (context.observed.load() == lotus::parallel::Interrupt::kNone) continue;
+      EXPECT_EQ(result.indexed, limit == 0);
+      stopped = std::count(result.trussness.begin(), result.trussness.end(), 0u) > 0;
+    }
+    EXPECT_TRUE(stopped) << "no round stopped inside the peel, limit " << limit;
+  }
 }
 
 // The LOTUS substrate (phase-kernel visitors + the NHE walk) and the

@@ -13,7 +13,6 @@
 #include <functional>
 #include <map>
 #include <numeric>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
+#include "lotus_reference.hpp"
 #include "tc/engine.hpp"
 #include "util/cancel.hpp"
 #include "util/status.hpp"
@@ -31,6 +31,8 @@ namespace g = lotus::graph;
 namespace tc = lotus::tc;
 using g::VertexId;
 using lotus::util::Deadline;
+using lotus::test::merge_forcing_budget;
+using lotus::test::truss_oracle;
 using lotus::util::StatusCode;
 
 // ---------- brute-force oracles --------------------------------------------
@@ -104,58 +106,6 @@ std::vector<std::uint64_t> local_counts_oracle(const g::CsrGraph& graph) {
       }
     }
   return counts;
-}
-
-struct TrussOracle {
-  std::uint32_t max_k = 0;
-  std::uint64_t edges_in_max_truss = 0;
-  /// trussness value -> number of edges (order-invariant form).
-  std::map<std::uint32_t, std::uint64_t> histogram;
-};
-
-/// Textbook peeling over an adjacency-set copy: for rising k, delete edges
-/// with fewer than k-2 common neighbors until stable; a deleted edge's
-/// trussness is the last k it survived.
-TrussOracle truss_oracle(const g::CsrGraph& graph) {
-  std::vector<std::set<VertexId>> adj(graph.num_vertices());
-  std::set<std::pair<VertexId, VertexId>> alive;
-  for (VertexId v = 0; v < graph.num_vertices(); ++v)
-    for (const VertexId u : graph.neighbors(v)) {
-      adj[v].insert(u);
-      if (u < v) alive.insert({u, v});
-    }
-
-  TrussOracle oracle;
-  auto support = [&](VertexId u, VertexId v) {
-    std::uint64_t common = 0;
-    for (const VertexId w : adj[u])
-      if (adj[v].count(w) != 0) ++common;
-    return common;
-  };
-  for (std::uint32_t k = 3; !alive.empty(); ++k) {
-    bool removed = true;
-    while (removed) {
-      removed = false;
-      for (auto it = alive.begin(); it != alive.end();) {
-        const auto [u, v] = *it;
-        if (support(u, v) < k - 2) {
-          oracle.histogram[k - 1] += 1;
-          adj[u].erase(v);
-          adj[v].erase(u);
-          it = alive.erase(it);
-          removed = true;
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (!alive.empty()) {
-      oracle.max_k = k;
-      oracle.edges_in_max_truss = alive.size();
-    }
-  }
-  // Every edge is assigned exactly once, at the peel that removes it.
-  return oracle;
 }
 
 std::uint64_t wedges_oracle(const g::CsrGraph& graph) {
@@ -240,7 +190,7 @@ TEST(AnalyticsKClique, TriangleKindAndK3CliqueAgree) {
 
 TEST(AnalyticsKTruss, SummaryAndHistogramMatchPeelingOracle) {
   for (const auto& graph : corpus()) {
-    const TrussOracle oracle = truss_oracle(graph);
+    const auto oracle = truss_oracle(graph);
     tc::AnalyticsRequest request;
     request.kind = tc::AnalyticKind::kKTruss;
     for (const auto algorithm : kSubstrates) {
@@ -388,43 +338,59 @@ TEST(AnalyticsValidation, NameParseRoundTrip) {
 
 // ---------- resilience envelope ---------------------------------------------
 
+// Each interrupt test runs unbudgeted (the truss peel's triangle index) and
+// once more under a budget that forces the peel's merge lists.
 TEST(AnalyticsResilience, PreCancelledTokenClearsEveryPayload) {
   const auto graph = g::build_undirected(
       g::rmat({.scale = 9, .edge_factor = 8, .seed = 3}));
   lotus::util::CancelToken token;
   token.cancel();
-  for (const auto kind :
-       {tc::AnalyticKind::kKClique, tc::AnalyticKind::kKTruss,
-        tc::AnalyticKind::kLocalCounts, tc::AnalyticKind::kClustering}) {
-    tc::AnalyticsRequest request;
-    request.kind = kind;
-    tc::QueryOptions options;
-    options.cancel = &token;
-    const auto result =
-        run(tc::Algorithm::kForwardMerge, graph, request, options);
-    ASSERT_FALSE(result.ok()) << tc::analytic_name(kind);
-    EXPECT_EQ(result.status.code(), StatusCode::kCancelled);
-    // clear_payload keeps the analytic identity and zeroes everything else.
-    EXPECT_EQ(result.result.analytics.kind, kind);
-    EXPECT_EQ(result.result.triangles, 0u);
-    EXPECT_EQ(result.result.analytics.count, 0u);
-    EXPECT_TRUE(result.result.analytics.vertex_counts.empty());
-    EXPECT_TRUE(result.result.analytics.vertex_coefficients.empty());
-    EXPECT_TRUE(result.result.analytics.edge_trussness.empty());
+  const std::uint64_t merge_only =
+      merge_forcing_budget(g::degree_ordered_oriented(graph));
+  for (const std::uint64_t budget : {std::uint64_t{0}, merge_only}) {
+    for (const auto kind :
+         {tc::AnalyticKind::kKClique, tc::AnalyticKind::kKTruss,
+          tc::AnalyticKind::kLocalCounts, tc::AnalyticKind::kClustering}) {
+      tc::AnalyticsRequest request;
+      request.kind = kind;
+      tc::QueryOptions options;
+      options.cancel = &token;
+      options.memory_budget_bytes = budget;
+      const auto result =
+          run(tc::Algorithm::kForwardMerge, graph, request, options);
+      ASSERT_FALSE(result.ok()) << tc::analytic_name(kind);
+      EXPECT_EQ(result.status.code(), StatusCode::kCancelled);
+      // clear_payload keeps the analytic identity and zeroes everything else.
+      EXPECT_EQ(result.result.analytics.kind, kind);
+      EXPECT_EQ(result.result.triangles, 0u);
+      EXPECT_EQ(result.result.analytics.count, 0u);
+      EXPECT_TRUE(result.result.analytics.vertex_counts.empty());
+      EXPECT_TRUE(result.result.analytics.vertex_coefficients.empty());
+      EXPECT_TRUE(result.result.analytics.edge_trussness.empty());
+    }
   }
 }
 
 TEST(AnalyticsResilience, ZeroDeadlineExpiresAnalytics) {
   const auto graph = g::build_undirected(
       g::rmat({.scale = 9, .edge_factor = 8, .seed = 4}));
-  tc::AnalyticsRequest request;
-  request.kind = tc::AnalyticKind::kKClique;
-  request.k = 4;
-  tc::QueryOptions options;
-  options.deadline = Deadline::after(0.0);
-  const auto result = run(tc::Algorithm::kLotus, graph, request, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
+  const std::uint64_t merge_only =
+      merge_forcing_budget(g::degree_ordered_oriented(graph));
+  for (const std::uint64_t budget : {std::uint64_t{0}, merge_only}) {
+    for (const auto kind :
+         {tc::AnalyticKind::kKClique, tc::AnalyticKind::kKTruss}) {
+      tc::AnalyticsRequest request;
+      request.kind = kind;
+      request.k = 4;
+      tc::QueryOptions options;
+      options.deadline = Deadline::after(0.0);
+      options.memory_budget_bytes = budget;
+      const auto result = run(tc::Algorithm::kLotus, graph, request, options);
+      ASSERT_FALSE(result.ok()) << tc::analytic_name(kind);
+      EXPECT_EQ(result.status.code(), StatusCode::kDeadlineExceeded);
+      EXPECT_TRUE(result.result.analytics.edge_trussness.empty());
+    }
+  }
 }
 
 TEST(AnalyticsResilience, TinyBudgetWithoutDegradationIsOutOfMemory) {

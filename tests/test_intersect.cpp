@@ -7,12 +7,15 @@
 #include <vector>
 
 #include "baselines/intersect.hpp"
+#include "bench/ablations/intersect.hpp"
 #include "util/bitset.hpp"
 #include "util/prng.hpp"
 
 namespace {
 
 using namespace lotus::baselines;
+using lotus::ablation::intersect_binary_branchfree;
+using lotus::ablation::intersect_merge_branchless;
 using lotus::util::Bitset;
 using lotus::util::Xoshiro256;
 

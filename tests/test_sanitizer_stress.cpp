@@ -19,6 +19,7 @@
 #include "baselines/tc_baselines.hpp"
 #include "diff_harness.hpp"
 #include "graph/builder.hpp"
+#include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
 #include "lotus/h2h_bitarray.hpp"
 #include "lotus/lotus.hpp"
@@ -501,6 +502,53 @@ TEST(SanitizerStress, EnginePerVertexAnalyticsUnderInvalidate) {
     }
   }
   EXPECT_EQ(failures, 0);
+}
+
+TEST(SanitizerStress, EngineKTrussUnderInvalidate) {
+  // The truss peel's supports and its triangle-index fill cursors are plain
+  // u32 arrays that pool workers bump through std::atomic_ref. Two drivers
+  // of two threads each run full-granularity ktruss, each query once
+  // unbudgeted (the index) and once under a budget that forces the merge
+  // lists, while invalidate() drops the artifact between submits; every
+  // answer must match a cold tc::query of the same request.
+  const auto graph = g::build_undirected(
+      g::rmat({.scale = 8, .edge_factor = 8, .seed = 57}));
+  lotus::tc::QueryOptions indexed;
+  indexed.analytic.kind = lotus::tc::AnalyticKind::kKTruss;
+  lotus::tc::QueryOptions merged = indexed;
+  merged.memory_budget_bytes =
+      lotus::test::merge_forcing_budget(g::degree_ordered_oriented(graph));
+
+  lotus::tc::EngineOptions engine_options;
+  engine_options.num_drivers = 2;
+  engine_options.threads_per_query = 2;
+  lotus::tc::Engine engine(engine_options);
+  constexpr int kRounds = kTsan ? 3 : 6;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::future<lotus::util::Expected<lotus::tc::QueryResult>>>
+        futures;
+    for (int i = 0; i < 4; ++i) {
+      if (i == 2) engine.invalidate("g");
+      futures.push_back(engine.submit({lotus::tc::Algorithm::kForwardMerge,
+                                       "g", &graph,
+                                       i % 2 == 0 ? indexed : merged}));
+    }
+    for (int i = 0; i < 4; ++i) {
+      auto outcome = futures[static_cast<std::size_t>(i)].get();
+      ASSERT_TRUE(outcome.ok()) << outcome.status().to_string();
+      const auto& served = outcome.value();
+      ASSERT_TRUE(served.ok()) << served.status.to_string();
+      const auto cold = lotus::tc::query(lotus::tc::Algorithm::kForwardMerge,
+                                         graph, i % 2 == 0 ? indexed : merged);
+      ASSERT_TRUE(cold.ok() && cold.value().ok());
+      const auto& want = cold.value().result.analytics;
+      const auto& got = served.result.analytics;
+      ASSERT_FALSE(got.edge_trussness.empty());
+      EXPECT_EQ(got.edge_trussness, want.edge_trussness) << "query " << i;
+      EXPECT_EQ(got.truss.max_k, want.truss.max_k);
+      EXPECT_EQ(got.truss.edges_in_max_truss, want.truss.edges_in_max_truss);
+    }
+  }
 }
 
 TEST(SanitizerStress, DifferentialSmokeMatrix) {
