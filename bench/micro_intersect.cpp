@@ -1,12 +1,16 @@
 // Micro-benchmark: the four intersection strategies (Sec. 6.3) across list
 // size ratios. Justifies LOTUS's kernel choices: merge join wins when lists
 // are short and similar (NNN/HNN), galloping when sizes are wildly skewed.
+// The BM_MergeU32 rows time the dispatch table's merge at every tier, in
+// count mode and in the positional mode the triangle walks use.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "baselines/intersect.hpp"
 #include "bench/ablations/intersect.hpp"
+#include "kernels/dispatch.hpp"
 #include "kernels/intersect.hpp"
 #include "util/bitset.hpp"
 #include "util/prng.hpp"
@@ -77,6 +81,31 @@ void BM_Simd(benchmark::State& state) {
                           (state.range(0) + state.range(1)));
 }
 
+// The dispatch table's merge_u32 at one forced tier: counting (the NNN and
+// Forward count paths) or reporting both lists' positions (the triangle
+// walks' mode). A tier the host cannot run is skipped, not clamped.
+void BM_MergeU32(benchmark::State& state, lotus::kernels::Isa isa,
+                 bool positions) {
+  const lotus::kernels::KernelTable& table = lotus::kernels::kernel_table(isa);
+  if (table.isa != isa) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  const auto a = make_sorted(static_cast<std::size_t>(state.range(0)), 1 << 20, 1);
+  const auto b = make_sorted(static_cast<std::size_t>(state.range(1)), 1 << 20, 2);
+  const std::size_t slots = std::min(a.size(), b.size()) + lotus::kernels::kMergeSlack;
+  std::vector<std::uint32_t> at_a(slots), at_b(slots);
+  std::uint32_t* pos_a = positions ? at_a.data() : nullptr;
+  std::uint32_t* pos_b = positions ? at_b.data() : nullptr;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        table.merge_u32(a.data(), a.size(), b.data(), b.size(), pos_a, pos_b));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (state.range(0) + state.range(1)));
+}
+
 void BM_Hashed(benchmark::State& state) {
   const auto a = make_sorted(static_cast<std::size_t>(state.range(0)), 1 << 20, 1);
   const auto b = make_sorted(static_cast<std::size_t>(state.range(1)), 1 << 20, 2);
@@ -99,11 +128,32 @@ void SizePairs(benchmark::internal::Benchmark* b) {
   b->Args({64, 64})->Args({64, 4096})->Args({1024, 1024})->Args({16, 65536});
 }
 
+// Adds the ~8–24-entry lists of the NNN phase and the walks.
+void MergePairs(benchmark::internal::Benchmark* b) {
+  b->Args({8, 12})->Args({24, 24})->Apply(SizePairs);
+}
+
 BENCHMARK(BM_Merge)->Apply(SizePairs);
 BENCHMARK(BM_MergeBranchless)->Apply(SizePairs);
 BENCHMARK(BM_Gallop)->Apply(SizePairs);
 BENCHMARK(BM_BinaryBranchfree)->Apply(SizePairs);
 BENCHMARK(BM_Simd)->Apply(SizePairs);
+BENCHMARK_CAPTURE(BM_MergeU32, scalar_count, lotus::kernels::Isa::kScalar, false)
+    ->Apply(MergePairs);
+BENCHMARK_CAPTURE(BM_MergeU32, scalar_positions, lotus::kernels::Isa::kScalar, true)
+    ->Apply(MergePairs);
+BENCHMARK_CAPTURE(BM_MergeU32, avx2_count, lotus::kernels::Isa::kAvx2, false)
+    ->Apply(MergePairs);
+BENCHMARK_CAPTURE(BM_MergeU32, avx2_positions, lotus::kernels::Isa::kAvx2, true)
+    ->Apply(MergePairs);
+BENCHMARK_CAPTURE(BM_MergeU32, avx512_count, lotus::kernels::Isa::kAvx512, false)
+    ->Apply(MergePairs);
+BENCHMARK_CAPTURE(BM_MergeU32, avx512_positions, lotus::kernels::Isa::kAvx512, true)
+    ->Apply(MergePairs);
+BENCHMARK_CAPTURE(BM_MergeU32, neon_count, lotus::kernels::Isa::kNeon, false)
+    ->Apply(MergePairs);
+BENCHMARK_CAPTURE(BM_MergeU32, neon_positions, lotus::kernels::Isa::kNeon, true)
+    ->Apply(MergePairs);
 BENCHMARK(BM_Hashed)->Apply(SizePairs);
 BENCHMARK(BM_Bitmap)->Apply(SizePairs);
 

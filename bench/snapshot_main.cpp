@@ -550,7 +550,10 @@ volatile std::uint64_t g_kernel_sink = 0;
 /// measurement first checks the tier's count against scalar (a forced-ISA
 /// consistency check — a wrong count is a hard error, not a slow metric),
 /// then emits "kernels.<tier>.<kernel>.speedup", the median ratio of paired
-/// rounds. Every entry the AVX-512 table overrides also gets
+/// rounds. merge_u32 is timed twice: counting, and as "merge_u32.positions"
+/// reporting both lists' positions (the triangle walks' mode), whose result
+/// folds every position so the scalar check covers them. Every entry the
+/// AVX-512 table overrides also gets
 /// "kernels.avx512.<kernel>.speedup_over_avx2", measured the same way
 /// against the AVX2 body. AVX2 hosts additionally gate the median merge_u32
 /// speedup at >= 1.5x, the floor the vectorized merge must clear for the
@@ -580,14 +583,32 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
     // True when two tables run the same body for this entry.
     std::function<bool(const k::KernelTable&, const k::KernelTable&)> same;
   };
+  // merge_u32's position outputs (min(|a|, |b|) + kMergeSlack slots each).
+  std::vector<std::uint32_t> at_a(len + k::kMergeSlack), at_b(len + k::kMergeSlack);
+  const auto same_merge = [](const k::KernelTable& x, const k::KernelTable& y) {
+    return x.merge_u32 == y.merge_u32;
+  };
   const std::vector<TimedKernel> kernels = {
       {"merge_u32",
        [&](const k::KernelTable& t) {
-         return t.merge_u32(a32.data(), a32.size(), b32.data(), b32.size());
+         return t.merge_u32(a32.data(), a32.size(), b32.data(), b32.size(),
+                            nullptr, nullptr);
        },
-       [](const k::KernelTable& x, const k::KernelTable& y) {
-         return x.merge_u32 == y.merge_u32;
-       }},
+       same_merge},
+      {"merge_u32.positions",
+       [&](const k::KernelTable& t) {
+         // Every reported position pair goes into the result, weighted by
+         // its rank, so the scalar check covers the positions and their
+         // order; the fold vectorizes and is small next to the merge.
+         const std::uint64_t hits =
+             t.merge_u32(a32.data(), a32.size(), b32.data(), b32.size(),
+                         at_a.data(), at_b.data());
+         std::uint64_t folded = hits;
+         for (std::uint64_t i = 0; i < hits; ++i)
+           folded += (i + 1) * (std::uint64_t{at_a[i]} << 20 ^ at_b[i]);
+         return folded;
+       },
+       same_merge},
       {"hits_bitset",
        [&](const k::KernelTable& t) {
          return t.hits_bitset(keys.data(), keys.size(), words.data());

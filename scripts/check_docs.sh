@@ -121,9 +121,10 @@ done
 # AVX-512 merge (merge_u32_avx512) are gone, and the H2H row popcount is
 # TriangularBitArray::row_hits, not the and_window_popcount entry. The
 # per-vertex and per-edge analytics walk triangles once per substrate: the
-# on-hit positions of intersect_merge replace intersect_merge_visit, and
-# mining::forward_walk replaces the DAG for_each_triangle and its
-# TriangleVisitPolicy. The throwing IO wrappers are gone (each format has
+# positional mode of the merge_u32 kernel replaces intersect_merge_visit
+# (and intersect_merge's on-hit callback after it), and mining::ForwardWalk
+# replaces the DAG for_each_triangle, its TriangleVisitPolicy and the
+# per-triangle forward_walk. The throwing IO wrappers are gone (each format has
 # one decoder, reached through the Status-returning _s functions, so the
 # pattern matches the bare names only), and the LOTUS_HWC_FORCE_ERROR hook
 # is the `hwc` fault site. Serving telemetry is recorded by tc::Engine only
@@ -141,7 +142,7 @@ for md in README.md DESIGN.md docs/*.md; do
   case "$md" in
     docs/API.md) continue ;;
   esac
-  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|TriangleVisitPolicy\|\<read_edge_list_text\>\|\<write_edge_list_text\>\|\<write_csr_binary\>\|\<read_csr_binary\>\|\<write_lotus_binary\>\|\<read_lotus_binary\>\|\<read_lotus_mapped\>\|LOTUS_HWC_FORCE_ERROR\|QueryOptions::telemetry\|telemetry_to_json\|StreamingHubCounter\|streaming_triangles\|lotus_streaming_replay\|CompressedCsr\|lotus/streaming\.hpp\|graph/compressed\.hpp\|lotus/recursive\.hpp\|graph/reorder\.hpp\|analytics/approx\.hpp' "$md")
+  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|\<forward_walk\>\|TriangleVisitPolicy\|\<read_edge_list_text\>\|\<write_edge_list_text\>\|\<write_csr_binary\>\|\<read_csr_binary\>\|\<write_lotus_binary\>\|\<read_lotus_binary\>\|\<read_lotus_mapped\>\|LOTUS_HWC_FORCE_ERROR\|QueryOptions::telemetry\|telemetry_to_json\|StreamingHubCounter\|streaming_triangles\|lotus_streaming_replay\|CompressedCsr\|lotus/streaming\.hpp\|graph/compressed\.hpp\|lotus/recursive\.hpp\|graph/reorder\.hpp\|analytics/approx\.hpp' "$md")
   if [ -n "$hits" ]; then
     echo "check_docs: $md references a deprecated or removed entry point:" >&2
     echo "$hits" | sed 's/^/  /' >&2

@@ -12,10 +12,13 @@ std::vector<std::uint64_t> local_triangle_counts_prepared(
     const graph::OrientedCsr& oriented, const std::vector<VertexId>& new_id) {
   mining::CornerCredits credits(oriented.num_vertices(),
                                 "clustering/per-vertex-counts");
-  mining::forward_walk(oriented, [&credits](unsigned thread, VertexId v,
-                                            VertexId u, VertexId w,
-                                            auto&&... /*edge positions*/) {
-    credits.add(thread, v, u, w);
+  mining::ForwardWalk walk(oriented, /*report_u=*/false,
+                           "clustering/walk-positions");
+  walk.run([&](unsigned thread, VertexId v, VertexId u,
+               const mining::PairHits& hits) {
+    const VertexId* nv = oriented.neighbors(v).data();
+    credits.add(thread, v, u, hits.count,
+                [&](std::uint64_t k) { return nv[hits.at_v[k]]; });
   });
   return credits.by_original(new_id);
 }

@@ -8,7 +8,7 @@
 #include <span>
 #include <utility>
 
-#include "baselines/intersect.hpp"
+#include "kernels/dispatch.hpp"
 #include "mining/triangle_walk.hpp"
 #include "parallel/exec_context.hpp"
 #include "util/memory_budget.hpp"
@@ -95,19 +95,31 @@ void decompose(const OrientedCsr& oriented, KTrussResult& result) {
   result.trussness.assign(m, 0);
 
   // Supports via one positional Forward walk: the flat positions of each
-  // triangle's edges (u,v), (w,v) and (w,u) are their edge IDs.
+  // triangle's edges (u,v), (w,v) and (w,u) are their edge IDs, and (u,v)
+  // gains all of its pair's hits at once.
+  mining::ForwardWalk walk(oriented, /*report_u=*/true, "ktruss/walk-positions");
   std::vector<std::uint32_t> support(m, 0);
-  mining::forward_walk(oriented, [&](unsigned, VertexId, VertexId, VertexId,
-                                     std::uint64_t e_uv, std::uint64_t e_wv,
-                                     std::uint64_t e_wu) {
-    for (const std::uint64_t e : {e_uv, e_wv, e_wu})
-      std::atomic_ref(support[e]).fetch_add(1, std::memory_order_relaxed);
+  const auto bump = [&](std::uint64_t e, std::uint32_t by) {
+    std::atomic_ref(support[e]).fetch_add(by, std::memory_order_relaxed);
+  };
+  walk.run([&](unsigned, VertexId v, VertexId u, const mining::PairHits& hits) {
+    bump(hits.e_uv, static_cast<std::uint32_t>(hits.count));
+    for (std::uint64_t k = 0; k < hits.count; ++k) {
+      bump(oriented.offset(v) + hits.at_v[k], 1);
+      bump(oriented.offset(u) + hits.at_u[k], 1);
+    }
   });
   if (parallel::interrupted()) return;  // partial: all-zero trussness
   std::uint64_t incidences = 0;         // 3 per triangle
   for (const std::uint32_t s : support) incidences += s;
   const std::uint32_t max_support = *std::max_element(support.begin(), support.end());
-  util::charge_current((std::uint64_t{max_support} + 2) * sizeof(EdgeId),
+  // The peel's bins, and the two position rows of the merge peel's kernel
+  // calls: a triangle-source call sees at most max_support triangles, which
+  // bounds each merge's hits. Charged on both paths, before the index, so
+  // the merge path fits wherever its lists are smaller than the index.
+  const std::uint64_t positions = std::uint64_t{max_support} + kernels::kMergeSlack;
+  util::charge_current((std::uint64_t{max_support} + 2) * sizeof(EdgeId) +
+                           2 * positions * sizeof(std::uint32_t),
                        "ktruss/edge-state");
 
   // The triangle index — for each edge, the (f, g) pair of every triangle
@@ -121,16 +133,20 @@ void decompose(const OrientedCsr& oriented, KTrussResult& result) {
     counts_to_cursors(std::span(offsets));
     using Incidence = std::pair<std::uint32_t, std::uint32_t>;
     std::vector<Incidence, MappedAllocator<Incidence>> index(incidences);
-    mining::forward_walk(oriented, [&](unsigned, VertexId, VertexId, VertexId,
-                                       std::uint64_t e_uv, std::uint64_t e_wv,
-                                       std::uint64_t e_wu) {
-      const auto place = [&](std::uint64_t e, std::uint64_t f, std::uint64_t g) {
-        index[std::atomic_ref(offsets[e + 1]).fetch_add(1, std::memory_order_relaxed)] =
-            {static_cast<std::uint32_t>(f), static_cast<std::uint32_t>(g)};
-      };
-      place(e_uv, e_wv, e_wu);
-      place(e_wv, e_uv, e_wu);
-      place(e_wu, e_uv, e_wv);
+    // (u,v) takes its pair's hits as one run of slots.
+    const auto claim = [&](std::uint64_t e, std::uint32_t slots) {
+      return std::atomic_ref(offsets[e + 1]).fetch_add(slots, std::memory_order_relaxed);
+    };
+    walk.run([&](unsigned, VertexId v, VertexId u, const mining::PairHits& hits) {
+      const auto e_uv = static_cast<std::uint32_t>(hits.e_uv);
+      std::uint32_t run = claim(e_uv, static_cast<std::uint32_t>(hits.count));
+      for (std::uint64_t k = 0; k < hits.count; ++k) {
+        const auto e_wv = static_cast<std::uint32_t>(oriented.offset(v) + hits.at_v[k]);
+        const auto e_wu = static_cast<std::uint32_t>(oriented.offset(u) + hits.at_u[k]);
+        index[run++] = {e_wv, e_wu};
+        index[claim(e_wv, 1)] = {e_uv, e_wu};
+        index[claim(e_wu, 1)] = {e_uv, e_wv};
+      }
     });
     peel<EdgeId>(support, max_support, [&](EdgeId e, const auto& visit) {
       for (std::uint32_t k = offsets[e]; k < offsets[e + 1]; ++k)
@@ -158,6 +174,15 @@ void decompose(const OrientedCsr& oriented, KTrussResult& result) {
     }
   const graph::Csr<VertexId> upper(std::move(upper_offsets), std::move(upper_neighbors));
   const auto& offsets = oriented.offsets();
+  const kernels::KernelTable& table = kernels::kernel_table();
+  std::vector<std::uint32_t> at_x(positions), at_y(positions);
+  // on_hit(i, j) for each common element x[i] == y[j].
+  const auto merge = [&](std::span<const VertexId> x, std::span<const VertexId> y,
+                         const auto& on_hit) {
+    const std::uint64_t hits = table.merge_u32(x.data(), x.size(), y.data(),
+                                               y.size(), at_x.data(), at_y.data());
+    for (std::uint64_t k = 0; k < hits; ++k) on_hit(at_x[k], at_y[k]);
+  };
   peel<EdgeId>(support, max_support, [&](EdgeId e, const auto& visit) {
     // e = (a, b), a < b, sits in b's list; the third vertex w lies below a,
     // between a and b, or above b.
@@ -169,19 +194,14 @@ void decompose(const OrientedCsr& oriented, KTrussResult& result) {
     const EdgeId* ids_a = upper_ids.data() + upper.offset(a);
     const EdgeId* ids_b = upper_ids.data() + upper.offset(b);
     const auto nb = oriented.neighbors(b);
-    baselines::intersect_merge<VertexId>(
-        oriented.neighbors(a), nb.first(e - lb), baselines::null_probe,
-        [&](std::size_t i, std::size_t j) {
-          visit(static_cast<EdgeId>(la + i), static_cast<EdgeId>(lb + j));
-        });
-    baselines::intersect_merge<VertexId>(
-        upper.neighbors(a), nb.subspan(e - lb + 1), baselines::null_probe,
-        [&](std::size_t i, std::size_t j) {
-          visit(ids_a[i], static_cast<EdgeId>(e + 1 + j));
-        });
-    baselines::intersect_merge<VertexId>(
-        upper.neighbors(a), upper.neighbors(b), baselines::null_probe,
-        [&](std::size_t i, std::size_t j) { visit(ids_a[i], ids_b[j]); });
+    merge(oriented.neighbors(a), nb.first(e - lb), [&](std::uint32_t i, std::uint32_t j) {
+      visit(static_cast<EdgeId>(la + i), static_cast<EdgeId>(lb + j));
+    });
+    merge(upper.neighbors(a), nb.subspan(e - lb + 1), [&](std::uint32_t i, std::uint32_t j) {
+      visit(ids_a[i], static_cast<EdgeId>(e + 1 + j));
+    });
+    merge(upper.neighbors(a), upper.neighbors(b),
+          [&](std::uint32_t i, std::uint32_t j) { visit(ids_a[i], ids_b[j]); });
   }, result.trussness);
 }
 

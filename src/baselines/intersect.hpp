@@ -32,20 +32,21 @@ struct NullProbe {
 
 inline NullProbe null_probe;  // shared default; stateless by construction
 
-/// No-op callback, the default on-hit and triangle visitor: kernels
-/// instantiated with it compile to their counting-only form.
+/// No-op triangle visitor, the default of the LOTUS phases
+/// (lotus/count.hpp): phases instantiated with it compile to their
+/// counting-only form.
 struct NoVisit {
   template <typename... Args>
   constexpr void operator()(Args&&... /*args*/) const noexcept {}
 };
 
 /// |a ∩ b| by simultaneous scan. The kernel of choice for short, similarly
-/// sized lists (LOTUS uses it for NNN and HNN; Sec. 4.4.3). `on_hit(i, j)`
-/// sees the positions of each common element (a[i] == b[j]); the per-vertex
-/// and per-edge walks use them to name the third vertex and its edges.
-template <typename T, typename Probe = NullProbe, typename OnHit = NoVisit>
+/// sized lists (LOTUS uses it for NNN and HNN; Sec. 4.4.3). The probed and
+/// scalar reference paths call it; the triangle walks take positions from
+/// the dispatched kernel (kernels/dispatch.hpp).
+template <typename T, typename Probe = NullProbe>
 std::uint64_t intersect_merge(std::span<const T> a, std::span<const T> b,
-                              Probe& probe = null_probe, OnHit on_hit = {}) {
+                              Probe& probe = null_probe) {
   std::uint64_t count = 0;
   std::uint64_t comparisons = 0;  // dead when LOTUS_OBS=0
   std::size_t i = 0, j = 0;
@@ -64,7 +65,6 @@ std::uint64_t intersect_merge(std::span<const T> a, std::span<const T> b,
       if (greater) {
         ++j;
       } else {
-        on_hit(i, j);
         ++count;
         ++i;
         ++j;

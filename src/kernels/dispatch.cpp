@@ -12,7 +12,13 @@ namespace {
 // branches to, so the branchless form is strictly better here. Counts are
 // identical.
 std::uint64_t merge_u32_scalar(const std::uint32_t* a, std::size_t na,
-                               const std::uint32_t* b, std::size_t nb) {
+                               const std::uint32_t* b, std::size_t nb,
+                               std::uint32_t* pos_a, std::uint32_t* pos_b) {
+  if (pos_b != nullptr)
+    return detail::merge_branchless<true, true>(a, na, b, nb, 0, 0, 0, pos_a,
+                                                pos_b);
+  if (pos_a != nullptr)
+    return detail::merge_branchless<true>(a, na, b, nb, 0, 0, 0, pos_a);
   return detail::merge_branchless(a, na, b, nb);
 }
 

@@ -26,9 +26,15 @@ struct KernelTable {
   Isa isa = Isa::kScalar;
 
   /// |a ∩ b| of strictly ascending u32 lists — vectorized merge (block
-  /// compare against all lane rotations on the SIMD tiers).
+  /// compare against all lane rotations on the SIMD tiers). Null `pos_a`:
+  /// count only. Otherwise the k-th common element, in ascending order, is
+  /// a[pos_a[k]] and, when `pos_b` is non-null too, b[pos_b[k]] (`pos_b`
+  /// without `pos_a` is not supported). Each output needs
+  /// min(na, nb) + kMergeSlack slots: a block stores all its lanes, so up to
+  /// kMergeSlack slots past the last position are scratch.
   std::uint64_t (*merge_u32)(const std::uint32_t* a, std::size_t na,
-                             const std::uint32_t* b, std::size_t nb);
+                             const std::uint32_t* b, std::size_t nb,
+                             std::uint32_t* pos_a, std::uint32_t* pos_b);
 
   /// Sparse × dense: how many of `keys` have their bit set in `bits`
   /// (bit k lives at bits[k >> 6] >> (k & 63)). Every key must index a
@@ -45,6 +51,9 @@ struct KernelTable {
   void (*checksum_stripes)(std::uint64_t* acc, const unsigned char* data,
                            std::size_t stripes);
 };
+
+/// Slots past min(na, nb) that merge_u32's position outputs must have.
+inline constexpr std::size_t kMergeSlack = 8;
 
 /// Fixed per-lane key material for `checksum_stripes`; shared by the scalar
 /// reference and every SIMD tier so all tables mix identically.
@@ -73,20 +82,25 @@ inline constexpr const char* kKernelNames[] = {
 // KERNEL-INVENTORY-END
 
 namespace detail {
-/// |a ∩ b| by a branch-free scalar merge: each step compares one element of
-/// each list and advances either or both with conditional adds (cmov)
-/// instead of a three-way branch, so it costs the same whatever the data.
-/// The scalar merge kernel is this loop; every SIMD tier's merge runs it
-/// over the tails its block loop leaves, which on the ~8-entry lists of the
-/// NNN phase is nearly the whole merge.
-template <typename T>
+/// |a ∩ b| by a branch-free scalar merge of a[i..na) and b[j..nb), added
+/// to `count`: each step compares one element of each list and advances
+/// either or both with conditional adds (cmov) instead of a three-way
+/// branch, so it costs the same whatever the data. The scalar merge kernel
+/// is this loop; every SIMD tier's merge runs it over the tails its block
+/// loop leaves, which on the ~8-entry lists of the NNN phase is nearly the
+/// whole merge. With kPosA (and kPosB) every step stores i (and j) at slot
+/// `count` unconditionally, and a hit keeps it by advancing `count`.
+template <bool kPosA = false, bool kPosB = false, typename T>
 inline std::uint64_t merge_branchless(const T* a, std::size_t na, const T* b,
-                                      std::size_t nb) {
-  std::uint64_t count = 0;
-  std::size_t i = 0, j = 0;
+                                      std::size_t nb, std::size_t i = 0,
+                                      std::size_t j = 0, std::uint64_t count = 0,
+                                      std::uint32_t* pos_a = nullptr,
+                                      std::uint32_t* pos_b = nullptr) {
   while (i < na && j < nb) {
     const T x = a[i];
     const T y = b[j];
+    if constexpr (kPosA) pos_a[count] = static_cast<std::uint32_t>(i);
+    if constexpr (kPosB) pos_b[count] = static_cast<std::uint32_t>(j);
     count += x == y ? 1u : 0u;
     i += x <= y ? 1u : 0u;
     j += y <= x ? 1u : 0u;

@@ -81,7 +81,8 @@ inline std::uint64_t hybrid_forward_count(std::span<const std::uint64_t> offsets
               prefetch(k);
               const std::uint32_t u = adj[k];
               const std::uint64_t nu_size = off[u + 1] - off[u];
-              local += table.merge_u32(nv, nv_size, adj + off[u], nu_size);
+              local += table.merge_u32(nv, nv_size, adj + off[u], nu_size,
+                                       nullptr, nullptr);
               comparisons += nu_size == 0 ? 0 : nv_size + nu_size;
             }
           }

@@ -39,7 +39,8 @@ std::uint64_t intersect(std::span<const std::uint32_t> a,
   if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
     if (vectorize) {
       const std::uint64_t found =
-          kernel_table().merge_u32(a.data(), a.size(), b.data(), b.size());
+          kernel_table().merge_u32(a.data(), a.size(), b.data(), b.size(),
+                                   nullptr, nullptr);
       const std::uint64_t comparisons =
           a.empty() || b.empty() ? 0 : a.size() + b.size();
       obs::count(obs::Counter::kIntersectComparisons, comparisons);

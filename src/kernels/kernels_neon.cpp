@@ -1,5 +1,6 @@
 // NEON tier (aarch64): 4×u32 block-compare merge via vext lane
-// rotation and the checksum stripes. NEON is baseline on aarch64, so
+// rotation (count mode; positions fall back to the scalar merge) and the
+// checksum stripes. NEON is baseline on aarch64, so
 // no target attributes or cpuid checks are needed — the whole tier is
 // compile-time gated. On x86 this TU compiles to the nullptr stub.
 #include "kernels/dispatch.hpp"
@@ -16,7 +17,12 @@ namespace lotus::kernels::detail {
 namespace {
 
 std::uint64_t merge_u32_neon(const std::uint32_t* a, std::size_t na,
-                             const std::uint32_t* b, std::size_t nb) {
+                             const std::uint32_t* b, std::size_t nb,
+                             std::uint32_t* pos_a, std::uint32_t* pos_b) {
+  // Positions come from the scalar merge: a NEON positional body has never
+  // been built or run on an aarch64 host.
+  if (pos_a != nullptr)
+    return scalar_kernel_table().merge_u32(a, na, b, nb, pos_a, pos_b);
   std::uint64_t count = 0;
   std::size_t i = 0, j = 0;
 
@@ -41,7 +47,7 @@ std::uint64_t merge_u32_neon(const std::uint32_t* a, std::size_t na,
     j += bmax <= amax ? 4u : 0u;
   }
 
-  return count + detail::merge_branchless(a + i, na - i, b + j, nb - j);
+  return detail::merge_branchless(a, na, b, nb, i, j, count);
 }
 
 void checksum_stripes_neon(std::uint64_t* acc, const unsigned char* data,

@@ -6,10 +6,13 @@
 // Probes are stateful and unsynchronized: instrumented runs must execute
 // with parallel::set_num_threads(1).
 // count_hhh_hhn and count_hnn also take a trailing triangle visitor (default
-// baselines::NoVisit: the counting-only code); `visit(thread, v, u, w)` sees
-// each triangle the phase finds, in LOTUS IDs, on the pool worker whose
-// thread index (in [0, parallel::num_threads())) is `thread`, so a visitor
-// can credit thread-private rows (mining::CornerCredits).
+// baselines::NoVisit: the counting-only code). It is called once per vertex
+// pair, never once per triangle: `visit(thread, v, u, hubs)` sees the pair's
+// common hubs w, packed into a thread-private row, so the triangles
+// (v, u, w) are hubs.size() in number, all in LOTUS IDs. `thread` is the
+// pool worker's index (in [0, parallel::num_threads())), so a visitor can
+// credit thread-private rows (mining::CornerCredits) — v and u once per
+// pair, each hub once.
 #pragma once
 
 #include <cstdint>
@@ -54,21 +57,24 @@ inline void clear_hub_bits(std::uint64_t* bitmap, std::span<const std::uint16_t>
 }
 
 /// The HNN step: how many hubs of HE(u) have their bit set in `bitmap`
-/// (HE(v)), one L1 bit test per element; `on_hit(h)` sees each common hub.
-/// obs tallies, flushed once per chunk (dead when LOTUS_OBS=0): each probed
-/// element is one intersect comparison, and an NHE edge that probed
-/// elements without a hit is one fruitless search (the merge's convention).
+/// (HE(v)), one L1 bit test per element. With kPack the common hubs are also
+/// packed into `packed` (|hubs| slots) by a store per element that only a
+/// hit keeps — no branch on the bit. obs tallies, flushed once per chunk
+/// (dead when LOTUS_OBS=0): each probed element is one intersect
+/// comparison, and an NHE edge that probed elements without a hit is one
+/// fruitless search (the merge's convention).
 struct HnnHitCounter {
   std::uint64_t probed = 0;
   std::uint64_t fruitless = 0;
 
-  template <typename OnHit = baselines::NoVisit>
+  template <bool kPack = false>
   std::uint64_t count(const std::uint64_t* bitmap,
-                      std::span<const std::uint16_t> hubs, OnHit on_hit = {}) {
+                      std::span<const std::uint16_t> hubs,
+                      std::uint16_t* packed = nullptr) {
     std::uint64_t hits = 0;
     for (const std::uint16_t h : hubs) {
       const std::uint64_t bit = (bitmap[h >> 6] >> (h & 63)) & 1;
-      if (bit != 0) on_hit(h);
+      if constexpr (kPack) packed[hits] = h;
       hits += bit;
     }
     probed += hubs.size();
@@ -104,8 +110,9 @@ std::vector<std::vector<HubTile>> build_hub_tasks(const LotusGraph& lg,
 /// read mostly zero words — keep the scalar bit probes. The obs counter
 /// kBitarrayProbes keeps counting *logical* (h1, h2) membership tests under
 /// both paths, so the Table 8 probe totals stay comparable. A visitor, like
-/// a probe, pins the scalar pair path: `visit(thread_index, tile.v, h1, h2)`
-/// per hit.
+/// a probe, pins the scalar pair path. Each row (tile.v, h1) packs its hits
+/// h2 into a per-thread row of hub_count slots (charged at "hub/hit-rows"),
+/// and `visit(thread_index, tile.v, h1, hubs)` sees a row with hits once.
 template <typename Probe = baselines::NullProbe,
           typename Visit = baselines::NoVisit>
 HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
@@ -115,8 +122,9 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
                              Visit visit = {}) {
   const TriangularBitArray& h2h = lg.h2h();
   const graph::Csr16& he = lg.he();
-  constexpr bool kPopcount = std::is_same_v<Probe, baselines::NullProbe> &&
-                             std::is_same_v<Visit, baselines::NoVisit>;
+  constexpr bool kVisit = !std::is_same_v<Visit, baselines::NoVisit>;
+  constexpr bool kPopcount =
+      std::is_same_v<Probe, baselines::NullProbe> && !kVisit;
 
   parallel::ThreadPool& pool = parallel::default_pool();
   auto tasks = build_hub_tasks(lg, config, policy, pool.size());
@@ -124,6 +132,9 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
   std::optional<HubBitmaps> masks;  // the popcount path's scratch
   if (kPopcount && config.vectorize)
     masks.emplace(lg.hub_count(), pool.size(), "hub/popcount-masks");
+  std::optional<ThreadRows<std::uint16_t>> hit_rows;  // the visitor's rows
+  if constexpr (kVisit)
+    hit_rows.emplace(lg.hub_count(), pool.size(), "hub/hit-rows");
 
   std::vector<parallel::Padded<HubPhaseCounts>> partial(pool.size());
   std::vector<parallel::WorkStealingScheduler::Task> jobs;
@@ -167,10 +178,13 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
           }
         }
         if (!counted) {
+          std::uint16_t* row = nullptr;
+          if constexpr (kVisit) row = hit_rows->get(thread_index);
           for (std::uint32_t a = tile.begin; a < tile.end; ++a) {
             const std::uint16_t h1 = list[a];
             probe.read(&list[a], sizeof(std::uint16_t));
             const std::uint64_t base = TriangularBitArray::row_base(h1);
+            std::uint64_t row_hits = 0;
             for (std::uint32_t b = 0; b < a; ++b) {
               const std::uint16_t h2 = list[b];
               probe.read(&list[b], sizeof(std::uint16_t));
@@ -179,9 +193,14 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
               probe.op();
               const bool hit = h2h.test_bit(bit);
               probe.branch(4, hit);
-              found += hit ? 1u : 0u;
-              if (hit) visit(thread_index, tile.v, h1, h2);
+              if constexpr (kVisit) row[row_hits] = h2;
+              row_hits += hit ? 1u : 0u;
             }
+            if constexpr (kVisit)
+              if (row_hits != 0)
+                visit(thread_index, tile.v, graph::VertexId{h1},
+                      std::span<const std::uint16_t>(row, row_hits));
+            found += row_hits;
           }
         }
         (lg.is_hub(tile.v) ? local.hhh : local.hhn) += found;
@@ -215,9 +234,11 @@ HubPhaseCounts count_hhh_hhn(const LotusGraph& lg, const LotusConfig& config,
 /// stream, prefetching HE(u) ahead of use (kernels/edge_stream.hpp).
 /// Otherwise (vectorize == false, or a probe attached for an instrumented
 /// replay) the probe-templated scalar merge runs; it is the reference the
-/// differential harness compares against. Both paths report each (v, u, h)
-/// triangle to `visit(thread_index, v, u, h)`. obs accounting: see
-/// HnnHitCounter.
+/// differential harness compares against. A visitor always takes the bitmap
+/// step, whatever `vectorize` says: each NHE edge (v, u) packs its common
+/// hubs into a per-thread row of hub_count slots (charged at
+/// "hnn/hit-rows"), and `visit(thread_index, v, u, hubs)` sees an edge with
+/// hits once. obs accounting: see HnnHitCounter.
 template <typename Probe = baselines::NullProbe,
           typename Visit = baselines::NoVisit>
 std::uint64_t count_hnn(const LotusGraph& lg,
@@ -225,16 +246,25 @@ std::uint64_t count_hnn(const LotusGraph& lg,
                         bool vectorize = true, Visit visit = {}) {
   const graph::Csr16& he = lg.he();
   const graph::CsrGraph& nhe = lg.nhe();
+  constexpr bool kVisit = !std::is_same_v<Visit, baselines::NoVisit>;
+  static_assert(!kVisit || std::is_same_v<Probe, baselines::NullProbe>,
+                "a visited HNN phase carries no probe");
   if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
-    if (vectorize) {
+    if (vectorize || kVisit) {
       HubBitmaps bitmaps(lg.hub_count(), parallel::num_threads(),
                          "hnn/hub-bitmaps");
+      std::optional<ThreadRows<std::uint16_t>> hit_rows;
+      if constexpr (kVisit)
+        hit_rows.emplace(lg.hub_count(), parallel::num_threads(),
+                         "hnn/hit-rows");
       std::vector<parallel::Padded<std::uint64_t>> partial(
           parallel::num_threads());
       parallel::parallel_for(
           0, lg.num_vertices(), 64,
           [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
             std::uint64_t* bitmap = bitmaps.get(thread_index);
+            std::uint16_t* row = nullptr;
+            if constexpr (kVisit) row = hit_rows->get(thread_index);
             std::uint64_t local = 0;
             HnnHitCounter counter;
             const std::uint64_t* nhe_offsets = nhe.offsets().data();
@@ -252,9 +282,13 @@ std::uint64_t count_hnn(const LotusGraph& lg,
               for (std::uint64_t k = lo; k < hi; ++k) {
                 prefetch(k);
                 const graph::VertexId u = nhe_adj[k];
-                local += counter.count(
-                    bitmap, he.neighbors(u),
-                    [&](std::uint16_t h) { visit(thread_index, v, u, h); });
+                const std::uint64_t hits =
+                    counter.count<kVisit>(bitmap, he.neighbors(u), row);
+                if constexpr (kVisit)
+                  if (hits != 0)
+                    visit(thread_index, v, u,
+                          std::span<const std::uint16_t>(row, hits));
+                local += hits;
               }
               clear_hub_bits(bitmap, hub_list);
             }
@@ -277,10 +311,7 @@ std::uint64_t count_hnn(const LotusGraph& lg,
           for (graph::VertexId u : nhe.neighbors(v)) {
             probe.read(&u, sizeof(graph::VertexId));
             local += baselines::intersect_merge<std::uint16_t>(
-                hub_list, he.neighbors(u), probe,
-                [&](std::size_t i, std::size_t) {
-                  visit(thread_index, v, u, hub_list[i]);
-                });
+                hub_list, he.neighbors(u), probe);
           }
         }
         partial[thread_index].value += local;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "graph/csr.hpp"
+#include "kernels/dispatch.hpp"
 #include "parallel/exec_context.hpp"
 #include "parallel/padded.hpp"
 #include "parallel/parallel_for.hpp"
@@ -34,24 +35,30 @@ namespace detail {
 
 /// Recursive extension of a chain whose common out-neighbourhood is `cands`:
 /// at `remaining == 1` the policy consumes the candidates as leaves; above
-/// that, each candidate extends the chain, intersecting its out-neighbours.
+/// that, each candidate w extends the chain with cands ∩ N(w). N(w) holds
+/// IDs below w, so only the candidates before w can match; the merge kernel
+/// writes their positions into `next`, which a gather turns into the
+/// candidates themselves in place.
 template <typename Policy>
-void extend(const graph::OrientedCsr& dag,
-            const std::vector<graph::VertexId>& cands, unsigned remaining,
+void extend(const graph::OrientedCsr& dag, const kernels::KernelTable& table,
+            std::span<const graph::VertexId> cands, unsigned remaining,
             std::vector<std::vector<graph::VertexId>>& scratch, unsigned depth,
             Policy& policy) {
   if (remaining == 1) {
-    policy.leaf(std::span<const graph::VertexId>(cands));
+    policy.leaf(cands);
     return;
   }
   std::vector<graph::VertexId>& next = scratch[depth];
-  for (const graph::VertexId w : cands) {
-    auto nw = dag.neighbors(w);
-    next.clear();
-    std::set_intersection(cands.begin(), cands.end(), nw.begin(), nw.end(),
-                          std::back_inserter(next));
-    if (next.size() + 1 < remaining) continue;  // cannot finish from here
-    extend(dag, next, remaining - 1, scratch, depth + 1, policy);
+  if (next.size() < cands.size() + kernels::kMergeSlack)
+    next.resize(cands.size() + kernels::kMergeSlack);
+  for (std::size_t i = remaining - 1; i < cands.size(); ++i) {
+    const auto nw = dag.neighbors(cands[i]);
+    const std::uint64_t hits = table.merge_u32(cands.data(), i, nw.data(),
+                                               nw.size(), next.data(), nullptr);
+    if (hits + 1 < remaining) continue;  // cannot finish from here
+    for (std::uint64_t k = 0; k < hits; ++k) next[k] = cands[next[k]];
+    extend(dag, table, std::span<const graph::VertexId>(next.data(), hits),
+           remaining - 1, scratch, depth + 1, policy);
   }
 }
 
@@ -71,6 +78,7 @@ void mine_dfs(const graph::OrientedCsr& dag, unsigned k,
         // decltype(auto): factories returning a reference (shared per-thread
         // accumulators) must not be copied into a discarded local.
         decltype(auto) policy = make_policy(thread_index);
+        const kernels::KernelTable& table = kernels::kernel_table();
         std::vector<std::vector<graph::VertexId>> scratch(k);
         const parallel::ExecContext* ctx = parallel::current_exec_context();
         for (std::uint64_t vi = b; vi < e; ++vi) {
@@ -78,10 +86,9 @@ void mine_dfs(const graph::OrientedCsr& dag, unsigned k,
           // so a deep chunk still honours cancellation promptly.
           if (parallel::check_interrupt(ctx) != parallel::Interrupt::kNone)
             return;
-          auto nv = dag.neighbors(static_cast<graph::VertexId>(vi));
+          const auto nv = dag.neighbors(static_cast<graph::VertexId>(vi));
           if (nv.size() + 1 < k) continue;
-          const std::vector<graph::VertexId> cands(nv.begin(), nv.end());
-          detail::extend(dag, cands, k - 1, scratch, 0, policy);
+          detail::extend(dag, table, nv, k - 1, scratch, 0, policy);
         }
       });
 }

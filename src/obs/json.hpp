@@ -42,9 +42,6 @@ class JsonValue {
 
   [[nodiscard]] Type type() const noexcept { return type_; }
   [[nodiscard]] bool is_null() const noexcept { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_number() const noexcept {
-    return type_ == Type::kInt || type_ == Type::kUInt || type_ == Type::kDouble;
-  }
 
   [[nodiscard]] bool as_bool() const { return bool_; }
   /// Numeric value as double (converting from the integer states).

@@ -78,7 +78,6 @@ class MemoryBudget {
     return used_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t limit() const noexcept { return limit_; }
-  [[nodiscard]] bool limited() const noexcept { return limit_ != 0; }
 
  private:
   std::uint64_t limit_ = 0;

@@ -21,13 +21,6 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-/// Stateless 64-bit mix (Stafford variant 13); good avalanche behaviour.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// xoshiro256** 1.0 — public-domain generator by Blackman & Vigna.
 /// Satisfies the C++ UniformRandomBitGenerator concept.
 class Xoshiro256 {

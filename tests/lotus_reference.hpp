@@ -15,6 +15,7 @@
 #include "graph/csr.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "lotus/relabel.hpp"
+#include "tc/api.hpp"
 #include "util/memory_budget.hpp"
 
 namespace lotus::test {
@@ -146,11 +147,45 @@ inline TrussOracle truss_oracle(const graph::CsrGraph& graph) {
 /// `oriented` but not its triangle index: one byte short of what the
 /// indexed peel charges, so the peel takes its triangles from the merge
 /// lists — which fit wherever they are smaller than the index (more than
-/// about (m + 2n) / 6 triangles).
+/// about (m + 2n) / 6 triangles). The charge includes the walks' per-thread
+/// position rows, so the budget holds at the current
+/// parallel::num_threads().
 inline std::uint64_t merge_forcing_budget(const graph::OrientedCsr& oriented) {
   util::MemoryBudget accounting;  // limit 0: counts, never refuses
   util::ScopedMemoryBudget scoped(&accounting);
   (void)analytics::ktruss_prepared(oriented);
+  return accounting.used() - 1;
+}
+
+/// Two lists whose positional-merge block stores reach furthest past the
+/// hits: all but the last element of the short list's final 8-entry block
+/// match in one block of the long list, which then runs on for `extra`
+/// blocks below that last element. Each of those blocks stores 8 lanes from
+/// slot min(|a|, |b|) - 1, up to min(|a|, |b|) + 7.
+inline std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>
+merge_store_bound_lists(std::uint32_t short_blocks, std::uint32_t extra) {
+  std::vector<std::uint32_t> a;
+  for (std::uint32_t i = 0; i + 1 < 8 * short_blocks; ++i) a.push_back(2 * i);
+  std::vector<std::uint32_t> b = a;
+  a.push_back(1u << 30);
+  b.push_back(2 * (8 * short_blocks - 1));  // in a's last block, no match
+  for (std::uint32_t i = 0; i < 8 * extra; ++i) b.push_back((1u << 20) + i);
+  return {a, b};
+}
+
+/// Budget bytes one byte short of what a local-counts query on `algorithm`
+/// charges. Its last charge is the per-thread position rows of the triangle
+/// walk (mining::ForwardWalk), so under this budget the credit rows and
+/// everything before them fit and the walk's scratch does not. The query
+/// runs with memory_budget_bytes = 0, so it charges the budget installed
+/// here; taken at the current parallel::num_threads().
+inline std::uint64_t walk_forcing_budget(tc::Algorithm algorithm,
+                                         const graph::CsrGraph& graph) {
+  util::MemoryBudget accounting;  // limit 0: counts, never refuses
+  util::ScopedMemoryBudget scoped(&accounting);
+  tc::QueryOptions options;
+  options.analytic.kind = tc::AnalyticKind::kLocalCounts;
+  (void)tc::query(algorithm, graph, options);
   return accounting.used() - 1;
 }
 

@@ -1,8 +1,8 @@
 // Analytics layer on closed-form families and against brute force: the
 // k-truss peel, and the k-clique census, per-vertex triangle counts,
 // clustering coefficients and transitivity as tc::query serves them; and
-// the shared triangle walks under them (the LOTUS phase visitors, the
-// positional Forward walk, intersect_merge's on-hit positions).
+// the shared triangle walks under them (the LOTUS phase visitors and the
+// positional Forward walk; the kernel's positions are in test_kernels.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -347,9 +347,11 @@ TEST(KTruss, IndexAndMergePeelsAgreeWithOracle) {
   for (const auto& graph : graphs) {
     const auto oracle = truss_oracle(graph);
     const auto oriented = g::degree_ordered_oriented(graph);
-    const std::uint64_t forcing = lotus::test::merge_forcing_budget(oriented);
     for (const unsigned threads : {1u, 4u}) {
       lotus::parallel::set_num_threads(threads);
+      // The walks' position rows are per thread, so the forcing budget is
+      // taken at the thread count the peels run at.
+      const std::uint64_t forcing = lotus::test::merge_forcing_budget(oriented);
       SCOPED_TRACE("n=" + std::to_string(graph.num_vertices()) +
                    " threads=" + std::to_string(threads));
       const auto indexed = lotus::analytics::ktruss_prepared(oriented);
@@ -497,73 +499,6 @@ TEST(KTruss, TrussnessIndependentOfOrientation) {
     ASSERT_EQ(by_id.size(), graph.num_edges() / 2);
     EXPECT_EQ(by_id, by_degree);
     EXPECT_GT(served.truss.max_k, 3u);
-  }
-}
-
-/// intersect_merge's on-hit callback must see exactly the positions of the
-/// common elements, in order, and the return value must be their number.
-template <typename T>
-void expect_hit_positions(const std::vector<T>& a, const std::vector<T>& b) {
-  std::vector<std::pair<std::size_t, std::size_t>> want;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto it = std::lower_bound(b.begin(), b.end(), a[i]);
-    if (it != b.end() && *it == a[i])
-      want.emplace_back(i, static_cast<std::size_t>(it - b.begin()));
-  }
-  std::vector<std::pair<std::size_t, std::size_t>> got;
-  const std::uint64_t count = lotus::baselines::intersect_merge<T>(
-      a, b, lotus::baselines::null_probe,
-      [&](std::size_t i, std::size_t j) { got.emplace_back(i, j); });
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(count, want.size());
-}
-
-// The KernelMerge adversarial u32/u16 inputs as on-hit cases.
-TEST(IntersectMergeHits, AdversarialListsReportMatchedPositions) {
-  using V32 = std::vector<std::uint32_t>;
-  using V16 = std::vector<std::uint16_t>;
-  V32 evens, odds;
-  for (std::uint32_t i = 0; i < 70; ++i) {
-    evens.push_back(2 * i);
-    odds.push_back(2 * i + 1);
-  }
-  V32 longrun(1000);
-  for (std::uint32_t i = 0; i < 1000; ++i) longrun[i] = 3 * i;
-  V32 hi_a, hi_b;
-  for (std::uint32_t i = 0; i < 20; ++i) {
-    hi_a.push_back(0xFFFFFFFFu - 2 * i);
-    hi_b.push_back(0xFFFFFFFFu - 3 * i);
-  }
-  std::reverse(hi_a.begin(), hi_a.end());
-  std::reverse(hi_b.begin(), hi_b.end());
-  const std::pair<V32, V32> cases32[] = {
-      {{}, {}},
-      {{}, {1, 2, 3}},
-      {{7}, {7}},
-      {evens, odds},
-      {evens, evens},
-      {{0, 999, 2997}, longrun},
-      {hi_a, hi_b},
-      {{0x7FFFFFFEu, 0x7FFFFFFFu, 0x80000000u, 0x80000001u},
-       {0x7FFFFFFFu, 0x80000001u, 0xFFFFFFFFu}}};
-  for (const auto& [a, b] : cases32) {
-    expect_hit_positions(a, b);
-    expect_hit_positions(b, a);
-  }
-  V16 evens16, odds16;
-  for (std::uint16_t i = 0; i < 100; ++i) {
-    evens16.push_back(static_cast<std::uint16_t>(2 * i));
-    odds16.push_back(static_cast<std::uint16_t>(2 * i + 1));
-  }
-  const std::pair<V16, V16> cases16[] = {
-      {{}, {}},
-      {{}, {1, 2, 3}},
-      {evens16, odds16},
-      {evens16, evens16},
-      {{0xFFF0, 0xFFF8, 0xFFFE, 0xFFFF}, {0xFFF1, 0xFFF8, 0xFFFF}}};
-  for (const auto& [a, b] : cases16) {
-    expect_hit_positions(a, b);
-    expect_hit_positions(b, a);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -408,6 +409,52 @@ TEST(AnalyticsResilience, TinyBudgetWithoutDegradationIsOutOfMemory) {
     EXPECT_EQ(result.status.code(), StatusCode::kOutOfMemory)
         << tc::analytic_name(kind);
     EXPECT_EQ(result.result.triangles, 0u);
+  }
+}
+
+// The triangle walk's per-thread position rows are charged before the walk
+// starts: one byte short of them, a local-counts query must fail with a
+// typed status naming the walk's site (or, with degradation, fall back from
+// LOTUS to gap-forward and answer there), never allocate uncharged.
+TEST(AnalyticsResilience, BudgetShortOfTheWalkRowsFailsBeforeTheWalk) {
+  const auto graph = g::build_undirected(
+      g::rmat({.scale = 10, .edge_factor = 8, .seed = 7}));
+  const auto oracle = lotus::test::local_counts_oracle(graph);
+  tc::AnalyticsRequest request;
+  request.kind = tc::AnalyticKind::kLocalCounts;
+  const std::pair<tc::Algorithm, const char*> substrates[] = {
+      {tc::Algorithm::kLotus, "local/walk-positions"},
+      {tc::Algorithm::kForwardMerge, "clustering/walk-positions"}};
+  for (const auto& [algorithm, site] : substrates) {
+    SCOPED_TRACE(tc::name(algorithm));
+    const std::uint64_t limit = lotus::test::walk_forcing_budget(algorithm, graph);
+    tc::QueryOptions options;
+    options.memory_budget_bytes = limit;
+    options.allow_degradation = false;
+    const auto refused = run(algorithm, graph, request, options);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status.code(), StatusCode::kOutOfMemory);
+    EXPECT_NE(refused.status.message().find(site), std::string::npos)
+        << refused.status.message();
+    EXPECT_TRUE(refused.result.analytics.vertex_counts.empty());
+
+    options.allow_degradation = true;
+    const auto degraded = run(algorithm, graph, request, options);
+    if (algorithm == tc::Algorithm::kLotus) {
+      // gap-forward's oriented artifact and walk fit where LOTUS's did not.
+      ASSERT_TRUE(degraded.ok()) << degraded.status.to_string();
+      ASSERT_EQ(degraded.degradations.size(), 1u);
+      EXPECT_NE(degraded.degradations[0].reason.find(site), std::string::npos);
+      EXPECT_EQ(degraded.result.analytics.vertex_counts, oracle);
+    } else {
+      EXPECT_EQ(degraded.status.code(), StatusCode::kOutOfMemory);
+    }
+
+    options.memory_budget_bytes = limit + 1;
+    const auto admitted = run(algorithm, graph, request, options);
+    ASSERT_TRUE(admitted.ok()) << admitted.status.to_string();
+    EXPECT_TRUE(admitted.degradations.empty());
+    EXPECT_EQ(admitted.result.analytics.vertex_counts, oracle);
   }
 }
 

@@ -24,6 +24,7 @@
 #include "kernels/isa.hpp"
 #include "lotus/count.hpp"
 #include "lotus/lotus_graph.hpp"
+#include "lotus_reference.hpp"
 #include "tc/api.hpp"
 #include "util/prng.hpp"
 
@@ -52,6 +53,13 @@ std::vector<T> sorted_unique(lotus::util::Xoshiro256& rng, std::size_t n,
   while (s.size() < n)
     s.insert(static_cast<T>(rng.next_below(universe)));
   return {s.begin(), s.end()};
+}
+
+// merge_u32 in count mode.
+std::uint64_t count_u32(const k::KernelTable& table,
+                        const std::vector<std::uint32_t>& a,
+                        const std::vector<std::uint32_t>& b) {
+  return table.merge_u32(a.data(), a.size(), b.data(), b.size(), nullptr, nullptr);
 }
 
 // |a ∩ b| by std::set_intersection: the oracle of the u16 merge cases.
@@ -126,17 +134,14 @@ TEST(KernelIsa, Avx512InheritsAvx2Merge) {
 
 void check_merge_all_tiers(const std::vector<std::uint32_t>& a,
                            const std::vector<std::uint32_t>& b) {
-  const std::uint64_t expected = k::kernel_table(k::Isa::kScalar)
-                                     .merge_u32(a.data(), a.size(), b.data(),
-                                                b.size());
+  const std::uint64_t expected = count_u32(k::kernel_table(k::Isa::kScalar), a, b);
   for (const k::Isa isa : kAllTiers) {
     const k::KernelTable& table = k::kernel_table(isa);
-    EXPECT_EQ(table.merge_u32(a.data(), a.size(), b.data(), b.size()), expected)
+    EXPECT_EQ(count_u32(table, a, b), expected)
         << k::isa_name(isa) << " |a|=" << a.size() << " |b|=" << b.size();
     // Intersection is symmetric; the block kernels are not — check both
     // argument orders.
-    EXPECT_EQ(table.merge_u32(b.data(), b.size(), a.data(), a.size()), expected)
-        << k::isa_name(isa) << " (swapped)";
+    EXPECT_EQ(count_u32(table, b, a), expected) << k::isa_name(isa) << " (swapped)";
   }
 }
 
@@ -221,6 +226,145 @@ TEST(KernelMerge, RandomizedSizeSweep) {
       const auto b16 = sorted_unique<std::uint16_t>(rng, nb, 65536);
       check_merge_u16(a16, b16);
     }
+}
+
+// --- merge_u32's position outputs at every tier -----------------------------
+// The oracle is a binary search of each a[i] in b, independent of every
+// merge: the k-th common element's (i, j), ascending.
+
+using Hits = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+Hits common_positions(const std::vector<std::uint32_t>& a,
+                      const std::vector<std::uint32_t>& b) {
+  Hits out;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto it = std::lower_bound(b.begin(), b.end(), a[i]);
+    if (it != b.end() && *it == a[i])
+      out.emplace_back(static_cast<std::uint32_t>(i),
+                       static_cast<std::uint32_t>(it - b.begin()));
+  }
+  return out;
+}
+
+constexpr std::uint32_t kCanary = 0xC0FFEE11u;
+
+// One positional call through `table` with outputs of exactly
+// min(|a|, |b|) + kMergeSlack slots plus one canary slot, which must
+// survive; with `both` false only a's positions are asked for.
+void expect_positions(const k::KernelTable& table,
+                      const std::vector<std::uint32_t>& a,
+                      const std::vector<std::uint32_t>& b, bool both) {
+  const Hits want = common_positions(a, b);
+  const std::size_t slots = std::min(a.size(), b.size()) + k::kMergeSlack;
+  std::vector<std::uint32_t> at_a(slots + 1, kCanary), at_b(slots + 1, kCanary);
+  const std::uint64_t hits = table.merge_u32(a.data(), a.size(), b.data(),
+                                             b.size(), at_a.data(),
+                                             both ? at_b.data() : nullptr);
+  ASSERT_EQ(hits, want.size());
+  for (std::size_t n = 0; n < want.size(); ++n) {
+    EXPECT_EQ(at_a[n], want[n].first) << "hit " << n;
+    if (both) EXPECT_EQ(at_b[n], want[n].second) << "hit " << n;
+  }
+  EXPECT_EQ(at_a[slots], kCanary) << "store past min + kMergeSlack";
+  EXPECT_EQ(at_b[slots], kCanary) << "store past min + kMergeSlack";
+  if (!both) EXPECT_EQ(at_b[0], kCanary) << "pos_b written without being asked";
+}
+
+// Both argument orders, both output modes, every tier.
+void check_positions_all_tiers(const std::vector<std::uint32_t>& a,
+                               const std::vector<std::uint32_t>& b) {
+  for (const k::Isa isa : kAllTiers)
+    for (const bool both : {true, false}) {
+      SCOPED_TRACE(std::string(k::isa_name(isa)) + (both ? " a+b" : " a") +
+                   " |a|=" + std::to_string(a.size()) +
+                   " |b|=" + std::to_string(b.size()));
+      expect_positions(k::kernel_table(isa), a, b, both);
+      expect_positions(k::kernel_table(isa), b, a, both);
+    }
+}
+
+TEST(KernelMergePositions, LengthSweepAllTiers) {
+  // Every pair of lengths 0–40 (the 8-lane blocks and their tails), over a
+  // universe dense enough that most blocks hold several hits.
+  lotus::util::Xoshiro256 rng(31337);
+  for (std::size_t na = 0; na <= 40; ++na)
+    for (std::size_t nb = 0; nb <= 40; ++nb) {
+      const std::uint64_t universe = (na + nb) * 3 / 2 + 4;
+      check_positions_all_tiers(sorted_unique<std::uint32_t>(rng, na, universe),
+                                sorted_unique<std::uint32_t>(rng, nb, universe));
+    }
+}
+
+TEST(KernelMergePositions, FullBlocksAndEveryRotationOffset) {
+  // All 8 lanes of every block match: identical lists, one to five blocks.
+  for (std::uint32_t len : {8u, 16u, 24u, 40u}) {
+    std::vector<std::uint32_t> a(len);
+    for (std::uint32_t i = 0; i < len; ++i) a[i] = 5 * i + 1;
+    check_positions_all_tiers(a, a);
+  }
+  // One hit between a-lane p and b-lane q of two 16-entry lists: every
+  // rotation (q - p) & 7 of the block compare, in both blocks.
+  for (std::uint32_t p = 0; p < 16; ++p)
+    for (std::uint32_t q = 0; q < 16; ++q) {
+      std::vector<std::uint32_t> a(16), b(16);
+      for (std::uint32_t i = 0; i < 16; ++i) {
+        a[i] = i < p ? 2 * i : 2000 + i;      // evens below the hit
+        b[i] = i < q ? 2 * i + 1 : 3000 + i;  // odds below the hit
+      }
+      a[p] = b[q] = 1000;
+      check_positions_all_tiers(a, b);
+    }
+}
+
+TEST(KernelMergePositions, BlockStoresNearTheSlackBound) {
+  for (const std::uint32_t short_blocks : {1u, 2u, 3u})
+    for (const std::uint32_t extra : {1u, 2u, 5u}) {
+      const auto [a, b] = lotus::test::merge_store_bound_lists(short_blocks, extra);
+      check_positions_all_tiers(a, b);
+    }
+}
+
+TEST(KernelMergePositions, ValuesNearTheTopBits) {
+  // Lane compares are equality and block advances compare unsigned maxima:
+  // lists around 2^31 and ending at 2^32 - 1 must report like any other.
+  for (const std::uint32_t base : {0x7FFFFFF0u, 0xFFFFFFFFu - 60}) {
+    std::vector<std::uint32_t> a, b;
+    for (std::uint32_t i = 0; i <= 60; ++i) {
+      if (i % 2 == 0) a.push_back(base + i);
+      if (i % 3 == 0) b.push_back(base + i);
+    }
+    check_positions_all_tiers(a, b);
+  }
+}
+
+TEST(KernelMergePositions, AdversarialListsAllTiers) {
+  // The KernelMerge.AdversarialListsU32 inputs.
+  using V = std::vector<std::uint32_t>;
+  V evens, odds;
+  for (std::uint32_t i = 0; i < 70; ++i) {
+    evens.push_back(2 * i);
+    odds.push_back(2 * i + 1);
+  }
+  V longrun(1000);
+  for (std::uint32_t i = 0; i < 1000; ++i) longrun[i] = 3 * i;
+  V hi_a, hi_b;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    hi_a.push_back(0xFFFFFFFFu - 2 * i);
+    hi_b.push_back(0xFFFFFFFFu - 3 * i);
+  }
+  std::reverse(hi_a.begin(), hi_a.end());
+  std::reverse(hi_b.begin(), hi_b.end());
+  const std::pair<V, V> cases[] = {
+      {{}, {}},
+      {{}, {1, 2, 3}},
+      {{7}, {7}},
+      {evens, odds},
+      {evens, evens},
+      {{0, 999, 2997}, longrun},
+      {hi_a, hi_b},
+      {{0x7FFFFFFEu, 0x7FFFFFFFu, 0x80000000u, 0x80000001u},
+       {0x7FFFFFFFu, 0x80000001u, 0xFFFFFFFFu}}};
+  for (const auto& [a, b] : cases) check_positions_all_tiers(a, b);
 }
 
 // --- bitmap kernels -------------------------------------------------------
@@ -363,8 +507,7 @@ TEST(KernelIntersect, RandomShortListsAllTiers) {
           lotus::baselines::intersect_merge<std::uint32_t>(a32, b32);
       expect_intersect(a32, b32, expect32);
       for (const k::Isa isa : kAllTiers)
-        EXPECT_EQ(k::kernel_table(isa).merge_u32(b32.data(), nb, a32.data(), na),
-                  expect32)
+        EXPECT_EQ(count_u32(k::kernel_table(isa), b32, a32), expect32)
             << k::isa_name(isa) << " (swapped)";
     }
 }

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,8 @@
 #include "graph/builder.hpp"
 #include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
+#include "kernels/dispatch.hpp"
+#include "kernels/isa.hpp"
 #include "lotus/h2h_bitarray.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/relabel.hpp"
@@ -34,6 +38,7 @@
 #include "tc/engine.hpp"
 #include "util/cancel.hpp"
 #include "util/memory_budget.hpp"
+#include "util/prng.hpp"
 
 namespace {
 
@@ -504,13 +509,111 @@ TEST(SanitizerStress, EnginePerVertexAnalyticsUnderInvalidate) {
   EXPECT_EQ(failures, 0);
 }
 
+TEST(SanitizerStress, PositionalMergeStaysInsideItsSlots) {
+  // merge_u32's position outputs at every tier, into heap buffers of exactly
+  // min(|a|, |b|) + kMergeSlack slots: an 8-lane store past that contract is
+  // a heap overflow ASan reports. The lists whose stores reach furthest come
+  // first, then Bernoulli samples of a small universe, so blocks hold
+  // several hits and every tail length occurs.
+  lotus::util::Xoshiro256 rng(97);
+  const auto sample = [&rng](std::uint32_t universe, std::uint64_t percent) {
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t x = 0; x < universe; ++x)
+      if (rng.next_below(100) < percent) out.push_back(x);
+    return out;
+  };
+  std::vector<std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>>
+      cases;
+  for (const std::uint32_t short_blocks : {1u, 2u, 3u})
+    for (const std::uint32_t extra : {1u, 3u}) {
+      auto [a, b] = lotus::test::merge_store_bound_lists(short_blocks, extra);
+      cases.emplace_back(a, b);
+      cases.emplace_back(b, a);
+    }
+  for (int round = 0; round < 300; ++round) {
+    const auto universe = static_cast<std::uint32_t>(8 + rng.next_below(120));
+    auto a = sample(universe, 20 + rng.next_below(80));
+    cases.emplace_back(std::move(a), sample(universe, 20 + rng.next_below(80)));
+  }
+  namespace k = lotus::kernels;
+  for (const k::Isa isa : {k::Isa::kScalar, k::Isa::kNeon, k::Isa::kAvx2,
+                           k::Isa::kAvx512}) {
+    const k::KernelTable& table = k::kernel_table(isa);
+    for (const auto& [a, b] : cases) {
+      const std::size_t slots = std::min(a.size(), b.size()) + k::kMergeSlack;
+      const auto at_a = std::make_unique<std::uint32_t[]>(slots);
+      const auto at_b = std::make_unique<std::uint32_t[]>(slots);
+      const std::uint64_t hits = table.merge_u32(
+          a.data(), a.size(), b.data(), b.size(), at_a.get(), at_b.get());
+      ASSERT_EQ(hits, k::kernel_table(k::Isa::kScalar)
+                          .merge_u32(a.data(), a.size(), b.data(), b.size(),
+                                     nullptr, nullptr))
+          << k::isa_name(isa);
+      for (std::uint64_t n = 0; n < hits; ++n)
+        ASSERT_EQ(a[at_a[n]], b[at_b[n]]) << k::isa_name(isa) << " hit " << n;
+    }
+  }
+}
+
+TEST(SanitizerStress, EngineLocalCountsAndClusteringMatchColdQueries) {
+  // The per-pair visitors of both substrates under the serving layer: two
+  // drivers of two threads each serve local-counts and clustering on the
+  // LOTUS phases and on the oriented Forward walk, while invalidate() drops
+  // the artifacts between submits. Every answer must equal a cold tc::query
+  // of the same request, taken at the drivers' two threads.
+  par::set_num_threads(2);
+  const auto graph = g::build_undirected(
+      g::rmat({.scale = 9, .edge_factor = 8, .seed = 59}));
+  std::vector<lotus::tc::QuerySpec> specs;
+  std::vector<lotus::tc::AnalyticsResult> cold;
+  for (const auto algorithm :
+       {lotus::tc::Algorithm::kLotus, lotus::tc::Algorithm::kForwardMerge})
+    for (const auto kind : {lotus::tc::AnalyticKind::kLocalCounts,
+                            lotus::tc::AnalyticKind::kClustering}) {
+      lotus::tc::QueryOptions options;
+      options.analytic.kind = kind;
+      specs.push_back({algorithm, "g", &graph, options});
+      const auto answer = lotus::tc::query(algorithm, graph, options);
+      ASSERT_TRUE(answer.ok() && answer.value().ok());
+      cold.push_back(answer.value().result.analytics);
+    }
+
+  lotus::tc::EngineOptions engine_options;
+  engine_options.num_drivers = 2;
+  engine_options.threads_per_query = 2;
+  lotus::tc::Engine engine(engine_options);
+  constexpr int kRounds = kTsan ? 3 : 6;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::future<lotus::util::Expected<lotus::tc::QueryResult>>>
+        futures;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      if (i == 2) engine.invalidate("g");
+      futures.push_back(engine.submit(specs[i]));
+    }
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      auto outcome = futures[i].get();
+      ASSERT_TRUE(outcome.ok()) << outcome.status().to_string();
+      const auto& served = outcome.value();
+      ASSERT_TRUE(served.ok()) << served.status.to_string();
+      const auto& got = served.result.analytics;
+      EXPECT_EQ(got.vertex_counts, cold[i].vertex_counts) << "request " << i;
+      EXPECT_EQ(got.vertex_coefficients, cold[i].vertex_coefficients)
+          << "request " << i;
+    }
+  }
+  par::set_num_threads(0);
+}
+
 TEST(SanitizerStress, EngineKTrussUnderInvalidate) {
   // The truss peel's supports and its triangle-index fill cursors are plain
   // u32 arrays that pool workers bump through std::atomic_ref. Two drivers
   // of two threads each run full-granularity ktruss, each query once
   // unbudgeted (the index) and once under a budget that forces the merge
   // lists, while invalidate() drops the artifact between submits; every
-  // answer must match a cold tc::query of the same request.
+  // answer must match a cold tc::query of the same request. The walks'
+  // position rows are per thread, so the forcing budget and the cold
+  // queries are taken at the drivers' two threads.
+  par::set_num_threads(2);
   const auto graph = g::build_undirected(
       g::rmat({.scale = 8, .edge_factor = 8, .seed = 57}));
   lotus::tc::QueryOptions indexed;
@@ -549,6 +652,7 @@ TEST(SanitizerStress, EngineKTrussUnderInvalidate) {
       EXPECT_EQ(got.truss.edges_in_max_truss, want.truss.edges_in_max_truss);
     }
   }
+  par::set_num_threads(0);
 }
 
 TEST(SanitizerStress, DifferentialSmokeMatrix) {
