@@ -128,9 +128,12 @@ void SizePairs(benchmark::internal::Benchmark* b) {
   b->Args({64, 64})->Args({64, 4096})->Args({1024, 1024})->Args({16, 65536});
 }
 
-// Adds the ~8–24-entry lists of the NNN phase and the walks.
+// Adds the ~8–24-entry lists of the NNN phase and the walks: {3, 5} and
+// {7, 7} fit in one partial block each, and {5, 64} is the short × long
+// pair whose long side the partial blocks walk eight entries at a time.
 void MergePairs(benchmark::internal::Benchmark* b) {
-  b->Args({8, 12})->Args({24, 24})->Apply(SizePairs);
+  b->Args({3, 5})->Args({7, 7})->Args({5, 64})->Args({8, 12})->Args({24, 24})
+      ->Apply(SizePairs);
 }
 
 BENCHMARK(BM_Merge)->Apply(SizePairs);

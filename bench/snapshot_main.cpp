@@ -550,10 +550,11 @@ volatile std::uint64_t g_kernel_sink = 0;
 /// measurement first checks the tier's count against scalar (a forced-ISA
 /// consistency check — a wrong count is a hard error, not a slow metric),
 /// then emits "kernels.<tier>.<kernel>.speedup", the median ratio of paired
-/// rounds. merge_u32 is timed twice: counting, and as "merge_u32.positions"
-/// reporting both lists' positions (the triangle walks' mode), whose result
-/// folds every position so the scalar check covers them. Every entry the
-/// AVX-512 table overrides also gets
+/// rounds. merge_u32 is timed three ways: counting, as "merge_u32.short"
+/// counting a fixed pool of 1–16-entry pairs (the NNN phase's list sizes),
+/// and as "merge_u32.positions" reporting both lists' positions (the
+/// triangle walks' mode), whose result folds every position so the scalar
+/// check covers them. Every entry the AVX-512 table overrides also gets
 /// "kernels.avx512.<kernel>.speedup_over_avx2", measured the same way
 /// against the AVX2 body. AVX2 hosts additionally gate the median merge_u32
 /// speedup at >= 1.5x, the floor the vectorized merge must clear for the
@@ -573,6 +574,21 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
   };
   const auto a32 = make_u32(len, 3 * len);
   const auto b32 = make_u32(len, 3 * len);
+  // A fixed pool of short pairs, 1–16 entries a side (the NNN phase's lists
+  // hold about 8), flattened: pair p is short_a[off_a[p]..off_a[p + 1]) and
+  // short_b[off_b[p]..off_b[p + 1]).
+  constexpr std::size_t kShortPairs = 512;
+  std::vector<std::uint32_t> short_a, short_b;
+  std::vector<std::size_t> off_a{0}, off_b{0};
+  for (std::size_t p = 0; p < kShortPairs; ++p) {
+    const std::size_t na = 1 + rng.next_below(16);
+    const std::size_t nb = 1 + rng.next_below(16);
+    const std::uint64_t universe = 3 * std::max(na, nb);
+    for (const std::uint32_t x : make_u32(na, universe)) short_a.push_back(x);
+    for (const std::uint32_t x : make_u32(nb, universe)) short_b.push_back(x);
+    off_a.push_back(short_a.size());
+    off_b.push_back(short_b.size());
+  }
   std::vector<std::uint64_t> words(len);
   for (auto& w : words) w = rng();
   const auto keys = make_u32(len, 64 * len);
@@ -593,6 +609,17 @@ void kernels_metrics(JsonValue& metrics, const Suite& suite) {
        [&](const k::KernelTable& t) {
          return t.merge_u32(a32.data(), a32.size(), b32.data(), b32.size(),
                             nullptr, nullptr);
+       },
+       same_merge},
+      {"merge_u32.short",
+       [&](const k::KernelTable& t) {
+         std::uint64_t hits = 0;
+         for (std::size_t p = 0; p < kShortPairs; ++p)
+           hits += t.merge_u32(
+               short_a.data() + off_a[p], off_a[p + 1] - off_a[p],
+               short_b.data() + off_b[p], off_b[p + 1] - off_b[p], nullptr,
+               nullptr);
+         return hits;
        },
        same_merge},
       {"merge_u32.positions",

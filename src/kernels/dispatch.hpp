@@ -86,10 +86,11 @@ namespace detail {
 /// to `count`: each step compares one element of each list and advances
 /// either or both with conditional adds (cmov) instead of a three-way
 /// branch, so it costs the same whatever the data. The scalar merge kernel
-/// is this loop; every SIMD tier's merge runs it over the tails its block
-/// loop leaves, which on the ~8-entry lists of the NNN phase is nearly the
-/// whole merge. With kPosA (and kPosB) every step stores i (and j) at slot
-/// `count` unconditionally, and a hit keeps it by advancing `count`.
+/// is this loop, and NEON's count body runs it over the tail its 4-lane
+/// blocks leave; AVX2 and AVX-512 finish in masked partial blocks instead
+/// (kernels_avx2.cpp). With kPosA (and kPosB) every step stores i (and
+/// j) at slot `count` unconditionally, and a hit keeps it by advancing
+/// `count`.
 template <bool kPosA = false, bool kPosB = false, typename T>
 inline std::uint64_t merge_branchless(const T* a, std::size_t na, const T* b,
                                       std::size_t nb, std::size_t i = 0,

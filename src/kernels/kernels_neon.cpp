@@ -47,6 +47,9 @@ std::uint64_t merge_u32_neon(const std::uint32_t* a, std::size_t na,
     j += bmax <= amax ? 4u : 0u;
   }
 
+  // The tail stays scalar: the AVX2 body's masked partial blocks have no
+  // NEON counterpart yet, since none could be built or run on an aarch64
+  // host.
   return detail::merge_branchless(a, na, b, nb, i, j, count);
 }
 

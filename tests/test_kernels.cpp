@@ -367,6 +367,43 @@ TEST(KernelMergePositions, AdversarialListsAllTiers) {
   for (const auto& [a, b] : cases) check_positions_all_tiers(a, b);
 }
 
+TEST(KernelMerge, ZeroAndTopOfRangeInOneTailBlock) {
+  // Short lists holding both ends of the u32 range sit in one partial block.
+  // A dead lane padded with "block max + 1" wraps to 0 when the max is
+  // 0xFFFFFFFF and then matches a live 0 lane of the other list.
+  using V = std::vector<std::uint32_t>;
+  constexpr std::uint32_t kTop = 0xFFFFFFFFu;
+  const std::pair<V, V> fixed[] = {
+      {{0, kTop}, {5}},
+      {{0, kTop}, {0}},
+      {{0, kTop}, {kTop}},
+      {{0, kTop}, {0, kTop}},
+      {{0}, {kTop}},
+      {{0, 1, 2, kTop - 2, kTop}, {1, 7, kTop - 1}},
+      {{0, 1, 2, 3, 4, 5, 6, kTop}, {3, kTop - 5, kTop - 1}},
+  };
+  for (const auto& [a, b] : fixed) {
+    check_merge_all_tiers(a, b);
+    check_positions_all_tiers(a, b);
+  }
+  // Random pairs of 0–19 entries drawn from the bottom and top 32 values.
+  lotus::util::Xoshiro256 rng(20260);
+  const auto draw = [&rng](std::size_t n) {
+    std::set<std::uint32_t> s;
+    while (s.size() < n) {
+      const auto v = static_cast<std::uint32_t>(rng.next_below(32));
+      s.insert(rng.next_below(2) == 0 ? v : kTop - v);
+    }
+    return V(s.begin(), s.end());
+  };
+  for (int pair = 0; pair < 4000; ++pair) {
+    const V a = draw(rng.next_below(20));
+    const V b = draw(rng.next_below(20));
+    check_merge_all_tiers(a, b);
+    check_positions_all_tiers(a, b);
+  }
+}
+
 // --- bitmap kernels -------------------------------------------------------
 
 TEST(KernelBitmap, HitsBitsetAllTiers) {
@@ -492,10 +529,10 @@ TEST(SimdIntersect, RandomizedAgreementWithMerge) {
 
 TEST(KernelIntersect, RandomShortListsAllTiers) {
   // Lists of 0–20 entries: shorter than one block on every SIMD tier, or
-  // one block plus a tail, so the shared branch-free tail merge does all or
-  // most of the work — the shape of the NNN phase's lists. The reference is
-  // the branching merge of baselines/intersect.hpp; dense universes make
-  // overlaps common.
+  // one block plus a remainder, so the AVX2 partial blocks (and NEON's
+  // scalar tail) do all or most of the work — the shape of the NNN phase's
+  // lists. The reference is the branching merge of baselines/intersect.hpp;
+  // dense universes make overlaps common.
   lotus::util::Xoshiro256 rng(2718);
   for (std::size_t na = 0; na <= 20; ++na)
     for (std::size_t nb = 0; nb <= 20; ++nb) {
