@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "kernels/intersect.hpp"
+#include "kernels/dispatch.hpp"
 #include "lotus/count.hpp"
 #include "lotus/hub_bitmaps.hpp"
 #include "parallel/padded.hpp"
@@ -105,6 +105,7 @@ std::uint64_t count_hnn_nnn_fused(const core::LotusGraph& lg) {
   const graph::Csr16& he = lg.he();
   const graph::CsrGraph& nhe = lg.nhe();
   HubBitmaps bitmaps(lg.hub_count(), parallel::num_threads(), "hnn/hub-bitmaps");
+  const kernels::KernelTable& table = kernels::kernel_table();
   std::vector<parallel::Padded<std::uint64_t>> partial(parallel::num_threads());
   parallel::parallel_for(
       0, lg.num_vertices(), 64,
@@ -120,7 +121,9 @@ std::uint64_t count_hnn_nnn_fused(const core::LotusGraph& lg) {
           for (VertexId u : nv) {
             if (!hub_list.empty())  // count_hnn skips these vertices
               local += counter.count(bitmap, he.neighbors(u));
-            local += kernels::intersect(nv, nhe.neighbors(u));
+            const auto nu = nhe.neighbors(u);
+            local += table.merge_u32(nv.data(), nv.size(), nu.data(),
+                                     nu.size(), nullptr, nullptr);
           }
           core::clear_hub_bits(bitmap, hub_list);
         }

@@ -1,38 +1,14 @@
-// The two branch-free intersection kernels, for the intersection
+// The branch-free binary-search intersection, for the intersection
 // micro-benchmark (bench/micro_intersect.cpp); the differential harness
-// also counts through each. Both return |a ∩ b| of two strictly ascending
-// lists, like baselines::intersect_merge.
+// also counts through it. It returns |a ∩ b| of two strictly ascending
+// lists, like baselines::intersect_merge. The branch-free merge is the
+// scalar tier's merge_u32 (kernels::detail::merge_branchless).
 #pragma once
 
 #include <cstdint>
 #include <span>
 
-#include "obs/counters.hpp"
-
 namespace lotus::ablation {
-
-/// Branch-free merge: advances are computed arithmetically so the
-/// data-dependent comparison never becomes a mispredictable branch — the
-/// branch-miss reduction idea of [32] applied to merge join.
-template <typename T>
-std::uint64_t intersect_merge_branchless(std::span<const T> a,
-                                         std::span<const T> b) {
-  std::uint64_t count = 0;
-  std::uint64_t comparisons = 0;  // dead when LOTUS_OBS=0
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const T x = a[i];
-    const T y = b[j];
-    ++comparisons;
-    count += x == y ? 1u : 0u;
-    i += x <= y ? 1u : 0u;  // compiles to cmov/setcc, not a branch
-    j += y <= x ? 1u : 0u;
-  }
-  obs::count(obs::Counter::kIntersectComparisons, comparisons);
-  if (count == 0 && comparisons > 0)
-    obs::count(obs::Counter::kFruitlessSearches);
-  return count;
-}
 
 /// Branch-free binary search of each element of the shorter list in the
 /// longer (Khuong-Morin array layout search [40], as deployed by [33]).

@@ -11,15 +11,12 @@
 #include "baselines/intersect.hpp"
 #include "bench/ablations/intersect.hpp"
 #include "kernels/dispatch.hpp"
-#include "kernels/intersect.hpp"
-#include "util/bitset.hpp"
 #include "util/prng.hpp"
 
 namespace {
 
 using namespace lotus::baselines;
 using lotus::ablation::intersect_binary_branchfree;
-using lotus::ablation::intersect_merge_branchless;
 
 std::vector<std::uint32_t> make_sorted(std::size_t n, std::uint32_t universe,
                                        std::uint64_t seed) {
@@ -53,11 +50,13 @@ void BM_Gallop(benchmark::State& state) {
                           (state.range(0) + state.range(1)));
 }
 
+// The scalar tier's merge_u32, kernels::detail::merge_branchless.
 void BM_MergeBranchless(benchmark::State& state) {
   const auto a = make_sorted(static_cast<std::size_t>(state.range(0)), 1 << 20, 1);
   const auto b = make_sorted(static_cast<std::size_t>(state.range(1)), 1 << 20, 2);
+  const auto merge = lotus::kernels::kernel_table(lotus::kernels::Isa::kScalar).merge_u32;
   for (auto _ : state)
-    benchmark::DoNotOptimize(intersect_merge_branchless<std::uint32_t>(a, b));
+    benchmark::DoNotOptimize(merge(a.data(), a.size(), b.data(), b.size(), nullptr, nullptr));
   state.SetItemsProcessed(state.iterations() *
                           (state.range(0) + state.range(1)));
 }
@@ -74,9 +73,9 @@ void BM_BinaryBranchfree(benchmark::State& state) {
 void BM_Simd(benchmark::State& state) {
   const auto a = make_sorted(static_cast<std::size_t>(state.range(0)), 1 << 20, 1);
   const auto b = make_sorted(static_cast<std::size_t>(state.range(1)), 1 << 20, 2);
-  const std::span<const std::uint32_t> sa(a), sb(b);
+  const auto merge = lotus::kernels::kernel_table().merge_u32;
   for (auto _ : state)
-    benchmark::DoNotOptimize(lotus::kernels::intersect(sa, sb));
+    benchmark::DoNotOptimize(merge(a.data(), a.size(), b.data(), b.size(), nullptr, nullptr));
   state.SetItemsProcessed(state.iterations() *
                           (state.range(0) + state.range(1)));
 }
@@ -118,10 +117,11 @@ void BM_Hashed(benchmark::State& state) {
 void BM_Bitmap(benchmark::State& state) {
   const auto a = make_sorted(static_cast<std::size_t>(state.range(0)), 1 << 20, 1);
   const auto b = make_sorted(static_cast<std::size_t>(state.range(1)), 1 << 20, 2);
-  lotus::util::Bitset bitmap(1 << 21);
-  for (auto x : a) bitmap.set(x);
+  std::vector<std::uint64_t> bitmap((1 << 21) / 64);
+  for (auto x : a) bitmap[x >> 6] |= 1ULL << (x & 63);
+  const auto hits = lotus::kernels::kernel_table().hits_bitset;
   for (auto _ : state)
-    benchmark::DoNotOptimize(count_bitmap_hits<std::uint32_t>(b, bitmap));
+    benchmark::DoNotOptimize(hits(b.data(), b.size(), bitmap.data()));
 }
 
 void SizePairs(benchmark::internal::Benchmark* b) {

@@ -134,7 +134,12 @@ done
 # streaming_triangles example and lotus_streaming_replay path) and the
 # CompressedCsr codec are gone, and recursive LOTUS, the approximate
 # estimators and the orderings moved to bench/ablations, so the five old
-# include paths name nothing.
+# include paths name nothing. gap-forward, forward-bitmap, forward-hybrid
+# and the NNN phase share kernels::forward_count: the kernels::intersect
+# wrapper, hybrid_forward_count, count_bitmap_hits with util::Bitset, the
+# ablation's intersect_merge_branchless (the scalar merge_u32 is that loop)
+# and the forward_hybrid_all_dense differential path are gone, and so are
+# their three headers.
 # docs/API.md keeps the migration table and is exempt, as are the
 # changelog/issue worklogs.
 for md in README.md DESIGN.md docs/*.md; do
@@ -142,7 +147,7 @@ for md in README.md DESIGN.md docs/*.md; do
   case "$md" in
     docs/API.md) continue ;;
   esac
-  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|\<forward_walk\>\|TriangleVisitPolicy\|\<read_edge_list_text\>\|\<write_edge_list_text\>\|\<write_csr_binary\>\|\<read_csr_binary\>\|\<write_lotus_binary\>\|\<read_lotus_binary\>\|\<read_lotus_mapped\>\|LOTUS_HWC_FORCE_ERROR\|QueryOptions::telemetry\|telemetry_to_json\|StreamingHubCounter\|streaming_triangles\|lotus_streaming_replay\|CompressedCsr\|lotus/streaming\.hpp\|graph/compressed\.hpp\|lotus/recursive\.hpp\|graph/reorder\.hpp\|analytics/approx\.hpp' "$md")
+  hits=$(grep -n 'tc::run(\|run_with_status\|run_profiled\|forward-simd\|kForwardSimd\|intersect_simd\|adaptive_count\|use_lotus()\|ayz-matrix\|spgemm-masked\|kAyz\|kSpGemmMasked\|count_kcliques\|ktruss_decomposition\|lotus_algorithms\|read_csr_binary_parallel_s\|LoaderOptions\|direct_io\|loader_threads\|LOTUSLG1\|set_backend\|openmp_available\|kOpenMP\|max_parallelism\|fuse_hnn_nnn\|--backend openmp\|and_popcount\|`popcount`\|merge_u16\|merge_u32_avx512\|and_window_popcount\|intersect_merge_visit\|for_each_triangle\|\<forward_walk\>\|TriangleVisitPolicy\|\<read_edge_list_text\>\|\<write_edge_list_text\>\|\<write_csr_binary\>\|\<read_csr_binary\>\|\<write_lotus_binary\>\|\<read_lotus_binary\>\|\<read_lotus_mapped\>\|LOTUS_HWC_FORCE_ERROR\|QueryOptions::telemetry\|telemetry_to_json\|StreamingHubCounter\|streaming_triangles\|lotus_streaming_replay\|CompressedCsr\|lotus/streaming\.hpp\|graph/compressed\.hpp\|lotus/recursive\.hpp\|graph/reorder\.hpp\|analytics/approx\.hpp\|count_bitmap_hits\|util::Bitset\|util/bitset\.hpp\|kernels/intersect\.hpp\|kernels/hybrid\.hpp\|hybrid_forward_count\|forward_hybrid_all_dense\|\<kernels::intersect\>\|intersect_merge_branchless' "$md")
   if [ -n "$hits" ]; then
     echo "check_docs: $md references a deprecated or removed entry point:" >&2
     echo "$hits" | sed 's/^/  /' >&2

@@ -1,11 +1,12 @@
 // Sorted-set intersection kernels.
 //
-// These are the four standard intersection strategies surveyed by the paper
-// (Sec. 2.2 / 6.3): merge join, binary/galloping search, hashing, and bitmap
-// lookup. Every kernel is templated on a memory probe so the instrumented
-// replays (src/tc) can feed the exact access/branch stream into the hardware
-// models without duplicating algorithm code; the default NullProbe compiles
-// to nothing.
+// These are three of the four standard intersection strategies surveyed by
+// the paper (Sec. 2.2 / 6.3): merge join, binary/galloping search and
+// hashing. The fourth, bitmap lookup, is the dispatched `hits_bitset`
+// (kernels/dispatch.hpp). Every kernel here is templated on a memory probe
+// so the instrumented replays (src/tc) can feed the exact access/branch
+// stream into the hardware models without duplicating algorithm code; the
+// default NullProbe compiles to nothing.
 //
 // The merge and gallop kernels additionally flush element-comparison and
 // fruitless-search totals to the per-thread obs counters (one flush per
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "obs/counters.hpp"
-#include "util/bitset.hpp"
 
 namespace lotus::baselines {
 
@@ -203,20 +203,5 @@ class HashedSet {
   std::size_t mask_ = 0;
   std::vector<std::uint64_t> slots_;
 };
-
-/// Bitmap membership: caller sets bits for the reference list, then counts
-/// hits of query lists (Latapy's new-vertex-listing).
-template <typename T, typename Probe = NullProbe>
-std::uint64_t count_bitmap_hits(std::span<const T> queries,
-                                const util::Bitset& bitmap,
-                                Probe& probe = null_probe) {
-  std::uint64_t count = 0;
-  for (const T& q : queries) {
-    probe.read(&q, sizeof(T));
-    probe.op();
-    count += bitmap.test(q) ? 1u : 0u;
-  }
-  return count;
-}
 
 }  // namespace lotus::baselines

@@ -4,10 +4,8 @@
 #include <vector>
 
 #include "baselines/intersect.hpp"
-#include "kernels/hybrid.hpp"
-#include "kernels/intersect.hpp"
+#include "kernels/forward_count.hpp"
 #include "parallel/parallel_for.hpp"
-#include "util/bitset.hpp"
 #include "util/memory_budget.hpp"
 
 namespace lotus::baselines {
@@ -18,6 +16,9 @@ using graph::VertexId;
 
 std::uint64_t forward_merge_prepared(const OrientedCsr& oriented,
                                      bool vectorize) {
+  if (vectorize)
+    return kernels::forward_count(oriented.offsets(), oriented.neighbor_array(),
+                                  kernels::kNeverDense);
   const VertexId n = oriented.num_vertices();
   return parallel::parallel_reduce_add<std::uint64_t>(
       0, n, 64, [&](std::uint64_t vi) {
@@ -25,8 +26,7 @@ std::uint64_t forward_merge_prepared(const OrientedCsr& oriented,
         auto nv = oriented.neighbors(v);
         std::uint64_t local = 0;
         for (VertexId u : nv)
-          local += kernels::intersect(nv, oriented.neighbors(u), null_probe,
-                                      vectorize);
+          local += intersect_merge<VertexId>(nv, oriented.neighbors(u));
         return local;
       });
 }
@@ -79,53 +79,14 @@ std::uint64_t forward_hashed_prepared(const OrientedCsr& oriented) {
 }
 
 std::uint64_t forward_bitmap_prepared(const OrientedCsr& oriented) {
-  const VertexId n = oriented.num_vertices();
-  // Each thread owns an n-bit bitmap; charge all of them up front (master
-  // thread) so a budget can veto the kernel before any worker allocates.
-  util::charge_current(static_cast<std::uint64_t>(parallel::num_threads()) *
-                           ((static_cast<std::uint64_t>(n) + 63) / 64 * 8),
-                       "bitmap_scratch");
-  std::vector<parallel::Padded<std::uint64_t>> partial(parallel::num_threads());
-  parallel::parallel_for(0, n, 64,
-      [&](unsigned thread_index, std::uint64_t b, std::uint64_t e) {
-        util::Bitset bitmap(n);  // per-chunk; bits are unset after each vertex
-        std::uint64_t local = 0;
-        for (std::uint64_t vi = b; vi < e; ++vi) {
-          const auto v = static_cast<VertexId>(vi);
-          auto nv = oriented.neighbors(v);
-          if (nv.size() < 2) continue;
-          for (VertexId u : nv) bitmap.set(u);
-          for (VertexId u : nv)
-            local += count_bitmap_hits<VertexId>(oriented.neighbors(u), bitmap);
-          for (VertexId u : nv) bitmap.clear(u);
-        }
-        partial[thread_index].value += local;
-      });
-  std::uint64_t total = 0;
-  for (const auto& p : partial) total += p.value;
-  return total;
+  return kernels::forward_count(oriented.offsets(), oriented.neighbor_array(),
+                                2, "bitmap_scratch");
 }
 
 std::uint64_t forward_hybrid_prepared(const OrientedCsr& oriented,
                                       std::uint32_t degree_threshold) {
-  const VertexId n = oriented.num_vertices();
-  // The hybrid's per-thread bitmaps allocate lazily on worker threads, where
-  // a budget cannot be charged; charge the worst case up front (master
-  // thread) like forward_bitmap — but only when some vertex will actually
-  // reach the dense path.
-  if (util::memory_accounting_active()) {
-    bool any_dense = false;
-    for (VertexId v = 0; v < n && !any_dense; ++v)
-      any_dense = oriented.neighbors(v).size() >= degree_threshold;
-    if (any_dense)
-      util::charge_current(
-          static_cast<std::uint64_t>(parallel::num_threads()) *
-              ((static_cast<std::uint64_t>(n) + 63) / 64 * 8),
-          "hybrid_scratch");
-  }
-  return kernels::hybrid_forward_count(oriented.offsets(),
-                                       oriented.neighbor_array(),
-                                       degree_threshold);
+  return kernels::forward_count(oriented.offsets(), oriented.neighbor_array(),
+                                degree_threshold, "hybrid_scratch");
 }
 
 std::uint64_t edge_parallel_forward_prepared(const OrientedCsr& oriented) {

@@ -9,9 +9,10 @@
 //
 // These kernels are the *uninstrumented* fast paths: they take raw pointers,
 // carry no memory probe, and flush no obs counters themselves. The
-// probe/obs contract of baselines/intersect.hpp is preserved one layer up —
-// kernels/intersect.hpp routes probed calls to the scalar mirror and flushes
-// comparison totals for dispatched calls. See docs/KERNELS.md.
+// probe/obs contract of baselines/intersect.hpp is preserved one layer up:
+// probed paths call the scalar mirrors directly, and the loops that call
+// the table (kernels/forward_count.hpp, mining/triangle_walk.hpp) flush
+// comparison totals. See docs/KERNELS.md.
 #pragma once
 
 #include <cstddef>
@@ -84,13 +85,15 @@ inline constexpr const char* kKernelNames[] = {
 namespace detail {
 /// |a ∩ b| by a branch-free scalar merge of a[i..na) and b[j..nb), added
 /// to `count`: each step compares one element of each list and advances
-/// either or both with conditional adds (cmov) instead of a three-way
-/// branch, so it costs the same whatever the data. The scalar merge kernel
-/// is this loop, and NEON's count body runs it over the tail its 4-lane
-/// blocks leave; AVX2 and AVX-512 finish in masked partial blocks instead
-/// (kernels_avx2.cpp). With kPosA (and kPosB) every step stores i (and
-/// j) at slot `count` unconditionally, and a hit keeps it by advancing
-/// `count`.
+/// either or both by a flag (sete/sbb) instead of a three-way branch, so
+/// it costs the same whatever the data. Written as `x <= y ? 1u : 0u`
+/// adds, GCC 12 compiled the step back into a branch; bool adds
+/// under a 50% probability hint stay flag arithmetic. The scalar merge
+/// kernel is this loop, and NEON's count body runs it over the tail its
+/// 4-lane blocks leave; AVX2 and AVX-512 finish in masked partial blocks
+/// instead (kernels_avx2.cpp). With kPosA (and kPosB) every step stores i
+/// (and j) at slot `count` unconditionally, and a hit keeps it by
+/// advancing `count`.
 template <bool kPosA = false, bool kPosB = false, typename T>
 inline std::uint64_t merge_branchless(const T* a, std::size_t na, const T* b,
                                       std::size_t nb, std::size_t i = 0,
@@ -102,9 +105,11 @@ inline std::uint64_t merge_branchless(const T* a, std::size_t na, const T* b,
     const T y = b[j];
     if constexpr (kPosA) pos_a[count] = static_cast<std::uint32_t>(i);
     if constexpr (kPosB) pos_b[count] = static_cast<std::uint32_t>(j);
-    count += x == y ? 1u : 0u;
-    i += x <= y ? 1u : 0u;
-    j += y <= x ? 1u : 0u;
+    const bool step_a = __builtin_expect_with_probability(x <= y, true, 0.5);
+    const bool step_b = __builtin_expect_with_probability(y <= x, true, 0.5);
+    count += step_a & step_b;
+    i += step_a;
+    j += step_b;
   }
   return count;
 }

@@ -23,7 +23,7 @@
 
 #include "baselines/intersect.hpp"
 #include "kernels/edge_stream.hpp"
-#include "kernels/hybrid.hpp"
+#include "kernels/forward_count.hpp"
 #include "lotus/hub_bitmaps.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "lotus/tiling.hpp"
@@ -323,11 +323,12 @@ std::uint64_t count_hnn(const LotusGraph& lg,
 
 /// Phase 3 — NNN (Alg. 3 lines 10-12): Forward algorithm restricted to the
 /// NHE sub-graph; hub edges are never touched (the pruning of Sec. 3.3).
-/// Uninstrumented vectorized runs go through the sparse-vs-dense hybrid
-/// (kernels/hybrid.hpp), which prefetches along each chunk's NHE entry
-/// stream. Its dense-bitmap scratch is suppressed — threshold pushed out of
-/// reach — while a memory budget is accounting, so the LOTUS footprint
-/// under a budget stays exactly the accounted topology.
+/// Uninstrumented vectorized runs go through the Forward count loop
+/// (kernels/forward_count.hpp), which prefetches along each chunk's NHE
+/// entry stream; lists of ≥ hybrid_degree_threshold entries take its dense
+/// bitmap, and 0 means merge only. The bitmap is suppressed (never dense)
+/// while a memory budget is accounting, so the LOTUS footprint under a
+/// budget stays exactly the accounted topology.
 template <typename Probe = baselines::NullProbe>
 std::uint64_t count_nnn(const LotusGraph& lg,
                         Probe& probe = baselines::null_probe,
@@ -336,12 +337,12 @@ std::uint64_t count_nnn(const LotusGraph& lg,
   const graph::CsrGraph& nhe = lg.nhe();
   if constexpr (std::is_same_v<Probe, baselines::NullProbe>) {
     if (vectorize) {
-      const std::uint32_t threshold =
+      const std::uint32_t dense_from =
           util::memory_accounting_active() || hybrid_degree_threshold == 0
-              ? ~std::uint32_t{0}
+              ? kernels::kNeverDense
               : hybrid_degree_threshold;
-      return kernels::hybrid_forward_count(nhe.offsets(), nhe.neighbor_array(),
-                                           threshold);
+      return kernels::forward_count(nhe.offsets(), nhe.neighbor_array(),
+                                    dense_from);
     }
   }
   return parallel::parallel_reduce_add<std::uint64_t>(

@@ -69,7 +69,7 @@ class ForwardWalk {
           std::uint32_t* at_v = rows_.data() + thread * lists * stride_;
           std::uint32_t* at_u = report_u_ ? at_v + stride_ : nullptr;
           // obs tallies in the dispatched merge's convention
-          // (kernels/intersect.hpp); dead when LOTUS_OBS=0.
+          // (kernels/forward_count.hpp); dead when LOTUS_OBS=0.
           std::uint64_t comparisons = 0, fruitless = 0;
           for (auto v = static_cast<graph::VertexId>(begin); v < end; ++v) {
             const auto nv = dag_.neighbors(v);

@@ -72,7 +72,8 @@ TEST(Chaos, AllocFaultsNeverCorruptCounts) {
           fault::single_site_plan(fault::Site::kAlloc, p, seed));
       for (const auto algorithm :
            {tc::Algorithm::kLotus, tc::Algorithm::kAdaptive,
-            tc::Algorithm::kForwardHashed, tc::Algorithm::kForwardBitmap}) {
+            tc::Algorithm::kForwardHashed, tc::Algorithm::kForwardBitmap,
+            tc::Algorithm::kForwardHybrid}) {
         const auto result = tc::query(algorithm, oracle().graph).value();
         if (result.ok()) {
           EXPECT_EQ(result.result.triangles, oracle().triangles)

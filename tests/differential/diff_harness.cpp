@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "baselines/intersect.hpp"
-#include "baselines/tc_baselines.hpp"
 #include "bench/ablations/hnn.hpp"
 #include "bench/ablations/intersect.hpp"
 #include "graph/builder.hpp"
@@ -20,6 +19,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/oocore.hpp"
+#include "kernels/dispatch.hpp"
 #include "lotus/count.hpp"
 #include "lotus/lotus.hpp"
 #include "lotus/lotus_graph.hpp"
@@ -318,16 +318,13 @@ std::vector<DiffPath> differential_paths() {
   paths.push_back({"forward_hybrid", [](const auto& graph, const auto&) {
                      return query_count(tc::Algorithm::kForwardHybrid, graph);
                    }});
-  paths.push_back({"forward_hybrid_all_dense", [](const auto& graph,
-                                                  const auto&) {
-                     const auto oriented = g::degree_ordered_oriented(graph);
-                     return baselines::forward_hybrid_prepared(oriented, 2);
-                   }});
+  // The scalar tier's merge_u32 (kernels::detail::merge_branchless).
   paths.push_back({"forward_merge_branchless",
                    [](const auto& graph, const auto&) {
                      return forward_with_kernel(graph, [](auto a, auto b) {
-                       return ablation::intersect_merge_branchless<g::VertexId>(
-                           a, b);
+                       return kernels::kernel_table(kernels::Isa::kScalar)
+                           .merge_u32(a.data(), a.size(), b.data(), b.size(),
+                                      nullptr, nullptr);
                      });
                    }});
   paths.push_back({"forward_binary_branchfree",

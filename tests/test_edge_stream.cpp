@@ -1,7 +1,8 @@
-// Edge-stream prefetch coverage. The vectorized HNN loop, the NNN hybrid and
-// the Forward hybrid walk each parallel_for chunk's adjacency entries as one
+// Edge-stream prefetch coverage. The vectorized HNN loop and the Forward
+// count loop (kernels/forward_count.hpp: NNN, gap-forward, forward-bitmap,
+// forward-hybrid) walk each parallel_for chunk's adjacency entries as one
 // flat stream and prefetch a clamped distance ahead of use
-// (kernels/edge_stream.hpp). Each must equal its scalar reference on
+// (kernels/edge_stream.hpp). Each caller must equal its scalar reference on
 // layouts built to stress that index arithmetic: long lists at the 64-vertex
 // chunk boundaries, empty lists interleaved with short ones, and the longest
 // list on the very last vertex (the lookahead clamps at the array's end).
@@ -120,6 +121,10 @@ void expect_streams_match_reference(const core::LotusGraph& lg,
   for (const unsigned threads : {1u, 2u, 4u}) {
     par::set_num_threads(threads);
     EXPECT_EQ(core::count_hnn(lg), hnn_ref) << name << " threads=" << threads;
+    EXPECT_EQ(lotus::baselines::forward_merge_prepared(lg.nhe(), true), nnn_ref)
+        << name << " gap-forward threads=" << threads;
+    EXPECT_EQ(lotus::baselines::forward_bitmap_prepared(lg.nhe()), nnn_ref)
+        << name << " forward-bitmap threads=" << threads;
     for (const std::uint32_t threshold : kThresholds) {
       EXPECT_EQ(core::count_nnn(lg, lotus::baselines::null_probe,
                                 /*vectorize=*/true, threshold),

@@ -8,16 +8,32 @@
 
 #include "baselines/intersect.hpp"
 #include "bench/ablations/intersect.hpp"
-#include "util/bitset.hpp"
+#include "kernels/dispatch.hpp"
 #include "util/prng.hpp"
 
 namespace {
 
 using namespace lotus::baselines;
 using lotus::ablation::intersect_binary_branchfree;
-using lotus::ablation::intersect_merge_branchless;
-using lotus::util::Bitset;
 using lotus::util::Xoshiro256;
+
+// The scalar tier's table: its merge_u32 is the branch-free merge and its
+// hits_bitset the bitmap probe.
+const lotus::kernels::KernelTable& scalar =
+    lotus::kernels::kernel_table(lotus::kernels::Isa::kScalar);
+
+std::uint64_t merge_branchless(const std::vector<std::uint32_t>& a,
+                               const std::vector<std::uint32_t>& b) {
+  return scalar.merge_u32(a.data(), a.size(), b.data(), b.size(), nullptr, nullptr);
+}
+
+std::uint64_t bitmap_hits(const std::vector<std::uint32_t>& queries,
+                          const std::vector<std::uint32_t>& members,
+                          std::uint32_t universe) {
+  std::vector<std::uint64_t> words((universe + 63) / 64, 0);
+  for (const std::uint32_t m : members) words[m >> 6] |= 1ULL << (m & 63);
+  return scalar.hits_bitset(queries.data(), queries.size(), words.data());
+}
 
 std::vector<std::uint32_t> sorted_unique(Xoshiro256& rng, std::size_t n,
                                          std::uint32_t universe) {
@@ -46,13 +62,13 @@ TEST(Intersect, DisjointListsGiveZero) {
   const std::vector<std::uint32_t> a = {1, 3, 5}, b = {2, 4, 6};
   EXPECT_EQ(intersect_merge<std::uint32_t>(a, b), 0u);
   EXPECT_EQ(intersect_gallop<std::uint32_t>(a, b), 0u);
-  EXPECT_EQ(intersect_merge_branchless<std::uint32_t>(a, b), 0u);
+  EXPECT_EQ(merge_branchless(a, b), 0u);
   EXPECT_EQ(intersect_binary_branchfree<std::uint32_t>(a, b), 0u);
 }
 
 TEST(Intersect, BranchlessKernelsHandleEmptyInputs) {
   const std::vector<std::uint32_t> empty, some = {1, 2, 3};
-  EXPECT_EQ(intersect_merge_branchless<std::uint32_t>(empty, some), 0u);
+  EXPECT_EQ(merge_branchless(empty, some), 0u);
   EXPECT_EQ(intersect_binary_branchfree<std::uint32_t>(some, empty), 0u);
   EXPECT_EQ(intersect_binary_branchfree<std::uint32_t>(empty, empty), 0u);
 }
@@ -97,11 +113,8 @@ TEST(HashedSetTest, EmptyBuild) {
 }
 
 TEST(BitmapIntersect, CountsSetMembers) {
-  Bitset bitmap(100);
-  bitmap.set(3);
-  bitmap.set(50);
   const std::vector<std::uint32_t> queries = {1, 3, 49, 50, 99};
-  EXPECT_EQ(count_bitmap_hits<std::uint32_t>(queries, bitmap), 2u);
+  EXPECT_EQ(bitmap_hits(queries, {3, 50}, 100), 2u);
 }
 
 class IntersectProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -120,18 +133,15 @@ TEST_P(IntersectProperty, AllKernelsAgreeWithStdSetIntersection) {
     EXPECT_EQ(intersect_merge<std::uint32_t>(b, a), expected);
     EXPECT_EQ(intersect_gallop<std::uint32_t>(a, b), expected);
     EXPECT_EQ(intersect_gallop<std::uint32_t>(b, a), expected);
-    EXPECT_EQ(intersect_merge_branchless<std::uint32_t>(a, b), expected);
-    EXPECT_EQ(intersect_merge_branchless<std::uint32_t>(b, a), expected);
+    EXPECT_EQ(merge_branchless(a, b), expected);
+    EXPECT_EQ(merge_branchless(b, a), expected);
     EXPECT_EQ(intersect_binary_branchfree<std::uint32_t>(a, b), expected);
     EXPECT_EQ(intersect_binary_branchfree<std::uint32_t>(b, a), expected);
 
     HashedSet<std::uint32_t> set;
     set.build(a);
     EXPECT_EQ(set.count_hits(std::span<const std::uint32_t>(b)), expected);
-
-    Bitset bitmap(universe);
-    for (auto x : a) bitmap.set(x);
-    EXPECT_EQ(count_bitmap_hits<std::uint32_t>(b, bitmap), expected);
+    EXPECT_EQ(bitmap_hits(b, a, universe), expected);
   }
 }
 

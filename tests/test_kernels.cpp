@@ -10,6 +10,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/intersect.hpp"
@@ -19,13 +20,14 @@
 #include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
 #include "kernels/dispatch.hpp"
-#include "kernels/hybrid.hpp"
-#include "kernels/intersect.hpp"
+#include "kernels/forward_count.hpp"
 #include "kernels/isa.hpp"
 #include "lotus/count.hpp"
 #include "lotus/lotus_graph.hpp"
 #include "lotus_reference.hpp"
+#include "parallel/thread_pool.hpp"
 #include "tc/api.hpp"
+#include "util/memory_budget.hpp"
 #include "util/prng.hpp"
 
 namespace {
@@ -437,40 +439,33 @@ TEST(KernelBitmap, HitsBitsetAllTiers) {
         << k::isa_name(isa);
 }
 
-// --- probe/obs contract of the dispatching wrapper ------------------------
+// --- the dispatched merge against the probed scalar mirror ---------------
 
 TEST(KernelIntersect, DispatchedProbedAndScalarPathsAgree) {
   lotus::util::Xoshiro256 rng(5);
   for (int round = 0; round < 20; ++round) {
     const auto a = sorted_unique<std::uint32_t>(rng, 40, 300);
     const auto b = sorted_unique<std::uint32_t>(rng, 25, 300);
-    const std::span<const std::uint32_t> sa(a), sb(b);
-    const std::uint64_t dispatched = k::intersect(sa, sb);
-    const std::uint64_t scalar = k::intersect(
-        sa, sb, lotus::baselines::null_probe, /*vectorize=*/false);
     lotus::baselines::NullProbe probe;  // distinct type value, same semantics
     const std::uint64_t reference =
-        lotus::baselines::intersect_merge<std::uint32_t>(sa, sb, probe);
-    EXPECT_EQ(dispatched, reference);
-    EXPECT_EQ(scalar, reference);
+        lotus::baselines::intersect_merge<std::uint32_t>(a, b, probe);
+    EXPECT_EQ(count_u32(k::kernel_table(), a, b), reference);
   }
 }
 
-// --- kernels::intersect at every forced tier ------------------------------
-// The front door gap-forward and the LOTUS phases call: each case must give
-// `expected` under every tier and on the scalar (vectorize = false) path.
+// --- the merge at every forced tier ---------------------------------------
+// The dispatched merge the Forward count loop and the LOTUS phases call:
+// each case must give `expected` under every tier and from the scalar merge
+// of the probed and vectorize = false paths.
 
 void expect_intersect(const std::vector<std::uint32_t>& a,
                       const std::vector<std::uint32_t>& b,
                       std::uint64_t expected) {
-  const std::span<const std::uint32_t> sa(a), sb(b);
   for (const k::Isa isa : kAllTiers) {
     ScopedIsa forced(isa);
-    EXPECT_EQ(k::intersect(sa, sb), expected) << k::isa_name(isa);
+    EXPECT_EQ(count_u32(k::kernel_table(), a, b), expected) << k::isa_name(isa);
   }
-  EXPECT_EQ(k::intersect(sa, sb, lotus::baselines::null_probe,
-                         /*vectorize=*/false),
-            expected)
+  EXPECT_EQ(lotus::baselines::intersect_merge<std::uint32_t>(a, b), expected)
       << "scalar";
 }
 
@@ -609,7 +604,32 @@ TEST(SimdIntersect16, MaxValueIds) {
   expect_merge_u16({65530, 65533, 65535}, {65531, 65533, 65535}, 2);
 }
 
-// --- hybrid kernel --------------------------------------------------------
+// --- the Forward count loop ----------------------------------------------
+
+// Lists of ≥ max(dense_from, 2) entries go dense: 0 and 2 mean every
+// countable list (LotusConfig's 0 = merge only is count_nnn's mapping). The
+// budget charge shows it; K_65 by ID has one list of exactly 64 entries.
+TEST(KernelForwardCount, DenseFromIsTheShortestDenseList) {
+  constexpr std::uint32_t n = 65;
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<std::uint32_t> neighbors;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (std::uint32_t u = 0; u < v; ++u) neighbors.push_back(u);
+    offsets.push_back(neighbors.size());
+  }
+  const std::uint64_t bitmaps =  // ⌈n/64⌉ words a thread
+      lotus::parallel::num_threads() * ((n + 63) / 64) * sizeof(std::uint64_t);
+  const std::pair<std::uint32_t, std::uint64_t> cases[] = {  // dense_from, charge
+      {0, bitmaps}, {2, bitmaps}, {64, bitmaps}, {65, 0}, {k::kNeverDense, 0}};
+  for (const auto& [dense_from, charge] : cases) {
+    lotus::util::MemoryBudget budget;  // limit 0: accounting only
+    lotus::util::ScopedMemoryBudget scoped(&budget);
+    EXPECT_EQ(k::forward_count(offsets, neighbors, dense_from),
+              std::uint64_t{n} * (n - 1) * (n - 2) / 6)
+        << "dense_from=" << dense_from;
+    EXPECT_EQ(budget.used(), charge) << "dense_from=" << dense_from;
+  }
+}
 
 TEST(KernelHybrid, ThresholdSweepMatchesForwardMerge) {
   const auto graph =

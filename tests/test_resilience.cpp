@@ -11,10 +11,12 @@
 
 #include "baselines/tc_baselines.hpp"
 #include "graph/builder.hpp"
+#include "graph/degree_order.hpp"
 #include "graph/generators.hpp"
 #include "tc/api.hpp"
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
+#include "util/memory_budget.hpp"
 #include "util/status.hpp"
 
 namespace {
@@ -161,7 +163,8 @@ TEST(Resilience, TinyBudgetDegradesScratchKernelsToMerge) {
   const auto graph = small_graph();
   const std::uint64_t expected = lotus::baselines::brute_force(graph);
   for (const auto algorithm :
-       {tc::Algorithm::kForwardHashed, tc::Algorithm::kForwardBitmap}) {
+       {tc::Algorithm::kForwardHashed, tc::Algorithm::kForwardBitmap,
+        tc::Algorithm::kForwardHybrid}) {
     tc::QueryOptions options;
     options.memory_budget_bytes = 64;  // below any scratch estimate
     const auto result = must_attempt(algorithm, graph, options);
@@ -215,6 +218,16 @@ TEST(Resilience, MergeKernelIsImmuneToAllocFaults) {
   const auto result = must_attempt(tc::Algorithm::kForwardMerge, graph);
   ASSERT_TRUE(result.ok()) << result.status.to_string();
   EXPECT_EQ(result.result.triangles, expected);
+}
+
+TEST(Resilience, VectorizedGapForwardChargesNothing) {
+  // The degradation target: no dense side, so no charge and no throw.
+  const auto oriented = g::degree_ordered_oriented(small_graph());
+  lotus::util::MemoryBudget budget(1);
+  lotus::util::ScopedMemoryBudget scoped(&budget);
+  EXPECT_EQ(lotus::baselines::forward_merge_prepared(oriented, true),
+            lotus::baselines::brute_force(small_graph()));
+  EXPECT_EQ(budget.used(), 0u);
 }
 
 TEST(Resilience, ResilienceSectionDefaultsToOk) {

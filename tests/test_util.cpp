@@ -1,11 +1,10 @@
-// Unit tests for the utility layer: PRNG, bitset, formatting, table, CLI.
+// Unit tests for the utility layer: PRNG, formatting, table, CLI.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
 #include <string>
 
-#include "util/bitset.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/prng.hpp"
@@ -13,7 +12,6 @@
 
 namespace {
 
-using lotus::util::Bitset;
 using lotus::util::Cli;
 using lotus::util::TablePrinter;
 using lotus::util::Xoshiro256;
@@ -68,29 +66,6 @@ TEST(Prng, LongJumpDecorrelatesStreams) {
   int same = 0;
   for (int i = 0; i < 100; ++i) same += a() == b() ? 1 : 0;
   EXPECT_LT(same, 5);
-}
-
-TEST(Bitset, SetTestClear) {
-  Bitset bits(200);
-  EXPECT_FALSE(bits.test(63));
-  bits.set(63);
-  bits.set(64);
-  bits.set(199);
-  EXPECT_TRUE(bits.test(63));
-  EXPECT_TRUE(bits.test(64));
-  EXPECT_TRUE(bits.test(199));
-  EXPECT_FALSE(bits.test(65));
-  EXPECT_EQ(bits.count(), 3u);
-  bits.clear(64);
-  EXPECT_FALSE(bits.test(64));
-  EXPECT_EQ(bits.count(), 2u);
-}
-
-TEST(Bitset, ResetClearsEverything) {
-  Bitset bits(128);
-  for (std::uint64_t i = 0; i < 128; i += 3) bits.set(i);
-  bits.reset();
-  EXPECT_EQ(bits.count(), 0u);
 }
 
 TEST(Format, WithCommas) {
